@@ -600,15 +600,24 @@ def is_zero(e: Expr, budget: int = 20, seed: int = 0) -> bool:
     return result
 
 
-def compile_expr(e: Expr, args: list):
+def compile_expr(e: Expr, args: list, module=math):
     """Compile to a fast float-valued callable of the given symbols.
 
-    Used by the numeric verification layer; raises ValueError/OverflowError
-    from math on domain violations, which callers treat as singular samples.
+    The callable takes a sequence `_a` indexed like `args`; functions come
+    from `module`.  With `math` it maps floats to a float and raises
+    ValueError/OverflowError on domain violations.  With `numpy` each
+    `_a[i]` may be an array of samples, the result is an array of the same
+    shape (a scalar for a constant expression), and domain violations give
+    nan or inf instead of raising.
     """
     names = {}
     for i, s in enumerate(args):
         names[s] = f"_a[{i}]"
+
+    def fn_name(fn: str) -> str:
+        name = "log" if fn == "ln" else fn
+        # math spells the inverse functions asin/atan, numpy arcsin/arctan
+        return name if hasattr(module, name) else "a" + name[3:]
 
     def emit(x: Expr) -> str:
         if isinstance(x, Const):
@@ -624,15 +633,14 @@ def compile_expr(e: Expr, args: list):
         if isinstance(x, Pow):
             return f"({emit(x.base)})**({x.exp})"
         if isinstance(x, Func):
-            fn = {"ln": "log", "arcsin": "asin", "arctan": "atan"}.get(x.fn, x.fn)
-            return f"math.{fn}({emit(x.arg)})"
+            return f"_m.{fn_name(x.fn)}({emit(x.arg)})"
         raise TypeError(f"not an Expr: {x!r}")
 
     missing = e.free - set(args)
     if missing:
         raise ValueError(f"unbound symbols: {sorted(s.name for s in missing)}")
     src = f"lambda _a: {emit(e)}"
-    return eval(src, {"math": math})  # noqa: S307  (source built locally above)
+    return eval(src, {"_m": module})  # noqa: S307  (source built locally above)
 
 
 def clear_zero_cache() -> None:

@@ -294,6 +294,8 @@ def test_criterion_7_numeric_flatness_verdicts(sin_run, coupled_run):
     for name, run in (("sinex", sin_run), ("coupled", coupled_run)):
         verdict = verify_flatness_numeric(run["cert"], trials=20, seed=0)
         assert verdict.ok, (name, verdict)
+        assert (verdict.passed, verdict.failed, verdict.singular) == \
+            (20, 0, 0), (name, verdict)
         assert verdict.passed * 5 >= verdict.trials * 4
         assert verdict.worst_deviation < 1e-6
 
@@ -305,6 +307,7 @@ def test_criterion_7_numeric_flatness_verdicts(sin_run, coupled_run):
     verdict = verify_flatness_numeric(corrupted, trials=20, seed=0)
     assert not verdict.ok
     assert verdict.failed > 0
+    assert (verdict.passed, verdict.failed, verdict.singular) == (0, 17, 3)
     print("[criterion 7] PASS: genuine certificates verify, corrupted "
           "certificate is rejected")
 

@@ -171,3 +171,21 @@ def test_verify_missing_certificate_file(sin_file, tmp_path, capsys):
 def test_verify_bad_output_expression(sin_file, capsys):
     assert main(["verify", sin_file, "--outputs", "x3; )"]) == 1
     assert "SyntaxError" in capsys.readouterr().err
+
+
+def test_verify_survives_finite_time_blowup(tmp_path, capsys):
+    # x1' = x2 + x1^2 escapes to infinity within the trial window: the
+    # reference run overflows, which must make trials singular, not crash
+    src = tmp_path / "nlchain.fds"
+    src.write_text("system nlchain {\n  states: x1, x2, x3;\n  inputs: u;\n"
+                   "  dot(x1) = x2 + x1^2;\n  dot(x2) = x3*x1;\n"
+                   "  dot(x3) = u;\n}\n")
+    cert = tmp_path / "d.json"
+    assert main(["decompose", str(src), "--report", str(cert)]) == 0
+    report = tmp_path / "v.json"
+    code = main(["verify", str(src), "--certificate", str(cert),
+                 "--samples", "3", "--report", str(report)])
+    assert code in (0, 4)
+    assert "internal error" not in capsys.readouterr().err
+    numeric = json.loads(report.read_text())["verification"]["numeric"]
+    assert numeric["passed"] + numeric["failed"] + numeric["singular"] == 3

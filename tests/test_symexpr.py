@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -282,6 +283,39 @@ def test_compile_expr_matches_eval():
         ay = rng.uniform(0.5, 2.0)
         want = math.sin(ax) + ay / ax + math.atan(ay)
         assert abs(f([ax, ay]) - want) < 1e-12
+
+
+def test_compile_expr_numpy_matches_math():
+    # every function of FUNCTIONS in each expression, at points both inside
+    # and outside their domains
+    rng = random.Random(11)
+    pts = np.array([[rng.uniform(-1.0, 1.0) for _ in range(40)]
+                    for _ in range(3)])
+
+    def coeff(lo=-2):
+        return const(Fraction(rng.randint(lo, 3), rng.randint(2, 5)))
+
+    checked = 0
+    for _ in range(25):
+        terms = []
+        for fn in sx.FUNCTIONS:
+            arg = add(mul(coeff(1), x), mul(coeff(), y, z),
+                      mul(coeff(), pow_(z, rng.choice((1, 2, -1)))), coeff())
+            terms.append(mul(coeff(1), func(fn, arg)))
+        e = add(*terms)
+        f_math = compile_expr(e, [X, Y, Z])
+        f_np = compile_expr(e, [X, Y, Z], np)
+        with np.errstate(all="ignore"):
+            got = f_np(pts)
+        for k in range(pts.shape[1]):
+            try:
+                want = f_math(pts[:, k].tolist())
+            except (ValueError, ArithmeticError):
+                assert not math.isfinite(got[k])
+                continue
+            assert abs(got[k] - want) <= 1e-12 * max(1.0, abs(want))
+            checked += 1
+    assert checked > 100
 
 
 def test_compile_expr_unbound():

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from flatdec.decompose import run_decomposition
@@ -229,6 +230,55 @@ def test_initial_guess_selects_branch(zc):
     assert abs(dn.samples[0].u["u"] + 1.0) < 1e-9
     with pytest.raises(SingularJacobian):
         recover_trajectory(cert, curves, [0.0])
+
+
+def test_batched_recovery_matches_single_samples(sin_cert, coupled_td):
+    coupled_cert = extract_flat_output(coupled_td)
+    cases = [
+        (sin_cert, [PolyCurve((0.0, 0.0, 0.5)), PolyCurve((1.0, 1.0))],
+         np.linspace(0.1, 0.9, 17)),
+        (coupled_cert, [PolyCurve((1.0, 0.75, 0.05, 0.01, 0.002)),
+                        PolyCurve((0.5, 0.3, -0.2, 0.1, 0.05))],
+         np.linspace(0.0, 1.0, 21)),
+    ]
+    for cert, curves, ts in cases:
+        names = [p.name for blk in cert.decomposition.blocks
+                 for p in blk.nondrv]
+        # a different Newton start at every sample
+        seeds = {name: 0.05 * np.sin(np.arange(len(ts)) + i)
+                 for i, name in enumerate(names)}
+        batch = recover_trajectory(cert, curves, ts, initial_guess=seeds)
+        assert batch.converged == len(ts)
+        for k, t in enumerate(ts):
+            guess = {name: float(s[k]) for name, s in seeds.items()}
+            (one,) = recover_trajectory(cert, curves, [t],
+                                        initial_guess=guess).samples
+            got = batch.samples[k]
+            assert one.converged and got.t == one.t
+            for a, b in ((got.x, one.x), (got.u, one.u)):
+                assert a.keys() == b.keys()
+                assert all(abs(a[n] - b[n]) <= 1e-12 for n in a), (a, b)
+
+
+def test_domain_violation_mid_batch_spares_neighbours(zc):
+    cs = parse_system(
+        "system lg {\n  states: x;\n  inputs: u;\n  dot(x) = ln(u);\n}")
+    td, _ = build(cs, zc)
+    cert = extract_flat_output(td)
+    p = td.blocks[1].nondrv[0].name
+    curves = [PolyCurve((0.0, 0.1, 0.2))]  # ln(u) = x' = 0.1 + 0.4 t
+    ts = [0.1, 0.2, 0.3, 0.4, 0.5]
+    # the middle sample starts where ln is undefined
+    seeds = np.array([1.0, 1.0, -1.0, 1.0, 1.0])
+    rec = recover_trajectory(cert, curves, ts, initial_guess={p: seeds})
+    assert rec.converged == 4 and rec.skipped == 1
+    bad = rec.samples[2]
+    assert not bad.converged and bad.residual == math.inf
+    assert bad.note.startswith("domain violation")
+    assert "block 1 at t=0.3" in bad.note
+    for s in rec.samples[:2] + rec.samples[3:]:
+        assert s.converged
+        assert abs(math.log(s.u["u"]) - (0.1 + 0.4 * s.t)) < 1e-12
 
 
 # -- numeric verification ------------------------------------------------------------
