@@ -299,17 +299,14 @@ def cmd_verify(args) -> int:
                                           seed=args.seed)
     except OutputCountMismatch as ex:
         report["verification"] = {
-            "structure": [{"check": label, "ok": flag}
-                          for label, flag in items],
+            "structure": [{"check": label, "ok": flag} for label, flag in items],
             "numeric": {"error": str(ex)},
             "ok": False,
         }
         print(f"output count mismatch: {ex}", file=sys.stderr)
-        _emit(report, args, {"verify": time.perf_counter() - t0})
-        return 4
-
-    report["verification"] = _verification_json(items, verdict)
-    print(_verification_text(items, verdict))
+    else:
+        report["verification"] = _verification_json(items, verdict)
+        print(_verification_text(items, verdict))
     _emit(report, args, {"verify": time.perf_counter() - t0})
     return 0 if report["verification"]["ok"] else 4
 
@@ -317,17 +314,25 @@ def cmd_verify(args) -> int:
 # -- entry point ---------------------------------------------------------------------
 
 
+def _at_least(lo: int):
+    def integer(text: str) -> int:
+        if int(text) < lo:
+            raise argparse.ArgumentTypeError(f"must be at least {lo}, got {text}")
+        return int(text)
+    return integer
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("file", help="system description (.fds)")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for all randomized decisions (default 0)")
-    p.add_argument("--max-degree", type=int, default=2,
+    p.add_argument("--max-degree", type=_at_least(0), default=2,
                    help="monomial degree cap for combination coefficients")
     p.add_argument("--max-depth", type=int, default=8,
                    help="reduction depth budget")
     p.add_argument("--branch-width", type=int, default=8,
                    help="splittings kept per level")
-    p.add_argument("--samples", type=int, default=20,
+    p.add_argument("--samples", type=_at_least(1), default=20,
                    help="zero-test budget and verification trial count")
     p.add_argument("--report", metavar="PATH",
                    help="write the JSON report to PATH")

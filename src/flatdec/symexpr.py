@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -27,6 +26,7 @@ ANSATZ = "ansatz"
 
 ZERO_THRESHOLD = Fraction(1, 10**40)
 ZERO_DPS = 50
+PRIME = 2**61 - 1   # the zero test evaluates Func-free expressions in GF(PRIME)
 
 
 class DomainError(ValueError):
@@ -47,16 +47,19 @@ class Symbol:
 
 
 class Expr:
-    """Base node.  `key` is a nested tuple giving a total structural order."""
+    """Base node.  `key` is a nested tuple giving a total structural order.
+    `needs_mp` (a function, or a constant that PRIME divides, inside) and
+    `_memo` (values at sample points) serve `is_zero`."""
 
-    __slots__ = ("key", "_hash", "free", "nodes", "has_func")
+    __slots__ = ("key", "_hash", "free", "nodes", "needs_mp", "_memo")
 
-    def _seal(self, key, free, nodes, has_func):
+    def _seal(self, key, free, nodes, needs_mp):
         self.key = key
         self._hash = hash(key)
         self.free = free
         self.nodes = nodes
-        self.has_func = has_func
+        self.needs_mp = needs_mp
+        self._memo = None
 
     def __hash__(self):
         return self._hash
@@ -107,7 +110,9 @@ class Const(Expr):
 
     def __init__(self, value: Fraction):
         self.value = value
-        self._seal(("c", (value.numerator, value.denominator)), frozenset(), 1, False)
+        n, d = value.numerator, value.denominator
+        self._seal(("c", (n, d)), frozenset(), 1,
+                   (n != 0 and n % PRIME == 0) or d % PRIME == 0)
 
 
 class Var(Expr):
@@ -125,7 +130,7 @@ class Add(Expr):
         self.terms = terms
         free = frozenset().union(*(t.free for t in terms))
         self._seal(("a",) + tuple(t.key for t in terms), free,
-                   1 + sum(t.nodes for t in terms), any(t.has_func for t in terms))
+                   1 + sum(t.nodes for t in terms), any(t.needs_mp for t in terms))
 
 
 class Mul(Expr):
@@ -135,7 +140,7 @@ class Mul(Expr):
         self.factors = factors
         free = frozenset().union(*(f.free for f in factors))
         self._seal(("m",) + tuple(f.key for f in factors), free,
-                   1 + sum(f.nodes for f in factors), any(f.has_func for f in factors))
+                   1 + sum(f.nodes for f in factors), any(f.needs_mp for f in factors))
 
 
 class Pow(Expr):
@@ -144,7 +149,7 @@ class Pow(Expr):
     def __init__(self, base: Expr, exp: int):
         self.base = base
         self.exp = exp
-        self._seal(("p", base.key, exp), base.free, 1 + base.nodes, base.has_func)
+        self._seal(("p", base.key, exp), base.free, 1 + base.nodes, base.needs_mp)
 
 
 class Func(Expr):
@@ -448,71 +453,36 @@ def substitute(e: Expr, bindings: dict) -> Expr:
 
 # --- numeric evaluation ----------------------------------------------------
 
-class _NotRational(Exception):
-    pass
+def _children(e: Expr) -> tuple:
+    if isinstance(e, (Add, Mul)):
+        return e.terms if isinstance(e, Add) else e.factors
+    if isinstance(e, (Pow, Func)):
+        return (e.base,) if isinstance(e, Pow) else (e.arg,)
+    return ()
 
 
-def _eval_fraction(e: Expr, pt: dict) -> Fraction:
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Var):
-        return pt[e.sym]
-    if isinstance(e, Add):
-        return sum((_eval_fraction(t, pt) for t in e.terms), Fraction(0))
-    if isinstance(e, Mul):
-        out = Fraction(1)
-        for f in e.factors:
-            out *= _eval_fraction(f, pt)
-        return out
-    if isinstance(e, Pow):
-        b = _eval_fraction(e.base, pt)
-        if b == 0 and e.exp < 0:
-            raise DomainError("pole: zero denominator at sample point")
-        return b ** e.exp
-    raise _NotRational
+_MP_NAMES = {"ln": "log", "arcsin": "asin", "arctan": "atan"}
 
 
-def _eval_mp(e: Expr, pt: dict):
+def _mp_node(e: Expr, args):
+    """Value of a non-Var node from its children's values `args`, in mpmath."""
     if isinstance(e, Const):
         return mpmath.mpf(e.value.numerator) / e.value.denominator
-    if isinstance(e, Var):
-        return pt[e.sym]
     if isinstance(e, Add):
-        return mpmath.fsum(_eval_mp(t, pt) for t in e.terms)
+        return mpmath.fsum(args)
     if isinstance(e, Mul):
-        out = mpmath.mpf(1)
-        for f in e.factors:
-            out *= _eval_mp(f, pt)
-        return out
+        return mpmath.fprod(args)
     if isinstance(e, Pow):
-        b = _eval_mp(e.base, pt)
+        b = args[0]
         if b == 0 and e.exp < 0:
             raise DomainError("pole: zero denominator at sample point")
         return b ** e.exp
     if isinstance(e, Func):
-        a = _eval_mp(e.arg, pt)
-        if e.fn == "sin":
-            return mpmath.sin(a)
-        if e.fn == "cos":
-            return mpmath.cos(a)
-        if e.fn == "tan":
-            return mpmath.tan(a)
-        if e.fn == "exp":
-            return mpmath.exp(a)
-        if e.fn == "ln":
-            if a <= 0:
-                raise DomainError("ln of a nonpositive value")
-            return mpmath.log(a)
-        if e.fn == "sqrt":
-            if a < 0:
-                raise DomainError("sqrt of a negative value")
-            return mpmath.sqrt(a)
-        if e.fn == "arcsin":
-            if abs(a) > 1:
-                raise DomainError("arcsin argument outside [-1, 1]")
-            return mpmath.asin(a)
-        if e.fn == "arctan":
-            return mpmath.atan(a)
+        a = args[0]
+        if ((e.fn == "ln" and a <= 0) or (e.fn == "sqrt" and a < 0)
+                or (e.fn == "arcsin" and abs(a) > 1)):
+            raise DomainError(f"{e.fn} argument outside its real domain")
+        return getattr(mpmath, _MP_NAMES.get(e.fn, e.fn))(a)
     raise TypeError(f"not an Expr: {e!r}")
 
 
@@ -521,83 +491,108 @@ def eval_expr(e: Expr, point: dict, dps: int = ZERO_DPS):
     missing = e.free - set(point)
     if missing:
         raise ValueError(f"unbound symbols: {sorted(s.name for s in missing)}")
+
+    def rec(x: Expr):
+        return pt[x.sym] if isinstance(x, Var) else _mp_node(x, [rec(c) for c in _children(x)])
+
     with mpmath.workdps(dps):
-        pt = {}
-        for s, v in point.items():
-            if isinstance(v, Fraction):
-                pt[s] = mpmath.mpf(v.numerator) / v.denominator
-            else:
-                pt[s] = mpmath.mpf(v)
-        return _eval_mp(e, pt)
+        pt = {s: mpmath.mpf(v.numerator) / v.denominator if isinstance(v, Fraction)
+              else mpmath.mpf(v) for s, v in point.items()}
+        return rec(e)
 
 
 def structural_key(e: Expr) -> str:
     return repr(e.key)
 
 
-_zero_cache: dict = {}
+def _modp_node(e: Expr, args):
+    """Value in GF(PRIME) of a non-Var node from its children's; None at a pole."""
+    if isinstance(e, Const):
+        return e.value.numerator * pow(e.value.denominator, -1, PRIME) % PRIME
+    if isinstance(e, Add):
+        return sum(args) % PRIME
+    if isinstance(e, Mul):
+        return math.prod(args) % PRIME
+    return None if args[0] == 0 and e.exp < 0 else pow(args[0], e.exp, PRIME)
 
 
-def _sample_fraction(rng: random.Random) -> Fraction:
+def _coordinate(sym: Symbol, seed: int, k: int, modp: bool):
+    """The value of `sym` at sample point k: a pure function of the arguments."""
+    h = int.from_bytes(hashlib.sha256(
+        repr((seed, k, sym.name, sym.kind)).encode()).digest(), "big")
+    if modp:
+        return 1 + h % (PRIME - 1)
     # rationals in [1/2, 2] with coarse denominators: keeps tan() samples
     # safely away from its poles at 50-digit precision
-    q = rng.randint(8, 64)
-    p = rng.randint((q + 1) // 2, 2 * q)
-    return Fraction(p, q)
+    q = 8 + (h >> 64) % 57
+    lo = (q + 1) // 2
+    return mpmath.mpf(lo + (h >> 128) % (2 * q - lo + 1)) / q
+
+
+def _at(e: Expr, k: int, seed: int, modp: bool):
+    """Value of e at sample point k, None where e is undefined.  Each node
+    memoizes its values per (seed, branch): new expressions cost new nodes."""
+    if isinstance(e, Const):
+        return _modp_node(e, ()) if modp else _mp_node(e, ())
+    if e._memo is None:
+        e._memo = {}
+    vals = e._memo.setdefault((seed, modp), [])
+    while len(vals) <= k:
+        i = len(vals)
+        if isinstance(e, Var):
+            vals.append(_coordinate(e.sym, seed, i, modp))
+            continue
+        args = [_at(c, i, seed, modp) for c in _children(e)]
+        if None in args:
+            vals.append(None)
+        elif modp:
+            vals.append(_modp_node(e, args))
+        else:
+            try:
+                vals.append(_mp_node(e, args))
+            except DomainError:
+                vals.append(None)
+    return vals[k]
+
+
+def _vanishes(e: Expr, budget: int, seed: int, modp: bool) -> bool:
+    found = 0
+    for k in range(10 * budget):
+        v = _at(e, k, seed, modp)
+        if v is None:
+            continue
+        # |v| >= 1e-40; a residue mod PRIME passes iff it is nonzero
+        if abs(v) * ZERO_THRESHOLD.denominator >= ZERO_THRESHOLD.numerator:
+            return False
+        found += 1
+        if found == budget:
+            return True
+    raise EvaluationFailed(f"no valid sample after {10 * budget} attempts for zero test")
 
 
 def is_zero(e: Expr, budget: int = 20, seed: int = 0) -> bool:
-    """Probabilistic zero test: True iff |e| < 1e-40 at `budget` sample points.
+    """Probabilistic zero test: True iff e vanishes at `budget` sample points.
 
-    Sample points are rationals in [1/2, 2]; Func-free expressions are
-    evaluated in exact rational arithmetic, everything else at >=50 digits.
-    Domain errors trigger a resample; more than 10*budget failed attempts
-    raise EvaluationFailed.
+    All expressions share the points 0, 1, 2, ... of a seed: a symbol's
+    value at point k depends only on (seed, k, name, kind).  Points where e
+    has a pole or leaves its domain are skipped; 10*budget points without
+    `budget` valid ones raise EvaluationFailed.  Func-free e is evaluated in
+    GF(p), p = PRIME = 2^61 - 1, at points uniform on p's nonzero residues,
+    so a zero e is never called nonzero, and a nonzero e whose numerator
+    has degree d vanishes at a point with probability at most d/(p - 1)
+    (Schwartz-Zippel): it is called zero with probability at most
+    (d/(p - 1))**budget.  With a function, or a constant that p divides,
+    inside, e is evaluated at 50 digits at rationals in [1/2, 2] and
+    vanishes where |e| < 1e-40; that test is heuristic.
     """
+    if budget < 1:
+        raise ValueError("the zero test needs a budget of at least one point")
     if isinstance(e, Const):
         return e.value == 0
-    if budget <= 0:
-        # no samples, no evidence: only structural zeros count
-        return False
-    key = (structural_key(e), budget, seed)
-    got = _zero_cache.get(key)
-    if got is not None:
-        return got
-    digest = hashlib.sha256(key[0].encode()).digest()
-    rng = random.Random(seed ^ int.from_bytes(digest[:8], "big"))
-    syms = sorted(e.free, key=lambda s: (s.name, s.kind))
-    rational = not e.has_func
-    successes = 0
-    attempts = 0
-    result = None
-    max_attempts = max(10 * budget, 1)
-    while successes < budget:
-        if attempts >= max_attempts:
-            raise EvaluationFailed(
-                f"no valid sample after {attempts} attempts for zero test")
-        attempts += 1
-        pt = {s: _sample_fraction(rng) for s in syms}
-        try:
-            if rational:
-                v = _eval_fraction(e, pt)
-                if v != 0:
-                    result = False
-                    break
-            else:
-                with mpmath.workdps(ZERO_DPS):
-                    mpt = {s: mpmath.mpf(f.numerator) / f.denominator
-                           for s, f in pt.items()}
-                    v = _eval_mp(e, mpt)
-                    if abs(v) >= mpmath.mpf(10) ** -40:
-                        result = False
-                        break
-        except DomainError:
-            continue
-        successes += 1
-    if result is None:
-        result = True
-    _zero_cache[key] = result
-    return result
+    if not e.needs_mp:
+        return _vanishes(e, budget, seed, True)
+    with mpmath.workdps(ZERO_DPS):
+        return _vanishes(e, budget, seed, False)
 
 
 def compile_expr(e: Expr, args: list, module=math):
@@ -641,7 +636,3 @@ def compile_expr(e: Expr, args: list, module=math):
         raise ValueError(f"unbound symbols: {sorted(s.name for s in missing)}")
     src = f"lambda _a: {emit(e)}"
     return eval(src, {"_m": module})  # noqa: S307  (source built locally above)
-
-
-def clear_zero_cache() -> None:
-    _zero_cache.clear()

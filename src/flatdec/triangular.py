@@ -564,13 +564,17 @@ def verify_flatness_numeric(cert: FlatnessCertificate, trials: int = 20,
     leaves the domain, count as singular, never as failures, but the pass
     bar is 80 percent of ALL trials, so singular trials eat into the same
     slack as failures.  Trial inputs are drawn from a narrow correlated
-    envelope chosen to keep samples clear of singular loci.
+    envelope chosen to keep samples clear of singular loci.  A claim with
+    more or fewer outputs than inputs raises OutputCountMismatch at once.
     """
     if cert.system is None:
         raise ValueError("certificate carries no source system")
     cs = cert.system
     coords = list(cs.states) + list(cs.inputs)
     n_x, n_u = len(cs.states), len(cs.inputs)
+    if len(cert.outputs) != n_u:
+        raise OutputCountMismatch(
+            f"{len(cert.outputs)} claimed flat outputs for {n_u} inputs")
     fs = [compile_expr(f, coords) for f in cs.dynamics]
     outs = [compile_expr(y, coords, np) for y in cert.outputs]
     engine = _Engine(cert)

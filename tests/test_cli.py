@@ -88,6 +88,36 @@ def test_decompose_reports_are_byte_identical(sin_file, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_in_process_runs_start_cold(coupled_file, tmp_path, monkeypatch):
+    # mirrors perfbench/selftest.py: back-to-back runs in one process make
+    # the same zero tests and write the same bytes, and symexpr keeps no
+    # module-level cache (sample values live on the expression nodes)
+    from flatdec import linalg, symexpr
+    zero_test, calls = linalg.is_zero, []
+
+    def counting(*args, **kwargs):
+        calls[-1] += 1
+        return zero_test(*args, **kwargs)
+
+    def containers():
+        return {k: len(v) for k, v in vars(symexpr).items()
+                if not k.startswith("__") and isinstance(v, (dict, list, set))}
+
+    monkeypatch.setattr(linalg, "is_zero", counting)
+    before, reports = containers(), []
+    for i in range(2):
+        calls.append(0)
+        report = tmp_path / f"r{i}.json"
+        assert main(["decompose", coupled_file, "--report", str(report)]) == 0
+        reports.append(report.read_bytes())
+    assert reports[0] == reports[1]
+    assert calls[0] == calls[1] > 0
+    assert containers() == before
+    assert not hasattr(symexpr, "clear_zero_cache")
+    assert all(c._memo is None
+               for c in (symexpr.ZERO, symexpr.ONE, symexpr.MINUS_ONE))
+
+
 def test_decompose_depth_budget_suspends(sin_file, tmp_path):
     report = tmp_path / "d.json"
     code = main(["decompose", sin_file, "--max-depth", "0",
@@ -100,13 +130,26 @@ def test_decompose_depth_budget_suspends(sin_file, tmp_path):
     assert log[0]["outcome"] == "suspended"
 
 
-def test_decompose_zero_budget_exhausts(coupled_file, tmp_path):
+def _usage_error(argv, capsys) -> str:
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    return capsys.readouterr().err
+
+
+def test_decompose_rejects_zero_samples(coupled_file, tmp_path, capsys):
+    # a zero-test budget of 0 would decide every rank with no evidence
     report = tmp_path / "d.json"
-    code = main(["decompose", coupled_file, "--samples", "0",
-                 "--report", str(report)])
-    assert code == 3
-    obj = json.loads(report.read_text())
-    assert obj["decomposition"]["status"] == "Inconclusive"
+    for value in ("0", "-3"):
+        err = _usage_error(["decompose", coupled_file, "--samples", value,
+                            "--report", str(report)], capsys)
+        assert f"argument --samples: must be at least 1, got {value}" in err
+    assert not report.exists()
+
+
+def test_decompose_rejects_negative_max_degree(sin_file, capsys):
+    err = _usage_error(["decompose", sin_file, "--max-degree", "-1"], capsys)
+    assert "argument --max-degree: must be at least 0, got -1" in err
 
 
 def test_decompose_logs_dead_end(coupled_file, tmp_path):
@@ -147,6 +190,20 @@ def test_verify_rejects_wrong_outputs(sin_file, capsys):
                  "--samples", "5"])
     assert code == 4
     assert "verdict: FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("claim, count", [("x3", 1), ("x3; x1; x2", 3)])
+def test_verify_rejects_output_count_mismatch(sin_file, tmp_path, capsys,
+                                              claim, count):
+    report = tmp_path / "v.json"
+    code = main(["verify", sin_file, "--outputs", claim, "--samples", "5",
+                 "--report", str(report)])
+    assert code == 4
+    assert "output count mismatch" in capsys.readouterr().err
+    verification = json.loads(report.read_text())["verification"]
+    assert verification["numeric"] == {
+        "error": f"{count} claimed flat outputs for 2 inputs"}
+    assert verification["ok"] is False
 
 
 def test_verify_accepts_own_outputs(sin_file, capsys):

@@ -1,3 +1,4 @@
+import collections
 import math
 import random
 from fractions import Fraction
@@ -250,13 +251,80 @@ def test_is_zero_rejects_nonzero():
 
 
 def test_is_zero_deterministic_across_call_order():
-    a = add(pow_(func("sin", x), 2), pow_(func("cos", x), 2), neg(sx.ONE))
-    b = mul(x, add(y, neg(y)))
-    sx.clear_zero_cache()
+    def fresh():
+        # new nodes each time, so neither order sees the other's memo
+        u, v = var(Symbol("u", sx.STATE)), var(Symbol("v", sx.STATE))
+        a = add(pow_(func("sin", u), 2), pow_(func("cos", u), 2), neg(sx.ONE))
+        b = mul(u, add(v, neg(v)))
+        return a, b
+
+    a, b = fresh()
     r1 = (is_zero(a, seed=7), is_zero(b, seed=7))
-    sx.clear_zero_cache()
+    a, b = fresh()
     r2 = (is_zero(b, seed=7), is_zero(a, seed=7))
     assert r1 == (r2[1], r2[0])
+
+
+def test_is_zero_needs_a_positive_budget():
+    for budget in (0, -1):
+        with pytest.raises(ValueError):
+            is_zero(add(x, y), budget=budget)
+        with pytest.raises(ValueError):
+            is_zero(sx.ZERO, budget=budget)
+
+
+def test_sample_points_are_shared_and_memoized(monkeypatch):
+    u, v = var(Symbol("u", sx.STATE)), var(Symbol("v", sx.STATE))
+    a, b = mul(u, v), add(u, pow_(v, 2))
+    calls = []
+    coordinate = sx._coordinate
+    monkeypatch.setattr(sx, "_coordinate",
+                        lambda *args: calls.append(args) or coordinate(*args))
+    assert not is_zero(add(a, b), seed=3)
+    assert [(c[0].name, c[2]) for c in calls] == [("u", 0), ("v", 0)]
+    # p*a - e*b style entries reuse a's and b's values: no new coordinates
+    assert not is_zero(add(mul(const(2), a), neg(mul(u, b))), seed=3)
+    assert len(calls) == 2
+    # a symbol's value at a point does not depend on the node holding it
+    w = var(Symbol("u", sx.STATE))
+    assert is_zero(add(mul(w, v), neg(a)), seed=3)
+    assert sx._at(w, 0, 3, True) == sx._at(u, 0, 3, True)
+
+
+def test_constant_that_prime_divides_takes_the_mpmath_branch():
+    p = sx.PRIME
+    for c in (Fraction(1, p), Fraction(5, 3 * p)):
+        e = add(mul(const(c), x), y)
+        assert e.needs_mp
+        assert not is_zero(e)
+        # (c*x + y)^2 - c^2*x^2 - 2*c*x*y - y^2 is zero but not structurally
+        sq = add(pow_(e, 2), neg(mul(const(c * c), pow_(x, 2))),
+                 neg(mul(const(2 * c), x, y)), neg(pow_(y, 2)))
+        assert sq is not sx.ZERO and is_zero(sq)
+    # in GF(p) these would vanish at every point
+    for c in (Fraction(p), Fraction(2 * p, 7)):
+        e = mul(const(c), x)
+        assert e.needs_mp
+        assert not is_zero(e)
+    assert not add(mul(const(Fraction(p + 1, 2)), x), y).needs_mp
+
+
+def test_schwartz_zippel_bound_at_a_small_prime(monkeypatch):
+    # at p = 101 a nonzero numerator of degree d vanishes at a point with
+    # probability at most d/(p - 1); count the false zeros over many seeds
+    monkeypatch.setattr(sx, "PRIME", 101)
+    t, s = var(Symbol("t", sx.STATE)), var(Symbol("s", sx.STATE))
+    roots3 = mul(add(t, const(-1)), add(t, const(-2)), add(t, const(-3)))
+    hyper = add(mul(t, s), const(-1))      # t*s = 1 at 100 of 100^2 points
+    n = 3000
+    for e, d, rate in ((roots3, 3, 3 / 100), (hyper, 2, 1 / 100)):
+        for budget in (1, 2):
+            bound = (d / 100) ** budget
+            got = sum(is_zero(e, budget=budget, seed=k) for k in range(n))
+            assert got <= bound * n + 4 * math.sqrt(bound * n)
+            # the points are uniform: the rate matches the known roots
+            want = rate ** budget * n
+            assert abs(got - want) <= 4 * math.sqrt(want) + 1
 
 
 def test_is_zero_evaluation_failed():
@@ -270,6 +338,87 @@ def test_is_zero_resamples_past_poles():
     # 1/(x - 1) is undefined at x=1 but samples rarely hit it; and the
     # expression is nonzero wherever defined
     assert not is_zero(pow_(add(x, neg(sx.ONE)), -1))
+
+
+# -- sympy as an independent oracle -------------------------------------------------
+
+_SYMPY_NAMES = {"ln": "log", "arcsin": "asin", "arctan": "atan"}
+
+
+def _to_sympy(sp, e):
+    if isinstance(e, sx.Const):
+        return sp.Rational(e.value.numerator, e.value.denominator)
+    if isinstance(e, sx.Var):
+        return sp.Symbol(e.sym.name)
+    if isinstance(e, sx.Add):
+        return sp.Add(*(_to_sympy(sp, t) for t in e.terms))
+    if isinstance(e, sx.Mul):
+        return sp.Mul(*(_to_sympy(sp, f) for f in e.factors))
+    if isinstance(e, sx.Pow):
+        return sp.Pow(_to_sympy(sp, e.base), e.exp)
+    return getattr(sp, _SYMPY_NAMES.get(e.fn, e.fn))(_to_sympy(sp, e.arg))
+
+
+def _from_sympy(sp, t):
+    if t.is_Symbol:
+        return var(Symbol(t.name, sx.STATE))
+    if t.is_Rational:
+        return const(Fraction(int(t.p), int(t.q)))
+    if t.is_Add:
+        return add(*(_from_sympy(sp, a) for a in t.args))
+    if t.is_Mul:
+        return mul(*(_from_sympy(sp, a) for a in t.args))
+    if t.is_Pow:
+        return pow_(_from_sympy(sp, t.base), int(t.exp))
+    if t == sp.E:       # expand() splits exp(1 + x) into E*exp(x)
+        return func("exp", sx.ONE)
+    names = {v: k for k, v in _SYMPY_NAMES.items()}
+    name = type(t).__name__
+    return func(names.get(name, name), _from_sympy(sp, t.args[0]))
+
+
+def _random_expr(rng, depth, funcs):
+    if depth == 0 or rng.random() < 0.2:
+        if rng.random() < 0.7:
+            return rng.choice([x, y, z])
+        return const(Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
+    op = rng.choice(["add", "mul", "pow"] + (["func"] if funcs else []))
+    if op == "func":
+        # no constant arguments: sympy would turn exp(1) into E, arctan(1)
+        # into pi/4
+        arg = _random_expr(rng, depth - 1, funcs)
+        if isinstance(arg, sx.Const):
+            arg = add(arg, x)
+        return func(rng.choice(["sin", "cos", "exp", "arctan"]), arg)
+    if op == "pow":
+        return _safe_pow(_random_expr(rng, depth - 1, funcs),
+                         rng.choice([-2, -1, 2, 3]))
+    parts = [_random_expr(rng, depth - 1, funcs) for _ in range(2)]
+    return add(*parts) if op == "add" else mul(*parts)
+
+
+def test_is_zero_and_diff_agree_with_sympy():
+    sp = pytest.importorskip("sympy")
+    rng = random.Random(2024)
+    seen = collections.Counter()
+    for i in range(120):
+        a = _random_expr(rng, 4, funcs=i % 2 == 1)
+        # a rewritten by sympy is the same function in another tree; on
+        # about half the draws a random monomial makes the difference nonzero
+        other = sp.expand(_to_sympy(sp, a))
+        if rng.random() < 0.5:
+            other += sp.Rational(rng.randint(1, 9), rng.randint(1, 9)) \
+                * sp.Symbol(rng.choice("xyz")) ** rng.randint(0, 2)
+        e = add(a, neg(_from_sympy(sp, other)))
+        want = sp.cancel(_to_sympy(sp, e)) == 0
+        assert is_zero(e) == want, (a, other)
+        if not isinstance(e, sx.Const):
+            seen[e.needs_mp, want] += 1
+        for sym in (X, Y):
+            d = sp.diff(_to_sympy(sp, a), sp.Symbol(sym.name))
+            assert sp.cancel(_to_sympy(sp, diff(a, sym)) - d) == 0, (a, sym)
+    # both branches saw zero and nonzero differences that are not constants
+    assert len(seen) == 4 and min(seen.values()) >= 10, seen
 
 
 # -- compile -----------------------------------------------------------------------
