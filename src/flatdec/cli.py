@@ -28,6 +28,7 @@ from .triangular import (
 )
 
 SHORTCUT_NOTE = "static-feedback-linearizable shortcut applicable"
+SCHEMA = "flatdec/1"
 
 
 def _read_system(path: str):
@@ -44,7 +45,7 @@ def _config(args) -> AnsatzConfig:
 
 def _base_report(command: str, path: str, text: str, cs, args) -> dict:
     return {
-        "schema": "flatdec/1",
+        "schema": SCHEMA,
         "command": command,
         "input": {
             "path": path,
@@ -146,12 +147,53 @@ def _certificate_json(cert: FlatnessCertificate) -> dict:
     }
 
 
-def _certificate_load(obj: dict, cs) -> FlatnessCertificate:
-    coords = tuple(Symbol(n, AUX) for n in obj["chart"])
+class CertificateError(ValueError):
+    """A certificate file that does not follow the flatdec/1 schema."""
+
+
+def _is_names(v) -> bool:
+    return isinstance(v, list) and all(isinstance(x, str) for x in v)
+
+
+def _is_text_map(v) -> bool:
+    return isinstance(v, dict) and all(isinstance(x, str) for x in v.values())
+
+
+def _field(obj: dict, key: str, where: str, test, what: str):
+    """obj[key], checked with test; the error names the field by its path."""
+    if key not in obj:
+        raise CertificateError(f"missing field {where}{key}")
+    if not test(obj[key]):
+        raise CertificateError(f"field {where}{key} must be {what}")
+    return obj[key]
+
+
+def _certificate_load(obj, cs) -> FlatnessCertificate:
+    """The certificate of a decompose report, or a bare certificate.
+
+    Keys, types and coordinate names are checked before anything is built;
+    a violation raises CertificateError naming the field.
+    """
+    if not isinstance(obj, dict):
+        raise CertificateError("a certificate must be a JSON object")
+    if "schema" in obj and obj["schema"] != SCHEMA:
+        raise CertificateError(
+            f"field schema must be {SCHEMA!r}, got {obj['schema']!r}")
+    if "schema" in obj or "certificate" in obj:   # a whole report
+        obj = _field(obj, "certificate", "", lambda v: isinstance(v, dict),
+                     "an object")
+    names = _field(obj, "chart", "", _is_names, "a list of names")
+    coords = tuple(Symbol(n, AUX) for n in names)
     final = Chart(coords)
     byname = {s.name: s for s in coords}
     base_coords = tuple(cs.states) + tuple(cs.inputs)
     base = Chart(base_coords)
+
+    def coord(name, where):
+        if name not in byname:
+            raise CertificateError(
+                f"field {where} names {name!r}, which is not in the chart")
+        return byname[name]
 
     def final_expr(text):
         return parse_expr(text, coords)
@@ -159,30 +201,55 @@ def _certificate_load(obj: dict, cs) -> FlatnessCertificate:
     def base_expr(text):
         return parse_expr(text, base_coords)
 
-    blocks = tuple(Block(b["index"],
-                         tuple(byname[n] for n in b["outputs"]),
-                         tuple(byname[n] for n in b["solved"]))
-                   for b in obj["blocks"])
+    blocks = []
+    for i, b in enumerate(_field(obj, "blocks", "", lambda v: isinstance(v, list),
+                                 "a list")):
+        where = f"blocks[{i}]."
+        if not isinstance(b, dict):
+            raise CertificateError(f"field blocks[{i}] must be an object")
+        index = _field(b, "index", where, lambda v: isinstance(v, int),
+                       "an integer")
+        ys = tuple(coord(n, where + "outputs") for n in _field(
+            b, "outputs", where, _is_names, "a list of names"))
+        solved = tuple(coord(n, where + "solved") for n in _field(
+            b, "solved", where, _is_names, "a list of names"))
+        blocks.append(Block(index, ys, solved))
     equations = []
-    for xi in obj["equations"]:
+    for i, xi in enumerate(_field(
+            obj, "equations", "",
+            lambda v: isinstance(v, list) and all(
+                isinstance(x, list) and all(_is_text_map(d) for d in x)
+                for x in v),
+            "a list of lists of coefficient maps")):
         gens = []
         for d in xi:
-            coeffs = {(T if k == "t" else byname[k]): final_expr(v)
-                      for k, v in d.items()}
+            coeffs = {(T if k == "t" else coord(k, f"equations[{i}]")):
+                      final_expr(v) for k, v in d.items()}
             gens.append(oneform(final, coeffs))
         equations.append(tuple(gens))
+    transform = _field(obj, "transform", "", lambda v: isinstance(v, dict),
+                       "an object")
+    forward = _field(transform, "forward", "transform.", _is_text_map,
+                     "a map of expressions")
+    inverse = _field(transform, "inverse", "transform.", _is_text_map,
+                     "a map of expressions")
+    for where, m, need in (("transform.forward.", forward, base_coords),
+                           ("transform.inverse.", inverse, coords)):
+        for s in need:
+            if s.name not in m:
+                raise CertificateError(f"missing field {where}{s.name}")
+    outputs = _field(obj, "outputs", "", _is_names, "a list of expressions")
+    order = _field(obj, "order", "", lambda v: isinstance(v, str), "a string")
     phi = ChartTransform(
         final, base,
-        {s: final_expr(obj["transform"]["forward"][s.name])
-         for s in base_coords},
-        {s: base_expr(obj["transform"]["inverse"][s.name]) for s in coords})
-    td = TriangularDecomposition(chart=final, blocks=blocks,
+        {s: final_expr(forward[s.name]) for s in base_coords},
+        {s: base_expr(inverse[s.name]) for s in coords})
+    td = TriangularDecomposition(chart=final, blocks=tuple(blocks),
                                  equations=tuple(equations), transform=phi,
                                  system=cs)
     return FlatnessCertificate(system=cs, decomposition=td,
-                               outputs=tuple(base_expr(y)
-                                             for y in obj["outputs"]),
-                               order=obj["order"], transform=phi)
+                               outputs=tuple(base_expr(y) for y in outputs),
+                               order=order, transform=phi)
 
 
 def cmd_decompose(args) -> int:
@@ -272,8 +339,8 @@ def cmd_verify(args) -> int:
         except OSError as ex:
             print(f"missing certificate: {ex}", file=sys.stderr)
             return 1
-        if "certificate" in obj:
-            obj = obj["certificate"]
+        except ValueError as ex:
+            raise CertificateError(f"certificate is not JSON: {ex}") from None
         cert = _certificate_load(obj, cs)
     elif args.outputs:
         cfg = _config(args)
@@ -371,7 +438,7 @@ def main(argv=None) -> int:
                "verify": cmd_verify}[args.command]
     try:
         return handler(args)
-    except (ParseError, SemanticError) as ex:
+    except (ParseError, SemanticError, CertificateError) as ex:
         label = "SyntaxError" if isinstance(ex, SyntaxError) \
             else type(ex).__name__
         print(f"{label}: {ex}", file=sys.stderr)

@@ -15,15 +15,15 @@ from .exterior import (
     extend_transform, identity_transform, one_coeffs, oneform, pullback,
     pushforward, scale, straighten_flow, wedge, zero_form, T,
 )
-from .linalg import ZeroCtx, nullspace, rank
+from .linalg import ZeroCtx, nullspace, nullspace_mod_p, rank, rank_mod_p
 from .pfaffian import (
     Distribution, NotReducible, PfaffianSystem, derived_system,
     from_control_system, is_integrable_with_dt, is_involutive,
     restrict_to_subchart, vertical_annihilator,
 )
 from .symexpr import (
-    AUX, ONE, ZERO, Symbol, Var, add, diff, div, mul, pow_, structural_key,
-    var,
+    AUX, ONE, PRIME, ZERO, Symbol, Var, add, diff, div, mul, pow_,
+    structural_key, value_mod_p, var,
 )
 from .sysdsl import render
 
@@ -190,6 +190,16 @@ def _combination_span(S: PfaffianSystem, fields, zc: ZeroCtx) -> PfaffianSystem:
     return _span_from_solutions(S, sols, zc)
 
 
+def _bounded_exponents(n: int, d: int):
+    """Integer vectors of length n with absolute values summing to at most d."""
+    if n == 0:
+        yield ()
+        return
+    for e in range(-d, d + 1):
+        for rest in _bounded_exponents(n - 1, d - abs(e)):
+            yield (e,) + rest
+
+
 def monomial_pool(chart, cfg: AnsatzConfig):
     """Monomials of bounded total absolute degree in the chart coordinates.
 
@@ -198,10 +208,7 @@ def monomial_pool(chart, cfg: AnsatzConfig):
     """
     coords = chart.coords
     out = []
-    spans = [range(-cfg.max_degree, cfg.max_degree + 1)] * len(coords)
-    for expo in product(*spans):
-        if sum(abs(e) for e in expo) > cfg.max_degree:
-            continue
+    for expo in _bounded_exponents(len(coords), cfg.max_degree):
         factors = [pow_(var(s), e) for s, e in zip(coords, expo) if e]
         out.append(mul(*factors) if factors else ONE)
     return sorted(out, key=lambda e: (e.nodes, structural_key(e)))
@@ -229,9 +236,155 @@ def _projective_key(c):
     return tuple(structural_key(div(x, lead)) for x in c)
 
 
+def _along(v: VectorField, e):
+    """Directional derivative v(e) = sum_s v^s de/ds."""
+    return add(*(mul(vs, diff(e, s)) for s, vs in v.components.items()))
+
+
+_SKIP, _REJECT = "skip", "reject"
+_NOT_CHARACTERISTIC = "fields are not characteristic for the candidate"
+
+
+class _Screen:
+    """Decides a single-field candidate at one sample point, over GF(PRIME).
+
+    A level has generators g_j, vertical basis b_i and tables T_i.  For a
+    coefficient vector c, v = sum_i c_i b_i and M = sum_i c_i T_i, whose
+    nullspace basis a_k gives the candidate p_k = sum_j a_kj g_j.  At a
+    point z of the zero test's shared stream, M(z) + eps*v(M)(z) is
+    eliminated over GF(PRIME)[eps]/eps^2, which yields a_k(z) and v(a_k)(z)
+    together, and since v.g_j = 0 for a vertical field,
+
+        (v.dp_k)(z) = sum_j v(a_kj)(z) g_j(z) + a_kj(z) sum_i c_i(z) (b_i.dg_j)(z).
+
+    `decide(c)` returns _SKIP when the nullity of M(z) is below `want` (the
+    symbolic nullity cannot exceed it), _REJECT when P(z) = [p_k(z)] has rank
+    `want` and some (v.dp_k)(z) is outside its span (then v.dp_k ^ Omega_P
+    is a nonzero function and refine_to_cauchy rejects c), and None, leaving
+    c to the symbolic path, in every other case: nullity above `want`, a
+    deficient P(z), or a pole at each of 10*budget points.  Error bound: a
+    skip or a rejection differs from the symbolic path's decision only if z
+    lies on the zero set of a nonzero minor of M or of [P; v.dP], a rational
+    function whose numerator has some degree d; that happens with
+    probability at most d/(p - 1), p = PRIME, per candidate (Schwartz-Zippel).
+    """
+
+    def __init__(self, S: PfaffianSystem, basis, tables, keys, zc: ZeroCtx):
+        axes = S.chart.axes
+        self.want = S.dim - 1
+        self.basis = basis
+        self.zc = zc
+        self.g = [[one_coeffs(g).get(s, ZERO) for s in axes] for g in S.generators]
+        self.C = [[[one_coeffs(contract(b, d(g))).get(s, ZERO) for s in axes]
+                   for g in S.generators] for b in basis]
+        self.T = [[tab.get(idx, _ZROW)[:len(S.generators)] for idx in keys]
+                  for tab in tables]
+        self.usable = not any(e.needs_mp for e in self._entries())
+        if self.usable:
+            self.dT = [[[[_along(b, e) for e in row] for row in Ti]
+                        for Ti in self.T] for b in basis]
+            self.usable = not any(e.needs_mp for l in self.dT for Ti in l
+                                  for row in Ti for e in row)
+        self._points = {}
+        self._dc = {}
+
+    def _entries(self):
+        yield from (e for row in self.g for e in row)
+        yield from (e for Ci in self.C for row in Ci for e in row)
+        yield from (e for Ti in self.T for row in Ti for e in row)
+
+    def _values(self, k: int):
+        """The level's data at point k as residues, None at a pole."""
+        if k not in self._points:
+            seed = self.zc.seed
+
+            def at(x):
+                if isinstance(x, (list, tuple)):
+                    out = [at(y) for y in x]
+                    return None if any(y is None for y in out) else out
+                return value_mod_p(x, k, seed)
+
+            vals = [at(x) for x in (self.g, self.C, self.T, self.dT)]
+            self._points[k] = None if None in vals else vals
+        return self._points[k]
+
+    def decide(self, c):
+        if any(x.needs_mp for x in c):
+            return None
+        for x in c:
+            if x not in self._dc:
+                self._dc[x] = [_along(b, x) for b in self.basis]
+        seed = self.zc.seed
+        for k in range(10 * self.zc.budget):
+            level = self._values(k)
+            if level is None:
+                continue
+            cv = [value_mod_p(x, k, seed) for x in c]
+            dcv = [[value_mod_p(y, k, seed) for y in self._dc[x]] for x in c]
+            if None in cv or any(None in row for row in dcv):
+                continue
+            return self._decide_at(level, cv, dcv)
+        return None
+
+    def _decide_at(self, level, cv, dcv):
+        p, want = PRIME, self.want
+        g, C, T, dT = level
+        k, m, n = len(cv), len(g), len(g[0])
+        # v(c_i) = sum_l c_l b_l(c_i); v(T_i) = sum_l c_l b_l(T_i)
+        vc = [sum(cv[l] * dcv[i][l] for l in range(k)) % p for i in range(k)]
+        rows = range(len(T[0]))
+        M = [[sum(cv[i] * T[i][r][j] for i in range(k)) % p for j in range(m)]
+             for r in rows]
+        dM = [[sum(vc[i] * T[i][r][j] + cv[i] * sum(cv[l] * dT[l][i][r][j]
+                                                    for l in range(k))
+                   for i in range(k)) % p for j in range(m)] for r in rows]
+        sols = nullspace_mod_p(M, dM, m)
+        if len(sols) < want:
+            return _SKIP
+        if len(sols) > want:
+            return None
+        vC = [[sum(cv[i] * C[i][j][s] for i in range(k)) % p for s in range(n)]
+              for j in range(m)]
+        P = [[sum(a[j] * g[j][s] for j in range(m)) % p for s in range(n)]
+             for a, _ in sols]
+        W = [[sum(da[j] * g[j][s] + a[j] * vC[j][s] for j in range(m)) % p
+              for s in range(n)] for a, da in sols]
+        if rank_mod_p(P) < want:
+            return None
+        return _REJECT if rank_mod_p(P + W) > want else None
+
+
+def _coefficient_vectors(chart, k: int, cfg: AnsatzConfig):
+    """The scan's coefficient tuples: simplest first, one per projective
+    class, at most cfg.max_candidates of them."""
+    seen = set()
+    for c in _tuple_stream(monomial_pool(chart, cfg), k):
+        if len(seen) >= cfg.max_candidates:
+            return
+        key = _projective_key(c)
+        if key is None or key in seen:
+            continue
+        seen.add(key)
+        yield c
+
+
+def _pencil_rows(tables, keys, c, m: int):
+    """The matrix M(c) = sum_i c_i T_i, one row per wedge index."""
+    return [[add(*(mul(ci, tab.get(idx, _ZROW)[j])
+                   for ci, tab in zip(c, tables) if ci is not ZERO))
+             for j in range(m)] for idx in keys]
+
+
 def _candidate_stream(S: PfaffianSystem, V: Distribution,
                       cfg: AnsatzConfig, zc: ZeroCtx):
-    """Lazily yield single-field candidates (c, S_candidate)."""
+    """Lazily yield single-field candidates (c, S_candidate).
+
+    On Func-free levels under cfg.assume_derived (no derived-system check),
+    each c first meets the sample-point screen (_Screen): candidates that fail
+    the necessary condition there are skipped before anything symbolic is
+    built, and S_candidate is None when the screen has shown that c's field
+    is not characteristic for it.
+    """
     basis = list(V.generators)
     k = len(basis)
     gens = S.generators
@@ -239,28 +392,18 @@ def _candidate_stream(S: PfaffianSystem, V: Distribution,
     if k == 0 or want < 0:
         return
     tables, keys = _field_row_tables(S, basis)
-    derived = None
-    if not cfg.assume_derived:
-        derived = derived_system(S, zc)
-    pool = monomial_pool(S.chart, cfg)
-    seen = set()
-    scanned = 0
-    for c in _tuple_stream(pool, k):
-        if scanned >= cfg.max_candidates:
-            break
-        key = _projective_key(c)
-        if key is None or key in seen:
+    derived = None if cfg.assume_derived else derived_system(S, zc)
+    screen = _Screen(S, basis, tables, keys, zc) if derived is None else None
+    if screen is not None and not screen.usable:
+        screen = None
+    for c in _coefficient_vectors(S.chart, k, cfg):
+        verdict = screen.decide(c) if screen else None
+        if verdict == _SKIP:
             continue
-        seen.add(key)
-        scanned += 1
-        rows = []
-        for idx in keys:
-            row = []
-            for j in range(len(gens)):
-                row.append(add(*(mul(c[i], tables[i].get(idx, _ZROW)[j])
-                                 for i in range(k) if c[i] is not ZERO)))
-            rows.append(row)
-        sols = nullspace(rows, len(gens), zc)
+        if verdict == _REJECT:
+            yield tuple(c), None
+            continue
+        sols = nullspace(_pencil_rows(tables, keys, c, len(gens)), len(gens), zc)
         if len(sols) != want:
             continue
         cand = _span_from_solutions(S, sols, zc)
@@ -278,11 +421,13 @@ def necessary_condition_solutions(S: PfaffianSystem, V: Distribution,
 
     c is a coefficient tuple over the basis of V; S_candidate collects every
     generator combination invariant along the combined field, and is kept
-    only when its dimension leaves room for exactly that one field.  Raises
+    only when its dimension leaves room for exactly that one field.
+    Candidates the sample-point screen already refuted are left out.  Raises
     AnsatzExhausted when nothing passes within cfg.max_candidates tuples.
     """
     zc = zc or ZeroCtx(cfg.zero_budget, cfg.seed)
-    found = list(_candidate_stream(S, V, cfg, zc))
+    found = [(c, cand) for c, cand in _candidate_stream(S, V, cfg, zc)
+             if cand is not None]
     if not found:
         raise AnsatzExhausted(
             f"no candidate subsystem within {cfg.max_candidates} coefficient tuples")
@@ -439,20 +584,23 @@ def reduce_once(S: PfaffianSystem, cfg: AnsatzConfig, zc: ZeroCtx = None,
     out = []
     taken = []
 
-    def consider(fields, cand, kind, c=None):
-        if len(out) >= cfg.branch_width:
-            return
+    def describe(fields, kind, c=None):
         info = {"kind": kind, "F": [_field_dict(v) for v in fields]}
         if c is not None:
             info["c"] = [render(x) for x in c]
+        return info
+
+    def consider(fields, cand, kind, c=None):
+        if len(out) >= cfg.branch_width:
+            return
+        info = describe(fields, kind, c)
         if S.dim != cand.dim + len(fields):
             info.update(outcome="rejected", note="size bookkeeping fails")
             events.append(info)
             return
         refined = refine_to_cauchy(fields, cand, S, zc)
         if refined is None:
-            info.update(outcome="rejected",
-                        note="fields are not characteristic for the candidate")
+            info.update(outcome="rejected", note=_NOT_CHARACTERISTIC)
             events.append(info)
             return
         F, keep = refined
@@ -499,8 +647,13 @@ def reduce_once(S: PfaffianSystem, cfg: AnsatzConfig, zc: ZeroCtx = None,
             if len(out) >= cfg.branch_width:
                 break
             tried += 1
+            fields = [_combine(c, V.generators)]
+            if cand is None:
+                events.append(dict(describe(fields, "ansatz", c),
+                                   outcome="rejected", note=_NOT_CHARACTERISTIC))
+                continue
             before = len(out)
-            consider([_combine(c, V.generators)], cand, "ansatz", c=c)
+            consider(fields, cand, "ansatz", c=c)
             if len(out) > before:
                 break
         if not out:

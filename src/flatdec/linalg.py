@@ -3,13 +3,15 @@
 Matrices are lists of equal-length lists of Expr.  All rank decisions are
 probabilistic via the zero test; elimination is fraction-free so entries stay
 division-free until a nullspace back-substitution deliberately divides.
+Matrices of values at one sample point are eliminated over GF(PRIME), plain
+or over the dual numbers GF(PRIME)[eps]/eps^2, which carry a derivative.
 """
 
 from __future__ import annotations
 
 from .symexpr import (
-    ONE, ZERO, Add, Const, EvaluationFailed, Expr, Mul, Pow, add, is_zero,
-    mul, neg, pow_,
+    ONE, PRIME, ZERO, Add, Const, EvaluationFailed, Expr, Mul, Pow, add,
+    is_zero, mul, neg, pow_,
 )
 
 
@@ -213,3 +215,71 @@ def in_span(span_rows, target, zc: ZeroCtx) -> bool:
     ech, pivots = row_echelon(span_rows, zc)
     rem = reduce_against(ech, pivots, target, zc)
     return all(e is ZERO for e in rem)
+
+
+# -- elimination over GF(PRIME) and its dual numbers --------------------------------
+
+def _rref_mod_p(vals, ders):
+    """Reduced row echelon of vals + eps*ders over GF(PRIME)[eps]/eps^2.
+
+    Pivots are chosen by value parts and divided to 1; (a + eps*a')^-1 is
+    a^-1 - eps*a'*a^-2.  Returns (vals, ders, pivot columns) of the rows
+    that carry a pivot.  With ders all zero this is plain GF(PRIME)
+    elimination.
+    """
+    p = PRIME
+    vals = [list(r) for r in vals]
+    ders = [list(r) for r in ders]
+    ncols = len(vals[0]) if vals else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        i = next((i for i in range(r, len(vals)) if vals[i][c]), None)
+        if i is None:
+            continue
+        vals[r], vals[i] = vals[i], vals[r]
+        ders[r], ders[i] = ders[i], ders[r]
+        inv = pow(vals[r][c], -1, p)
+        dinv = -ders[r][c] * inv * inv % p
+        pv, pd = vals[r], ders[r]
+        pv, pd = ([x * inv % p for x in pv],
+                  [(dx * inv + x * dinv) % p for x, dx in zip(pv, pd)])
+        vals[r], ders[r] = pv, pd
+        for i in range(len(vals)):
+            fv, fd = vals[i][c], ders[i][c]
+            if i == r or not (fv or fd):
+                continue
+            vals[i] = [(x - fv * y) % p for x, y in zip(vals[i], pv)]
+            ders[i] = [(dx - fv * dy - fd * y) % p
+                       for dx, y, dy in zip(ders[i], pv, pd)]
+        pivots.append(c)
+        r += 1
+    return vals[:r], ders[:r], pivots
+
+
+def rank_mod_p(rows) -> int:
+    """Rank over GF(PRIME) of a matrix of residues."""
+    return len(_rref_mod_p(rows, [[0] * len(r) for r in rows])[2])
+
+
+def nullspace_mod_p(vals, ders, ncols: int):
+    """Right nullspace of M = vals + eps*ders over GF(PRIME)[eps]/eps^2.
+
+    Returns one (a, a') per non-pivot column f, with a[f] = 1.  When vals
+    and ders are a matrix M(z) of rational functions and its derivative
+    v(M)(z) along a field v, and the rank of M(z) is M's generic rank,
+    a + eps*a' is the value and the v-derivative at z of the nullspace
+    basis with the same pivot columns: M a = 0 differentiates to
+    v(M) a + M v(a) = 0, which the dual elimination solves.
+    """
+    red, dred, pivots = _rref_mod_p(vals, ders)
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        a, da = [0] * ncols, [0] * ncols
+        a[f] = 1
+        for row, drow, c in zip(red, dred, pivots):
+            a[c], da[c] = -row[f] % PRIME, -drow[f] % PRIME
+        basis.append((a, da))
+    return basis

@@ -529,18 +529,42 @@ def _coordinate(sym: Symbol, seed: int, k: int, modp: bool):
     return mpmath.mpf(lo + (h >> 128) % (2 * q - lo + 1)) / q
 
 
+def _mp_scale(e: Expr, v, args, scales):
+    """Magnitude of the terms behind the 50-digit value v of a non-Var node:
+    sums and products of the children's magnitudes, carried through powers
+    by relative error and through functions by the larger of value and
+    argument magnitude.  Rounding leaves an error near 1e-50 times it."""
+    if isinstance(e, Add):
+        return mpmath.fsum(scales)
+    if isinstance(e, Mul):
+        return mpmath.fprod(scales)
+    if isinstance(e, Pow):
+        if e.exp > 0:
+            return scales[0] ** e.exp
+        return abs(v) * scales[0] / abs(args[0])
+    if isinstance(e, Func):
+        return max(abs(v), scales[0])
+    return abs(v)
+
+
 def _at(e: Expr, k: int, seed: int, modp: bool):
-    """Value of e at sample point k, None where e is undefined.  Each node
-    memoizes its values per (seed, branch): new expressions cost new nodes."""
+    """Value of e at sample point k, None where e is undefined: a residue
+    mod PRIME, or a 50-digit (value, magnitude) pair (see _mp_scale).  Each
+    node memoizes its values per (seed, branch): new expressions cost new
+    nodes."""
     if isinstance(e, Const):
-        return _modp_node(e, ()) if modp else _mp_node(e, ())
+        if modp:
+            return _modp_node(e, ())
+        v = _mp_node(e, ())
+        return v, abs(v)
     if e._memo is None:
         e._memo = {}
     vals = e._memo.setdefault((seed, modp), [])
     while len(vals) <= k:
         i = len(vals)
         if isinstance(e, Var):
-            vals.append(_coordinate(e.sym, seed, i, modp))
+            v = _coordinate(e.sym, seed, i, modp)
+            vals.append(v if modp else (v, abs(v)))
             continue
         args = [_at(c, i, seed, modp) for c in _children(e)]
         if None in args:
@@ -548,11 +572,23 @@ def _at(e: Expr, k: int, seed: int, modp: bool):
         elif modp:
             vals.append(_modp_node(e, args))
         else:
+            vs = [a for a, _ in args]
             try:
-                vals.append(_mp_node(e, args))
+                v = _mp_node(e, vs)
             except DomainError:
                 vals.append(None)
+            else:
+                vals.append((v, _mp_scale(e, v, vs, [m for _, m in args])))
     return vals[k]
+
+
+def value_mod_p(e: Expr, k: int, seed: int):
+    """Value in GF(PRIME) of e at sample point k of the seed's shared point
+    stream, None at a pole: the residues `is_zero` tests, from the same
+    per-node memo.  e must not need the 50-digit branch (`needs_mp`)."""
+    if e.needs_mp:
+        raise ValueError("expression has no value mod PRIME: " + repr(e.key))
+    return _at(e, k, seed, True)
 
 
 def _vanishes(e: Expr, budget: int, seed: int, modp: bool) -> bool:
@@ -561,8 +597,11 @@ def _vanishes(e: Expr, budget: int, seed: int, modp: bool) -> bool:
         v = _at(e, k, seed, modp)
         if v is None:
             continue
-        # |v| >= 1e-40; a residue mod PRIME passes iff it is nonzero
-        if abs(v) * ZERO_THRESHOLD.denominator >= ZERO_THRESHOLD.numerator:
+        if modp:
+            if v:
+                return False
+        # |e| >= 1e-40 * max(1, magnitude of its terms)
+        elif abs(v[0]) * ZERO_THRESHOLD.denominator >= max(1, v[1]) * ZERO_THRESHOLD.numerator:
             return False
         found += 1
         if found == budget:
@@ -583,7 +622,9 @@ def is_zero(e: Expr, budget: int = 20, seed: int = 0) -> bool:
     (Schwartz-Zippel): it is called zero with probability at most
     (d/(p - 1))**budget.  With a function, or a constant that p divides,
     inside, e is evaluated at 50 digits at rationals in [1/2, 2] and
-    vanishes where |e| < 1e-40; that test is heuristic.
+    vanishes where |e| < 1e-40 * max(1, m), m the magnitude of the terms
+    behind it (sums of absolute values at every sum node, see _mp_scale),
+    so a zero built from large terms stays zero; that test is heuristic.
     """
     if budget < 1:
         raise ValueError("the zero test needs a budget of at least one point")

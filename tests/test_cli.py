@@ -225,6 +225,36 @@ def test_verify_missing_certificate_file(sin_file, tmp_path, capsys):
     assert "missing certificate" in capsys.readouterr().err
 
 
+@pytest.fixture
+def sin_report(sin_file, tmp_path):
+    path = tmp_path / "sinex-report.json"
+    assert main(["decompose", sin_file, "--report", str(path)]) == 0
+    return json.loads(path.read_text())
+
+
+@pytest.mark.parametrize("case, message", [
+    ("not-json", "certificate is not JSON"),
+    ("missing-key", "missing field chart"),
+    ("wrong-schema", "field schema must be 'flatdec/1'"),
+])
+def test_verify_malformed_certificate_exits_1(sin_file, sin_report, tmp_path,
+                                              capsys, case, message):
+    cert = tmp_path / "bad.json"
+    if case == "not-json":
+        cert.write_text("{\"schema\": \"flatdec/1\", ")
+    elif case == "missing-key":
+        del sin_report["certificate"]["chart"]
+        cert.write_text(json.dumps(sin_report))
+    else:
+        sin_report["schema"] = "flatdec/0"
+        cert.write_text(json.dumps(sin_report))
+    capsys.readouterr()
+    assert main(["verify", sin_file, "--certificate", str(cert)]) == 1
+    err = capsys.readouterr().err
+    assert "CertificateError" in err and message in err
+    assert "internal error" not in err
+
+
 def test_verify_bad_output_expression(sin_file, capsys):
     assert main(["verify", sin_file, "--outputs", "x3; )"]) == 1
     assert "SyntaxError" in capsys.readouterr().err

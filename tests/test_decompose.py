@@ -1,6 +1,8 @@
 """Splitting search: candidate enumeration, verification, the full reduction."""
 
 import dataclasses
+import itertools
+import pathlib
 
 import pytest
 
@@ -8,17 +10,23 @@ from flatdec.decompose import (
     AnsatzConfig, AnsatzExhausted, Splitting, check_parameterizable,
     monomial_pool, necessary_condition_solutions, reduce_once,
     refine_to_cauchy, run_decomposition, sequence_transforms,
-    _projective_key, _tuple_stream,
+    _REJECT, _SKIP, _Screen, _along, _coefficient_vectors, _combine,
+    _field_row_tables, _pencil_rows, _projective_key, _span_from_solutions,
+    _tuple_stream,
 )
 from flatdec.exterior import Chart, T, VectorField, oneform
+from flatdec.linalg import ZeroCtx, nullspace, nullspace_mod_p, rre_divided
 from flatdec.pfaffian import (
     Distribution, PfaffianSystem, derived_system, from_control_system,
     vertical_annihilator,
 )
 from flatdec.symexpr import (
-    ONE, STATE, ZERO, Symbol, add, is_zero, mul, neg, pow_, structural_key,
-    var,
+    ONE, PRIME, STATE, ZERO, Symbol, add, func, is_zero, mul, neg, pow_,
+    structural_key, value_mod_p, var,
 )
+from flatdec.sysdsl import parse_system
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 def coord(cs, name):
@@ -53,6 +61,22 @@ def test_monomial_pool_basics(sin_sys):
     assert len(keys) == len(pool)
     sizes = [e.nodes for e in pool]
     assert sizes == sorted(sizes)
+
+
+def test_monomial_pool_matches_brute_force_filter():
+    # the pool enumerates only bounded exponent vectors; it must equal the
+    # filter over the whole box [-d, d]^n that it replaced
+    for n in range(1, 6):
+        chart = Chart(tuple(Symbol(f"z{i}", STATE) for i in range(n)))
+        for deg in range(4):
+            brute = []
+            for expo in itertools.product(range(-deg, deg + 1), repeat=n):
+                if sum(abs(e) for e in expo) <= deg:
+                    brute.append(mul(*(pow_(var(s), e)
+                                       for s, e in zip(chart.coords, expo))))
+            brute.sort(key=lambda e: (e.nodes, structural_key(e)))
+            pool = monomial_pool(chart, AnsatzConfig(max_degree=deg))
+            assert [e.key for e in pool] == [e.key for e in brute]
 
 
 def test_tuple_stream_unit_vectors_first():
@@ -348,3 +372,99 @@ def test_sequence_transforms_chart_bookkeeping(sin_sys):
     # every original coordinate has an image expression in the final chart
     for s in S0.chart.coords:
         assert theta.forward[s] is not None
+
+
+# -- the sample-point screen of the ansatz scan ----------------------------------------
+
+def _level(S, zc):
+    basis = list(vertical_annihilator(S, zc).generators)
+    tables, keys = _field_row_tables(S, basis)
+    return S, basis, tables, keys
+
+
+def _first_level(name, zc):
+    cs = parse_system((DATA / f"{name}.fds").read_text())
+    return _level(from_control_system(cs), zc)
+
+
+@pytest.mark.parametrize("name", ["nfd", "nfd2", "nfd4", "coupled", "chain4",
+                                  "coupled-joint"])
+def test_screen_agrees_with_symbolic_path(name, zc):
+    if name == "coupled-joint":
+        # below coupled's joint splitting (a dead end) the screen mostly skips
+        S0 = _first_level("coupled", zc)[0]
+        joint = next(sp for sp in reduce_once(S0, AnsatzConfig(), zc=zc)
+                     if sp.F.dim == 2)
+        S, basis, tables, keys = _level(joint.S_next, zc)
+    else:
+        S, basis, tables, keys = _first_level(name, zc)
+    screen = _Screen(S, basis, tables, keys, zc)
+    assert screen.usable
+    m, want = len(S.generators), S.dim - 1
+    verdicts = []
+    for c in _coefficient_vectors(S.chart, len(basis), AnsatzConfig()):
+        verdict = screen.decide(c)
+        verdicts.append(verdict)
+        if verdict is None:
+            continue
+        sols = nullspace(_pencil_rows(tables, keys, c, m), m, zc)
+        if verdict == _SKIP:
+            assert len(sols) != want, c
+        else:
+            assert verdict == _REJECT
+            assert len(sols) == want, c
+            cand = _span_from_solutions(S, sols, zc)
+            assert cand.dim == want
+            assert refine_to_cauchy([_combine(c, basis)], cand, S, zc) is None
+    if name.startswith("nfd"):
+        # not flat: every candidate fails, and the screen decides all of them
+        assert set(verdicts) == {_REJECT}
+    if name == "coupled-joint":
+        assert verdicts.count(_SKIP) > 300
+
+
+def test_dual_nullspace_is_value_and_derivative():
+    x, y, w = (Symbol(n, STATE) for n in ("x", "y", "w"))
+    X, Y, W = var(x), var(y), var(w)
+    rows = [[X, Y, mul(X, Y), ONE],
+            [pow_(Y, 2), add(X, W), ONE, mul(W, X)]]
+    v = VectorField(Chart((x, y, w)), {x: Y, y: ONE, w: mul(X, W)})
+    red, pivots = rre_divided(rows, ZeroCtx())
+    pivot_cols = [c for _, c in pivots]
+    basis = []
+    for f in range(4):
+        if f in pivot_cols:
+            continue
+        a = [ZERO] * 4
+        a[f] = ONE
+        for r, c in pivots:
+            a[c] = neg(red[r][f])
+        basis.append(a)
+    for k in range(3):
+        vals = [[value_mod_p(e, k, 0) for e in row] for row in rows]
+        ders = [[value_mod_p(_along(v, e), k, 0) for e in row] for row in rows]
+        got = nullspace_mod_p(vals, ders, 4)
+        assert len(got) == len(basis) == 2
+        for (a, da), sym in zip(got, basis):
+            assert a == [value_mod_p(e, k, 0) for e in sym]
+            assert da == [value_mod_p(_along(v, e), k, 0) for e in sym]
+            # and the pair really solves (M + eps M')(a + eps a') = 0
+            for rv, rd in zip(vals, ders):
+                assert sum(p * q for p, q in zip(rv, a)) % PRIME == 0
+                assert sum(p * q + pd * q0 for p, q, pd, q0
+                           in zip(rv, da, rd, a)) % PRIME == 0
+
+
+def test_function_levels_bypass_screen(sin_sys, zc):
+    res = run_decomposition(sin_sys)
+    levels = [from_control_system(sin_sys)] + [sp.S_next for sp in res.sequence]
+    for S in levels[:-1]:
+        basis = list(vertical_annihilator(S, zc).generators)
+        tables, keys = _field_row_tables(S, basis)
+        assert not _Screen(S, basis, tables, keys, zc).usable
+    # a Func-free level still hands a candidate with a function in c over
+    S, basis, tables, keys = _first_level("nfd", zc)
+    screen = _Screen(S, basis, tables, keys, zc)
+    assert screen.usable
+    x1 = next(s for s in S.chart.coords if s.name == "x1")
+    assert screen.decide((ONE, func("sin", var(x1)))) is None

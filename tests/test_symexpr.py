@@ -291,22 +291,38 @@ def test_sample_points_are_shared_and_memoized(monkeypatch):
     assert sx._at(w, 0, 3, True) == sx._at(u, 0, 3, True)
 
 
+def _square_identity(c, t):
+    """(c*t + y)^2 - c^2*t^2 - 2*c*t*y - y^2: zero, but not structurally."""
+    sq = add(pow_(add(mul(const(c), t), y), 2), neg(mul(const(c * c), pow_(t, 2))),
+             neg(mul(const(2 * c), t, y)), neg(pow_(y, 2)))
+    assert sq is not sx.ZERO
+    return sq
+
+
 def test_constant_that_prime_divides_takes_the_mpmath_branch():
     p = sx.PRIME
-    for c in (Fraction(1, p), Fraction(5, 3 * p)):
+    # in GF(p) the last two would vanish at every point
+    for c in (Fraction(1, p), Fraction(5, 3 * p), Fraction(p), Fraction(2 * p, 7)):
         e = add(mul(const(c), x), y)
         assert e.needs_mp
         assert not is_zero(e)
-        # (c*x + y)^2 - c^2*x^2 - 2*c*x*y - y^2 is zero but not structurally
-        sq = add(pow_(e, 2), neg(mul(const(c * c), pow_(x, 2))),
-                 neg(mul(const(2 * c), x, y)), neg(pow_(y, 2)))
-        assert sq is not sx.ZERO and is_zero(sq)
-    # in GF(p) these would vanish at every point
-    for c in (Fraction(p), Fraction(2 * p, 7)):
-        e = mul(const(c), x)
-        assert e.needs_mp
-        assert not is_zero(e)
+        assert not is_zero(mul(const(c), x))
+        # zero with terms near c^2: the threshold scales with them
+        sq = _square_identity(c, x)
+        assert sq.needs_mp and is_zero(sq)
+        assert not is_zero(add(sq, x))
     assert not add(mul(const(Fraction(p + 1, 2)), x), y).needs_mp
+
+
+def test_zero_with_large_terms_and_a_function():
+    # 50-digit cancellation leaves about 1e-50 * 1e60 here; an absolute
+    # 1e-40 threshold called this zero nonzero
+    sq = _square_identity(Fraction(10**30), func("sin", x))
+    assert is_zero(sq)
+    assert not is_zero(add(sq, mul(const(10**25), x)))
+    # small terms keep the absolute floor
+    tiny = mul(const(Fraction(1, 10**30)), func("sin", x))
+    assert not is_zero(tiny)
 
 
 def test_schwartz_zippel_bound_at_a_small_prime(monkeypatch):
