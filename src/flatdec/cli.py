@@ -12,19 +12,22 @@ import json
 import sys
 import time
 
-from .decompose import AnsatzConfig, _field_dict, _form_dict, run_decomposition
+from .decompose import AnsatzConfig, run_decomposition
 from .exterior import Chart, ChartTransform, T, oneform
-from .linalg import ZeroCtx
+from .linalg import RankDecisionFailed, ZeroCtx
 from .pfaffian import (
     derived_flag, from_control_system, is_integrable_with_dt,
     vertical_annihilator,
 )
 from .symexpr import AUX, Symbol
-from .sysdsl import ParseError, SemanticError, parse_expr, parse_system, render
+from .sysdsl import (
+    ParseError, SemanticError, field_dict, form_dict, parse_expr,
+    parse_system, render,
+)
 from .triangular import (
     Block, FlatnessCertificate, OutputCountMismatch, StructureViolation,
-    TriangularDecomposition, extract_flat_output, from_sequence, validate,
-    verify_flatness_numeric,
+    TriangularDecomposition, check_shape, extract_flat_output, from_sequence,
+    validate, verify_flatness_numeric,
 )
 
 SHORTCUT_NOTE = "static-feedback-linearizable shortcut applicable"
@@ -96,8 +99,8 @@ def cmd_analyze(args) -> int:
         levels.append({
             "level": k,
             "dimension": P.dim,
-            "generators": [_form_dict(g) for g in P.generators],
-            "vertical_annihilator": [_field_dict(v) for v in V.generators],
+            "generators": [form_dict(g) for g in P.generators],
+            "vertical_annihilator": [field_dict(v) for v in V.generators],
             "integrable_with_dt": is_integrable_with_dt(P, zc),
         })
     shortcut = flag[-1].dim == 0 and all(l["integrable_with_dt"]
@@ -135,7 +138,7 @@ def _certificate_json(cert: FlatnessCertificate) -> dict:
                     "outputs": [c.name for c in b.y],
                     "solved": [p.name for p in b.nondrv]}
                    for b in td.blocks],
-        "equations": [[_form_dict(g) for g in xi] for xi in td.equations],
+        "equations": [[form_dict(g) for g in xi] for xi in td.equations],
         "transform": {
             "forward": {s.name: render(phi.forward[s])
                         for s in phi.target.coords},
@@ -227,6 +230,10 @@ def _certificate_load(obj, cs) -> FlatnessCertificate:
                       final_expr(v) for k, v in d.items()}
             gens.append(oneform(final, coeffs))
         equations.append(tuple(gens))
+    try:
+        check_shape(blocks, equations)
+    except StructureViolation as ex:
+        raise CertificateError(str(ex)) from None
     transform = _field(obj, "transform", "", lambda v: isinstance(v, dict),
                        "an object")
     forward = _field(transform, "forward", "transform.", _is_text_map,
@@ -445,6 +452,11 @@ def main(argv=None) -> int:
         return 1
     except OSError as ex:
         print(str(ex), file=sys.stderr)
+        return 1
+    except RankDecisionFailed as ex:
+        print(f"RankDecisionFailed: an expression is undefined at every "
+              f"sample point of the zero test (50-digit points lie in "
+              f"[1/2, 2]): {ex}", file=sys.stderr)
         return 1
     except (StructureViolation, OutputCountMismatch) as ex:
         print(f"{type(ex).__name__}: {ex}", file=sys.stderr)

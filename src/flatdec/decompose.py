@@ -15,17 +15,17 @@ from .exterior import (
     extend_transform, identity_transform, one_coeffs, oneform, pullback,
     pushforward, scale, straighten_flow, wedge, zero_form, T,
 )
-from .linalg import ZeroCtx, nullspace, nullspace_mod_p, rank, rank_mod_p
+from .linalg import ZeroCtx, nullspace, nullspace_mod_p, rank_mod_p
 from .pfaffian import (
     Distribution, NotReducible, PfaffianSystem, derived_system,
-    from_control_system, is_integrable_with_dt, is_involutive,
-    restrict_to_subchart, vertical_annihilator,
+    from_control_system, is_characteristic, is_integrable_with_dt,
+    is_involutive, restrict_to_subchart, solves_for, vertical_annihilator,
 )
 from .symexpr import (
-    AUX, ONE, PRIME, ZERO, Symbol, Var, add, diff, div, mul, pow_,
-    structural_key, value_mod_p, var,
+    ONE, PRIME, ZERO, Var, add, diff, div, mul, pow_, structural_key,
+    value_mod_p, var,
 )
-from .sysdsl import render
+from .sysdsl import field_dict, form_dict, render
 
 
 class AnsatzExhausted(RuntimeError):
@@ -59,19 +59,6 @@ class Splitting:
     transform: ChartTransform
     nondrv: tuple
 
-    def verify(self, parent: PfaffianSystem, zc: ZeroCtx) -> bool:
-        """Re-check the defining invariants against the parent system."""
-        if parent.dim != self.S_next.dim + self.F.dim:
-            return False
-        if len(self.nondrv) != self.S_comp.dim:
-            return False
-        V = vertical_annihilator(parent, zc)
-        if not all(V.contains(v, zc) for v in self.F.generators):
-            return False
-        lifted = [_lift_through(self.transform, g) for g in self.S_next.generators]
-        P = PfaffianSystem(parent.chart, lifted, zc)
-        return all(_cauchy_member(v, P, zc) for v in self.F.generators)
-
 
 @dataclass(frozen=True)
 class DecompositionResult:
@@ -83,43 +70,7 @@ class DecompositionResult:
     config: AnsatzConfig
 
 
-# -- rendering helpers for the branch log -----------------------------------------
-
-def _field_dict(v: VectorField) -> dict:
-    out = {}
-    for s in v.chart.axes:
-        e = v.comp(s)
-        if e is not ZERO:
-            out[s.name] = render(e)
-    return out
-
-
-def _form_dict(g) -> dict:
-    out = {}
-    coeffs = one_coeffs(g)
-    for s in g.chart.axes:
-        e = coeffs.get(s)
-        if e is not None and e is not ZERO:
-            out[s.name] = render(e)
-    return out
-
-
 # -- generic membership and span helpers -------------------------------------------
-
-def _cauchy_member(v: VectorField, P: PfaffianSystem, zc: ZeroCtx) -> bool:
-    """Direct test for v being a characteristic direction of P."""
-    if P.dim == 0:
-        return True
-    top = P.top_form()
-    for g in P.generators:
-        for c in contract(v, g).coeffs.values():
-            if not zc.zero(c):
-                return False
-        w = wedge(contract(v, d(g)), top)
-        if any(not zc.zero(c) for c in w.coeffs.values()):
-            return False
-    return True
-
 
 def _same_field_span(A: Distribution, B: Distribution, zc: ZeroCtx) -> bool:
     return A.dim == B.dim and all(B.contains(v, zc) for v in A.generators)
@@ -415,25 +366,6 @@ def _candidate_stream(S: PfaffianSystem, V: Distribution,
         yield tuple(c), cand
 
 
-def necessary_condition_solutions(S: PfaffianSystem, V: Distribution,
-                                  cfg: AnsatzConfig, zc: ZeroCtx = None):
-    """Enumerate single-field candidates (c, S_candidate).
-
-    c is a coefficient tuple over the basis of V; S_candidate collects every
-    generator combination invariant along the combined field, and is kept
-    only when its dimension leaves room for exactly that one field.
-    Candidates the sample-point screen already refuted are left out.  Raises
-    AnsatzExhausted when nothing passes within cfg.max_candidates tuples.
-    """
-    zc = zc or ZeroCtx(cfg.zero_budget, cfg.seed)
-    found = [(c, cand) for c, cand in _candidate_stream(S, V, cfg, zc)
-             if cand is not None]
-    if not found:
-        raise AnsatzExhausted(
-            f"no candidate subsystem within {cfg.max_candidates} coefficient tuples")
-    return found
-
-
 _ZROW = tuple(ZERO for _ in range(64))
 
 
@@ -447,7 +379,7 @@ def refine_to_cauchy(fields, S_candidate: PfaffianSystem, S: PfaffianSystem,
     """
     chart = S.chart
     for v in fields:
-        if not _cauchy_member(v, S_candidate, zc):
+        if not is_characteristic(v, S_candidate, zc):
             return None
     F = Distribution(chart, list(fields), zc)
     if F.dim != len(fields):
@@ -458,31 +390,11 @@ def refine_to_cauchy(fields, S_candidate: PfaffianSystem, S: PfaffianSystem,
 
 
 def check_parameterizable(S_comp: PfaffianSystem, nondrv, zc: ZeroCtx = None) -> bool:
-    """True when the complement equations solve for the flow parameters.
-
-    The first-order residual of each generator (dc -> formal c_d1 symbols)
-    must have a generically regular square Jacobian with respect to the
-    parameter values, and the parameter differentials must not appear.
-    """
+    """True when the complement equations solve for the flow parameters:
+    one parameter per generator, and `solves_for` holds."""
     zc = zc or ZeroCtx()
     params = list(nondrv)
-    if len(params) != S_comp.dim:
-        return False
-    residuals = []
-    for g in S_comp.generators:
-        coeffs = one_coeffs(g)
-        parts = []
-        for s, m in coeffs.items():
-            if s == T:
-                parts.append(m)
-            elif s in params:
-                if not zc.zero(m):
-                    return False
-            else:
-                parts.append(mul(m, var(Symbol(s.name + "_d1", AUX))))
-        residuals.append(add(*parts) if parts else ZERO)
-    jac = [[diff(r, p) for p in params] for r in residuals]
-    return rank(jac, zc) == len(params)
+    return len(params) == S_comp.dim and solves_for(S_comp.generators, params, zc)
 
 
 # -- straightening one level ---------------------------------------------------------
@@ -585,7 +497,7 @@ def reduce_once(S: PfaffianSystem, cfg: AnsatzConfig, zc: ZeroCtx = None,
     taken = []
 
     def describe(fields, kind, c=None):
-        info = {"kind": kind, "F": [_field_dict(v) for v in fields]}
+        info = {"kind": kind, "F": [field_dict(v) for v in fields]}
         if c is not None:
             info["c"] = [render(x) for x in c]
         return info
@@ -727,11 +639,11 @@ def run_decomposition(cs, cfg: AnsatzConfig = None) -> DecompositionResult:
         for sp in splits:
             entry = {"id": len(log), "parent": parent, "level": level,
                      "kind": "splitting",
-                     "F": [_field_dict(v) for v in sp.F.generators],
-                     "S_next": [_form_dict(g) for g in sp.S_next.generators],
+                     "F": [field_dict(v) for v in sp.F.generators],
+                     "S_next": [form_dict(g) for g in sp.S_next.generators],
                      # the same span expressed on the level's parent chart,
                      # so logged reductions can be checked from outside
-                     "S_kept": [_form_dict(_lift_through(sp.transform, g))
+                     "S_kept": [form_dict(_lift_through(sp.transform, g))
                                 for g in sp.S_next.generators],
                      "params": [p.name for p in sp.nondrv],
                      "outcome": "extended", "note": ""}

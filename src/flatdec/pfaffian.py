@@ -3,7 +3,9 @@
 A Pfaffian system is a codistribution spanned by time-invariant 1-forms
 m(xi) dxi - n(xi) dt; a Distribution is its vector-field counterpart.  All
 spans are generic: membership and rank are decided by the probabilistic zero
-test through fraction-free elimination.
+test through fraction-free elimination.  The Cauchy-characteristic test and
+the check that equations solve for given variables live here for the search
+and the certificate checks alike.
 """
 
 from __future__ import annotations
@@ -14,7 +16,9 @@ from .exterior import (
     lie_bracket, oneform, one_coeffs, pullback, wedge, wedge_all, zero_form,
 )
 from .linalg import ZeroCtx
-from .symexpr import ONE, ZERO, diff, mul, neg, substitute
+from .symexpr import (
+    AUX, ONE, ZERO, Symbol, add, diff, mul, neg, substitute, var,
+)
 
 
 class NotReducible(RuntimeError):
@@ -146,14 +150,6 @@ def from_control_system(cs) -> PfaffianSystem:
     return PfaffianSystem(chart, gens, assume_independent=True)
 
 
-def annihilator(P: PfaffianSystem, zc: ZeroCtx) -> Distribution:
-    """All fields contracting to zero with every generator."""
-    chart = P.chart
-    basis = linalg.nullspace(P.rows(), len(chart.axes), zc)
-    return Distribution(chart, [_row_field(chart, r) for r in basis],
-                        assume_independent=True)
-
-
 def vertical_annihilator(P: PfaffianSystem, zc: ZeroCtx) -> Distribution:
     """Annihilator of {P, dt}: time-fiber fields annihilating the system."""
     chart = P.chart
@@ -206,27 +202,45 @@ def derived_flag(P: PfaffianSystem, zc: ZeroCtx):
     return flag
 
 
-def cauchy_characteristics(P: PfaffianSystem, zc: ZeroCtx) -> Distribution:
-    """All v with v in the annihilator and v contracted into dP staying in P."""
-    chart = P.chart
-    axes = chart.axes
-    rows = list(P.rows())
-    omega = P.top_form()
+def is_characteristic(v: VectorField, P: PfaffianSystem, zc: ZeroCtx) -> bool:
+    """Direct test for v being a characteristic direction of P: v.g = 0 and
+    (v.dg) ^ Omega_P = 0 for every generator g, Omega_P the top form of P."""
+    if P.dim == 0:
+        return True
+    top = P.top_form()
     for g in P.generators:
-        dg = d(g)
-        per_axis = []
-        for s in axes:
-            basis_field = VectorField(chart, {s: ONE})
-            per_axis.append(wedge(contract(basis_field, dg), omega))
-        keys = sorted({idx for f in per_axis for idx in f.coeffs})
-        for idx in keys:
-            rows.append([f.coeffs.get(idx, ZERO) for f in per_axis])
-    basis = linalg.nullspace(rows, len(axes), zc)
-    result = Distribution(chart, [_row_field(chart, r) for r in basis],
-                          assume_independent=True)
-    if not is_involutive(result, zc):
-        raise RuntimeError("characteristic distribution failed involutivity")
-    return result
+        for c in contract(v, g).coeffs.values():
+            if not zc.zero(c):
+                return False
+        w = wedge(contract(v, d(g)), top)
+        if any(not zc.zero(c) for c in w.coeffs.values()):
+            return False
+    return True
+
+
+def jet(sym: Symbol, order: int) -> Symbol:
+    """The formal order-th time derivative of a coordinate."""
+    return sym if order == 0 else Symbol(f"{sym.name}_d{order}", AUX)
+
+
+def residual(g):
+    """Implicit ODE residual of a one-form: sum a*zdot - b."""
+    parts = []
+    for s, e in one_coeffs(g).items():
+        parts.append(e if s == T else mul(e, var(jet(s, 1))))
+    return add(*parts) if parts else ZERO
+
+
+def solves_for(gens, params, zc: ZeroCtx) -> bool:
+    """True when the one-forms gens solve algebraically for params: no dp
+    survives the zero test, and the Jacobian of the residuals in params has
+    generic rank len(params)."""
+    for g in gens:
+        coeffs = one_coeffs(g)
+        if any(p in coeffs and not zc.zero(coeffs[p]) for p in params):
+            return False
+    jac = [[diff(residual(g), p) for p in params] for g in gens]
+    return linalg.rank(jac, zc) == len(params)
 
 
 def is_involutive(D: Distribution, zc: ZeroCtx) -> bool:

@@ -486,21 +486,6 @@ def _mp_node(e: Expr, args):
     raise TypeError(f"not an Expr: {e!r}")
 
 
-def eval_expr(e: Expr, point: dict, dps: int = ZERO_DPS):
-    """Evaluate at a point (Symbol -> number) in dps-digit arithmetic."""
-    missing = e.free - set(point)
-    if missing:
-        raise ValueError(f"unbound symbols: {sorted(s.name for s in missing)}")
-
-    def rec(x: Expr):
-        return pt[x.sym] if isinstance(x, Var) else _mp_node(x, [rec(c) for c in _children(x)])
-
-    with mpmath.workdps(dps):
-        pt = {s: mpmath.mpf(v.numerator) / v.denominator if isinstance(v, Fraction)
-              else mpmath.mpf(v) for s, v in point.items()}
-        return rec(e)
-
-
 def structural_key(e: Expr) -> str:
     return repr(e.key)
 

@@ -1,4 +1,4 @@
-"""Textual definition language for control systems, plus expression rendering.
+"""Definition language for control systems; rendering of expressions and forms.
 
 Grammar (UTF-8, '#' comments to end of line):
 
@@ -19,9 +19,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
+from .exterior import one_coeffs
 from .symexpr import (
-    FUNCTIONS, INPUT, STATE, DomainError, Expr, Symbol, add, const, diff,
-    div, func, mul, neg, pow_, var,
+    FUNCTIONS, INPUT, STATE, ZERO, DomainError, Expr, Symbol, add, const,
+    diff, div, func, mul, neg, pow_, var,
 )
 from .symexpr import Add, Const, Func, Mul, Pow, Var
 
@@ -352,6 +353,27 @@ def render(e: Expr) -> str:
             out += (" + " if sgn >= 0 else " - ") + body
         return out
     raise TypeError(f"not an Expr: {e!r}")
+
+
+def field_dict(v) -> dict:
+    """A vector field as {axis name: rendered component}, zeros left out."""
+    out = {}
+    for s in v.chart.axes:
+        e = v.comp(s)
+        if e is not ZERO:
+            out[s.name] = render(e)
+    return out
+
+
+def form_dict(g) -> dict:
+    """A one-form as {axis name: rendered coefficient}, zeros left out."""
+    out = {}
+    coeffs = one_coeffs(g)
+    for s in g.chart.axes:
+        e = coeffs.get(s)
+        if e is not None and e is not ZERO:
+            out[s.name] = render(e)
+    return out
 
 
 def _piece(t: Expr):

@@ -13,16 +13,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decompose import _cauchy_member, sequence_transforms
+from .decompose import sequence_transforms
 from .exterior import (
     T, VectorField, compose, identity_transform, one_coeffs, oneform,
     pullback,
 )
-from .linalg import ZeroCtx, rank
-from .pfaffian import PfaffianSystem, vertical_annihilator
-from .symexpr import (
-    AUX, INPUT, ONE, ZERO, Symbol, add, compile_expr, diff, mul, neg, var,
+from .linalg import ZeroCtx
+from .pfaffian import (
+    PfaffianSystem, is_characteristic, jet, residual, solves_for,
+    vertical_annihilator,
 )
+from .symexpr import INPUT, ONE, ZERO, add, compile_expr, diff, mul, var
 
 
 class StructureViolation(ValueError):
@@ -74,35 +75,6 @@ class TriangularDecomposition:
     def flat_coords(self) -> tuple:
         return tuple(c for blk in self.blocks for c in blk.y)
 
-    def a_matrix(self, i: int, k: int):
-        """Coefficient rows of Xi^i on the dz^k coordinates."""
-        cols = self.blocks[k - 1].coords
-        out = []
-        for g in self.equations[i - 1]:
-            coeffs = one_coeffs(g)
-            out.append([coeffs.get(c, ZERO) for c in cols])
-        return out
-
-    def b_vector(self, i: int):
-        """Right-hand sides: Xi^i = sum a dz - b dt."""
-        out = []
-        for g in self.equations[i - 1]:
-            e = one_coeffs(g).get(T, ZERO)
-            out.append(neg(e) if e is not ZERO else ZERO)
-        return out
-
-
-def _jet(sym: Symbol, order: int) -> Symbol:
-    return sym if order == 0 else Symbol(f"{sym.name}_d{order}", AUX)
-
-
-def _residual(g):
-    """Implicit ODE residual of a one-form: sum a*zdot - b."""
-    parts = []
-    for s, e in one_coeffs(g).items():
-        parts.append(e if s == T else mul(e, var(_jet(s, 1))))
-    return add(*parts) if parts else ZERO
-
 
 def _span(td: TriangularDecomposition, count: int, zc: ZeroCtx) -> PfaffianSystem:
     gens = [g for xi in td.equations[:count] for g in xi]
@@ -151,7 +123,7 @@ def from_sequence(sequence, zc: ZeroCtx = None, system=None) -> TriangularDecomp
     for c in kept:
         v = VectorField(final, {c: ONE})
         depth = 0
-        while depth < n_b and _cauchy_member(v, spans[depth + 1], zc):
+        while depth < n_b and is_characteristic(v, spans[depth + 1], zc):
             depth += 1
         member[c] = 1 + depth
         if member[c] == m:
@@ -165,6 +137,7 @@ def from_sequence(sequence, zc: ZeroCtx = None, system=None) -> TriangularDecomp
         blocks.append(Block(k, ys, nondrv))
     blocks = tuple(blocks)
 
+    check_shape(blocks, equations)
     td = TriangularDecomposition(chart=final, blocks=blocks,
                                  equations=equations, transform=theta,
                                  system=system)
@@ -172,14 +145,41 @@ def from_sequence(sequence, zc: ZeroCtx = None, system=None) -> TriangularDecomp
     return td
 
 
+def check_shape(blocks, equations) -> None:
+    """Raise StructureViolation unless blocks and equations fit together.
+
+    One block more than equation blocks, numbered 1, 2, ... in order;
+    block 1 solves for nothing, block i+1 for one variable per equation of
+    Xi^i, which is not empty; no coordinate in two places.  Messages name
+    the certificate field.
+    """
+    if len(blocks) != len(equations) + 1:
+        raise StructureViolation(f"field blocks has {len(blocks)} entries "
+                                 f"for {len(equations)} equation blocks")
+    for i, xi in enumerate(equations):
+        if not xi:
+            raise StructureViolation(f"field equations[{i}] is empty")
+    seen = set()
+    for i, blk in enumerate(blocks):
+        if blk.index != i + 1:
+            raise StructureViolation(
+                f"field blocks[{i}].index must be {i + 1}, got {blk.index}")
+        want = len(equations[i - 1]) if i else 0
+        if len(blk.nondrv) != want:
+            raise StructureViolation(
+                f"field blocks[{i}].solved names {len(blk.nondrv)} variables "
+                f"for {want} equations")
+        for c in blk.coords:
+            if c in seen:
+                raise StructureViolation(
+                    f"field blocks[{i}] names {c.name} a second time")
+            seen.add(c)
+
+
 def _check_structure(td: TriangularDecomposition, zc: ZeroCtx) -> None:
-    n_b = td.n_b
-    for i in range(1, n_b + 1):
+    for i in range(1, td.n_b + 1):
         gens = td.equations[i - 1]
         solved = td.blocks[i].nondrv
-        if len(gens) != len(solved):
-            raise StructureViolation(
-                f"block {i} has {len(gens)} equations for {len(solved)} unknowns")
         later = [c for blk in td.blocks[i:] for c in blk.coords]
         allowed = {c for blk in td.blocks[:i] for c in blk.coords}
         allowed.update(solved)
@@ -196,9 +196,7 @@ def _check_structure(td: TriangularDecomposition, zc: ZeroCtx) -> None:
                     if s not in allowed:
                         raise StructureViolation(
                             f"Xi^{i} coefficient depends on {s.name}")
-        residuals = [_residual(g) for g in gens]
-        jac = [[diff(r, p) for p in solved] for r in residuals]
-        if rank(jac, zc) != len(solved):
+        if not solves_for(gens, solved, zc):
             raise StructureViolation(
                 f"Xi^{i} is not solvable for block {i + 1}: singular Jacobian")
 
@@ -222,19 +220,10 @@ def validate(td: TriangularDecomposition, zc: ZeroCtx = None):
         ok = all(V.contains(v, zc) for v in fields)
         report.append((f"zhat^{m - k} vertical for S_d{k}", ok))
         S_next = _span(td, n_b - k - 1, zc)
-        ok = all(_cauchy_member(v, S_next, zc) for v in fields)
+        ok = all(is_characteristic(v, S_next, zc) for v in fields)
         report.append((f"zhat^{m - k} Cauchy for S_d{k + 1}", ok))
     for i in range(1, n_b + 1):
-        solved = td.blocks[i].nondrv
-        ok = True
-        for g in td.equations[i - 1]:
-            coeffs = one_coeffs(g)
-            if any(not zc.zero(coeffs.get(p, ZERO)) for p in solved):
-                ok = False
-        if ok:
-            residuals = [_residual(g) for g in td.equations[i - 1]]
-            jac = [[diff(r, p) for p in solved] for r in residuals]
-            ok = rank(jac, zc) == len(solved)
+        ok = solves_for(td.equations[i - 1], td.blocks[i].nondrv, zc)
         report.append((f"Xi^{i} parameterizable in zhat^{i + 1}", ok))
     for k in range(1, m):
         blk = td.blocks[k - 1]
@@ -242,7 +231,7 @@ def validate(td: TriangularDecomposition, zc: ZeroCtx = None):
             continue
         S_deep = _span(td, k - 1, zc)
         fields = [VectorField(td.chart, {c: ONE}) for c in blk.y]
-        ok = all(_cauchy_member(v, S_deep, zc) for v in fields)
+        ok = all(is_characteristic(v, S_deep, zc) for v in fields)
         report.append((f"y^{k} Cauchy for S_d{m - k}", ok))
     return report
 
@@ -345,18 +334,18 @@ class _Engine:
         self.slot = {}
         for c in coords:
             for j in range(self.n_b + 1):
-                s = _jet(c, j)
+                s = jet(c, j)
                 self.slot[s] = len(self.args)
                 self.args.append(s)
         bump = {}
         for c in coords:
             for j in range(self.n_b):
-                bump[_jet(c, j)] = _jet(c, j + 1)
+                bump[jet(c, j)] = jet(c, j + 1)
         self.flat = td.flat_coords
         self.blocks = []
         for i in range(1, self.n_b + 1):
             unknowns = td.blocks[i].nondrv
-            residuals = [_residual(g) for g in td.equations[i - 1]]
+            residuals = [residual(g) for g in td.equations[i - 1]]
             rf = [compile_expr(r, self.args, np) for r in residuals]
             # row-major: residual r, unknown p
             jf = [compile_expr(diff(r, p), self.args, np)
@@ -399,7 +388,7 @@ def _recover(engine: _Engine, curves, ts, guess):
     vals = np.zeros((len(engine.args), n))
     for c, curve in zip(engine.flat, curves):
         for j in range(engine.n_b + 1):
-            vals[engine.slot[_jet(c, j)]] = curve.eval(ts, j)
+            vals[engine.slot[jet(c, j)]] = curve.eval(ts, j)
     alive = np.ones(n, dtype=bool)
     failures = {}
 
@@ -460,7 +449,7 @@ def _recover(engine: _Engine, curves, ts, guess):
             for j, cf in enumerate(chains, start=1):
                 rest = _stack(cf, a)
                 sol = np.linalg.solve(jac, -rest.T[:, :, None])[:, :, 0].T
-                a[[engine.slot[_jet(p, j)] for p in unknowns]] = sol
+                a[[engine.slot[jet(p, j)] for p in unknowns]] = sol
                 finite = np.isfinite(sol).all(axis=0)
                 fail(_SampleSingular, bi, idx[~finite],
                      "domain violation (non-finite derivative)")
@@ -520,7 +509,7 @@ def recover_trajectory(cert: FlatnessCertificate, y_curves, t_samples,
     ok[list(failures)] = False
     with np.errstate(all="ignore"):
         rf = [f for _, fns, _, _ in engine.blocks for f in fns]
-        residual = np.abs(_stack(rf, vals)).max(axis=0, initial=0.0)
+        resid = np.abs(_stack(rf, vals)).max(axis=0, initial=0.0)
     worst = float("nan")
     if engine.system is not None:
         worst = _dynamics_residual(engine, ts, x, u, ok)
@@ -533,7 +522,7 @@ def recover_trajectory(cert: FlatnessCertificate, y_curves, t_samples,
         samples.append(RecoveredSample(
             t, {name: float(v[k]) for name, v in x.items()},
             {name: float(v[k]) for name, v in u.items()}, True,
-            float(residual[k])))
+            float(resid[k])))
     return RecoveryResult(samples=tuple(samples), converged=int(ok.sum()),
                           skipped=len(failures), dynamics_residual=worst)
 

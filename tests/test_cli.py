@@ -1,8 +1,12 @@
 """Exit codes, report structure, and determinism of the command line."""
 
+import contextlib
+import io
 import json
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flatdec.cli import SHORTCUT_NOTE, main
 
@@ -62,6 +66,19 @@ def test_analyze_empty_file(tmp_path, capsys):
 
 def test_missing_input_file(tmp_path, capsys):
     assert main(["analyze", str(tmp_path / "nope.fds")]) == 1
+
+
+@pytest.mark.parametrize("command", ["analyze", "decompose"])
+def test_undefined_everywhere_exits_1(tmp_path, capsys, command):
+    # 4*x1*x2 >= 1 on the whole 50-digit sample box [1/2, 2]^2, so arcsin
+    # is undefined at every point and no rank can be decided
+    p = tmp_path / "asin.fds"
+    p.write_text("system asin {\n  states: x1, x2;\n  inputs: u;\n"
+                 "  dot(x1) = arcsin(4*x1*x2);\n  dot(x2) = u;\n}\n")
+    assert main([command, str(p)]) == 1
+    err = capsys.readouterr().err
+    assert "RankDecisionFailed" in err and "undefined at every sample" in err
+    assert "internal error" not in err
 
 
 # -- decompose -----------------------------------------------------------------------
@@ -232,27 +249,100 @@ def sin_report(sin_file, tmp_path):
     return json.loads(path.read_text())
 
 
+def _misshape(cert, case):
+    if case == "duplicate-equation":
+        cert["equations"][0].append(dict(cert["equations"][0][0]))
+    elif case == "no-equations":
+        cert["equations"] = []
+    elif case == "empty-solved":
+        cert["blocks"][1]["solved"] = []
+    elif case == "empty-block":
+        cert["equations"][1] = []
+        cert["blocks"][2]["solved"] = []
+    elif case == "wrong-index":
+        cert["blocks"][2]["index"] = 7
+    elif case == "solved-in-block-1":
+        cert["blocks"][0]["solved"] = list(cert["blocks"][1]["solved"])
+        cert["blocks"][1]["solved"] = []
+    else:
+        cert["blocks"][1]["outputs"].append(cert["blocks"][0]["outputs"][0])
+
+
 @pytest.mark.parametrize("case, message", [
     ("not-json", "certificate is not JSON"),
     ("missing-key", "missing field chart"),
     ("wrong-schema", "field schema must be 'flatdec/1'"),
+    ("duplicate-equation", "blocks[1].solved names 1 variables for 2"),
+    ("no-equations", "blocks has 4 entries for 0 equation blocks"),
+    ("empty-solved", "blocks[1].solved names 0 variables for 1"),
+    ("empty-block", "equations[1] is empty"),
+    ("wrong-index", "blocks[2].index must be 3, got 7"),
+    ("solved-in-block-1", "blocks[0].solved names 1 variables for 0"),
+    ("coordinate-twice", "blocks[1] names"),
 ])
 def test_verify_malformed_certificate_exits_1(sin_file, sin_report, tmp_path,
                                               capsys, case, message):
     cert = tmp_path / "bad.json"
     if case == "not-json":
         cert.write_text("{\"schema\": \"flatdec/1\", ")
-    elif case == "missing-key":
-        del sin_report["certificate"]["chart"]
-        cert.write_text(json.dumps(sin_report))
     else:
-        sin_report["schema"] = "flatdec/0"
+        if case == "missing-key":
+            del sin_report["certificate"]["chart"]
+        elif case == "wrong-schema":
+            sin_report["schema"] = "flatdec/0"
+        else:
+            _misshape(sin_report["certificate"], case)
         cert.write_text(json.dumps(sin_report))
     capsys.readouterr()
     assert main(["verify", sin_file, "--certificate", str(cert)]) == 1
     err = capsys.readouterr().err
     assert "CertificateError" in err and message in err
     assert "internal error" not in err
+
+
+@pytest.fixture(scope="module")
+def sin_certificate(tmp_path_factory):
+    d = tmp_path_factory.mktemp("fuzz")
+    (d / "sinex.fds").write_text(SIN_SYS)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["decompose", str(d / "sinex.fds"),
+                     "--report", str(d / "d.json")]) == 0
+    return d, (d / "d.json").read_text()
+
+
+def _lists(cert):
+    """Every list of the certificate that the fuzz may drop, duplicate or
+    shuffle entries of."""
+    out = [cert["blocks"], cert["equations"], cert["outputs"]]
+    for b in cert["blocks"]:
+        out += [b["solved"], b["outputs"]]
+    return out + cert["equations"]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["drop", "dup", "shuffle"]),
+                          st.integers(0, 2**32)), min_size=1, max_size=3))
+def test_fuzzed_certificate_never_crashes(sin_certificate, edits):
+    d, text = sin_certificate
+    obj = json.loads(text)
+    for op, seed in edits:
+        rng = random.Random(seed)
+        lst = rng.choice(_lists(obj["certificate"]))
+        if op == "shuffle" or not lst:
+            rng.shuffle(lst)
+        elif op == "drop":
+            lst.pop(rng.randrange(len(lst)))
+        else:
+            lst.insert(rng.randrange(len(lst) + 1),
+                       json.loads(json.dumps(rng.choice(lst))))
+    (d / "m.json").write_text(json.dumps(obj))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        code = main(["verify", str(d / "sinex.fds"),
+                     "--certificate", str(d / "m.json"), "--samples", "2"])
+    assert code in (0, 1, 4)
+    assert "internal error" not in err.getvalue()
 
 
 def test_verify_bad_output_expression(sin_file, capsys):

@@ -8,17 +8,17 @@ import pytest
 
 from flatdec.decompose import (
     AnsatzConfig, AnsatzExhausted, Splitting, check_parameterizable,
-    monomial_pool, necessary_condition_solutions, reduce_once,
-    refine_to_cauchy, run_decomposition, sequence_transforms,
-    _REJECT, _SKIP, _Screen, _along, _coefficient_vectors, _combine,
-    _field_row_tables, _pencil_rows, _projective_key, _span_from_solutions,
-    _tuple_stream,
+    monomial_pool, reduce_once, refine_to_cauchy, run_decomposition,
+    sequence_transforms,
+    _REJECT, _SKIP, _Screen, _along, _candidate_stream, _coefficient_vectors,
+    _combine, _field_row_tables, _lift_through, _pencil_rows, _projective_key,
+    _span_from_solutions, _tuple_stream,
 )
 from flatdec.exterior import Chart, T, VectorField, oneform
 from flatdec.linalg import ZeroCtx, nullspace, nullspace_mod_p, rre_divided
 from flatdec.pfaffian import (
     Distribution, PfaffianSystem, derived_system, from_control_system,
-    vertical_annihilator,
+    is_characteristic, vertical_annihilator,
 )
 from flatdec.symexpr import (
     ONE, PRIME, STATE, ZERO, Symbol, add, func, is_zero, mul, neg, pow_,
@@ -34,6 +34,22 @@ def coord(cs, name):
         if s.name == name:
             return s
     raise KeyError(name)
+
+
+def splitting_holds(sp: Splitting, parent: PfaffianSystem, zc) -> bool:
+    """The defining invariants of one reduction level against its parent:
+    the dimensions add up, F is vertical for the parent, and F is
+    characteristic for S_next carried back to the parent's chart."""
+    if parent.dim != sp.S_next.dim + sp.F.dim:
+        return False
+    if len(sp.nondrv) != sp.S_comp.dim:
+        return False
+    V = vertical_annihilator(parent, zc)
+    if not all(V.contains(v, zc) for v in sp.F.generators):
+        return False
+    lifted = [_lift_through(sp.transform, g) for g in sp.S_next.generators]
+    P = PfaffianSystem(parent.chart, lifted, zc)
+    return all(is_characteristic(v, P, zc) for v in sp.F.generators)
 
 
 def axis(chart, name):
@@ -105,7 +121,8 @@ def test_necessary_condition_finds_scaling_family(sin_sys, zc):
     S0 = from_control_system(sin_sys)
     V = vertical_annihilator(S0, zc)
     cfg = AnsatzConfig()
-    found = necessary_condition_solutions(S0, V, cfg, zc)
+    found = [(c, cand) for c, cand in _candidate_stream(S0, V, cfg, zc)
+             if cand is not None]
     assert found
     u1, u2 = coord(sin_sys, "u1"), coord(sin_sys, "u2")
     # V's basis spans the input directions; express the scaling field in it
@@ -129,15 +146,15 @@ def test_necessary_condition_budget_exhaustion(sin_sys, zc):
     S0 = from_control_system(sin_sys)
     V = vertical_annihilator(S0, zc)
     cfg = AnsatzConfig(max_candidates=0)
+    assert list(_candidate_stream(S0, V, cfg, zc)) == []
     with pytest.raises(AnsatzExhausted):
-        necessary_condition_solutions(S0, V, cfg, zc)
+        reduce_once(S0, cfg, zc=zc)
 
 
 def test_necessary_condition_no_directions(sin_sys, zc):
     S0 = from_control_system(sin_sys)
     empty = Distribution(S0.chart, [], zc)
-    with pytest.raises(AnsatzExhausted):
-        necessary_condition_solutions(S0, empty, AnsatzConfig(), zc)
+    assert list(_candidate_stream(S0, empty, AnsatzConfig(), zc)) == []
 
 
 # -- refinement and parameterizability ------------------------------------------------
@@ -193,6 +210,9 @@ def test_check_parameterizable_cases(zc):
     # a surviving dp component disqualifies the complement outright
     leaky = PfaffianSystem(ch, [oneform(ch, {a: ONE, p: neg(ONE)})], zc)
     assert not check_parameterizable(leaky, [p], zc)
+    # ... even when the Jacobian in p alone is regular
+    leaky = PfaffianSystem(ch, [oneform(ch, {a: ONE, p: ONE, T: neg(var(p))})], zc)
+    assert not check_parameterizable(leaky, [p], zc)
     # parameter count must match the complement dimension
     assert not check_parameterizable(solves, [p, b], zc)
 
@@ -210,7 +230,7 @@ def test_reduce_once_chain_is_shortcut(chain, zc):
     assert sp.F.contains(VectorField(S0.chart, {u: ONE}), zc)
     assert sp.S_next.dim == 2
     assert len(sp.nondrv) == 1
-    assert sp.verify(S0, zc)
+    assert splitting_holds(sp, S0, zc)
 
 
 def test_reduce_once_sin_level0(sin_sys, zc):
@@ -223,7 +243,7 @@ def test_reduce_once_sin_level0(sin_sys, zc):
     scaling = VectorField(S0.chart, {u1: var(u1), u2: var(u2)})
     assert sp.F.dim == 1 and sp.F.contains(scaling, zc)
     assert sp.S_next.dim == 2
-    assert sp.verify(S0, zc)
+    assert splitting_holds(sp, S0, zc)
     kinds = {e["kind"] for e in events}
     assert "joint" in kinds  # the full-input span is tried and rejected
     assert any(e["kind"] == "joint" and e["outcome"] == "rejected" for e in events)
@@ -236,8 +256,8 @@ def test_splitting_verify_detects_corruption(chain, zc):
     sp = reduce_once(S0, AnsatzConfig(), zc=zc)[0]
     x1 = coord(cs, "x1")
     horizontal = Distribution(S0.chart, [VectorField(S0.chart, {x1: ONE})], zc)
-    assert not dataclasses.replace(sp, F=horizontal).verify(S0, zc)
-    assert not dataclasses.replace(sp, nondrv=()).verify(S0, zc)
+    assert not splitting_holds(dataclasses.replace(sp, F=horizontal), S0, zc)
+    assert not splitting_holds(dataclasses.replace(sp, nondrv=()), S0, zc)
 
 
 # -- the full search ------------------------------------------------------------------
@@ -280,7 +300,7 @@ def test_run_decomposition_sin_splittings_verify(sin_sys, zc):
     res = run_decomposition(sin_sys)
     parent = from_control_system(sin_sys)
     for sp in res.sequence:
-        assert sp.verify(parent, zc)
+        assert splitting_holds(sp, parent, zc)
         parent = sp.S_next
 
 
@@ -292,7 +312,7 @@ def test_run_decomposition_coupled(coupled_sys, zc):
     assert match_up_to_sign(outputs_of(res), want)
     parent = from_control_system(coupled_sys)
     for sp in res.sequence:
-        assert sp.verify(parent, zc)
+        assert splitting_holds(sp, parent, zc)
         parent = sp.S_next
 
 
@@ -322,7 +342,7 @@ def test_run_decomposition_chains(chain, zc):
         parent = from_control_system(cs)
         for sp in res.sequence:
             assert sp.F.dim == 1
-            assert sp.verify(parent, zc)
+            assert splitting_holds(sp, parent, zc)
             parent = sp.S_next
 
 

@@ -3,16 +3,16 @@
 import pytest
 
 from flatdec.exterior import (
-    Chart, T, VectorField, contract, d, identity_transform, oneform,
-    straighten_flow, wedge,
+    Chart, T, VectorField, contract, d, identity_transform, lie_bracket,
+    oneform, straighten_flow, wedge,
 )
+from flatdec.linalg import nullspace
 from flatdec.pfaffian import (
-    Distribution, NotReducible, PfaffianSystem, annihilator,
-    cauchy_characteristics, derived_flag, derived_system, from_control_system,
-    is_integrable_with_dt, is_involutive, restrict_to_subchart,
-    vertical_annihilator,
+    Distribution, NotReducible, PfaffianSystem, derived_flag, derived_system,
+    from_control_system, is_characteristic, is_integrable_with_dt,
+    is_involutive, restrict_to_subchart, vertical_annihilator,
 )
-from flatdec.symexpr import AUX, ONE, Symbol, div, func, mul, neg, var
+from flatdec.symexpr import AUX, ONE, ZERO, Symbol, div, func, mul, neg, var
 
 
 def coord(cs, name):
@@ -57,6 +57,15 @@ def test_from_control_system_coupled(coupled_sys, zc):
 
 
 # -- annihilators --------------------------------------------------------------
+
+def annihilator(P, zc):
+    """All fields contracting to zero with every generator of P."""
+    axes = P.chart.axes
+    basis = nullspace(P.rows(), len(axes), zc)
+    return Distribution(P.chart, [VectorField(P.chart, {
+        s: c for s, c in zip(axes, row) if c is not ZERO}) for row in basis],
+        assume_independent=True)
+
 
 def test_annihilator_single_form(zc):
     x = Symbol("x", AUX)
@@ -176,10 +185,9 @@ def test_cauchy_closed_form(zc):
     x2 = Symbol("x2", AUX)
     chart = Chart((x1, x2))
     P = PfaffianSystem(chart, [oneform(chart, {x1: ONE})], zc)
-    C = cauchy_characteristics(P, zc)
-    assert C.dim == 2
-    assert C.contains(VectorField(chart, {x2: ONE}), zc)
-    assert C.contains(VectorField(chart, {T: ONE}), zc)
+    assert is_characteristic(VectorField(chart, {x2: ONE}), P, zc)
+    assert is_characteristic(VectorField(chart, {T: ONE}), P, zc)
+    assert not is_characteristic(VectorField(chart, {x1: ONE}), P, zc)
 
 
 def test_cauchy_eq24(zc):
@@ -188,17 +196,19 @@ def test_cauchy_eq24(zc):
     chart = Chart(tuple(w))
     S2 = PfaffianSystem(chart, [
         oneform(chart, {w[2]: ONE, T: neg(func("sin", var(w[3])))})], zc)
-    C = cauchy_characteristics(S2, zc)
-    assert C.dim == 2
-    assert C.contains(VectorField(chart, {w[0]: var(w[3]), w[1]: ONE}), zc)
-    assert C.contains(VectorField(chart, {w[0]: ONE}), zc)
-    assert not C.contains(VectorField(chart, {w[3]: ONE}), zc)
+    assert is_characteristic(
+        VectorField(chart, {w[0]: var(w[3]), w[1]: ONE}), S2, zc)
+    assert is_characteristic(VectorField(chart, {w[0]: ONE}), S2, zc)
+    assert not is_characteristic(VectorField(chart, {w[3]: ONE}), S2, zc)
 
 
 def test_cauchy_of_control_system_is_trivial(sin_sys, zc):
-    # explicit dynamics leave no characteristic directions
+    # explicit dynamics leave no characteristic directions: no coordinate
+    # field, and no field of the annihilator, the time flow included
     S0 = from_control_system(sin_sys)
-    assert cauchy_characteristics(S0, zc).dim == 0
+    fields = [VectorField(S0.chart, {s: ONE}) for s in S0.chart.axes]
+    fields += annihilator(S0, zc).generators
+    assert not any(is_characteristic(v, S0, zc) for v in fields)
 
 
 # -- involutivity and integrability ----------------------------------------------
@@ -347,10 +357,17 @@ def test_flag_dims_strictly_descend(sin_sys, coupled_sys, zc):
 
 
 def test_cauchy_result_involutive(coupled_sys, zc):
+    # the inputs are the characteristic directions of coupled's derived
+    # system; function multiples and brackets of them stay characteristic
     S0 = from_control_system(coupled_sys)
     D = derived_system(S0, zc)
-    C = cauchy_characteristics(D, zc)
-    assert is_involutive(C, zc)
+    u1, u2, x3 = (coord(coupled_sys, n) for n in ("u1", "u2", "x3"))
+    v = VectorField(S0.chart, {u1: var(u2)})
+    w = VectorField(S0.chart, {u1: ONE, u2: mul(var(u1), var(u2))})
+    for f in (v, w, lie_bracket(v, w)):
+        assert is_characteristic(f, D, zc)
+    assert is_involutive(Distribution(S0.chart, [v, w], zc), zc)
+    assert not is_characteristic(VectorField(S0.chart, {x3: ONE}), D, zc)
 
 
 def test_span_normalization_drops_dependent_generators(sin_sys, zc):

@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 from flatdec import symexpr as sx
 from flatdec.symexpr import (
     DomainError, EvaluationFailed, Symbol, add, compile_expr, const, diff, div,
-    eval_expr, func, is_zero, mul, neg, normalize, pow_, substitute, var,
+    func, is_zero, mul, neg, normalize, pow_, substitute, var,
 )
 
 X = Symbol("x", sx.STATE)
@@ -190,18 +190,24 @@ def test_substitute_normalizes():
 
 # -- evaluation ------------------------------------------------------------------
 
+def mp_value(e, k, seed=0):
+    """The 50-digit value of e at point k of the zero test's sample stream."""
+    with mpmath.workdps(sx.ZERO_DPS):
+        return sx._at(e, k, seed, False)[0]
+
+
 def test_eval_expr_matches_mpmath():
     e = add(func("sin", x), mul(const(2), func("exp", y)))
-    got = eval_expr(e, {X: Fraction(1, 3), Y: Fraction(1, 7)})
     with mpmath.workdps(50):
-        want = mpmath.sin(mpmath.mpf(1) / 3) + 2 * mpmath.exp(mpmath.mpf(1) / 7)
-        assert close(got, want)
+        for k in range(5):
+            a, b = (sx._coordinate(s, 0, k, False) for s in (X, Y))
+            assert close(mp_value(e, k), mpmath.sin(a) + 2 * mpmath.exp(b))
 
 
 def test_eval_expr_50_digit_oracle():
     # arcsin(1/2) to 50 digits, frozen from an independent computation
     # (pi/6 = 0.52359877559829887307710723054658381403286156656252...)
-    got = eval_expr(func("arcsin", const(Fraction(1, 2))), {}, dps=50)
+    got = mp_value(func("arcsin", const(Fraction(1, 2))), 0)
     with mpmath.workdps(50):
         want = mpmath.mpf(
             "0.52359877559829887307710723054658381403286156656252")
@@ -209,19 +215,15 @@ def test_eval_expr_50_digit_oracle():
 
 
 def test_eval_domain_errors():
-    with pytest.raises(DomainError):
-        eval_expr(func("ln", const(-1)), {})
-    with pytest.raises(DomainError):
-        eval_expr(func("sqrt", const(-4)), {})
-    with pytest.raises(DomainError):
-        eval_expr(func("arcsin", const(2)), {})
-    with pytest.raises(DomainError):
-        eval_expr(pow_(x, -1), {X: 0})
-
-
-def test_eval_unbound_symbol():
-    with pytest.raises(ValueError):
-        eval_expr(x, {})
+    for e, arg in ((func("ln", x), -1), (func("sqrt", x), -4),
+                   (func("arcsin", x), 2), (pow_(x, -1), 0)):
+        with pytest.raises(DomainError):
+            sx._mp_node(e, [mpmath.mpf(arg)])
+    # undefined at every sample point: the zero test has no decision
+    for e in (func("ln", const(-1)), func("sqrt", const(-4)),
+              func("arcsin", const(2))):
+        with pytest.raises(EvaluationFailed):
+            is_zero(e)
 
 
 def test_exact_rational_evaluation_path():

@@ -1,0 +1,43 @@
+"""Module boundaries of the package and the benchmark's traced names."""
+
+import ast
+import importlib
+import pathlib
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "flatdec"
+
+
+def test_no_module_imports_another_modules_private_names():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level == 0 and not (node.module or "").startswith("flatdec"):
+                continue
+            for alias in node.names:
+                if alias.name.startswith("_"):
+                    found.append(f"{path.name}: {alias.name} from "
+                                 f"{'.' * node.level}{node.module or ''}")
+    assert not found, "private names imported across modules: " + \
+        "; ".join(found)
+
+
+def _traced():
+    """TRACED of perfbench/spans.py, read without importing the benchmark."""
+    tree = ast.parse((ROOT / "perfbench" / "spans.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/spans.py defines no TRACED")
+
+
+def test_every_traced_name_resolves():
+    traced = _traced()
+    assert traced
+    for mod, names in traced.items():
+        module = importlib.import_module(f"flatdec.{mod}")
+        for name in names:
+            assert callable(getattr(module, name, None)), f"{mod}.{name}"

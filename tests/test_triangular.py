@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from flatdec.decompose import run_decomposition
-from flatdec.exterior import one_coeffs, oneform
+from flatdec.exterior import T, one_coeffs, oneform
 from flatdec.linalg import ZeroCtx
-from flatdec.symexpr import INPUT, func, mul, var
+from flatdec.symexpr import INPUT, ZERO, func, mul, neg, var
 from flatdec.sysdsl import parse_expr, parse_system, render
 from flatdec.triangular import (
     Block, FlatnessCertificate, NewtonDivergence, OutputCountMismatch,
@@ -81,15 +81,15 @@ def test_blocks_partition_the_chart(sin_td, coupled_td):
 
 
 def test_coefficient_accessors(sin_td, zc):
-    a11 = sin_td.a_matrix(1, 1)
-    assert len(a11) == 1 and render(a11[0][0]) == "1"
-    (b1,) = sin_td.b_vector(1)
+    # Xi^1 = dy - b dt: unit coefficient on block 1, b = sin(block-2 variable)
+    (g,) = sin_td.equations[0]
+    coeffs = one_coeffs(g)
+    assert render(coeffs[sin_td.blocks[0].coords[0]]) == "1"
     p = sin_td.blocks[1].nondrv[0]
-    assert render(b1) == f"sin({p.name})"
+    assert render(neg(coeffs[T])) == f"sin({p.name})"
     # the first equation block carries nothing from deeper blocks
-    for k in range(2, sin_td.m + 1):
-        for row in sin_td.a_matrix(1, k):
-            assert all(zc.zero(e) for e in row)
+    for blk in sin_td.blocks[1:]:
+        assert all(zc.zero(coeffs.get(c, ZERO)) for c in blk.coords)
 
 
 def test_empty_sequence_rejected(zc):
