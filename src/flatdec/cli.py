@@ -231,7 +231,7 @@ def _certificate_load(obj, cs) -> FlatnessCertificate:
             gens.append(oneform(final, coeffs))
         equations.append(tuple(gens))
     try:
-        check_shape(blocks, equations)
+        check_shape(final, blocks, equations)
     except StructureViolation as ex:
         raise CertificateError(str(ex)) from None
     transform = _field(obj, "transform", "", lambda v: isinstance(v, dict),
@@ -302,7 +302,7 @@ def cmd_decompose(args) -> int:
         print(_verification_text(items, verdict))
 
     _emit(report, args, timer)
-    return 0
+    return 4 if args.verify and not report["verification"]["ok"] else 0
 
 
 # -- verify --------------------------------------------------------------------------

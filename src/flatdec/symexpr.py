@@ -621,6 +621,36 @@ def is_zero(e: Expr, budget: int = 20, seed: int = 0) -> bool:
         return _vanishes(e, budget, seed, False)
 
 
+def _source(e: Expr, names: dict, module) -> str:
+    """Python source of e: symbols as `names[sym]`, functions as `_m.<name>`
+    with `_m` bound to `module`."""
+    if isinstance(e, Const):
+        if e.value.denominator == 1:
+            return f"({e.value.numerator})"
+        return f"({e.value.numerator}/{e.value.denominator})"
+    if isinstance(e, Var):
+        return names[e.sym]
+    if isinstance(e, Add):
+        return "(" + "+".join(_source(t, names, module) for t in e.terms) + ")"
+    if isinstance(e, Mul):
+        return "(" + "*".join(_source(f, names, module) for f in e.factors) + ")"
+    if isinstance(e, Pow):
+        return f"({_source(e.base, names, module)})**({e.exp})"
+    if isinstance(e, Func):
+        name = "log" if e.fn == "ln" else e.fn
+        # math spells the inverse functions asin/atan, numpy arcsin/arctan
+        if not hasattr(module, name):
+            name = "a" + name[3:]
+        return f"_m.{name}({_source(e.arg, names, module)})"
+    raise TypeError(f"not an Expr: {e!r}")
+
+
+def _check_bound(exprs, args) -> None:
+    missing = frozenset().union(*(e.free for e in exprs)) - set(args)
+    if missing:
+        raise ValueError(f"unbound symbols: {sorted(s.name for s in missing)}")
+
+
 def compile_expr(e: Expr, args: list, module=math):
     """Compile to a fast float-valued callable of the given symbols.
 
@@ -631,34 +661,58 @@ def compile_expr(e: Expr, args: list, module=math):
     shape (a scalar for a constant expression), and domain violations give
     nan or inf instead of raising.
     """
-    names = {}
-    for i, s in enumerate(args):
-        names[s] = f"_a[{i}]"
-
-    def fn_name(fn: str) -> str:
-        name = "log" if fn == "ln" else fn
-        # math spells the inverse functions asin/atan, numpy arcsin/arctan
-        return name if hasattr(module, name) else "a" + name[3:]
-
-    def emit(x: Expr) -> str:
-        if isinstance(x, Const):
-            if x.value.denominator == 1:
-                return f"({x.value.numerator})"
-            return f"({x.value.numerator}/{x.value.denominator})"
-        if isinstance(x, Var):
-            return names[x.sym]
-        if isinstance(x, Add):
-            return "(" + "+".join(emit(t) for t in x.terms) + ")"
-        if isinstance(x, Mul):
-            return "(" + "*".join(emit(f) for f in x.factors) + ")"
-        if isinstance(x, Pow):
-            return f"({emit(x.base)})**({x.exp})"
-        if isinstance(x, Func):
-            return f"_m.{fn_name(x.fn)}({emit(x.arg)})"
-        raise TypeError(f"not an Expr: {x!r}")
-
-    missing = e.free - set(args)
-    if missing:
-        raise ValueError(f"unbound symbols: {sorted(s.name for s in missing)}")
-    src = f"lambda _a: {emit(e)}"
+    _check_bound([e], args)
+    names = {s: f"_a[{i}]" for i, s in enumerate(args)}
+    src = f"lambda _a: {_source(e, names, module)}"
     return eval(src, {"_m": module})  # noqa: S307  (source built locally above)
+
+
+def compile_rk4(dynamics, states, inputs):
+    """Compile the classic 4th-order Runge-Kutta sweep of dot(states) = dynamics.
+
+    Returns run(x0, ua, ub, uc, n, step), which takes n steps of size step
+    from the state list x0 and returns the n + 1 states as lists of floats,
+    x0 first.  ua[k], ub[k] and uc[k] are the input lists at the start,
+    the midpoint and the end of step k.  Every state and stage value is a
+    local variable of the generated function, and each step computes
+    x + step / 2 * k for the middle stages, x + step * k3 for the last, and
+    x + step / 6 * (k1 + 2*k2 + 2*k3 + k4) with functions from `math`, so
+    it gives the same floats as that loop written out, and raises
+    ValueError or an ArithmeticError where it would.
+    """
+    states, inputs = list(states), list(inputs)
+    _check_bound(dynamics, states + inputs)
+
+    def stage(xs, us):
+        names = dict(zip(states + inputs, xs + us))
+        return [_source(f, names, math) for f in dynamics]
+
+    def unpack(targets, src):
+        return f"{', '.join(targets)}, = {src}"
+
+    x, s, k1, k2, k3, k4 = ([f"{p}_{i}" for i in range(len(states))]
+                            for p in ("x", "s", "k1", "k2", "k3", "k4"))
+    ua, ub, uc = ([f"{p}_{j}" for j in range(len(inputs))]
+                  for p in ("ua", "ub", "uc"))
+    body = [unpack(ua, "ua[k]"), unpack(ub, "ub[k]"), unpack(uc, "uc[k]")]
+    body += [f"{a} = {b}" for a, b in zip(k1, stage(x, ua))]
+    for ks, prev, coef, us in ((k2, k1, "h2", ub), (k3, k2, "h2", ub),
+                               (k4, k3, "step", uc)):
+        body += [f"{a} = {b} + {coef} * {c}" for a, b, c in zip(s, x, prev)]
+        body += [f"{a} = {b}" for a, b in zip(ks, stage(s, us))]
+    body += [f"{a} = {a} + h6 * ({b} + 2 * {c} + 2 * {d} + {e})"
+             for a, b, c, d, e in zip(x, k1, k2, k3, k4)]
+    body.append(f"out.append([{', '.join(x)}])")
+    src = "\n".join([
+        "def run(x0, ua, ub, uc, n, step):",
+        "    " + unpack(x, "x0"),
+        "    h2 = step / 2",
+        "    h6 = step / 6",
+        f"    out = [[{', '.join(x)}]]",
+        "    for k in range(n):",
+        *("        " + line for line in body),
+        "    return out",
+    ])
+    scope = {"_m": math}
+    exec(src, scope)  # noqa: S102  (source built locally above)
+    return scope["run"]

@@ -23,7 +23,9 @@ from .pfaffian import (
     PfaffianSystem, is_characteristic, jet, residual, solves_for,
     vertical_annihilator,
 )
-from .symexpr import INPUT, ONE, ZERO, add, compile_expr, diff, mul, var
+from .symexpr import (
+    INPUT, ONE, ZERO, add, compile_expr, compile_rk4, diff, mul, var,
+)
 
 
 class StructureViolation(ValueError):
@@ -137,7 +139,7 @@ def from_sequence(sequence, zc: ZeroCtx = None, system=None) -> TriangularDecomp
         blocks.append(Block(k, ys, nondrv))
     blocks = tuple(blocks)
 
-    check_shape(blocks, equations)
+    check_shape(final, blocks, equations)
     td = TriangularDecomposition(chart=final, blocks=blocks,
                                  equations=equations, transform=theta,
                                  system=system)
@@ -145,13 +147,13 @@ def from_sequence(sequence, zc: ZeroCtx = None, system=None) -> TriangularDecomp
     return td
 
 
-def check_shape(blocks, equations) -> None:
-    """Raise StructureViolation unless blocks and equations fit together.
+def check_shape(chart, blocks, equations) -> None:
+    """Raise StructureViolation unless chart, blocks and equations fit together.
 
     One block more than equation blocks, numbered 1, 2, ... in order;
     block 1 solves for nothing, block i+1 for one variable per equation of
-    Xi^i, which is not empty; no coordinate in two places.  Messages name
-    the certificate field.
+    Xi^i, which is not empty; every chart coordinate in exactly one block.
+    Messages name the certificate field.
     """
     if len(blocks) != len(equations) + 1:
         raise StructureViolation(f"field blocks has {len(blocks)} entries "
@@ -174,6 +176,10 @@ def check_shape(blocks, equations) -> None:
                 raise StructureViolation(
                     f"field blocks[{i}] names {c.name} a second time")
             seen.add(c)
+    for c in chart.coords:
+        if c not in seen:
+            raise StructureViolation(
+                f"field chart names {c.name}, which no block lists")
 
 
 def _check_structure(td: TriangularDecomposition, zc: ZeroCtx) -> None:
@@ -547,14 +553,17 @@ def verify_flatness_numeric(cert: FlatnessCertificate, trials: int = 20,
     grid point seeded with the chart values of the reference run (the
     midpoint of its neighbours at odd points).  Then (a) check the claimed
     outputs reproduce the test curves on the recovered trajectory, and
-    (b) re-integrate the original dynamics with a classic 4th-order step
-    from the recovered initial state and compare states.  Trials with
-    skipped samples, or whose reference run or re-integration overflows or
-    leaves the domain, count as singular, never as failures, but the pass
-    bar is 80 percent of ALL trials, so singular trials eat into the same
-    slack as failures.  Trial inputs are drawn from a narrow correlated
-    envelope chosen to keep samples clear of singular loci.  A claim with
-    more or fewer outputs than inputs raises OutputCountMismatch at once.
+    (b) re-integrate the original dynamics from the recovered initial
+    state and compare states.  The reference run and the re-integration
+    are one generated sweep of classic 4th-order steps (`compile_rk4`) on
+    float lists, fed the reference inputs or the recovered ones at each
+    step's start, midpoint and end.  Trials with skipped samples, or whose
+    reference run or re-integration overflows or leaves the domain, count
+    as singular, never as failures, but the pass bar is 80 percent of ALL
+    trials, so singular trials eat into the same slack as failures.  Trial
+    inputs are drawn from a narrow correlated envelope chosen to keep
+    samples clear of singular loci.  A claim with more or fewer outputs
+    than inputs raises OutputCountMismatch at once.
     """
     if cert.system is None:
         raise ValueError("certificate carries no source system")
@@ -564,7 +573,7 @@ def verify_flatness_numeric(cert: FlatnessCertificate, trials: int = 20,
     if len(cert.outputs) != n_u:
         raise OutputCountMismatch(
             f"{len(cert.outputs)} claimed flat outputs for {n_u} inputs")
-    fs = [compile_expr(f, coords) for f in cs.dynamics]
+    run = compile_rk4(cs.dynamics, cs.states, cs.inputs)
     outs = [compile_expr(y, coords, np) for y in cert.outputs]
     engine = _Engine(cert)
     # branch selectors: the solved chart variables in original coordinates
@@ -579,17 +588,7 @@ def verify_flatness_numeric(cert: FlatnessCertificate, trials: int = 20,
     grid = np.arange(2 * n_steps + 1) * half
     everywhere = np.ones(grid.size, dtype=bool)
     fit_ts = np.arange(0, n_steps + 1, 10) * h
-
-    def f_eval(x, u):
-        return [f(x + u) for f in fs]
-
-    def rk4(x, u0, u1, u2, step):
-        k1 = f_eval(x, u0)
-        k2 = f_eval([a + step / 2 * b for a, b in zip(x, k1)], u1)
-        k3 = f_eval([a + step / 2 * b for a, b in zip(x, k2)], u1)
-        k4 = f_eval([a + step * b for a, b in zip(x, k3)], u2)
-        return [a + step / 6 * (b + 2 * c + 2 * d + e)
-                for a, b, c, d, e in zip(x, k1, k2, k3, k4)]
+    steps = np.arange(n_steps) * h
 
     passed = failed = singular = 0
     worst = 0.0
@@ -612,16 +611,14 @@ def verify_flatness_numeric(cert: FlatnessCertificate, trials: int = 20,
                                rng.uniform(-0.01, 0.01)))
 
             def uref(t):
-                return [c0 + c1 * t + c2 * t * t for c0, c1, c2 in ucoeff]
+                return np.array([c0 + c1 * t + c2 * t * t
+                                 for c0, c1, c2 in ucoeff])
 
             # reference run of the true dynamics, sampled for curve fitting
-            xs = [x0]
-            x = x0
             try:
-                for k in range(n_steps):
-                    t = k * h
-                    x = rk4(x, uref(t), uref(t + half), uref(t + h), h)
-                    xs.append(x)
+                xs = run(x0, uref(steps).T.tolist(),
+                         uref(steps + half).T.tolist(),
+                         uref(steps + h).T.tolist(), n_steps, h)
             except (ArithmeticError, ValueError):
                 singular += 1
                 continue
@@ -651,17 +648,13 @@ def verify_flatness_numeric(cert: FlatnessCertificate, trials: int = 20,
                 continue
 
             us = ur.T.tolist()
-            xhat = xr[:, 0].tolist()
-            path = []
             try:
-                for k in range(n_steps):
-                    xhat = rk4(xhat, us[2 * k], us[2 * k + 1],
-                               us[2 * k + 2], h)
-                    path.append(xhat)
+                path = run(xr[:, 0].tolist(), us[0:-1:2], us[1::2], us[2::2],
+                           n_steps, h)
             except (ArithmeticError, ValueError):
                 singular += 1
                 continue
-            dev = np.abs(np.array(path).T - xr[:, 2::2])
+            dev = np.abs(np.array(path).T - xr[:, ::2])
             if not np.isfinite(dev).all():
                 singular += 1
                 continue

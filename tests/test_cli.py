@@ -28,6 +28,16 @@ def coupled_file(tmp_path):
 
 
 @pytest.fixture
+def nlchain_file(tmp_path):
+    # x1' = x2 + x1^2 escapes to infinity within the trial window
+    p = tmp_path / "nlchain.fds"
+    p.write_text("system nlchain {\n  states: x1, x2, x3;\n  inputs: u;\n"
+                 "  dot(x1) = x2 + x1^2;\n  dot(x2) = x3*x1;\n"
+                 "  dot(x3) = u;\n}\n")
+    return str(p)
+
+
+@pytest.fixture
 def chain_file(tmp_path):
     p = tmp_path / "chain3.fds"
     p.write_text(chain_text(3))
@@ -179,6 +189,19 @@ def test_decompose_logs_dead_end(coupled_file, tmp_path):
     assert ("splitting", "success") in kinds
 
 
+def test_decompose_verify_exit_code_follows_the_verdict(
+        sin_file, nlchain_file, tmp_path, capsys):
+    # every nlchain trial is singular: FAIL exits 4, after the report
+    report = tmp_path / "nl.json"
+    assert main(["decompose", nlchain_file, "--verify", "--samples", "3",
+                 "--report", str(report)]) == 4
+    assert "verdict: FAIL" in capsys.readouterr().out
+    numeric = json.loads(report.read_text())["verification"]["numeric"]
+    assert numeric["singular"] == 3 and not numeric["ok"]
+    assert main(["decompose", sin_file, "--verify", "--samples", "3"]) == 0
+    assert "verdict: PASS" in capsys.readouterr().out
+
+
 def test_decompose_timings_flag(sin_file, tmp_path):
     report = tmp_path / "d.json"
     assert main(["decompose", sin_file, "--samples", "5", "--timings",
@@ -261,6 +284,8 @@ def _misshape(cert, case):
         cert["blocks"][2]["solved"] = []
     elif case == "wrong-index":
         cert["blocks"][2]["index"] = 7
+    elif case == "output-dropped":
+        cert["blocks"][0]["outputs"] = []
     elif case == "solved-in-block-1":
         cert["blocks"][0]["solved"] = list(cert["blocks"][1]["solved"])
         cert["blocks"][1]["solved"] = []
@@ -279,6 +304,7 @@ def _misshape(cert, case):
     ("wrong-index", "blocks[2].index must be 3, got 7"),
     ("solved-in-block-1", "blocks[0].solved names 1 variables for 0"),
     ("coordinate-twice", "blocks[1] names"),
+    ("output-dropped", "which no block lists"),
 ])
 def test_verify_malformed_certificate_exits_1(sin_file, sin_report, tmp_path,
                                               capsys, case, message):
@@ -350,17 +376,12 @@ def test_verify_bad_output_expression(sin_file, capsys):
     assert "SyntaxError" in capsys.readouterr().err
 
 
-def test_verify_survives_finite_time_blowup(tmp_path, capsys):
-    # x1' = x2 + x1^2 escapes to infinity within the trial window: the
-    # reference run overflows, which must make trials singular, not crash
-    src = tmp_path / "nlchain.fds"
-    src.write_text("system nlchain {\n  states: x1, x2, x3;\n  inputs: u;\n"
-                   "  dot(x1) = x2 + x1^2;\n  dot(x2) = x3*x1;\n"
-                   "  dot(x3) = u;\n}\n")
+def test_verify_survives_finite_time_blowup(nlchain_file, tmp_path, capsys):
+    # the reference run overflows, which must make trials singular, not crash
     cert = tmp_path / "d.json"
-    assert main(["decompose", str(src), "--report", str(cert)]) == 0
+    assert main(["decompose", nlchain_file, "--report", str(cert)]) == 0
     report = tmp_path / "v.json"
-    code = main(["verify", str(src), "--certificate", str(cert),
+    code = main(["verify", nlchain_file, "--certificate", str(cert),
                  "--samples", "3", "--report", str(report)])
     assert code in (0, 4)
     assert "internal error" not in capsys.readouterr().err

@@ -1,5 +1,6 @@
 import collections
 import math
+import pathlib
 import random
 from fractions import Fraction
 
@@ -10,9 +11,11 @@ from hypothesis import assume, given, settings, strategies as st
 
 from flatdec import symexpr as sx
 from flatdec.symexpr import (
-    DomainError, EvaluationFailed, Symbol, add, compile_expr, const, diff, div,
-    func, is_zero, mul, neg, normalize, pow_, substitute, var,
+    DomainError, EvaluationFailed, Symbol, add, compile_expr, compile_rk4,
+    const, diff, div, func, is_zero, mul, neg, normalize, pow_, substitute,
+    var,
 )
+from flatdec.sysdsl import parse_system
 
 X = Symbol("x", sx.STATE)
 Y = Symbol("y", sx.STATE)
@@ -485,9 +488,85 @@ def test_compile_expr_numpy_matches_math():
     assert checked > 100
 
 
+def _rk4_loop(dynamics, states, inputs):
+    """The verifier's RK4 written as a plain loop over compiled callables:
+    the reference the generated sweep must match float for float."""
+    fs = [compile_expr(f, list(states) + list(inputs)) for f in dynamics]
+
+    def f_eval(x, u):
+        return [f(x + u) for f in fs]
+
+    def rk4(x, u0, u1, u2, step):
+        k1 = f_eval(x, u0)
+        k2 = f_eval([a + step / 2 * b for a, b in zip(x, k1)], u1)
+        k3 = f_eval([a + step / 2 * b for a, b in zip(x, k2)], u1)
+        k4 = f_eval([a + step * b for a, b in zip(x, k3)], u2)
+        return [a + step / 6 * (b + 2 * c + 2 * d + e)
+                for a, b, c, d, e in zip(x, k1, k2, k3, k4)]
+
+    def run(x0, ua, ub, uc, n, step):
+        xs = [x0]
+        for k in range(n):
+            xs.append(rk4(xs[-1], ua[k], ub[k], uc[k], step))
+        return xs
+
+    return run
+
+
+def _both(cs, *args):
+    """Results of the sweep and the loop, or the classes they raised."""
+    out = []
+    for make in (compile_rk4, _rk4_loop):
+        run = make(cs.dynamics, cs.states, cs.inputs)
+        try:
+            out.append(run(*args))
+        except (ArithmeticError, ValueError) as ex:
+            out.append(type(ex))
+    return out
+
+
+SYSTEMS = (pathlib.Path(__file__).resolve().parent.parent
+           / "perfbench" / "systems")
+CORPUS = sorted(SYSTEMS.glob("*.fds"))
+
+
+@pytest.mark.parametrize("path", CORPUS, ids=lambda p: p.stem)
+def test_compile_rk4_matches_the_loop_exactly(path):
+    cs = parse_system(path.read_text(encoding="utf-8"))
+    rng = random.Random(path.stem)
+    n = 200
+    for _ in range(3):
+        x0 = [rng.uniform(0.8, 1.2) for _ in cs.states]
+        ua, ub, uc = ([[rng.uniform(0.5, 1.0) for _ in cs.inputs]
+                       for _ in range(n)] for _ in range(3))
+        got, want = _both(cs, x0, ua, ub, uc, n, 1e-3)
+        assert isinstance(want, list) and len(want) == n + 1
+        assert got == want
+
+
+@pytest.mark.parametrize("text, x0, u, n, step, error", [
+    # finite-time blow-up: x1 reaches the float range within t = 1
+    ((SYSTEMS / "nlchain.fds").read_text(encoding="utf-8"),
+     [1.0, 1.0, 1.0], 0.75, 1000, 1e-3, OverflowError),
+    # the last stage of the first step lands on x = 0 exactly
+    ("system pole { states: x, y; inputs: u; dot(x) = u; dot(y) = 1/x; }",
+     [0.5, 0.0], -1.0, 1, 0.5, ZeroDivisionError),
+    # the middle stages reach x < 0
+    ("system logneg { states: x, y; inputs: u; dot(x) = u; dot(y) = ln(x); }",
+     [0.5, 0.0], -1.0, 1, 2.0, ValueError),
+])
+def test_compile_rk4_raises_like_the_loop(text, x0, u, n, step, error):
+    cs = parse_system(text)
+    us = [[u]] * n
+    got, want = _both(cs, x0, us, us, us, n, step)
+    assert got is want is error
+
+
 def test_compile_expr_unbound():
     with pytest.raises(ValueError):
         compile_expr(x, [Y])
+    with pytest.raises(ValueError):
+        compile_rk4([x], [Y], [Z])
 
 
 # -- structural identity ------------------------------------------------------------

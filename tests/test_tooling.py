@@ -24,6 +24,18 @@ def test_no_module_imports_another_modules_private_names():
         "; ".join(found)
 
 
+def test_only_symexpr_turns_source_into_code():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "symexpr.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id in ("eval", "exec")):
+                found.append(f"{path.name}:{node.lineno} {node.func.id}")
+    assert not found, "eval or exec outside symexpr: " + "; ".join(found)
+
+
 def _traced():
     """TRACED of perfbench/spans.py, read without importing the benchmark."""
     tree = ast.parse((ROOT / "perfbench" / "spans.py").read_text(encoding="utf-8"))
