@@ -402,9 +402,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="seed for all randomized decisions (default 0)")
     p.add_argument("--max-degree", type=_at_least(0), default=2,
                    help="monomial degree cap for combination coefficients")
-    p.add_argument("--max-depth", type=int, default=8,
+    p.add_argument("--max-depth", type=_at_least(0), default=8,
                    help="reduction depth budget")
-    p.add_argument("--branch-width", type=int, default=8,
+    p.add_argument("--branch-width", type=_at_least(1), default=8,
                    help="splittings kept per level")
     p.add_argument("--samples", type=_at_least(1), default=20,
                    help="zero-test budget and verification trial count")

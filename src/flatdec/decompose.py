@@ -8,21 +8,22 @@ is assembled from; branches are explored depth first with backtracking.
 """
 
 from dataclasses import dataclass
-from itertools import product
 
 from .exterior import (
     ChartTransform, NotSolvable, VectorField, compose, contract, d,
     extend_transform, identity_transform, one_coeffs, oneform, pullback,
     pushforward, scale, straighten_flow, wedge, zero_form, T,
 )
-from .linalg import ZeroCtx, nullspace, nullspace_mod_p, rank_mod_p
+from .linalg import (
+    ZeroCtx, in_span_mod_p, nullspace, nullspace_mod_p, row_echelon_mod_p,
+)
 from .pfaffian import (
     Distribution, NotReducible, PfaffianSystem, derived_system,
     from_control_system, is_characteristic, is_integrable_with_dt,
     is_involutive, restrict_to_subchart, solves_for, vertical_annihilator,
 )
 from .symexpr import (
-    ONE, PRIME, ZERO, Var, add, diff, div, mul, pow_, structural_key,
+    ONE, PRIME, ZERO, Var, add, diff, mul, pow_, structural_key,
     value_mod_p, var,
 )
 from .sysdsl import field_dict, form_dict, render
@@ -88,12 +89,21 @@ def _reversed(phi: ChartTransform) -> ChartTransform:
 
 
 def _combine(c, basis):
+    """The field sum_i c_i b_i, multiplied out only where c_i is not ZERO
+    and b_i has a component.  Expressions are canonical, so a product with
+    ONE and a sum of one term are taken as they are."""
     chart = basis[0].chart
+    terms = {}
+    for ci, b in zip(c, basis):
+        if ci is not ZERO:
+            for s, e in b.components.items():
+                terms.setdefault(s, []).append(
+                    e if ci is ONE else ci if e is ONE else mul(ci, e))
     comps = {}
     for s in chart.axes:
-        e = add(*(mul(ci, b.comp(s)) for ci, b in zip(c, basis)))
-        if e is not ZERO:
-            comps[s] = e
+        t = terms.get(s)
+        if t:
+            comps[s] = t[0] if len(t) == 1 else add(*t)
     return VectorField(chart, comps)
 
 
@@ -152,7 +162,8 @@ def _bounded_exponents(n: int, d: int):
 
 
 def monomial_pool(chart, cfg: AnsatzConfig):
-    """Monomials of bounded total absolute degree in the chart coordinates.
+    """Monomials of bounded total absolute degree in the chart coordinates,
+    as (monomial, exponent vector) pairs, simplest monomial first.
 
     Negative exponents are included; coordinates are treated as generically
     nonzero, which matches how the probabilistic zero test samples points.
@@ -161,30 +172,58 @@ def monomial_pool(chart, cfg: AnsatzConfig):
     out = []
     for expo in _bounded_exponents(len(coords), cfg.max_degree):
         factors = [pow_(var(s), e) for s, e in zip(coords, expo) if e]
-        out.append(mul(*factors) if factors else ONE)
-    return sorted(out, key=lambda e: (e.nodes, structural_key(e)))
+        out.append((mul(*factors) if factors else ONE, expo))
+    return sorted(out, key=lambda m: (m[0].nodes, structural_key(m[0])))
 
 
 def _tuple_stream(pool, k: int):
-    """Coefficient tuples: unit vectors first, then by ascending size."""
+    """Coefficient tuples as indices into [ZERO] + pool: unit vectors first,
+    then the whole product by ascending total size, ties in the order of
+    the entries' structural keys.  The product is generated in that order,
+    not sorted, so a scan that stops early pays only for what it takes.
+    pool is a list of monomials headed by ONE."""
     for i in range(k):
-        yield tuple(ONE if j == i else ZERO for j in range(k))
-    items = list(pool)
-    # keep the raw product enumerable; the simplest entries sort first anyway
-    while (len(items) + 1) ** k > 200_000:
-        items = items[: len(items) // 2]
-    pool0 = [ZERO] + items
-    yield from sorted(
-        product(pool0, repeat=k),
-        key=lambda c: (sum(x.nodes for x in c),
-                       tuple(structural_key(x) for x in c)))
+        yield tuple(1 if j == i else 0 for j in range(k))
+    n = len(pool)
+    # the pool is cut to its simplest entries while the product has more
+    # than 200,000 tuples
+    while (n + 1) ** k > 200_000:
+        n //= 2
+    items = [ZERO] + list(pool[:n])
+    ranked = sorted(range(len(items)), key=lambda i: structural_key(items[i]))
+    nodes = [x.nodes for x in items]
+    lo, hi = min(nodes), max(nodes)
+    by_size = {}
+    for i in ranked:
+        by_size.setdefault(nodes[i], []).append(i)
+
+    def fill(j, size):
+        """Index tuples of length j whose sizes sum to size, in key order."""
+        if j == 0:
+            if size == 0:
+                yield ()
+        elif j == 1:
+            yield from ((i,) for i in by_size.get(size, ()))
+        else:
+            for i in ranked:
+                rest = size - nodes[i]
+                if lo * (j - 1) <= rest <= hi * (j - 1):
+                    yield from ((i,) + t for t in fill(j - 1, rest))
+
+    for size in range(k * lo, k * hi + 1):
+        yield from fill(k, size)
 
 
-def _projective_key(c):
-    lead = next((x for x in c if x is not ZERO), None)
+def _projective_key(expos):
+    """The class of a monomial tuple up to a common monomial factor, from
+    the entries' exponent vectors (None for ZERO): each vector minus the
+    lead entry's.  None for the zero tuple.  For Laurent monomials with
+    coefficient 1 this is the class of structural_key(div(x, lead))."""
+    lead = next((e for e in expos if e is not None), None)
     if lead is None:
         return None
-    return tuple(structural_key(div(x, lead)) for x in c)
+    return tuple(None if e is None else tuple(a - b for a, b in zip(e, lead))
+                 for e in expos)
 
 
 def _along(v: VectorField, e):
@@ -277,46 +316,65 @@ class _Screen:
             return self._decide_at(level, cv, dcv)
         return None
 
-    def _decide_at(self, level, cv, dcv):
-        p, want = PRIME, self.want
-        g, C, T, dT = level
-        k, m, n = len(cv), len(g), len(g[0])
+    @staticmethod
+    def _pencil_at(level, cv, dcv):
+        """M(z) and v(M)(z), from c_i(z) = cv[i] and b_l(c_i)(z) = dcv[i][l]."""
+        _, _, T, dT = level
+        k = len(cv)
         # v(c_i) = sum_l c_l b_l(c_i); v(T_i) = sum_l c_l b_l(T_i)
-        vc = [sum(cv[l] * dcv[i][l] for l in range(k)) % p for i in range(k)]
-        rows = range(len(T[0]))
-        M = [[sum(cv[i] * T[i][r][j] for i in range(k)) % p for j in range(m)]
-             for r in rows]
-        dM = [[sum(vc[i] * T[i][r][j] + cv[i] * sum(cv[l] * dT[l][i][r][j]
-                                                    for l in range(k))
-                   for i in range(k)) % p for j in range(m)] for r in rows]
-        sols = nullspace_mod_p(M, dM, m)
+        vc = [sum(cv[l] * dcv[i][l] for l in range(k)) % PRIME for i in range(k)]
+        cc = [cv[i] * cv[l] for i in range(k) for l in range(k)]
+        M, dM = [], []
+        for r in range(len(T[0])):
+            Tr = [Ti[r] for Ti in T]
+            M.append(_lincomb(cv, Tr))
+            dM.append(_lincomb(vc + cc, Tr + [dT[l][i][r] for i in range(k)
+                                              for l in range(k)]))
+        return M, dM
+
+    def _decide_at(self, level, cv, dcv):
+        want = self.want
+        g, C, _, _ = level
+        m = len(g)
+        sols = nullspace_mod_p(*self._pencil_at(level, cv, dcv), m)
         if len(sols) < want:
             return _SKIP
         if len(sols) > want:
             return None
-        vC = [[sum(cv[i] * C[i][j][s] for i in range(k)) % p for s in range(n)]
-              for j in range(m)]
-        P = [[sum(a[j] * g[j][s] for j in range(m)) % p for s in range(n)]
-             for a, _ in sols]
-        W = [[sum(da[j] * g[j][s] + a[j] * vC[j][s] for j in range(m)) % p
-              for s in range(n)] for a, da in sols]
-        if rank_mod_p(P) < want:
+        red, pivots = row_echelon_mod_p([_lincomb(a, g) for a, _ in sols])
+        if len(pivots) < want:
             return None
-        return _REJECT if rank_mod_p(P + W) > want else None
+        vC = [_lincomb(cv, [Ci[j] for Ci in C]) for j in range(m)]
+        W = (_lincomb(da + a, g + vC) for a, da in sols)
+        if any(not in_span_mod_p(red, pivots, w) for w in W):
+            return _REJECT
+        return None
+
+
+def _lincomb(coeffs, rows):
+    """sum_i coeffs[i] * rows[i] over GF(PRIME), for rows of residues."""
+    out = [0] * len(rows[0])
+    for c, row in zip(coeffs, rows):
+        if c:
+            out = [o + c * x for o, x in zip(out, row)]
+    return [o % PRIME for o in out]
 
 
 def _coefficient_vectors(chart, k: int, cfg: AnsatzConfig):
     """The scan's coefficient tuples: simplest first, one per projective
     class, at most cfg.max_candidates of them."""
+    pool = monomial_pool(chart, cfg)
+    items = [ZERO] + [m for m, _ in pool]
+    expos = [None] + [e for _, e in pool]
     seen = set()
-    for c in _tuple_stream(monomial_pool(chart, cfg), k):
+    for t in _tuple_stream(items[1:], k):
         if len(seen) >= cfg.max_candidates:
             return
-        key = _projective_key(c)
+        key = _projective_key([expos[i] for i in t])
         if key is None or key in seen:
             continue
         seen.add(key)
-        yield c
+        yield tuple(items[i] for i in t)
 
 
 def _pencil_rows(tables, keys, c, m: int):

@@ -219,17 +219,17 @@ def in_span(span_rows, target, zc: ZeroCtx) -> bool:
 
 # -- elimination over GF(PRIME) and its dual numbers --------------------------------
 
-def _rref_mod_p(vals, ders):
+def _rref_mod_p(vals, ders=None):
     """Reduced row echelon of vals + eps*ders over GF(PRIME)[eps]/eps^2.
 
     Pivots are chosen by value parts and divided to 1; (a + eps*a')^-1 is
     a^-1 - eps*a'*a^-2.  Returns (vals, ders, pivot columns) of the rows
-    that carry a pivot.  With ders all zero this is plain GF(PRIME)
-    elimination.
+    that carry a pivot.  With ders None this is plain GF(PRIME) elimination,
+    and the ders returned is None.
     """
     p = PRIME
     vals = [list(r) for r in vals]
-    ders = [list(r) for r in ders]
+    ders = None if ders is None else [list(r) for r in ders]
     ncols = len(vals[0]) if vals else 0
     pivots = []
     r = 0
@@ -238,28 +238,46 @@ def _rref_mod_p(vals, ders):
         if i is None:
             continue
         vals[r], vals[i] = vals[i], vals[r]
-        ders[r], ders[i] = ders[i], ders[r]
-        inv = pow(vals[r][c], -1, p)
-        dinv = -ders[r][c] * inv * inv % p
-        pv, pd = vals[r], ders[r]
-        pv, pd = ([x * inv % p for x in pv],
-                  [(dx * inv + x * dinv) % p for x, dx in zip(pv, pd)])
-        vals[r], ders[r] = pv, pd
+        row = vals[r]
+        inv = pow(row[c], -1, p)
+        pv = vals[r] = [x * inv % p for x in row]
+        if ders is not None:
+            ders[r], ders[i] = ders[i], ders[r]
+            dinv = -ders[r][c] * inv * inv % p
+            pd = ders[r] = [(dx * inv + x * dinv) % p
+                            for x, dx in zip(row, ders[r])]
         for i in range(len(vals)):
-            fv, fd = vals[i][c], ders[i][c]
+            fv, fd = vals[i][c], 0 if ders is None else ders[i][c]
             if i == r or not (fv or fd):
                 continue
             vals[i] = [(x - fv * y) % p for x, y in zip(vals[i], pv)]
-            ders[i] = [(dx - fv * dy - fd * y) % p
-                       for dx, y, dy in zip(ders[i], pv, pd)]
+            if ders is not None:
+                ders[i] = [(dx - fv * dy - fd * y) % p
+                           for dx, y, dy in zip(ders[i], pv, pd)]
         pivots.append(c)
         r += 1
-    return vals[:r], ders[:r], pivots
+    return vals[:r], None if ders is None else ders[:r], pivots
+
+
+def row_echelon_mod_p(rows):
+    """(reduced rows, pivot columns) of a matrix of residues over GF(PRIME)."""
+    red, _, pivots = _rref_mod_p(rows)
+    return red, pivots
 
 
 def rank_mod_p(rows) -> int:
     """Rank over GF(PRIME) of a matrix of residues."""
-    return len(_rref_mod_p(rows, [[0] * len(r) for r in rows])[2])
+    return len(row_echelon_mod_p(rows)[1])
+
+
+def in_span_mod_p(red, pivots, row) -> bool:
+    """Whether row lies in the span of row_echelon_mod_p's reduced rows."""
+    p = PRIME
+    for prow, c in zip(red, pivots):
+        f = row[c]
+        if f:
+            row = [(x - f * y) % p for x, y in zip(row, prow)]
+    return not any(row)
 
 
 def nullspace_mod_p(vals, ders, ncols: int):

@@ -5,13 +5,13 @@ blocks Xi^1..Xi^nb over coordinate blocks z^1..z^m, m = nb + 1.  Each block
 Xi^i carries only dz^k with k <= i and solves algebraically for the block
 i+1 non-derivative variables.  From that shape the flat outputs can be read
 off, and trajectories are recovered block by block with Newton's method.
+The numeric functions import numpy where they run, so the symbolic commands
+never load it.
 """
 
 import math
 import random
 from dataclasses import dataclass
-
-import numpy as np
 
 from .decompose import sequence_transforms
 from .exterior import (
@@ -286,6 +286,7 @@ class PolyCurve:
 
     @classmethod
     def fit(cls, ts, ys, degree: int) -> "PolyCurve":
+        import numpy as np
         return cls(tuple(float(c) for c in reversed(np.polyfit(ts, ys, degree))))
 
 
@@ -323,6 +324,7 @@ class _SampleDiverged(_SampleFailure):
 
 def _stack(fns, a):
     """Numpy-compiled expressions on (n_args, N) columns, as (len(fns), N)."""
+    import numpy as np
     out = np.empty((len(fns), a.shape[1]))
     for i, f in enumerate(fns):
         out[i] = f(a)
@@ -333,6 +335,7 @@ class _Engine:
     """Compiled per-certificate solver, evaluated on (n_args, N) sample arrays."""
 
     def __init__(self, cert: FlatnessCertificate):
+        import numpy as np
         td = cert.decomposition
         self.n_b = td.n_b
         coords = td.chart.coords
@@ -390,6 +393,7 @@ def _recover(engine: _Engine, curves, ts, guess):
     map from failed sample index to its _SampleFailure.  A sample that
     fails in one block takes no part in the later ones.
     """
+    import numpy as np
     n = len(ts)
     vals = np.zeros((len(engine.args), n))
     for c, curve in zip(engine.flat, curves):
@@ -471,6 +475,7 @@ def _recover(engine: _Engine, curves, ts, guess):
 
 def _dynamics_residual(engine: _Engine, ts, x, u, ok) -> float:
     """Largest midpoint defect |dx/dt - f| over neighbouring good samples."""
+    import numpy as np
     cs = engine.system
     pair = ok[:-1] & ok[1:] & (np.diff(ts) > 0)
     if not pair.any():
@@ -499,6 +504,7 @@ def recover_trajectory(cert: FlatnessCertificate, y_curves, t_samples,
     skipped and reported; if every sample fails the strongest failure kind
     is raised.
     """
+    import numpy as np
     if len(y_curves) != len(cert.outputs):
         raise ValueError(
             f"{len(y_curves)} curves supplied for {len(cert.outputs)} outputs")
@@ -565,6 +571,7 @@ def verify_flatness_numeric(cert: FlatnessCertificate, trials: int = 20,
     samples clear of singular loci.  A claim with more or fewer outputs
     than inputs raises OutputCountMismatch at once.
     """
+    import numpy as np
     if cert.system is None:
         raise ValueError("certificate carries no source system")
     cs = cert.system

@@ -179,6 +179,18 @@ def test_decompose_rejects_negative_max_degree(sin_file, capsys):
     assert "argument --max-degree: must be at least 0, got -1" in err
 
 
+def test_decompose_rejects_bad_search_budgets(sin_file, tmp_path, capsys):
+    # a width below 1 keeps no splitting, a negative depth has no meaning
+    report = tmp_path / "d.json"
+    for flag, value, lo in (("--branch-width", "0", 1),
+                            ("--branch-width", "-1", 1),
+                            ("--max-depth", "-2", 0)):
+        err = _usage_error(["decompose", sin_file, flag, value,
+                            "--report", str(report)], capsys)
+        assert f"argument {flag}: must be at least {lo}, got {value}" in err
+    assert not report.exists()
+
+
 def test_decompose_logs_dead_end(coupled_file, tmp_path):
     report = tmp_path / "d.json"
     assert main(["decompose", coupled_file, "--report", str(report)]) == 0

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import pathlib
+import random
 
 import pytest
 
@@ -15,18 +16,22 @@ from flatdec.decompose import (
     _span_from_solutions, _tuple_stream,
 )
 from flatdec.exterior import Chart, T, VectorField, oneform
-from flatdec.linalg import ZeroCtx, nullspace, nullspace_mod_p, rre_divided
+from flatdec.linalg import (
+    ZeroCtx, _rref_mod_p, in_span_mod_p, nullspace, nullspace_mod_p,
+    rank_mod_p, row_echelon_mod_p, rre_divided,
+)
 from flatdec.pfaffian import (
     Distribution, PfaffianSystem, derived_system, from_control_system,
     is_characteristic, vertical_annihilator,
 )
 from flatdec.symexpr import (
-    ONE, PRIME, STATE, ZERO, Symbol, add, func, is_zero, mul, neg, pow_,
-    structural_key, value_mod_p, var,
+    ONE, PRIME, STATE, ZERO, Symbol, add, const, div, func, is_zero, mul, neg,
+    pow_, structural_key, value_mod_p, var,
 )
 from flatdec.sysdsl import parse_system
 
 DATA = pathlib.Path(__file__).parent / "data"
+CORPUS = DATA.parent.parent / "perfbench" / "systems"
 
 
 def coord(cs, name):
@@ -64,7 +69,8 @@ def axis(chart, name):
 def test_monomial_pool_basics(sin_sys):
     S0 = from_control_system(sin_sys)
     cfg = AnsatzConfig()
-    pool = monomial_pool(S0.chart, cfg)
+    pairs = monomial_pool(S0.chart, cfg)
+    pool = [m for m, _ in pairs]
     u1, u2 = coord(sin_sys, "u1"), coord(sin_sys, "u2")
     keys = {structural_key(e) for e in pool}
     assert pool[0] is ONE
@@ -77,6 +83,9 @@ def test_monomial_pool_basics(sin_sys):
     assert len(keys) == len(pool)
     sizes = [e.nodes for e in pool]
     assert sizes == sorted(sizes)
+    # each monomial carries the exponent vector it was built from
+    for m, expo in pairs:
+        assert m == mul(*(pow_(var(s), e) for s, e in zip(S0.chart.coords, expo)))
 
 
 def test_monomial_pool_matches_brute_force_filter():
@@ -88,17 +97,20 @@ def test_monomial_pool_matches_brute_force_filter():
             brute = []
             for expo in itertools.product(range(-deg, deg + 1), repeat=n):
                 if sum(abs(e) for e in expo) <= deg:
-                    brute.append(mul(*(pow_(var(s), e)
-                                       for s, e in zip(chart.coords, expo))))
-            brute.sort(key=lambda e: (e.nodes, structural_key(e)))
+                    brute.append((mul(*(pow_(var(s), e)
+                                        for s, e in zip(chart.coords, expo))),
+                                  expo))
+            brute.sort(key=lambda m: (m[0].nodes, structural_key(m[0])))
             pool = monomial_pool(chart, AnsatzConfig(max_degree=deg))
-            assert [e.key for e in pool] == [e.key for e in brute]
+            assert [(m.key, e) for m, e in pool] == \
+                [(m.key, e) for m, e in brute]
 
 
 def test_tuple_stream_unit_vectors_first():
     x = Symbol("x", STATE)
     pool = [ONE, var(x)]
-    got = list(_tuple_stream(pool, 2))
+    items = [ZERO] + pool
+    got = [tuple(items[i] for i in t) for t in _tuple_stream(pool, 2)]
     assert got[0] == (ONE, ZERO)
     assert got[1] == (ZERO, ONE)
     # the remainder is the full product over {0} + pool, simplest first
@@ -107,12 +119,72 @@ def test_tuple_stream_unit_vectors_first():
 
 
 def test_projective_key_collapses_scale():
-    x = Symbol("x", STATE)
-    a = (var(x), ONE)
-    b = (mul(var(x), var(x)), var(x))
+    # exponent vectors over one coordinate x: (x, 1) and (x^2, x) differ
+    # by the factor x; None stands for a ZERO entry
+    a = ((1,), (0,))
+    b = ((2,), (1,))
     assert _projective_key(a) == _projective_key(b)
-    assert _projective_key((ZERO, ZERO)) is None
-    assert _projective_key(a) != _projective_key((ONE, var(x)))
+    assert _projective_key((None, None)) is None
+    assert _projective_key(a) != _projective_key(((0,), (1,)))
+    assert _projective_key((None, (3,))) == _projective_key((None, (0,)))
+    assert _projective_key((None, (3,))) != _projective_key(((0,), None))
+
+
+def _symbolic_projective_key(c):
+    """The class of a coefficient tuple up to a common factor, computed
+    symbolically: the reference for the scan's exponent-vector key."""
+    lead = next((x for x in c if x is not ZERO), None)
+    if lead is None:
+        return None
+    return tuple(structural_key(div(x, lead)) for x in c)
+
+
+def _symbolic_coefficient_vectors(chart, k, cfg):
+    """The scan's tuple stream built from expressions alone: the pool and
+    the product sorted by nodes and structural keys, deduplicated by the
+    symbolic projective key.  Reference for _coefficient_vectors; the
+    pool's monomials are checked against a brute-force filter above."""
+    pool = [m for m, _ in monomial_pool(chart, cfg)]
+    units = [tuple(ONE if j == i else ZERO for j in range(k)) for i in range(k)]
+    while (len(pool) + 1) ** k > 200_000:
+        pool = pool[: len(pool) // 2]
+    skey = {x: structural_key(x) for x in [ZERO] + pool}
+    tuples = sorted(itertools.product([ZERO] + pool, repeat=k),
+                    key=lambda c: (sum(x.nodes for x in c),
+                                   tuple(skey[x] for x in c)))
+    seen = set()
+    for c in units + tuples:
+        if len(seen) >= cfg.max_candidates:
+            return
+        key = _symbolic_projective_key(c)
+        if key is None or key in seen:
+            continue
+        seen.add(key)
+        yield c
+
+
+def _corpus(name):
+    return parse_system((CORPUS / f"{name}.fds").read_text())
+
+
+@pytest.mark.parametrize("name", ["nfd", "nfd4", "coupled", "unicycle",
+                                  "chain6"])
+def test_coefficient_vectors_match_symbolic_reference(name):
+    chart = from_control_system(_corpus(name)).chart
+    truncated = False
+    for k, deg in itertools.product((1, 2, 3), range(4)):
+        want = list(_symbolic_coefficient_vectors(
+            chart, k, AnsatzConfig(max_degree=deg)))
+        for cap in (512, 7):
+            got = list(_coefficient_vectors(
+                chart, k, AnsatzConfig(max_degree=deg, max_candidates=cap)))
+            # the same expressions in the same order
+            assert [[x.key for x in c] for c in got] == \
+                [[x.key for x in c] for c in want[:cap]], (k, deg, cap)
+        pool = len(monomial_pool(chart, AnsatzConfig(max_degree=deg)))
+        truncated |= (pool + 1) ** k > 200_000
+    if name == "nfd4":
+        assert truncated
 
 
 # -- the necessary condition --------------------------------------------------------
@@ -132,8 +204,9 @@ def test_necessary_condition_finds_scaling_family(sin_sys, zc):
             want[i] = var(u1)
         elif not zc.zero(v.comp(u2)):
             want[i] = var(u2)
-    target = _projective_key(tuple(want.get(i, ZERO) for i in range(V.dim)))
-    keys = [_projective_key(c) for c, _ in found]
+    target = _symbolic_projective_key(
+        tuple(want.get(i, ZERO) for i in range(V.dim)))
+    keys = [_symbolic_projective_key(c) for c, _ in found]
     assert target in keys
     assert len(set(keys)) == len(keys)
     for c, cand in found:
@@ -443,6 +516,110 @@ def test_screen_agrees_with_symbolic_path(name, zc):
         assert verdicts.count(_SKIP) > 300
 
 
+def _plain_combination(c, basis):
+    """sum_i c_i b_i, summed on every axis: the reference for _combine."""
+    chart = basis[0].chart
+    comps = {}
+    for s in chart.axes:
+        e = add(*(mul(ci, b.comp(s)) for ci, b in zip(c, basis)))
+        if e is not ZERO:
+            comps[s] = e
+    return comps
+
+
+@pytest.mark.parametrize("name", ["unicycle", "coupled", "chained"])
+def test_combine_is_the_plain_sum(name, zc):
+    cs = _corpus(name)
+    res = run_decomposition(cs)
+    levels = [from_control_system(cs)] + [sp.S_next for sp in res.sequence]
+    rng = random.Random(3)
+    multi = zeros = 0
+    for S in levels:
+        basis = list(vertical_annihilator(S, zc).generators)
+        if not basis:
+            continue
+        multi += sum(len(b.components) > 1 for b in basis)
+        k = len(basis)
+        stream = list(itertools.islice(
+            _coefficient_vectors(S.chart, k, AnsatzConfig()), 60))
+        x = var(S.chart.coords[0])
+        extra = [ONE, neg(x), mul(const(3), x), add(x, ONE), pow_(x, -2)]
+        stream += [tuple(rng.choice(extra + [ZERO]) for _ in range(k))
+                   for _ in range(20)]
+        # fields that share axes: b_i + x*b_(i+1)
+        mixed = [VectorField(S.chart, _plain_combination(
+            [ONE if j == i else x if j == (i + 1) % k else ZERO
+             for j in range(k)], basis)) for i in range(k)]
+        for fields in (basis, mixed):
+            for c in stream:
+                zeros += ZERO in c
+                got = _combine(c, fields)
+                assert got.chart == S.chart
+                assert [(s.name, e.key) for s, e in got.components.items()] == \
+                    [(s.name, e.key)
+                     for s, e in _plain_combination(c, fields).items()]
+    assert multi and zeros
+
+
+def _residue_matrix(rng, rows, cols, rank):
+    """A rows x cols matrix of residues, of the given rank with
+    overwhelming probability: a product of random rows x rank and
+    rank x cols factors."""
+    A = [[rng.randrange(PRIME) for _ in range(rank)] for _ in range(rows)]
+    B = [[rng.randrange(PRIME) for _ in range(cols)] for _ in range(rank)]
+    return [[sum(A[i][t] * B[t][j] for t in range(rank)) % PRIME
+             for j in range(cols)] for i in range(rows)]
+
+
+def test_rank_mod_p_matches_the_dual_elimination():
+    rng = random.Random(11)
+    deficient = 0
+    for _ in range(300):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        r = rng.randint(0, min(rows, cols))
+        deficient += r < min(rows, cols)
+        M = _residue_matrix(rng, rows, cols, r)
+        ders = [[rng.randrange(PRIME) for _ in range(cols)] for _ in range(rows)]
+        vals, dvals, pivots = _rref_mod_p(M, ders)
+        assert rank_mod_p(M) == len(pivots) == r
+        assert len(nullspace_mod_p(M, ders, cols)) == cols - r
+        # the plain elimination is the value part of the dual one
+        red, plain_pivots = row_echelon_mod_p(M)
+        assert (red, plain_pivots) == (vals, pivots)
+        assert _rref_mod_p(M)[1] is None and len(dvals) == r
+    assert deficient > 50
+
+
+def test_span_test_agrees_with_rank():
+    # the screen rejects when some row of W leaves a remainder against
+    # P's reduced rows; with rank P = want that is rank [P; W] > want
+    rng = random.Random(13)
+    outcomes = set()
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        want = rng.randint(1, n)
+        P = _residue_matrix(rng, want, n, rng.choice([want, want - 1]))
+        W = []
+        for _ in range(rng.randint(1, 3)):
+            if rng.random() < 0.6:
+                coeffs = [rng.randrange(PRIME) for _ in P]
+                W.append([sum(c * row[s] for c, row in zip(coeffs, P)) % PRIME
+                          for s in range(n)])
+            else:
+                W.append([rng.randrange(PRIME) for _ in range(n)])
+        red, pivots = row_echelon_mod_p(P)
+        for w in W:
+            assert in_span_mod_p(red, pivots, w) == \
+                (rank_mod_p(P + [w]) == rank_mod_p(P))
+        if len(pivots) < want:
+            outcomes.add("deficient")
+            continue
+        outside = any(not in_span_mod_p(red, pivots, w) for w in W)
+        assert outside == (rank_mod_p(P + W) > want)
+        outcomes.add(outside)
+    assert outcomes == {True, False, "deficient"}
+
+
 def test_dual_nullspace_is_value_and_derivative():
     x, y, w = (Symbol(n, STATE) for n in ("x", "y", "w"))
     X, Y, W = var(x), var(y), var(w)
@@ -473,6 +650,38 @@ def test_dual_nullspace_is_value_and_derivative():
                 assert sum(p * q for p, q in zip(rv, a)) % PRIME == 0
                 assert sum(p * q + pd * q0 for p, q, pd, q0
                            in zip(rv, da, rd, a)) % PRIME == 0
+
+
+@pytest.mark.parametrize("name", ["nfd", "nfd2", "coupled-joint"])
+def test_screen_pencil_is_value_and_derivative(name, zc):
+    # M(c)(z) and its derivative along v = sum_i c_i b_i, against the
+    # symbolic pencil evaluated at the same point
+    if name == "coupled-joint":
+        S0 = _first_level("coupled", zc)[0]
+        joint = next(sp for sp in reduce_once(S0, AnsatzConfig(), zc=zc)
+                     if sp.F.dim == 2)
+        S, basis, tables, keys = _level(joint.S_next, zc)
+    else:
+        S, basis, tables, keys = _first_level(name, zc)
+    screen = _Screen(S, basis, tables, keys, zc)
+    m = len(S.generators)
+    checked = 0
+    for c in itertools.islice(
+            _coefficient_vectors(S.chart, len(basis), AnsatzConfig()), 80):
+        level = screen._values(0)
+        cv = [value_mod_p(x, 0, zc.seed) for x in c]
+        dcv = [[value_mod_p(_along(b, x), 0, zc.seed) for b in basis]
+               for x in c]
+        if level is None or None in cv or any(None in row for row in dcv):
+            continue
+        v = _combine(c, basis)
+        rows = _pencil_rows(tables, keys, c, m)
+        M, dM = screen._pencil_at(level, cv, dcv)
+        assert M == [[value_mod_p(e, 0, zc.seed) for e in row] for row in rows]
+        assert dM == [[value_mod_p(_along(v, e), 0, zc.seed) for e in row]
+                      for row in rows]
+        checked += 1
+    assert checked > 40
 
 
 def test_function_levels_bypass_screen(sin_sys, zc):

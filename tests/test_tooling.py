@@ -2,7 +2,10 @@
 
 import ast
 import importlib
+import os
 import pathlib
+import subprocess
+import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "flatdec"
@@ -53,3 +56,27 @@ def test_every_traced_name_resolves():
         module = importlib.import_module(f"flatdec.{mod}")
         for name in names:
             assert callable(getattr(module, name, None)), f"{mod}.{name}"
+
+
+# Run in a fresh interpreter: the test process itself has numpy loaded.
+_NUMPY_PROBE = """
+import sys
+from flatdec.cli import main
+system, report = sys.argv[1:]
+loaded = []
+for argv in (["analyze", system], ["decompose", system],
+             ["decompose", system, "--verify", "--samples", "2"]):
+    assert main(argv + ["--report", report]) == 0
+    loaded.append("numpy" in sys.modules)
+print(loaded)
+"""
+
+
+def test_symbolic_commands_do_not_load_numpy(tmp_path):
+    system = ROOT / "tests" / "data" / "coupled.fds"
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    done = subprocess.run(
+        [sys.executable, "-c", _NUMPY_PROBE, str(system),
+         str(tmp_path / "r.json")],
+        capture_output=True, text=True, env=env, timeout=300, check=True)
+    assert done.stdout.splitlines()[-1] == "[False, False, True]"
