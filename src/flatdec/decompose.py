@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from .exterior import (
     ChartTransform, NotSolvable, VectorField, compose, contract, d,
     extend_transform, identity_transform, one_coeffs, oneform, pullback,
-    pushforward, scale, straighten_flow, wedge, zero_form, T,
+    pushforward, scale, straighten_flow, wedge, zero_form,
 )
 from .linalg import (
     ZeroCtx, in_span_mod_p, nullspace, nullspace_mod_p, row_echelon_mod_p,
@@ -41,7 +41,6 @@ class AnsatzConfig:
     branch_width: int = 8
     max_depth: int = 8
     max_candidates: int = 512
-    assume_derived: bool = True
 
 
 @dataclass(frozen=True)
@@ -267,8 +266,8 @@ class _Screen:
         self.g = [[one_coeffs(g).get(s, ZERO) for s in axes] for g in S.generators]
         self.C = [[[one_coeffs(contract(b, d(g))).get(s, ZERO) for s in axes]
                    for g in S.generators] for b in basis]
-        self.T = [[tab.get(idx, _ZROW)[:len(S.generators)] for idx in keys]
-                  for tab in tables]
+        zrow = [ZERO] * len(S.generators)
+        self.T = [[tab.get(idx, zrow) for idx in keys] for tab in tables]
         self.usable = not any(e.needs_mp for e in self._entries())
         if self.usable:
             self.dT = [[[[_along(b, e) for e in row] for row in Ti]
@@ -379,7 +378,8 @@ def _coefficient_vectors(chart, k: int, cfg: AnsatzConfig):
 
 def _pencil_rows(tables, keys, c, m: int):
     """The matrix M(c) = sum_i c_i T_i, one row per wedge index."""
-    return [[add(*(mul(ci, tab.get(idx, _ZROW)[j])
+    zrow = [ZERO] * m
+    return [[add(*(mul(ci, tab.get(idx, zrow)[j])
                    for ci, tab in zip(c, tables) if ci is not ZERO))
              for j in range(m)] for idx in keys]
 
@@ -388,11 +388,10 @@ def _candidate_stream(S: PfaffianSystem, V: Distribution,
                       cfg: AnsatzConfig, zc: ZeroCtx):
     """Lazily yield single-field candidates (c, S_candidate).
 
-    On Func-free levels under cfg.assume_derived (no derived-system check),
-    each c first meets the sample-point screen (_Screen): candidates that fail
-    the necessary condition there are skipped before anything symbolic is
-    built, and S_candidate is None when the screen has shown that c's field
-    is not characteristic for it.
+    On Func-free levels each c first meets the sample-point screen (_Screen):
+    candidates that fail the necessary condition there are skipped before
+    anything symbolic is built, and S_candidate is None when the screen has
+    shown that c's field is not characteristic for it.
     """
     basis = list(V.generators)
     k = len(basis)
@@ -401,9 +400,8 @@ def _candidate_stream(S: PfaffianSystem, V: Distribution,
     if k == 0 or want < 0:
         return
     tables, keys = _field_row_tables(S, basis)
-    derived = None if cfg.assume_derived else derived_system(S, zc)
-    screen = _Screen(S, basis, tables, keys, zc) if derived is None else None
-    if screen is not None and not screen.usable:
+    screen = _Screen(S, basis, tables, keys, zc)
+    if not screen.usable:
         screen = None
     for c in _coefficient_vectors(S.chart, k, cfg):
         verdict = screen.decide(c) if screen else None
@@ -418,13 +416,7 @@ def _candidate_stream(S: PfaffianSystem, V: Distribution,
         cand = _span_from_solutions(S, sols, zc)
         if cand.dim != want:
             continue
-        if derived is not None and not all(
-                cand.contains(g, zc) for g in derived.generators):
-            continue
         yield tuple(c), cand
-
-
-_ZROW = tuple(ZERO for _ in range(64))
 
 
 def refine_to_cauchy(fields, S_candidate: PfaffianSystem, S: PfaffianSystem,
@@ -447,10 +439,9 @@ def refine_to_cauchy(fields, S_candidate: PfaffianSystem, S: PfaffianSystem,
     return F, S_candidate
 
 
-def check_parameterizable(S_comp: PfaffianSystem, nondrv, zc: ZeroCtx = None) -> bool:
+def check_parameterizable(S_comp: PfaffianSystem, nondrv, zc: ZeroCtx) -> bool:
     """True when the complement equations solve for the flow parameters:
     one parameter per generator, and `solves_for` holds."""
-    zc = zc or ZeroCtx()
     params = list(nondrv)
     return len(params) == S_comp.dim and solves_for(S_comp.generators, params, zc)
 

@@ -425,8 +425,7 @@ class _FlowSolution:
         self.sol = sol              # Expr in ICs and _FLOW_S
 
 
-def straighten_flow(v: VectorField, zc, prefix: str = "w",
-                    param_name: str = None) -> ChartTransform:
+def straighten_flow(v: VectorField, zc, prefix: str = "w") -> ChartTransform:
     """Chart in which v becomes the coordinate field of one new coordinate.
 
     The flow ODEs are solved one coordinate at a time; each component must be
@@ -527,7 +526,7 @@ def straighten_flow(v: VectorField, zc, prefix: str = "w",
 
     kept = [c for c in chart.coords if c != pivot]
     new_names = {c: Symbol(f"{prefix}{i + 1}", AUX) for i, c in enumerate(kept)}
-    param = Symbol(param_name or f"{prefix}h", AUX)
+    param = Symbol(f"{prefix}h", AUX)
     new_chart = Chart(tuple(new_names[c] for c in kept) + (param,),
                       chart.includes_time)
 

@@ -265,11 +265,6 @@ def row_echelon_mod_p(rows):
     return red, pivots
 
 
-def rank_mod_p(rows) -> int:
-    """Rank over GF(PRIME) of a matrix of residues."""
-    return len(row_echelon_mod_p(rows)[1])
-
-
 def in_span_mod_p(red, pivots, row) -> bool:
     """Whether row lies in the span of row_echelon_mod_p's reduced rows."""
     p = PRIME

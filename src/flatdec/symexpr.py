@@ -367,21 +367,6 @@ def func(fn: str, arg) -> Expr:
     return Func(fn, arg)
 
 
-def normalize(e: Expr) -> Expr:
-    """Rebuild through the normalizing constructors (idempotent)."""
-    if isinstance(e, (Const, Var)):
-        return e
-    if isinstance(e, Add):
-        return add(*(normalize(t) for t in e.terms))
-    if isinstance(e, Mul):
-        return mul(*(normalize(f) for f in e.factors))
-    if isinstance(e, Pow):
-        return pow_(normalize(e.base), e.exp)
-    if isinstance(e, Func):
-        return func(e.fn, normalize(e.arg))
-    raise TypeError(f"not an Expr: {e!r}")
-
-
 def diff(e: Expr, sym: Symbol) -> Expr:
     if sym not in e.free:
         return ZERO

@@ -15,7 +15,7 @@ The time symbol t is implicit and reserved; dynamics must be time-invariant.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
@@ -44,7 +44,6 @@ class ControlSystem:
     states: tuple
     inputs: tuple
     dynamics: tuple
-    zero_budget: int = field(default=20, compare=False)
 
     def __post_init__(self):
         if not self.states:
@@ -65,7 +64,7 @@ class ControlSystem:
                 bad = sorted(sym.name for sym in stray)
                 raise SemanticError(
                     f"dot({s.name}) mentions undeclared symbols: {', '.join(bad)}")
-        zc = linalg.ZeroCtx(budget=self.zero_budget)
+        zc = linalg.ZeroCtx()
         jac = [[diff(f, u) for u in self.inputs] for f in self.dynamics]
         if linalg.rank(jac, zc) != len(self.inputs):
             raise SemanticError(

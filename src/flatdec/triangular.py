@@ -9,7 +9,6 @@ The numeric functions import numpy where they run, so the symbolic commands
 never load it.
 """
 
-import math
 import random
 from dataclasses import dataclass
 
@@ -34,14 +33,6 @@ class StructureViolation(ValueError):
 
 class OutputCountMismatch(ValueError):
     """Number of candidate flat outputs differs from the input count."""
-
-
-class NewtonDivergence(RuntimeError):
-    pass
-
-
-class SingularJacobian(RuntimeError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -83,7 +74,7 @@ def _span(td: TriangularDecomposition, count: int, zc: ZeroCtx) -> PfaffianSyste
     return PfaffianSystem(td.chart, gens, zc)
 
 
-def from_sequence(sequence, zc: ZeroCtx = None, system=None) -> TriangularDecomposition:
+def from_sequence(sequence, zc: ZeroCtx, system=None) -> TriangularDecomposition:
     """Assemble the triangular form from a completed reduction sequence.
 
     The per-level complements are carried to the final chart through the
@@ -95,7 +86,6 @@ def from_sequence(sequence, zc: ZeroCtx = None, system=None) -> TriangularDecomp
         raise StructureViolation("empty reduction sequence")
     if sequence[-1].S_next.dim != 0:
         raise StructureViolation("sequence does not end with an empty system")
-    zc = zc or ZeroCtx()
     n_b = len(sequence)
     m = n_b + 1
     base = sequence[0].F.chart
@@ -207,7 +197,7 @@ def _check_structure(td: TriangularDecomposition, zc: ZeroCtx) -> None:
                 f"Xi^{i} is not solvable for block {i + 1}: singular Jacobian")
 
 
-def validate(td: TriangularDecomposition, zc: ZeroCtx = None):
+def validate(td: TriangularDecomposition, zc: ZeroCtx):
     """Pass/fail items for the defining properties of the triangular form.
 
     Checked per level: the solved variables' coordinate fields are vertical
@@ -215,7 +205,6 @@ def validate(td: TriangularDecomposition, zc: ZeroCtx = None):
     block solves for its variables with a regular Jacobian; the flat-output
     coordinates are characteristic for every block that omits them.
     """
-    zc = zc or ZeroCtx()
     n_b, m = td.n_b, td.m
     report = []
     for k in range(n_b):
@@ -251,9 +240,9 @@ class FlatnessCertificate:
     transform: object      # original chart <- final chart
 
 
-def extract_flat_output(td: TriangularDecomposition, phi=None) -> FlatnessCertificate:
+def extract_flat_output(td: TriangularDecomposition) -> FlatnessCertificate:
     """Read the flat outputs off the y-coordinates of the blocks."""
-    phi = phi or td.transform
+    phi = td.transform
     ycoords = td.flat_coords
     outputs = tuple(phi.inverse[c] for c in ycoords)
     n_u = sum(1 for s in phi.target.coords if s.kind == INPUT)
@@ -291,24 +280,6 @@ class PolyCurve:
 
 
 @dataclass(frozen=True)
-class RecoveredSample:
-    t: float
-    x: dict
-    u: dict
-    converged: bool
-    residual: float
-    note: str = ""
-
-
-@dataclass(frozen=True)
-class RecoveryResult:
-    samples: tuple
-    converged: int
-    skipped: int
-    dynamics_residual: float  # divided differences vs f; nan with < 2 points
-
-
-@dataclass(frozen=True)
 class _SampleFailure:
     block: int
     detail: str
@@ -331,7 +302,7 @@ def _stack(fns, a):
     return out
 
 
-class _Engine:
+class RecoveryEngine:
     """Compiled per-certificate solver, evaluated on (n_args, N) sample arrays."""
 
     def __init__(self, cert: FlatnessCertificate):
@@ -384,16 +355,26 @@ class _Engine:
         return add(*parts) if parts else ZERO
 
 
-def _recover(engine: _Engine, curves, ts, guess):
-    """Solve every block at all sample times ts (an (N,) array) at once.
+def recover_trajectory(engine: RecoveryEngine, curves, ts, guess):
+    """Solve the blocks for the non-derivative variables at sample times ts.
 
-    guess maps solved-variable names to a scalar or an (N,) array of
-    Newton starting values (0 where absent).  Returns the chart jets as an
-    (n_args, N) array, the states and inputs as name -> (N,) arrays, and a
-    map from failed sample index to its _SampleFailure.  A sample that
+    curves gives one PolyCurve per flat-output coordinate, ts is an (N,)
+    array.  Each block is a square Newton solve (tolerance 1e-12), run on
+    all samples at once; the time derivatives of the solved variables
+    follow from differentiating the block equations along the trajectory,
+    reusing the same Jacobian.  The block equations can have several
+    roots: guess maps a solved-variable name to a scalar or an (N,) array
+    of starting values near the intended branch (0 where absent), and so
+    selects among them.  Returns the chart jets as an (n_args, N) array,
+    the states and inputs as name -> (N,) arrays, and a map from failed
+    sample index to its _SampleFailure (a singular Jacobian, a domain
+    violation or divergence, with its block and time).  A sample that
     fails in one block takes no part in the later ones.
     """
     import numpy as np
+    if len(curves) != len(engine.flat):
+        raise ValueError(
+            f"{len(curves)} curves supplied for {len(engine.flat)} outputs")
     n = len(ts)
     vals = np.zeros((len(engine.args), n))
     for c, curve in zip(engine.flat, curves):
@@ -473,7 +454,7 @@ def _recover(engine: _Engine, curves, ts, guess):
     return vals, x, u, failures
 
 
-def _dynamics_residual(engine: _Engine, ts, x, u, ok) -> float:
+def _dynamics_residual(engine: RecoveryEngine, ts, x, u, ok) -> float:
     """Largest midpoint defect |dx/dt - f| over neighbouring good samples."""
     import numpy as np
     cs = engine.system
@@ -487,56 +468,6 @@ def _dynamics_residual(engine: _Engine, ts, x, u, ok) -> float:
         rate = (np.diff(xs, axis=1) / np.diff(ts))[:, pair]
         err = np.abs(rate - _stack(engine.dynamics, mid))
     return float(np.fmax.reduce(err.ravel()))
-
-
-def recover_trajectory(cert: FlatnessCertificate, y_curves, t_samples,
-                       initial_guess=None) -> RecoveryResult:
-    """Solve the blocks for the non-derivative variables at each sample.
-
-    Each block is a square Newton solve (tolerance 1e-12), run on all
-    samples at once; the time derivatives of the solved variables follow
-    from differentiating the block equations along the trajectory, reusing
-    the same Jacobian.  The block equations can have several roots;
-    initial_guess maps a solved-variable name to a starting value near the
-    intended branch, either one value for every sample or one per sample,
-    and selects among them.  Without a guess every sample starts from 0.
-    Samples that hit a singular Jacobian, leave the domain or diverge are
-    skipped and reported; if every sample fails the strongest failure kind
-    is raised.
-    """
-    import numpy as np
-    if len(y_curves) != len(cert.outputs):
-        raise ValueError(
-            f"{len(y_curves)} curves supplied for {len(cert.outputs)} outputs")
-    engine = _Engine(cert)
-    ts = np.asarray(t_samples, dtype=float)
-    vals, x, u, failures = _recover(engine, y_curves, ts, initial_guess or {})
-    if len(failures) == len(ts):
-        if failures and all(isinstance(f, _SampleSingular)
-                            for f in failures.values()):
-            raise SingularJacobian(failures[0].detail)
-        raise NewtonDivergence(failures[0].detail if failures
-                               else "no samples supplied")
-    ok = np.ones(len(ts), dtype=bool)
-    ok[list(failures)] = False
-    with np.errstate(all="ignore"):
-        rf = [f for _, fns, _, _ in engine.blocks for f in fns]
-        resid = np.abs(_stack(rf, vals)).max(axis=0, initial=0.0)
-    worst = float("nan")
-    if engine.system is not None:
-        worst = _dynamics_residual(engine, ts, x, u, ok)
-    samples = []
-    for k, t in enumerate(ts.tolist()):
-        if k in failures:
-            samples.append(RecoveredSample(t, {}, {}, False, math.inf,
-                                           failures[k].detail))
-            continue
-        samples.append(RecoveredSample(
-            t, {name: float(v[k]) for name, v in x.items()},
-            {name: float(v[k]) for name, v in u.items()}, True,
-            float(resid[k])))
-    return RecoveryResult(samples=tuple(samples), converged=int(ok.sum()),
-                          skipped=len(failures), dynamics_residual=worst)
 
 
 @dataclass(frozen=True)
@@ -568,8 +499,8 @@ def verify_flatness_numeric(cert: FlatnessCertificate, trials: int = 20,
     as singular, never as failures, but the pass bar is 80 percent of ALL
     trials, so singular trials eat into the same slack as failures.  Trial
     inputs are drawn from a narrow correlated envelope chosen to keep
-    samples clear of singular loci.  A claim with more or fewer outputs
-    than inputs raises OutputCountMismatch at once.
+    samples clear of singular loci.  A claim, or a block structure, with
+    more or fewer outputs than inputs raises OutputCountMismatch at once.
     """
     import numpy as np
     if cert.system is None:
@@ -580,11 +511,14 @@ def verify_flatness_numeric(cert: FlatnessCertificate, trials: int = 20,
     if len(cert.outputs) != n_u:
         raise OutputCountMismatch(
             f"{len(cert.outputs)} claimed flat outputs for {n_u} inputs")
+    td = cert.decomposition
+    if len(td.flat_coords) != n_u:
+        raise OutputCountMismatch(
+            f"blocks list {len(td.flat_coords)} flat outputs for {n_u} inputs")
     run = compile_rk4(cs.dynamics, cs.states, cs.inputs)
     outs = [compile_expr(y, coords, np) for y in cert.outputs]
-    engine = _Engine(cert)
+    engine = RecoveryEngine(cert)
     # branch selectors: the solved chart variables in original coordinates
-    td = cert.decomposition
     chartvals = {p.name: compile_expr(cert.transform.inverse[p], coords, np)
                  for blk in td.blocks for p in blk.nondrv}
     degree = max(engine.n_b, 3)
@@ -641,7 +575,8 @@ def verify_flatness_numeric(cert: FlatnessCertificate, trials: int = 20,
             xmid[:, 1::2] = (xs[:, :-1] + xs[:, 1:]) / 2
             start = np.vstack([xmid, uref(grid)])
             guess = {name: f(start) for name, f in chartvals.items()}
-            _, xd, ud, failures = _recover(engine, curves, grid, guess)
+            _, xd, ud, failures = recover_trajectory(engine, curves, grid,
+                                                     guess)
             if failures:
                 singular += 1
                 continue

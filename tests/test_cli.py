@@ -258,6 +258,25 @@ def test_verify_rejects_output_count_mismatch(sin_file, tmp_path, capsys,
     assert verification["ok"] is False
 
 
+def test_verify_rejects_a_block_with_an_extra_flat_output(sin_certificate,
+                                                          capsys):
+    # a coordinate added to the chart and listed as a block-1 output: three
+    # flat-output coordinates for two inputs, and two curves to recover from
+    d, text = sin_certificate
+    obj = json.loads(text)
+    cert = obj["certificate"]
+    cert["chart"].append("w")
+    cert["blocks"][0]["outputs"].append("w")
+    cert["transform"]["inverse"]["w"] = "0"
+    (d / "extra.json").write_text(json.dumps(obj))
+    code = main(["verify", str(d / "sinex.fds"),
+                 "--certificate", str(d / "extra.json"), "--samples", "2"])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert "blocks list 3 flat outputs for 2 inputs" in err
+    assert "internal error" not in err
+
+
 def test_verify_accepts_own_outputs(sin_file, capsys):
     code = main(["verify", sin_file,
                  "--outputs", "x3; x1 - u1*x2/u2", "--samples", "5"])

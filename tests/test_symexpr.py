@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings, strategies as st
 from flatdec import symexpr as sx
 from flatdec.symexpr import (
     DomainError, EvaluationFailed, Symbol, add, compile_expr, compile_rk4,
-    const, diff, div, func, is_zero, mul, neg, normalize, pow_, substitute,
+    const, diff, div, func, is_zero, mul, neg, pow_, substitute,
     var,
 )
 from flatdec.sysdsl import parse_system
@@ -21,6 +21,19 @@ X = Symbol("x", sx.STATE)
 Y = Symbol("y", sx.STATE)
 Z = Symbol("z", sx.STATE)
 x, y, z = var(X), var(Y), var(Z)
+
+
+def normalize(e):
+    """Rebuild e through the normalizing constructors."""
+    if isinstance(e, (sx.Const, sx.Var)):
+        return e
+    if isinstance(e, sx.Add):
+        return add(*(normalize(t) for t in e.terms))
+    if isinstance(e, sx.Mul):
+        return mul(*(normalize(f) for f in e.factors))
+    if isinstance(e, sx.Pow):
+        return pow_(normalize(e.base), e.exp)
+    return func(e.fn, normalize(e.arg))
 
 
 # -- strategy for random canonical expressions --------------------------------

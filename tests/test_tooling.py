@@ -1,6 +1,7 @@
 """Module boundaries of the package and the benchmark's traced names."""
 
 import ast
+import collections
 import importlib
 import os
 import pathlib
@@ -37,6 +38,27 @@ def test_only_symexpr_turns_source_into_code():
                     and node.func.id in ("eval", "exec")):
                 found.append(f"{path.name}:{node.lineno} {node.func.id}")
     assert not found, "eval or exec outside symexpr: " + "; ".join(found)
+
+
+def _uses(node):
+    """Names read in node's subtree: bare names and attribute names."""
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            yield n.id
+        elif isinstance(n, ast.Attribute):
+            yield n.attr
+
+
+def test_every_top_level_definition_is_used_in_the_package():
+    # a def or class that only its own body or the tests mention is dead code
+    trees = [ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))]
+    uses = collections.Counter(name for tree in trees for name in _uses(tree))
+    unused = [node.name for tree in trees for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and uses[node.name] == list(_uses(node)).count(node.name)]
+    assert not unused, "defined but never used in src/flatdec: " + \
+        ", ".join(unused)
 
 
 def _traced():

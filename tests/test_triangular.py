@@ -12,9 +12,9 @@ from flatdec.linalg import ZeroCtx
 from flatdec.symexpr import INPUT, ZERO, func, mul, neg, var
 from flatdec.sysdsl import parse_expr, parse_system, render
 from flatdec.triangular import (
-    Block, FlatnessCertificate, NewtonDivergence, OutputCountMismatch,
-    PolyCurve, SingularJacobian, StructureViolation, extract_flat_output,
-    from_sequence, recover_trajectory, validate, verify_flatness_numeric,
+    Block, OutputCountMismatch, PolyCurve, RecoveryEngine, StructureViolation,
+    _dynamics_residual, extract_flat_output, from_sequence,
+    recover_trajectory, validate, verify_flatness_numeric,
 )
 
 
@@ -170,50 +170,63 @@ def test_output_count_mismatch(sin_td):
 # -- trajectory recovery -------------------------------------------------------------
 
 
+def recover(cert, curves, ts, guess):
+    """recover_trajectory on a fresh engine, with the samples as an array."""
+    engine = RecoveryEngine(cert)
+    ts = np.asarray(ts, dtype=float)
+    return engine, ts, recover_trajectory(engine, curves, ts, guess)
+
+
 def test_recovery_closed_form_point(sin_cert):
     # block-1 output t^2/2, block-2 output 1 + t, sampled at t = 1/2
     curves = [PolyCurve((0.0, 0.0, 0.5)), PolyCurve((1.0, 1.0))]
-    rec = recover_trajectory(sin_cert, curves, [0.5])
-    assert rec.converged == 1 and rec.skipped == 0
-    s = rec.samples[0]
-    assert abs(s.x["x3"] - 0.125) < 1e-12
-    assert abs(s.u["u1"] / s.u["u2"] - math.asin(0.5)) < 1e-9
-    assert abs(s.x["x1"] - s.u["u1"] * s.x["x2"] / s.u["u2"] - 1.5) < 1e-9
-    assert s.residual < 1e-10
-    assert math.isnan(rec.dynamics_residual)
+    engine, ts, (vals, x, u, failures) = recover(sin_cert, curves, [0.5], {})
+    assert failures == {}
+    assert vals.shape == (len(engine.args), 1)
+    assert abs(x["x3"][0] - 0.125) < 1e-12
+    assert abs(u["u1"][0] / u["u2"][0] - math.asin(0.5)) < 1e-9
+    assert abs(x["x1"][0] - u["u1"][0] * x["x2"][0] / u["u2"][0] - 1.5) < 1e-9
+    # a single sample has no neighbour to take a divided difference with
+    assert math.isnan(_dynamics_residual(engine, ts, x, u, np.ones(1, bool)))
 
 
 def test_recovery_integrator_chain_exact(chain_m, zc):
     td, _ = build(chain_m, zc)
     cert = extract_flat_output(td)
-    ts = [0.0, 0.25, 0.5, 1.0]
-    rec = recover_trajectory(cert, [PolyCurve((0.0, 0.0, 0.0, 1.0))], ts)
-    for s in rec.samples:
-        assert abs(s.u["u"] - 6 * s.t) < 1e-9
-        assert abs(s.x["x1"] - s.t ** 3) < 1e-12
-        assert abs(s.x["x2"] - 3 * s.t ** 2) < 1e-9
+    engine, ts, (_, x, u, failures) = recover(
+        cert, [PolyCurve((0.0, 0.0, 0.0, 1.0))], [0.0, 0.25, 0.5, 1.0], {})
+    assert failures == {}
+    assert np.abs(u["u"] - 6 * ts).max() < 1e-9
+    assert np.abs(x["x1"] - ts ** 3).max() < 1e-12
+    assert np.abs(x["x2"] - 3 * ts ** 2).max() < 1e-9
     # midpoint defect of the cubic on the coarse grid: (dt)^2 / 2
-    assert abs(rec.dynamics_residual - 0.125) < 1e-9
+    defect = _dynamics_residual(engine, ts, x, u, np.ones(len(ts), bool))
+    assert abs(defect - 0.125) < 1e-9
+    # a failed sample takes no part: without sample 2 the widest gap is 0.5
+    ok = np.array([True, True, False, True])
+    assert abs(_dynamics_residual(engine, ts, x, u, ok) - 0.03125) < 1e-9
 
 
 def test_recovery_constant_output_degenerates(sin_cert):
     curves = [PolyCurve((1.0,)), PolyCurve((1.0, 1.0))]
-    with pytest.raises(SingularJacobian):
-        recover_trajectory(sin_cert, curves, [0.3, 0.6])
+    _, _, (_, _, _, failures) = recover(sin_cert, curves, [0.3, 0.6], {})
+    assert sorted(failures) == [0, 1]
+    assert failures[0].detail == "singular Jacobian in block 2 at t=0.3"
+    assert failures[1].detail == "singular Jacobian in block 2 at t=0.6"
 
 
 def test_recovery_curve_count_checked(sin_cert):
     with pytest.raises(ValueError):
-        recover_trajectory(sin_cert, [PolyCurve((1.0,))], [0.0])
+        recover(sin_cert, [PolyCurve((1.0,))], [0.0], {})
 
 
 def test_recovery_skips_and_reports_bad_samples(sin_cert):
     # derivative of the first output exceeds the drift's range at large t
     curves = [PolyCurve((0.0, 0.0, 1.0)), PolyCurve((1.0, 1.0))]
-    rec = recover_trajectory(sin_cert, curves, [0.1, 0.9])
-    assert rec.converged == 1 and rec.skipped == 1
-    assert not rec.samples[1].converged
-    assert "block 1" in rec.samples[1].note
+    _, _, (_, x, _, failures) = recover(sin_cert, curves, [0.1, 0.9], {})
+    assert list(failures) == [1]
+    assert "block 1" in failures[1].detail
+    assert abs(x["x3"][0] - 0.01) < 1e-12
 
 
 def test_initial_guess_selects_branch(zc):
@@ -224,12 +237,13 @@ def test_initial_guess_selects_branch(zc):
     cert = extract_flat_output(td)
     curves = [PolyCurve((1.0, 1.0))]
     p = td.blocks[1].nondrv[0].name
-    up = recover_trajectory(cert, curves, [0.0], initial_guess={p: 0.9})
-    dn = recover_trajectory(cert, curves, [0.0], initial_guess={p: -0.9})
-    assert abs(up.samples[0].u["u"] - 1.0) < 1e-9
-    assert abs(dn.samples[0].u["u"] + 1.0) < 1e-9
-    with pytest.raises(SingularJacobian):
-        recover_trajectory(cert, curves, [0.0])
+    _, _, (_, _, up, up_failures) = recover(cert, curves, [0.0], {p: 0.9})
+    _, _, (_, _, dn, dn_failures) = recover(cert, curves, [0.0], {p: -0.9})
+    assert up_failures == dn_failures == {}
+    assert abs(up["u"][0] - 1.0) < 1e-9
+    assert abs(dn["u"][0] + 1.0) < 1e-9
+    _, _, (_, _, _, cold) = recover(cert, curves, [0.0], {})
+    assert cold[0].detail == "singular Jacobian in block 1 at t=0.0"
 
 
 def test_batched_recovery_matches_single_samples(sin_cert, coupled_td):
@@ -242,22 +256,22 @@ def test_batched_recovery_matches_single_samples(sin_cert, coupled_td):
          np.linspace(0.0, 1.0, 21)),
     ]
     for cert, curves, ts in cases:
+        engine = RecoveryEngine(cert)
         names = [p.name for blk in cert.decomposition.blocks
                  for p in blk.nondrv]
         # a different Newton start at every sample
         seeds = {name: 0.05 * np.sin(np.arange(len(ts)) + i)
                  for i, name in enumerate(names)}
-        batch = recover_trajectory(cert, curves, ts, initial_guess=seeds)
-        assert batch.converged == len(ts)
+        vals, x, u, failures = recover_trajectory(engine, curves, ts, seeds)
+        assert failures == {}
         for k, t in enumerate(ts):
             guess = {name: float(s[k]) for name, s in seeds.items()}
-            (one,) = recover_trajectory(cert, curves, [t],
-                                        initial_guess=guess).samples
-            got = batch.samples[k]
-            assert one.converged and got.t == one.t
-            for a, b in ((got.x, one.x), (got.u, one.u)):
+            one = recover_trajectory(engine, curves, ts[k:k + 1], guess)
+            assert one[3] == {}
+            assert np.abs(one[0][:, 0] - vals[:, k]).max() <= 1e-12
+            for a, b in ((x, one[1]), (u, one[2])):
                 assert a.keys() == b.keys()
-                assert all(abs(a[n] - b[n]) <= 1e-12 for n in a), (a, b)
+                assert all(abs(a[n][k] - b[n][0]) <= 1e-12 for n in a), t
 
 
 def test_domain_violation_mid_batch_spares_neighbours(zc):
@@ -267,18 +281,15 @@ def test_domain_violation_mid_batch_spares_neighbours(zc):
     cert = extract_flat_output(td)
     p = td.blocks[1].nondrv[0].name
     curves = [PolyCurve((0.0, 0.1, 0.2))]  # ln(u) = x' = 0.1 + 0.4 t
-    ts = [0.1, 0.2, 0.3, 0.4, 0.5]
     # the middle sample starts where ln is undefined
     seeds = np.array([1.0, 1.0, -1.0, 1.0, 1.0])
-    rec = recover_trajectory(cert, curves, ts, initial_guess={p: seeds})
-    assert rec.converged == 4 and rec.skipped == 1
-    bad = rec.samples[2]
-    assert not bad.converged and bad.residual == math.inf
-    assert bad.note.startswith("domain violation")
-    assert "block 1 at t=0.3" in bad.note
-    for s in rec.samples[:2] + rec.samples[3:]:
-        assert s.converged
-        assert abs(math.log(s.u["u"]) - (0.1 + 0.4 * s.t)) < 1e-12
+    _, ts, (_, _, u, failures) = recover(
+        cert, curves, [0.1, 0.2, 0.3, 0.4, 0.5], {p: seeds})
+    assert list(failures) == [2]
+    assert failures[2].detail.startswith("domain violation")
+    assert "block 1 at t=0.3" in failures[2].detail
+    good = np.array([0, 1, 3, 4])
+    assert np.abs(np.log(u["u"][good]) - (0.1 + 0.4 * ts[good])).max() < 1e-12
 
 
 # -- numeric verification ------------------------------------------------------------
