@@ -18,9 +18,9 @@ from .linalg import (
     ZeroCtx, in_span_mod_p, nullspace, nullspace_mod_p, row_echelon_mod_p,
 )
 from .pfaffian import (
-    Distribution, NotReducible, PfaffianSystem, derived_system,
-    from_control_system, is_characteristic, is_integrable_with_dt,
-    is_involutive, restrict_to_subchart, solves_for, vertical_annihilator,
+    Distribution, NotReducible, PfaffianSystem, from_control_system,
+    is_characteristic, is_involutive, restrict_to_subchart, solves_for,
+    vertical_annihilator,
 )
 from .symexpr import (
     ONE, PRIME, ZERO, Var, add, diff, mul, pow_, structural_key,
@@ -64,17 +64,12 @@ class Splitting:
 class DecompositionResult:
     status: str  # Triangularized | Inconclusive | NotReducible
     sequence: tuple
-    transform: ChartTransform
     branch_log: tuple
     system: object
     config: AnsatzConfig
 
 
-# -- generic membership and span helpers -------------------------------------------
-
-def _same_field_span(A: Distribution, B: Distribution, zc: ZeroCtx) -> bool:
-    return A.dim == B.dim and all(B.contains(v, zc) for v in A.generators)
-
+# -- chart and field helpers -------------------------------------------------------
 
 def _lift_through(phi: ChartTransform, g):
     """Carry a form on a subchart of phi.source back to phi.target."""
@@ -109,25 +104,31 @@ def _combine(c, basis):
 # -- the necessary condition --------------------------------------------------------
 
 def _field_row_tables(S: PfaffianSystem, basis):
-    """Per basis field: wedge-index -> row of coefficients, one per generator.
+    """A level's contractions and row tables, built once per level.
 
-    Row r of the table for field v states that sum_j a_j ((v . d g_j) ^ Omega)
-    vanishes on that wedge index; the tables are combined linearly when the
-    field is a coefficient combination of the basis.
+    Returns (C, tables, keys): C[i][j] is the 1-form b_i . d g_j; tables[i]
+    maps a wedge index to a row of coefficients, one per generator, where
+    row r states that sum_j a_j ((b_i . d g_j) ^ Omega) vanishes on that
+    wedge index; keys are all wedge indices, sorted.  The tables are
+    combined linearly when a field is a coefficient combination of the
+    basis.
     """
     gens = S.generators
     top = S.top_form()
+    dg = [d(g) for g in gens]
+    C = []
     tables = []
     keys = set()
     for v in basis:
+        Ci = [contract(v, w) for w in dg]
         tab = {}
-        for j, g in enumerate(gens):
-            w = wedge(contract(v, d(g)), top)
-            for idx, cexpr in w.coeffs.items():
+        for j, w in enumerate(Ci):
+            for idx, cexpr in wedge(w, top).coeffs.items():
                 tab.setdefault(idx, [ZERO] * len(gens))[j] = cexpr
+        C.append(Ci)
         tables.append(tab)
         keys.update(tab)
-    return tables, sorted(keys)
+    return C, tables, sorted(keys)
 
 
 def _span_from_solutions(S: PfaffianSystem, sols, zc: ZeroCtx) -> PfaffianSystem:
@@ -140,11 +141,12 @@ def _span_from_solutions(S: PfaffianSystem, sols, zc: ZeroCtx) -> PfaffianSystem
     return PfaffianSystem(S.chart, combos, zc)
 
 
-def _combination_span(S: PfaffianSystem, fields, zc: ZeroCtx) -> PfaffianSystem:
-    """Span of generator combinations invariant along every given field."""
+def _combination_span(S: PfaffianSystem, tabs, zc: ZeroCtx) -> PfaffianSystem:
+    """Span of generator combinations invariant along every basis field of
+    the level's tables tabs (_field_row_tables)."""
     if S.dim == 0:
         return PfaffianSystem(S.chart, [], zc)
-    tables, keys = _field_row_tables(S, fields)
+    _, tables, _ = tabs
     rows = [tab[idx] for tab in tables for idx in sorted(tab)]
     sols = nullspace(rows, len(S.generators), zc)
     return _span_from_solutions(S, sols, zc)
@@ -258,14 +260,15 @@ class _Screen:
     probability at most d/(p - 1), p = PRIME, per candidate (Schwartz-Zippel).
     """
 
-    def __init__(self, S: PfaffianSystem, basis, tables, keys, zc: ZeroCtx):
+    def __init__(self, S: PfaffianSystem, basis, tabs, zc: ZeroCtx):
+        C, tables, keys = tabs
         axes = S.chart.axes
         self.want = S.dim - 1
         self.basis = basis
         self.zc = zc
         self.g = [[one_coeffs(g).get(s, ZERO) for s in axes] for g in S.generators]
-        self.C = [[[one_coeffs(contract(b, d(g))).get(s, ZERO) for s in axes]
-                   for g in S.generators] for b in basis]
+        self.C = [[[one_coeffs(w).get(s, ZERO) for s in axes] for w in Ci]
+                  for Ci in C]
         zrow = [ZERO] * len(S.generators)
         self.T = [[tab.get(idx, zrow) for idx in keys] for tab in tables]
         self.usable = not any(e.needs_mp for e in self._entries())
@@ -384,23 +387,23 @@ def _pencil_rows(tables, keys, c, m: int):
              for j in range(m)] for idx in keys]
 
 
-def _candidate_stream(S: PfaffianSystem, V: Distribution,
+def _candidate_stream(S: PfaffianSystem, basis, tabs,
                       cfg: AnsatzConfig, zc: ZeroCtx):
-    """Lazily yield single-field candidates (c, S_candidate).
+    """Lazily yield single-field candidates (c, S_candidate) over the
+    vertical basis, from the level's tables tabs (_field_row_tables).
 
     On Func-free levels each c first meets the sample-point screen (_Screen):
     candidates that fail the necessary condition there are skipped before
     anything symbolic is built, and S_candidate is None when the screen has
     shown that c's field is not characteristic for it.
     """
-    basis = list(V.generators)
     k = len(basis)
     gens = S.generators
     want = S.dim - 1
     if k == 0 or want < 0:
         return
-    tables, keys = _field_row_tables(S, basis)
-    screen = _Screen(S, basis, tables, keys, zc)
+    _, tables, keys = tabs
+    screen = _Screen(S, basis, tabs, zc)
     if not screen.usable:
         screen = None
     for c in _coefficient_vectors(S.chart, k, cfg):
@@ -419,24 +422,20 @@ def _candidate_stream(S: PfaffianSystem, V: Distribution,
         yield tuple(c), cand
 
 
-def refine_to_cauchy(fields, S_candidate: PfaffianSystem, S: PfaffianSystem,
-                     zc: ZeroCtx):
-    """Upgrade a necessary-condition candidate to a verified invariant pair.
+def refine_to_cauchy(fields, S_candidate: PfaffianSystem, zc: ZeroCtx):
+    """Verify that fields make a necessary-condition candidate invariant.
 
     Every field must annihilate the candidate generators, satisfy the
     invariance condition against the candidate's own top form, and span an
-    involutive distribution.  Returns (F, S_next) or None.
+    involutive distribution.  Returns that distribution F, or None.
     """
-    chart = S.chart
     for v in fields:
         if not is_characteristic(v, S_candidate, zc):
             return None
-    F = Distribution(chart, list(fields), zc)
-    if F.dim != len(fields):
+    F = Distribution(S_candidate.chart, list(fields), zc)
+    if F.dim != len(fields) or not is_involutive(F, zc):
         return None
-    if not is_involutive(F, zc):
-        return None
-    return F, S_candidate
+    return F
 
 
 def check_parameterizable(S_comp: PfaffianSystem, nondrv, zc: ZeroCtx) -> bool:
@@ -534,16 +533,19 @@ def reduce_once(S: PfaffianSystem, cfg: AnsatzConfig, zc: ZeroCtx = None,
                 naming: _Prefixes = None, level: int = 0, events: list = None):
     """Every verified splitting of S, in search order.
 
-    Order: the derived-system shortcut, the joint ansatz over all vertical
-    directions, then single combined fields by ascending coefficient size.
-    Candidate rejections that reached verification are appended to events.
+    Order: the joint candidate over all vertical directions, then single
+    combined fields by ascending coefficient size, up to the first one
+    accepted.  Both read the contractions and row tables that
+    _field_row_tables builds once for the level.  Candidate rejections that
+    reached verification are appended to events.
     """
     zc = zc or ZeroCtx(cfg.zero_budget, cfg.seed)
     naming = naming or _Prefixes({s.name for s in S.chart.axes})
     events = events if events is not None else []
     V = vertical_annihilator(S, zc)
+    basis = list(V.generators)
+    tabs = _field_row_tables(S, basis)
     out = []
-    taken = []
 
     def describe(fields, kind, c=None):
         info = {"kind": kind, "F": [field_dict(v) for v in fields]}
@@ -552,29 +554,23 @@ def reduce_once(S: PfaffianSystem, cfg: AnsatzConfig, zc: ZeroCtx = None,
         return info
 
     def consider(fields, cand, kind, c=None):
-        if len(out) >= cfg.branch_width:
-            return
         info = describe(fields, kind, c)
         if S.dim != cand.dim + len(fields):
             info.update(outcome="rejected", note="size bookkeeping fails")
             events.append(info)
             return
-        refined = refine_to_cauchy(fields, cand, S, zc)
-        if refined is None:
+        F = refine_to_cauchy(fields, cand, zc)
+        if F is None:
             info.update(outcome="rejected", note=_NOT_CHARACTERISTIC)
             events.append(info)
             return
-        F, keep = refined
-        for F0, S0 in taken:
-            if _same_field_span(F, F0, zc) and keep.same_span(S0, zc):
-                return
         try:
             phi, params = _straighten_level(F, zc, naming)
         except NotSolvable as ex:
             info.update(outcome="suspended", note=f"flow not solvable: {ex}")
             events.append(info)
             return
-        comp_gens = _complement(S, keep, zc)
+        comp_gens = _complement(S, cand, zc)
         comp = PfaffianSystem(phi.source,
                               [pullback(phi, g) for g in comp_gens], zc)
         if not check_parameterizable(comp, params, zc):
@@ -582,33 +578,25 @@ def reduce_once(S: PfaffianSystem, cfg: AnsatzConfig, zc: ZeroCtx = None,
             events.append(info)
             return
         try:
-            nxt = restrict_to_subchart(keep, phi, params, zc)
+            nxt = restrict_to_subchart(cand, phi, params, zc)
         except NotReducible as ex:
             info.update(outcome="rejected", note=f"restriction blocked: {ex}",
                         restrict_failed=True)
             events.append(info)
             return
-        taken.append((F, keep))
         out.append(Splitting(level, F, nxt, comp, phi, tuple(params)))
 
-    D1 = derived_system(S, zc)
-    if (is_integrable_with_dt(D1, zc) and V.dim == S.dim - D1.dim
-            and (V.dim <= 1 or is_involutive(V, zc))):
-        consider(list(V.generators), D1, "shortcut")
     if 2 <= V.dim <= S.dim and is_involutive(V, zc):
-        joint = _combination_span(S, V.generators, zc)
-        consider(list(V.generators), joint, "joint")
+        consider(basis, _combination_span(S, tabs, zc), "joint")
     if len(out) < cfg.branch_width:
         # The tuple stream is ordered simplest-first and deduplicated up to
         # scale, so the first field surviving the full check chain is kept
         # and the scan stops; alternatives at this level would only differ
         # by a more complicated coefficient vector.
         tried = 0
-        for c, cand in _candidate_stream(S, V, cfg, zc):
-            if len(out) >= cfg.branch_width:
-                break
+        for c, cand in _candidate_stream(S, basis, tabs, cfg, zc):
             tried += 1
-            fields = [_combine(c, V.generators)]
+            fields = [_combine(c, basis)]
             if cand is None:
                 events.append(dict(describe(fields, "ansatz", c),
                                    outcome="rejected", note=_NOT_CHARACTERISTIC))
@@ -705,17 +693,12 @@ def run_decomposition(cs, cfg: AnsatzConfig = None) -> DecompositionResult:
             path.pop()
         return False
 
-    done = explore(S0, 0, None)
-    if done:
+    if explore(S0, 0, None):
         status = "Triangularized"
-        theta, _ = sequence_transforms(S0.chart, path)
+    elif flags["notreducible"] and not (flags["exhausted"] or flags["suspended"]
+                                        or flags["depth"]):
+        status = "NotReducible"
     else:
         status = "Inconclusive"
-        if flags["notreducible"] and not (flags["exhausted"]
-                                          or flags["suspended"]
-                                          or flags["depth"]):
-            status = "NotReducible"
-        theta = None
     return DecompositionResult(status=status, sequence=tuple(path),
-                               transform=theta, branch_log=tuple(log),
-                               system=cs, config=cfg)
+                               branch_log=tuple(log), system=cs, config=cfg)

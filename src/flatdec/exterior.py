@@ -75,10 +75,6 @@ class KForm:
     def is_structurally_zero(self) -> bool:
         return not self.coeffs
 
-    def coeff_on(self, syms) -> Expr:
-        idx = tuple(self.chart.axis_index(s) for s in syms)
-        return self.coeffs.get(idx, ZERO)
-
     def __add__(self, other):
         _same_chart(self, other)
         if self.degree != other.degree:

@@ -98,10 +98,6 @@ class PfaffianSystem:
             return False
         return linalg.in_span(self.rows(), _form_row(w, self.chart), zc)
 
-    def same_span(self, other: "PfaffianSystem", zc: ZeroCtx) -> bool:
-        return (all(self.contains(g, zc) for g in other.generators)
-                and all(other.contains(g, zc) for g in self.generators))
-
     def __repr__(self):
         return f"<PfaffianSystem dim={self.dim} on {len(self.chart.coords)} coords>"
 
@@ -161,14 +157,13 @@ def vertical_annihilator(P: PfaffianSystem, zc: ZeroCtx) -> Distribution:
                         assume_independent=True)
 
 
-def _coefficient_rows(forms, keys=None):
+def _coefficient_rows(forms):
     """Stack k-forms into rows over the union of their index tuples.
 
     Returns the matrix transpose-wise: one row per index tuple, one column
     per form, suitable for nullspace over the form weights.
     """
-    if keys is None:
-        keys = sorted({idx for f in forms for idx in f.coeffs})
+    keys = sorted({idx for f in forms for idx in f.coeffs})
     return [[f.coeffs.get(idx, ZERO) for f in forms] for idx in keys]
 
 

@@ -27,6 +27,12 @@ system coupled {
 """
 
 
+def same_span(a, b, zc) -> bool:
+    """Two Pfaffian systems, or two distributions, span the same space."""
+    return (all(a.contains(g, zc) for g in b.generators)
+            and all(b.contains(g, zc) for g in a.generators))
+
+
 def chain_text(n: int) -> str:
     lines = [f"system chain{n} {{"]
     lines.append("  states: " + ", ".join(f"x{i}" for i in range(1, n + 1)) + ";")

@@ -7,13 +7,14 @@ import random
 
 import pytest
 
+from flatdec import decompose
 from flatdec.decompose import (
     AnsatzConfig, AnsatzExhausted, Splitting, check_parameterizable,
     monomial_pool, reduce_once, refine_to_cauchy, run_decomposition,
     sequence_transforms,
     _REJECT, _SKIP, _Screen, _along, _candidate_stream, _coefficient_vectors,
-    _combine, _field_row_tables, _lift_through, _pencil_rows, _projective_key,
-    _span_from_solutions, _tuple_stream,
+    _combination_span, _combine, _field_row_tables, _lift_through,
+    _pencil_rows, _projective_key, _span_from_solutions, _tuple_stream,
 )
 from flatdec.exterior import Chart, T, VectorField, oneform
 from flatdec.linalg import (
@@ -29,6 +30,8 @@ from flatdec.symexpr import (
     pow_, structural_key, value_mod_p, var,
 )
 from flatdec.sysdsl import parse_system
+
+from conftest import same_span
 
 DATA = pathlib.Path(__file__).parent / "data"
 CORPUS = DATA.parent.parent / "perfbench" / "systems"
@@ -190,22 +193,21 @@ def test_coefficient_vectors_match_symbolic_reference(name):
 # -- the necessary condition --------------------------------------------------------
 
 def test_necessary_condition_finds_scaling_family(sin_sys, zc):
-    S0 = from_control_system(sin_sys)
-    V = vertical_annihilator(S0, zc)
+    S0, basis, tabs = _level(from_control_system(sin_sys), zc)
     cfg = AnsatzConfig()
-    found = [(c, cand) for c, cand in _candidate_stream(S0, V, cfg, zc)
+    found = [(c, cand) for c, cand in _candidate_stream(S0, basis, tabs, cfg, zc)
              if cand is not None]
     assert found
     u1, u2 = coord(sin_sys, "u1"), coord(sin_sys, "u2")
     # V's basis spans the input directions; express the scaling field in it
     want = {}
-    for i, v in enumerate(V.generators):
+    for i, v in enumerate(basis):
         if not zc.zero(v.comp(u1)):
             want[i] = var(u1)
         elif not zc.zero(v.comp(u2)):
             want[i] = var(u2)
     target = _symbolic_projective_key(
-        tuple(want.get(i, ZERO) for i in range(V.dim)))
+        tuple(want.get(i, ZERO) for i in range(len(basis))))
     keys = [_symbolic_projective_key(c) for c, _ in found]
     assert target in keys
     assert len(set(keys)) == len(keys)
@@ -216,18 +218,17 @@ def test_necessary_condition_finds_scaling_family(sin_sys, zc):
 
 
 def test_necessary_condition_budget_exhaustion(sin_sys, zc):
-    S0 = from_control_system(sin_sys)
-    V = vertical_annihilator(S0, zc)
+    S0, basis, tabs = _level(from_control_system(sin_sys), zc)
     cfg = AnsatzConfig(max_candidates=0)
-    assert list(_candidate_stream(S0, V, cfg, zc)) == []
+    assert list(_candidate_stream(S0, basis, tabs, cfg, zc)) == []
     with pytest.raises(AnsatzExhausted):
         reduce_once(S0, cfg, zc=zc)
 
 
 def test_necessary_condition_no_directions(sin_sys, zc):
     S0 = from_control_system(sin_sys)
-    empty = Distribution(S0.chart, [], zc)
-    assert list(_candidate_stream(S0, empty, AnsatzConfig(), zc)) == []
+    tabs = _field_row_tables(S0, [])
+    assert list(_candidate_stream(S0, [], tabs, AnsatzConfig(), zc)) == []
 
 
 # -- refinement and parameterizability ------------------------------------------------
@@ -239,10 +240,9 @@ def test_refine_accepts_characteristic_field(chain, zc):
     x1, x2 = coord(cs, "x1"), coord(cs, "x2")
     cand = PfaffianSystem(S0.chart, [oneform(S0.chart, {x1: ONE, T: neg(var(x2))})], zc)
     du = VectorField(S0.chart, {u: ONE})
-    got = refine_to_cauchy([du], cand, S0, zc)
-    assert got is not None
-    F, keep = got
-    assert F.dim == 1 and keep.same_span(cand, zc)
+    F = refine_to_cauchy([du], cand, zc)
+    assert F is not None
+    assert F.dim == 1 and F.contains(du, zc)
 
 
 def test_refine_rejects_non_invariant_field(chain, zc):
@@ -252,10 +252,10 @@ def test_refine_rejects_non_invariant_field(chain, zc):
     cand = PfaffianSystem(S0.chart, [oneform(S0.chart, {x1: ONE, T: neg(var(x2))})], zc)
     # d_x2 annihilates the generator but fails the invariance condition
     bad = VectorField(S0.chart, {x2: ONE})
-    assert refine_to_cauchy([bad], cand, S0, zc) is None
+    assert refine_to_cauchy([bad], cand, zc) is None
     # d_x1 does not even annihilate it
     worse = VectorField(S0.chart, {x1: ONE})
-    assert refine_to_cauchy([worse], cand, S0, zc) is None
+    assert refine_to_cauchy([worse], cand, zc) is None
 
 
 def test_refine_rejects_non_involutive_pair(chain, zc):
@@ -265,9 +265,9 @@ def test_refine_rejects_non_involutive_pair(chain, zc):
     empty = PfaffianSystem(S0.chart, [], zc)
     v1 = VectorField(S0.chart, {x1: ONE})
     v2 = VectorField(S0.chart, {x2: ONE, x3: var(x1)})
-    assert refine_to_cauchy([v1, v2], empty, S0, zc) is None
+    assert refine_to_cauchy([v1, v2], empty, zc) is None
     # each field alone is fine against the empty candidate
-    assert refine_to_cauchy([v1], empty, S0, zc) is not None
+    assert refine_to_cauchy([v1], empty, zc) is not None
 
 
 def test_check_parameterizable_cases(zc):
@@ -292,7 +292,7 @@ def test_check_parameterizable_cases(zc):
 
 # -- one reduction level ----------------------------------------------------------------
 
-def test_reduce_once_chain_is_shortcut(chain, zc):
+def test_reduce_once_chain_straightens_the_input(chain, zc):
     cs = chain(3)
     S0 = from_control_system(cs)
     splits = reduce_once(S0, AnsatzConfig(), zc=zc)
@@ -333,6 +333,46 @@ def test_splitting_verify_detects_corruption(chain, zc):
     assert not splitting_holds(dataclasses.replace(sp, nondrv=()), S0, zc)
 
 
+# -- one set of tables per level --------------------------------------------------------
+
+def _recording_tables(monkeypatch):
+    """Patch the search's _field_row_tables to record (S, tables) per call."""
+    calls = []
+
+    def record(S, basis):
+        tabs = _field_row_tables(S, basis)
+        calls.append((S, tabs))
+        return tabs
+
+    monkeypatch.setattr(decompose, "_field_row_tables", record)
+    return calls
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("name", sorted(p.stem for p in DATA.glob("*.fds")))
+def test_derived_system_is_the_joint_span(name, seed, monkeypatch):
+    # for vertical v, (v.dp) ^ Omega = v.(dp ^ Omega), and V with the drift
+    # spans the annihilator of S: the forms invariant along every vertical
+    # field are the derived system, so the joint candidate covers it
+    calls = _recording_tables(monkeypatch)
+    cs = parse_system((DATA / f"{name}.fds").read_text())
+    run_decomposition(cs, AnsatzConfig(seed=seed))
+    assert calls
+    zc = ZeroCtx(20, seed)
+    for S, tabs in calls:
+        assert same_span(derived_system(S, zc), _combination_span(S, tabs, zc), zc)
+
+
+def test_reduce_once_builds_the_tables_once(coupled_sys, zc, monkeypatch):
+    S0 = from_control_system(coupled_sys)
+    assert vertical_annihilator(S0, zc).dim == 2
+    calls = _recording_tables(monkeypatch)
+    splits = reduce_once(S0, AnsatzConfig(), zc=zc)
+    # the joint candidate and the scan both found a splitting
+    assert sorted(sp.F.dim for sp in splits) == [1, 2]
+    assert len(calls) == 1
+
+
 # -- the full search ------------------------------------------------------------------
 
 def expr_for(cs, text):
@@ -342,7 +382,9 @@ def expr_for(cs, text):
 
 def outputs_of(res):
     deep = res.sequence[-1].S_next.chart
-    return [res.transform.inverse[s] for s in deep.coords]
+    theta, _ = sequence_transforms(from_control_system(res.system).chart,
+                                   res.sequence)
+    return [theta.inverse[s] for s in deep.coords]
 
 
 def match_up_to_sign(outputs, expected):
@@ -423,7 +465,6 @@ def test_run_decomposition_depth_cap(sin_sys):
     res = run_decomposition(sin_sys, AnsatzConfig(max_depth=0))
     assert res.status == "Inconclusive"
     assert res.sequence == ()
-    assert res.transform is None
     assert res.branch_log[0]["kind"] == "depth-limit"
     assert res.branch_log[0]["outcome"] == "suspended"
 
@@ -471,8 +512,7 @@ def test_sequence_transforms_chart_bookkeeping(sin_sys):
 
 def _level(S, zc):
     basis = list(vertical_annihilator(S, zc).generators)
-    tables, keys = _field_row_tables(S, basis)
-    return S, basis, tables, keys
+    return S, basis, _field_row_tables(S, basis)
 
 
 def _first_level(name, zc):
@@ -488,10 +528,11 @@ def test_screen_agrees_with_symbolic_path(name, zc):
         S0 = _first_level("coupled", zc)[0]
         joint = next(sp for sp in reduce_once(S0, AnsatzConfig(), zc=zc)
                      if sp.F.dim == 2)
-        S, basis, tables, keys = _level(joint.S_next, zc)
+        S, basis, tabs = _level(joint.S_next, zc)
     else:
-        S, basis, tables, keys = _first_level(name, zc)
-    screen = _Screen(S, basis, tables, keys, zc)
+        S, basis, tabs = _first_level(name, zc)
+    _, tables, keys = tabs
+    screen = _Screen(S, basis, tabs, zc)
     assert screen.usable
     m, want = len(S.generators), S.dim - 1
     verdicts = []
@@ -508,7 +549,7 @@ def test_screen_agrees_with_symbolic_path(name, zc):
             assert len(sols) == want, c
             cand = _span_from_solutions(S, sols, zc)
             assert cand.dim == want
-            assert refine_to_cauchy([_combine(c, basis)], cand, S, zc) is None
+            assert refine_to_cauchy([_combine(c, basis)], cand, zc) is None
     if name.startswith("nfd"):
         # not flat: every candidate fails, and the screen decides all of them
         assert set(verdicts) == {_REJECT}
@@ -676,10 +717,11 @@ def test_screen_pencil_is_value_and_derivative(name, zc):
         S0 = _first_level("coupled", zc)[0]
         joint = next(sp for sp in reduce_once(S0, AnsatzConfig(), zc=zc)
                      if sp.F.dim == 2)
-        S, basis, tables, keys = _level(joint.S_next, zc)
+        S, basis, tabs = _level(joint.S_next, zc)
     else:
-        S, basis, tables, keys = _first_level(name, zc)
-    screen = _Screen(S, basis, tables, keys, zc)
+        S, basis, tabs = _first_level(name, zc)
+    _, tables, keys = tabs
+    screen = _Screen(S, basis, tabs, zc)
     m = len(S.generators)
     checked = 0
     for c in itertools.islice(
@@ -704,12 +746,10 @@ def test_function_levels_bypass_screen(sin_sys, zc):
     res = run_decomposition(sin_sys)
     levels = [from_control_system(sin_sys)] + [sp.S_next for sp in res.sequence]
     for S in levels[:-1]:
-        basis = list(vertical_annihilator(S, zc).generators)
-        tables, keys = _field_row_tables(S, basis)
-        assert not _Screen(S, basis, tables, keys, zc).usable
+        assert not _Screen(*_level(S, zc), zc).usable
     # a Func-free level still hands a candidate with a function in c over
-    S, basis, tables, keys = _first_level("nfd", zc)
-    screen = _Screen(S, basis, tables, keys, zc)
+    S, basis, tabs = _first_level("nfd", zc)
+    screen = _Screen(S, basis, tabs, zc)
     assert screen.usable
     x1 = next(s for s in S.chart.coords if s.name == "x1")
     assert screen.decide((ONE, func("sin", var(x1)))) is None

@@ -61,6 +61,37 @@ def test_every_top_level_definition_is_used_in_the_package():
         ", ".join(unused)
 
 
+def test_every_method_is_used_in_the_package():
+    # the same for the non-dunder methods of the package's classes
+    trees = [ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))]
+    uses = collections.Counter(name for tree in trees for name in _uses(tree))
+    unused = [f"{cls.name}.{m.name}" for tree in trees for cls in tree.body
+              if isinstance(cls, ast.ClassDef) for m in cls.body
+              if isinstance(m, ast.FunctionDef)
+              and not (m.name.startswith("__") and m.name.endswith("__"))
+              and uses[m.name] == list(_uses(m)).count(m.name)]
+    assert not unused, "methods never used in src/flatdec: " + \
+        ", ".join(unused)
+
+
+def test_every_import_is_read():
+    found = []
+    paths = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read:
+                        found.append(f"{path.relative_to(ROOT)}: {name}")
+    assert not found, "imported but never read: " + "; ".join(found)
+
+
 def _traced():
     """TRACED of perfbench/spans.py, read without importing the benchmark."""
     tree = ast.parse((ROOT / "perfbench" / "spans.py").read_text(encoding="utf-8"))
