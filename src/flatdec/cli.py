@@ -42,8 +42,7 @@ def _read_system(path: str):
 
 def _config(args) -> AnsatzConfig:
     return AnsatzConfig(max_degree=args.max_degree, zero_budget=args.samples,
-                        seed=args.seed, branch_width=args.branch_width,
-                        max_depth=args.max_depth)
+                        seed=args.seed, max_depth=args.max_depth)
 
 
 def _base_report(command: str, path: str, text: str, cs, args) -> dict:
@@ -63,7 +62,6 @@ def _base_report(command: str, path: str, text: str, cs, args) -> dict:
             "seed": args.seed,
             "max_degree": args.max_degree,
             "max_depth": args.max_depth,
-            "branch_width": args.branch_width,
             "samples": args.samples,
             "verify": bool(getattr(args, "verify", False)),
         },
@@ -404,8 +402,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="monomial degree cap for combination coefficients")
     p.add_argument("--max-depth", type=_at_least(0), default=8,
                    help="reduction depth budget")
-    p.add_argument("--branch-width", type=_at_least(1), default=8,
-                   help="splittings kept per level")
     p.add_argument("--samples", type=_at_least(1), default=20,
                    help="zero-test budget and verification trial count")
     p.add_argument("--report", metavar="PATH",

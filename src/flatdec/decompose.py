@@ -38,9 +38,11 @@ class AnsatzConfig:
     max_degree: int = 2
     zero_budget: int = 20
     seed: int = 0
-    branch_width: int = 8
     max_depth: int = 8
-    max_candidates: int = 512
+
+
+# coefficient tuples the ansatz scan tries per level
+MAX_CANDIDATES = 512
 
 
 @dataclass(frozen=True)
@@ -364,13 +366,13 @@ def _lincomb(coeffs, rows):
 
 def _coefficient_vectors(chart, k: int, cfg: AnsatzConfig):
     """The scan's coefficient tuples: simplest first, one per projective
-    class, at most cfg.max_candidates of them."""
+    class, at most MAX_CANDIDATES of them."""
     pool = monomial_pool(chart, cfg)
     items = [ZERO] + [m for m, _ in pool]
     expos = [None] + [e for _, e in pool]
     seen = set()
     for t in _tuple_stream(items[1:], k):
-        if len(seen) >= cfg.max_candidates:
+        if len(seen) >= MAX_CANDIDATES:
             return
         key = _projective_key([expos[i] for i in t])
         if key is None or key in seen:
@@ -537,7 +539,10 @@ def reduce_once(S: PfaffianSystem, cfg: AnsatzConfig, zc: ZeroCtx = None,
     combined fields by ascending coefficient size, up to the first one
     accepted.  Both read the contractions and row tables that
     _field_row_tables builds once for the level.  Candidate rejections that
-    reached verification are appended to events.
+    reached verification are appended to events, except that the scan's
+    candidates whose field is not characteristic are counted in one entry
+    for the level, with the first and last such c.  Raises AnsatzExhausted,
+    after that entry, when nothing is accepted.
     """
     zc = zc or ZeroCtx(cfg.zero_budget, cfg.seed)
     naming = naming or _Prefixes({s.name for s in S.chart.axes})
@@ -546,69 +551,69 @@ def reduce_once(S: PfaffianSystem, cfg: AnsatzConfig, zc: ZeroCtx = None,
     basis = list(V.generators)
     tabs = _field_row_tables(S, basis)
     out = []
-
-    def describe(fields, kind, c=None):
-        info = {"kind": kind, "F": [field_dict(v) for v in fields]}
-        if c is not None:
-            info["c"] = [render(x) for x in c]
-        return info
+    rejected = []  # scanned c whose field is not characteristic
 
     def consider(fields, cand, kind, c=None):
-        info = describe(fields, kind, c)
+        def reject(note, outcome="rejected", **extra):
+            info = {"kind": kind, "F": [field_dict(v) for v in fields]}
+            if c is not None:
+                info["c"] = [render(x) for x in c]
+            events.append(dict(info, outcome=outcome, note=note, **extra))
+
         if S.dim != cand.dim + len(fields):
-            info.update(outcome="rejected", note="size bookkeeping fails")
-            events.append(info)
-            return
+            return reject("size bookkeeping fails")
         F = refine_to_cauchy(fields, cand, zc)
         if F is None:
-            info.update(outcome="rejected", note=_NOT_CHARACTERISTIC)
-            events.append(info)
+            # the scan counts these in one entry for the level
+            if c is None:
+                reject(_NOT_CHARACTERISTIC)
+            else:
+                rejected.append(c)
             return
         try:
             phi, params = _straighten_level(F, zc, naming)
         except NotSolvable as ex:
-            info.update(outcome="suspended", note=f"flow not solvable: {ex}")
-            events.append(info)
-            return
+            return reject(f"flow not solvable: {ex}", outcome="suspended")
         comp_gens = _complement(S, cand, zc)
         comp = PfaffianSystem(phi.source,
                               [pullback(phi, g) for g in comp_gens], zc)
         if not check_parameterizable(comp, params, zc):
-            info.update(outcome="rejected", note="complement not parameterizable")
-            events.append(info)
-            return
+            return reject("complement not parameterizable")
         try:
             nxt = restrict_to_subchart(cand, phi, params, zc)
         except NotReducible as ex:
-            info.update(outcome="rejected", note=f"restriction blocked: {ex}",
-                        restrict_failed=True)
-            events.append(info)
-            return
+            return reject(f"restriction blocked: {ex}", restrict_failed=True)
         out.append(Splitting(level, F, nxt, comp, phi, tuple(params)))
 
     if 2 <= V.dim <= S.dim and is_involutive(V, zc):
         consider(basis, _combination_span(S, tabs, zc), "joint")
-    if len(out) < cfg.branch_width:
-        # The tuple stream is ordered simplest-first and deduplicated up to
-        # scale, so the first field surviving the full check chain is kept
-        # and the scan stops; alternatives at this level would only differ
-        # by a more complicated coefficient vector.
-        tried = 0
-        for c, cand in _candidate_stream(S, basis, tabs, cfg, zc):
-            tried += 1
-            fields = [_combine(c, basis)]
-            if cand is None:
-                events.append(dict(describe(fields, "ansatz", c),
-                                   outcome="rejected", note=_NOT_CHARACTERISTIC))
-                continue
-            before = len(out)
-            consider(fields, cand, "ansatz", c=c)
-            if len(out) > before:
-                break
+    # The tuple stream is ordered simplest-first and deduplicated up to
+    # scale, so the first field surviving the full check chain is kept and
+    # the scan stops; alternatives at this level would only differ by a
+    # more complicated coefficient vector.
+    tried = 0
+    before = len(out)
+    for c, cand in _candidate_stream(S, basis, tabs, cfg, zc):
+        tried += 1
+        if cand is None:
+            rejected.append(c)
+            continue
+        consider([_combine(c, basis)], cand, "ansatz", c=c)
+        if len(out) > before:
+            break
+    if rejected or not out:
+        scan = {"kind": "ansatz", "outcome": "rejected", "count": len(rejected),
+                "note": _NOT_CHARACTERISTIC}
+        if rejected:
+            scan.update(first=[render(x) for x in rejected[0]],
+                        last=[render(x) for x in rejected[-1]])
         if not out:
-            raise AnsatzExhausted(
-                f"no admissible splitting within {cfg.max_candidates} coefficient "
-                f"tuples ({tried} candidate subsystems rejected)")
+            scan["note"] = (f"no admissible splitting within {MAX_CANDIDATES} "
+                            f"coefficient tuples ({tried} candidate subsystems "
+                            f"rejected)")
+        events.append(scan)
+    if not out:
+        raise AnsatzExhausted(scan["note"])
     return out
 
 
@@ -661,10 +666,8 @@ def run_decomposition(cs, cfg: AnsatzConfig = None) -> DecompositionResult:
         try:
             splits = reduce_once(S, cfg, zc=zc, naming=naming,
                                  level=level, events=events)
-        except AnsatzExhausted as ex:
+        except AnsatzExhausted:
             splits = []
-            events.append({"kind": "ansatz", "outcome": "rejected",
-                           "note": str(ex)})
             flags["exhausted"] = True
         for ev in events:
             if ev.pop("restrict_failed", False):

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import pathlib
 import random
 
 import pytest
@@ -11,6 +12,8 @@ from hypothesis import given, settings, strategies as st
 from flatdec.cli import SHORTCUT_NOTE, main
 
 from conftest import COUPLED_SYS, SIN_SYS, chain_text
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 @pytest.fixture
@@ -180,15 +183,43 @@ def test_decompose_rejects_negative_max_degree(sin_file, capsys):
 
 
 def test_decompose_rejects_bad_search_budgets(sin_file, tmp_path, capsys):
-    # a width below 1 keeps no splitting, a negative depth has no meaning
+    # a negative depth has no meaning
     report = tmp_path / "d.json"
-    for flag, value, lo in (("--branch-width", "0", 1),
-                            ("--branch-width", "-1", 1),
-                            ("--max-depth", "-2", 0)):
-        err = _usage_error(["decompose", sin_file, flag, value,
-                            "--report", str(report)], capsys)
-        assert f"argument {flag}: must be at least {lo}, got {value}" in err
+    err = _usage_error(["decompose", sin_file, "--max-depth", "-2",
+                        "--report", str(report)], capsys)
+    assert "argument --max-depth: must be at least 0, got -2" in err
+    # a level yields at most two splittings, so there is no width to set
+    err = _usage_error(["decompose", sin_file, "--branch-width", "8",
+                        "--report", str(report)], capsys)
+    assert "unrecognized arguments: --branch-width 8" in err
     assert not report.exists()
+
+
+@pytest.mark.parametrize("name, parent, level, count, exhausted, ends", [
+    ("nfd", None, 0, 512, True, None),
+    ("sinex", None, 0, 9, False, (["1", "0"], ["u1", "1"])),
+    ("coupled", 0, 1, 1, True, None),
+])
+def test_decompose_summarises_the_ansatz_scan(name, parent, level, count,
+                                              exhausted, ends, tmp_path):
+    # the scan's candidates whose field is not characteristic are counted in
+    # one entry per level, not logged one by one
+    report = tmp_path / "d.json"
+    code = main(["decompose", str(DATA / f"{name}.fds"),
+                 "--report", str(report)])
+    assert code == (3 if name == "nfd" else 0)
+    log = json.loads(report.read_text())["decomposition"]["branch_log"]
+    scans = [e for e in log if e["kind"] == "ansatz"]
+    assert all("c" not in e for e in scans)
+    assert len({(e["parent"], e["level"]) for e in scans}) == len(scans)
+    scan, = [e for e in scans if (e["parent"], e["level"]) == (parent, level)]
+    assert scan["outcome"] == "rejected" and scan["count"] == count
+    assert scan["note"].startswith("no admissible splitting within 512 ") \
+        == exhausted
+    if ends:
+        assert (scan["first"], scan["last"]) == ends
+    if name == "nfd":
+        assert report.stat().st_size < 10_000
 
 
 def test_decompose_logs_dead_end(coupled_file, tmp_path):

@@ -142,7 +142,8 @@ def _symbolic_projective_key(c):
     return tuple(structural_key(div(x, lead)) for x in c)
 
 
-def _symbolic_coefficient_vectors(chart, k, cfg):
+def _symbolic_coefficient_vectors(chart, k, cfg,
+                                  cap=decompose.MAX_CANDIDATES):
     """The scan's tuple stream built from expressions alone: the pool and
     the product sorted by nodes and structural keys, deduplicated by the
     symbolic projective key.  Reference for _coefficient_vectors; the
@@ -157,7 +158,7 @@ def _symbolic_coefficient_vectors(chart, k, cfg):
                                    tuple(skey[x] for x in c)))
     seen = set()
     for c in units + tuples:
-        if len(seen) >= cfg.max_candidates:
+        if len(seen) >= cap:
             return
         key = _symbolic_projective_key(c)
         if key is None or key in seen:
@@ -172,15 +173,16 @@ def _corpus(name):
 
 @pytest.mark.parametrize("name", ["nfd", "nfd4", "coupled", "unicycle",
                                   "chain6"])
-def test_coefficient_vectors_match_symbolic_reference(name):
+def test_coefficient_vectors_match_symbolic_reference(name, monkeypatch):
     chart = from_control_system(_corpus(name)).chart
     truncated = False
     for k, deg in itertools.product((1, 2, 3), range(4)):
         want = list(_symbolic_coefficient_vectors(
             chart, k, AnsatzConfig(max_degree=deg)))
         for cap in (512, 7):
+            monkeypatch.setattr(decompose, "MAX_CANDIDATES", cap)
             got = list(_coefficient_vectors(
-                chart, k, AnsatzConfig(max_degree=deg, max_candidates=cap)))
+                chart, k, AnsatzConfig(max_degree=deg)))
             # the same expressions in the same order
             assert [[x.key for x in c] for c in got] == \
                 [[x.key for x in c] for c in want[:cap]], (k, deg, cap)
@@ -217,12 +219,18 @@ def test_necessary_condition_finds_scaling_family(sin_sys, zc):
             assert S0.contains(g, zc)
 
 
-def test_necessary_condition_budget_exhaustion(sin_sys, zc):
+def test_necessary_condition_budget_exhaustion(sin_sys, zc, monkeypatch):
     S0, basis, tabs = _level(from_control_system(sin_sys), zc)
-    cfg = AnsatzConfig(max_candidates=0)
+    monkeypatch.setattr(decompose, "MAX_CANDIDATES", 0)
+    cfg = AnsatzConfig()
     assert list(_candidate_stream(S0, basis, tabs, cfg, zc)) == []
+    events = []
     with pytest.raises(AnsatzExhausted):
-        reduce_once(S0, cfg, zc=zc)
+        reduce_once(S0, cfg, zc=zc, events=events)
+    # the exhausted scan logs its one entry, with nothing to show as c
+    scan, = [e for e in events if e["kind"] == "ansatz"]
+    assert scan["count"] == 0 and not {"first", "last"} & set(scan)
+    assert scan["note"].startswith("no admissible splitting within 0 ")
 
 
 def test_necessary_condition_no_directions(sin_sys, zc):

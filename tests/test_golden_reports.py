@@ -17,18 +17,18 @@ from flatdec.cli import main
 DATA = pathlib.Path(__file__).parent / "data"
 
 GOLDEN = {
-    ("chain4", "analyze"): "d22b8a5e8d3a8d2e6e45fa339856be1f53cae4963a7a3516ce425c905820fc8e",
-    ("chain4", "decompose"): "163ddd6804414f6f7d837ebf86f2d3b2e8c07a843bfa5a7a4c3bf4c937417135",
-    ("chain4", "decompose --verify --samples 6"): "383c794b7b4df9224243c3457c805b3158f247180936c8256431558d37ff1f08",
-    ("coupled", "analyze"): "49539235cbd983f463346647786d8cf434b24abef70075e1baa2549d991557b6",
-    ("coupled", "decompose"): "7990d953c3f672cd90f89aec262312a22c888979305b1efbec044a63407227d3",
-    ("nfd", "analyze"): "30dd776bd5d27d422ba9ef4142241add6c97f1124c4f11526b98df242008e3c6",
-    ("nfd", "decompose"): "f0626aa024cd108597f0d341d30d25866375cc729c3aac03e66f460ba11c4eaa",
-    ("nfd2", "analyze"): "e0369730191845c56cc8b94839100418bd542ebe46659a7a754c49f4d1fdeeb0",
-    ("nfd2", "decompose"): "9e1a182eaee0006111cf85119b8fd07ed19e99b6cf075596f25f318d100179b9",
-    ("sinex", "analyze"): "c806bc5621921a3234154c6035e39350e58c912ada66040ca1dfdf13cc531b45",
-    ("sinex", "decompose"): "9a7ef97c16b0059cd99ca4ed092ee73f6758472e608dac5fc2b7a131914a18b1",
-    ("sinex", "decompose --verify --samples 6"): "4e44bec46d2beebb6182ca37c74c0926fabd83059cdc7d51a4f9b22aaf734826",
+    ("chain4", "analyze"): "dc7242f6f2266ef100995d1db95fab5cab7799b3975e086e10b5525349b93110",
+    ("chain4", "decompose"): "26274b691a0d1a08f6563c2533446e762bdc5c01e499f0b5a25f75495f0fb5c9",
+    ("chain4", "decompose --verify --samples 6"): "5e80a500d11f987db2499626f27f744fe0b33b20fb02570f31133d335f3f12b6",
+    ("coupled", "analyze"): "9372c82b93e8af4b8c9d111b21cd9a382acc1836cb943d7be5c338a02c25c0f6",
+    ("coupled", "decompose"): "71e8226229cf59dc684cc94f7b44f7e7838a9af75e6b962723a4466f56885526",
+    ("nfd", "analyze"): "025fcb5d227499aa3de449a2d15a464fca81d0b3310412783b0a5b0c747c3c35",
+    ("nfd", "decompose"): "d6d757f05843b01b163739990508f7760259c7fbd601725a4fd5ba903cecd0d7",
+    ("nfd2", "analyze"): "a769d9f09398d4a8aba8524b9e059737f5626f419ffd67db71753494331e8a8c",
+    ("nfd2", "decompose"): "9c43c977bb342b8082befe65224a8602a501cf47e5f54af8803cd318d4808616",
+    ("sinex", "analyze"): "3ad4d8b735d142464b2f3360952c88169ab9b5525bc9f1eef7a69cf0f393c962",
+    ("sinex", "decompose"): "7b66311307319d50d6000dbe3e6693fe21c28ae834e4cc57e3acedaf237ba75c",
+    ("sinex", "decompose --verify --samples 6"): "0f7ca785f19933dea8ea54c2eeeaf5cdba5e0a77677a59a51fd91256ee03da91",
 }
 
 

@@ -1,12 +1,17 @@
-"""Module boundaries of the package and the benchmark's traced names."""
+"""Module boundaries of the package, the benchmark's traced names and the
+CLI flags the README documents."""
 
+import argparse
 import ast
 import collections
 import importlib
 import os
 import pathlib
+import re
 import subprocess
 import sys
+
+from flatdec.cli import _build_parser
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "flatdec"
@@ -133,3 +138,21 @@ def test_symbolic_commands_do_not_load_numpy(tmp_path):
          str(tmp_path / "r.json")],
         capture_output=True, text=True, env=env, timeout=300, check=True)
     assert done.stdout.splitlines()[-1] == "[False, False, True]"
+
+
+def _parser_flags(parser):
+    """Every --flag of parser and of its subcommands, --help aside."""
+    flags = set()
+    for action in parser._actions:
+        flags.update(o for o in action.option_strings if o.startswith("--"))
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                flags |= _parser_flags(sub)
+    return flags - {"--help"}
+
+
+def test_readme_documents_exactly_the_cli_flags():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
+    assert named == _parser_flags(_build_parser())
