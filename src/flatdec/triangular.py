@@ -303,7 +303,13 @@ def _stack(fns, a):
 
 
 class RecoveryEngine:
-    """Compiled per-certificate solver, evaluated on (n_args, N) sample arrays."""
+    """Compiled per-certificate solver, evaluated on (n_args, N) sample arrays.
+
+    Row slot[s] holds jet s of `args`.  Each block's residuals, Jacobian
+    entries and derivative chain are compiled against the block's own
+    argument list: the sorted slots of the jets they mention and of its
+    unknowns' jets up to the order its chain solves for.
+    """
 
     def __init__(self, cert: FlatnessCertificate):
         import numpy as np
@@ -326,16 +332,28 @@ class RecoveryEngine:
         for i in range(1, self.n_b + 1):
             unknowns = td.blocks[i].nondrv
             residuals = [residual(g) for g in td.equations[i - 1]]
-            rf = [compile_expr(r, self.args, np) for r in residuals]
             # row-major: residual r, unknown p
-            jf = [compile_expr(diff(r, p), self.args, np)
-                  for r in residuals for p in unknowns]
+            jac = [diff(r, p) for r in residuals for p in unknowns]
             chains = []
             cur = residuals
             for _ in range(self.n_b - i):
                 cur = [self._dt(r, bump) for r in cur]
-                chains.append([compile_expr(r, self.args, np) for r in cur])
-            self.blocks.append((unknowns, rf, jf, chains))
+                chains.append(cur)
+            orders = range(self.n_b - i + 1)
+            need = {s for e in residuals + jac + [e for c in chains for e in c]
+                    for s in e.free}
+            need.update(jet(p, j) for p in unknowns for j in orders)
+            need = sorted(need, key=self.slot.__getitem__)
+            pos = {s: k for k, s in enumerate(need)}
+
+            def compiled(exprs):
+                return [compile_expr(e, need, np) for e in exprs]
+
+            # rows[j]: where the j-th jets of the unknowns sit in the block
+            rows = [[pos[jet(p, j)] for p in unknowns] for j in orders]
+            self.blocks.append((unknowns, [self.slot[s] for s in need], rows,
+                                compiled(residuals), compiled(jac),
+                                [compiled(c) for c in chains]))
         base = cert.transform.target
         self.base_coords = base.coords
         self.base_f = [compile_expr(cert.transform.forward[s], self.args, np)
@@ -355,6 +373,15 @@ class RecoveryEngine:
         return add(*parts) if parts else ZERO
 
 
+def _solve(jac, rhs):
+    """Per-sample solutions of jac @ x = rhs, rhs and result (size, N);
+    a flat (N,) jac belongs to a one-unknown block and divides."""
+    import numpy as np
+    if jac.ndim == 1:
+        return rhs / jac
+    return np.linalg.solve(jac, rhs.T[:, :, None])[:, :, 0].T
+
+
 def recover_trajectory(engine: RecoveryEngine, curves, ts, guess):
     """Solve the blocks for the non-derivative variables at sample times ts.
 
@@ -362,14 +389,20 @@ def recover_trajectory(engine: RecoveryEngine, curves, ts, guess):
     array.  Each block is a square Newton solve (tolerance 1e-12), run on
     all samples at once; the time derivatives of the solved variables
     follow from differentiating the block equations along the trajectory,
-    reusing the same Jacobian.  The block equations can have several
-    roots: guess maps a solved-variable name to a scalar or an (N,) array
-    of starting values near the intended branch (0 where absent), and so
-    selects among them.  Returns the chart jets as an (n_args, N) array,
-    the states and inputs as name -> (N,) arrays, and a map from failed
-    sample index to its _SampleFailure (a singular Jacobian, a domain
-    violation or divergence, with its block and time).  A sample that
-    fails in one block takes no part in the later ones.
+    reusing the same Jacobian J.  A block with one unknown keeps J as one
+    value per sample, calls a sample singular when |J| < 1e-12, and takes
+    each Newton and derivative step as one division; a larger block calls
+    it singular when |det J| < 1e-12 and solves stacked systems with
+    np.linalg.solve.  Each block works on a copy of only the rows its
+    compiled functions read (RecoveryEngine) and writes them back.  The
+    block equations can have several roots: guess maps a solved-variable
+    name to a scalar or an (N,) array of starting values near the intended
+    branch (0 where absent), and so selects among them.  Returns the chart
+    jets as an (n_args, N) array, the states and inputs as name -> (N,)
+    arrays, and a map from failed sample index to its _SampleFailure (a
+    singular Jacobian, a domain violation or divergence, with its block
+    and time).  A sample that fails in one block takes no part in the
+    later ones.
     """
     import numpy as np
     if len(curves) != len(engine.flat):
@@ -391,28 +424,34 @@ def recover_trajectory(engine: RecoveryEngine, curves, ts, guess):
 
     def jacobian(block, jf, size, idx, a):
         """Jacobians at samples idx, minus the non-finite and singular ones."""
-        jac = _stack(jf, a).reshape(size, size, -1).transpose(2, 0, 1)
-        finite = np.isfinite(jac).all(axis=(1, 2))
+        jac = _stack(jf, a)
+        if size == 1:
+            jac = det = jac[0]
+            finite = np.isfinite(jac)
+        else:
+            jac = jac.reshape(size, size, -1).transpose(2, 0, 1)
+            finite = np.isfinite(jac).all(axis=(1, 2))
+            det = np.zeros(len(idx))
+            det[finite] = np.linalg.det(jac[finite])
         fail(_SampleSingular, block, idx[~finite],
              "domain violation (non-finite Jacobian)")
-        det = np.zeros(len(idx))
-        det[finite] = np.linalg.det(jac[finite])
         singular = finite & (np.abs(det) < 1e-12)
         fail(_SampleSingular, block, idx[singular], "singular Jacobian")
         keep = finite & ~singular
         return keep, jac[keep]
 
     with np.errstate(all="ignore"):
-        for bi, (unknowns, rf, jf, chains) in enumerate(engine.blocks, start=1):
+        for bi, (unknowns, need, rows, rf, jf, chains) in enumerate(
+                engine.blocks, start=1):
             size = len(unknowns)
-            rows = [engine.slot[p] for p in unknowns]
-            for r, p in zip(rows, unknowns):
-                vals[r] = guess.get(p.name, 0.0)
+            blk = vals[need]
+            for r, p in zip(rows[0], unknowns):
+                blk[r] = guess.get(p.name, 0.0)
             idx = np.flatnonzero(alive)
             for _ in range(60):
                 if not idx.size:
                     break
-                a = vals[:, idx]
+                a = blk[:, idx]
                 res = _stack(rf, a)
                 finite = np.isfinite(res).all(axis=0)
                 fail(_SampleSingular, bi, idx[~finite],
@@ -421,10 +460,9 @@ def recover_trajectory(engine: RecoveryEngine, curves, ts, guess):
                 idx, a, res = idx[todo], a[:, todo], res[:, todo]
                 keep, jac = jacobian(bi, jf, size, idx, a)
                 idx, res = idx[keep], res[:, keep]
-                step = np.linalg.solve(jac, -res.T[:, :, None])[:, :, 0]
-                cells = np.ix_(rows, idx)
-                vals[cells] += step.T
-                blown = np.abs(vals[cells]).max(axis=0, initial=0.0) > 1e9
+                cells = np.ix_(rows[0], idx)
+                blk[cells] += _solve(jac, -res)
+                blown = np.abs(blk[cells]).max(axis=0, initial=0.0) > 1e9
                 fail(_SampleDiverged, bi, idx[blown], "Newton blow-up")
                 idx = idx[~blown]
             else:
@@ -434,18 +472,18 @@ def recover_trajectory(engine: RecoveryEngine, curves, ts, guess):
             # of the block equations is linear in the j-th jet, through the
             # same Jacobian
             idx = np.flatnonzero(alive)
-            a = vals[:, idx]
+            a = blk[:, idx]
             keep, jac = jacobian(bi, jf, size, idx, a)
             idx, a = idx[keep], a[:, keep]
-            for j, cf in enumerate(chains, start=1):
-                rest = _stack(cf, a)
-                sol = np.linalg.solve(jac, -rest.T[:, :, None])[:, :, 0].T
-                a[[engine.slot[jet(p, j)] for p in unknowns]] = sol
+            for cf, rj in zip(chains, rows[1:]):
+                sol = _solve(jac, -_stack(cf, a))
+                a[rj] = sol
                 finite = np.isfinite(sol).all(axis=0)
                 fail(_SampleSingular, bi, idx[~finite],
                      "domain violation (non-finite derivative)")
                 idx, a, jac = idx[finite], a[:, finite], jac[finite]
-            vals[:, idx] = a
+            blk[:, idx] = a
+            vals[need] = blk
 
         xu = _stack(engine.base_f, vals)
     x, u = {}, {}

@@ -246,13 +246,28 @@ def test_initial_guess_selects_branch(zc):
     assert cold[0].detail == "singular Jacobian in block 1 at t=0.0"
 
 
-def test_batched_recovery_matches_single_samples(sin_cert, coupled_td):
+UNICYCLE = """system unicycle {
+  states: x, y, th;
+  inputs: v, w;
+  dot(x) = v*cos(th);
+  dot(y) = v*sin(th);
+  dot(th) = w;
+}"""
+
+
+def test_batched_recovery_matches_single_samples(sin_cert, coupled_td, zc):
     coupled_cert = extract_flat_output(coupled_td)
+    # unicycle's last block solves for two unknowns at once
+    uni_td, _ = build(parse_system(UNICYCLE), zc)
+    assert [len(b.nondrv) for b in uni_td.blocks] == [0, 1, 2]
     cases = [
         (sin_cert, [PolyCurve((0.0, 0.0, 0.5)), PolyCurve((1.0, 1.0))],
          np.linspace(0.1, 0.9, 17)),
         (coupled_cert, [PolyCurve((1.0, 0.75, 0.05, 0.01, 0.002)),
                         PolyCurve((0.5, 0.3, -0.2, 0.1, 0.05))],
+         np.linspace(0.0, 1.0, 21)),
+        (extract_flat_output(uni_td), [PolyCurve((0.2, 0.3, 0.1, 0.02)),
+                                       PolyCurve((1.0, 0.5, -0.1))],
          np.linspace(0.0, 1.0, 21)),
     ]
     for cert, curves, ts in cases:
@@ -272,6 +287,23 @@ def test_batched_recovery_matches_single_samples(sin_cert, coupled_td):
             for a, b in ((x, one[1]), (u, one[2])):
                 assert a.keys() == b.keys()
                 assert all(abs(a[n][k] - b[n][0]) <= 1e-12 for n in a), t
+
+
+@pytest.mark.parametrize("den, singular", [("10000000000000", True),
+                                             ("100000000000", False)])
+def test_one_unknown_block_singular_below_1e_12(den, singular, zc):
+    # the block's Jacobian is 1/den: 1e-13 is singular, 1e-11 is not
+    cs = parse_system("system tiny {\n  states: x;\n  inputs: u;\n"
+                      f"  dot(x) = u/{den};\n}}")
+    td, _ = build(cs, zc)
+    curves = [PolyCurve((0.0, 0.001))]
+    _, _, (_, _, u, failures) = recover(extract_flat_output(td), curves,
+                                        [0.5], {})
+    if singular:
+        assert failures[0].detail == "singular Jacobian in block 1 at t=0.5"
+    else:
+        assert failures == {}
+        assert abs(u["u"][0] - 1e8) < 1e-3
 
 
 def test_domain_violation_mid_batch_spares_neighbours(zc):
@@ -302,6 +334,19 @@ def test_verify_accepts_genuine_certificate(sin_cert):
     assert v.trials == 5
     assert v.passed + v.failed + v.singular == 5
     assert v.worst_deviation < 1e-6
+
+
+def test_one_unknown_blocks_never_reach_lapack(sin_cert, monkeypatch):
+    # every block of sinex has one unknown: Newton and the derivative
+    # chain divide by the Jacobian instead of calling det or solve
+    want = verify_flatness_numeric(sin_cert, trials=3, seed=0)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("LAPACK called for a one-unknown block")
+
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    monkeypatch.setattr(np.linalg, "det", refuse)
+    assert verify_flatness_numeric(sin_cert, trials=3, seed=0) == want
 
 
 def test_verify_accepts_coupled_certificate(coupled_td):
