@@ -89,7 +89,7 @@ def cmd_analyze(args) -> int:
     t0 = time.perf_counter()
     text, cs = _read_system(args.file)
     zc = ZeroCtx(budget=args.samples, seed=args.seed)
-    S0 = from_control_system(cs)
+    S0 = from_control_system(cs, zc)
     flag = derived_flag(S0, zc)
     levels = []
     for k, P in enumerate(flag):

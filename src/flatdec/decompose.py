@@ -15,7 +15,8 @@ from .exterior import (
     pushforward, scale, straighten_flow, wedge, zero_form,
 )
 from .linalg import (
-    ZeroCtx, in_span_mod_p, nullspace, nullspace_mod_p, row_echelon_mod_p,
+    ZeroCtx, in_span_mod_p, independent_rows, nullspace, nullspace_mod_p,
+    row_echelon_mod_p,
 )
 from .pfaffian import (
     Distribution, NotReducible, PfaffianSystem, from_control_system,
@@ -252,14 +253,15 @@ class _Screen:
 
     `decide(c)` returns _SKIP when the nullity of M(z) is below `want` (the
     symbolic nullity cannot exceed it), _REJECT when P(z) = [p_k(z)] has rank
-    `want` and some (v.dp_k)(z) is outside its span (then v.dp_k ^ Omega_P
-    is a nonzero function and refine_to_cauchy rejects c), and None, leaving
-    c to the symbolic path, in every other case: nullity above `want`, a
-    deficient P(z), or a pole at each of 10*budget points.  Error bound: a
-    skip or a rejection differs from the symbolic path's decision only if z
-    lies on the zero set of a nonzero minor of M or of [P; v.dP], a rational
-    function whose numerator has some degree d; that happens with
-    probability at most d/(p - 1), p = PRIME, per candidate (Schwartz-Zippel).
+    `want` and some (v.dp_k)(z) is outside its span (then v.dp_k is outside
+    the span of P, so is_characteristic fails and refine_to_cauchy rejects
+    c), and None, leaving c to the symbolic path, in every other case:
+    nullity above `want`, a deficient P(z), or a pole at each of 10*budget
+    points.  Error bound: a skip or a rejection differs from the symbolic
+    path's decision only if z lies on the zero set of a nonzero minor of M
+    or of [P; v.dP], a rational function whose numerator has some degree d;
+    that happens with probability at most d/(p - 1), p = PRIME, per
+    candidate (Schwartz-Zippel).
     """
 
     def __init__(self, S: PfaffianSystem, basis, tabs, zc: ZeroCtx):
@@ -427,9 +429,9 @@ def _candidate_stream(S: PfaffianSystem, basis, tabs,
 def refine_to_cauchy(fields, S_candidate: PfaffianSystem, zc: ZeroCtx):
     """Verify that fields make a necessary-condition candidate invariant.
 
-    Every field must annihilate the candidate generators, satisfy the
-    invariance condition against the candidate's own top form, and span an
-    involutive distribution.  Returns that distribution F, or None.
+    Every field must be a Cauchy characteristic of the candidate
+    (is_characteristic), and the fields must span an involutive
+    distribution.  Returns that distribution F, or None.
     """
     for v in fields:
         if not is_characteristic(v, S_candidate, zc):
@@ -515,24 +517,14 @@ def _straighten_level(F: Distribution, zc: ZeroCtx, naming: _Prefixes):
 
 def _complement(S: PfaffianSystem, S_sub: PfaffianSystem, zc: ZeroCtx):
     """Greedy extension of S_sub to all of S using the original generators."""
-    acc = list(S_sub.generators)
-    comp = []
-    dim = S_sub.dim
-    for g in S.generators:
-        if dim + 1 > S.dim:
-            break
-        trial = PfaffianSystem(S.chart, acc + [g], zc)
-        if trial.dim > dim:
-            acc.append(g)
-            comp.append(g)
-            dim += 1
-    return comp
+    kept, _ = independent_rows(S_sub.rows() + S.rows(), zc)
+    return [S.generators[i - S_sub.dim] for i in kept if i >= S_sub.dim]
 
 
 # -- one reduction layer ----------------------------------------------------------------
 
-def reduce_once(S: PfaffianSystem, cfg: AnsatzConfig, zc: ZeroCtx = None,
-                naming: _Prefixes = None, level: int = 0, events: list = None):
+def reduce_once(S: PfaffianSystem, cfg: AnsatzConfig, zc: ZeroCtx,
+                naming: _Prefixes, level: int, events: list):
     """Every verified splitting of S, in search order.
 
     Order: the joint candidate over all vertical directions, then single
@@ -544,9 +536,6 @@ def reduce_once(S: PfaffianSystem, cfg: AnsatzConfig, zc: ZeroCtx = None,
     for the level, with the first and last such c.  Raises AnsatzExhausted,
     after that entry, when nothing is accepted.
     """
-    zc = zc or ZeroCtx(cfg.zero_budget, cfg.seed)
-    naming = naming or _Prefixes({s.name for s in S.chart.axes})
-    events = events if events is not None else []
     V = vertical_annihilator(S, zc)
     basis = list(V.generators)
     tabs = _field_row_tables(S, basis)
@@ -646,7 +635,7 @@ def run_decomposition(cs, cfg: AnsatzConfig = None) -> DecompositionResult:
     """
     cfg = cfg or AnsatzConfig()
     zc = ZeroCtx(cfg.zero_budget, cfg.seed)
-    S0 = from_control_system(cs)
+    S0 = from_control_system(cs, zc)
     naming = _Prefixes({s.name for s in S0.chart.axes})
     log = []
     path = []

@@ -1,8 +1,11 @@
 """Generic-rank linear algebra over the function field of expressions.
 
 Matrices are lists of equal-length lists of Expr.  All rank decisions are
-probabilistic via the zero test; elimination is fraction-free so entries stay
-division-free until a nullspace back-substitution deliberately divides.
+probabilistic via the zero test, and elimination is fraction-free.  Every
+yes/no span question (rank, membership, independence) is decided by one
+greedy pass, independent_rows, whose remainders are zero-tested entry by
+entry.  Bases come from row_echelon, the reduced form whose pivots are
+divided to 1, which nullspace and the subchart restriction read.
 Matrices of values at one sample point are eliminated over GF(PRIME), plain
 or over the dual numbers GF(PRIME)[eps]/eps^2, which carry a derivative.
 """
@@ -38,12 +41,13 @@ class ZeroCtx:
         return not self.zero(e)
 
 
-def row_echelon(rows, zc: ZeroCtx, reduced: bool = False):
-    """Fraction-free Gaussian elimination.
+def row_echelon(rows, zc: ZeroCtx):
+    """Reduced row echelon form with pivot division: pivot entries become 1.
 
     Returns (matrix, pivots) with pivots a list of (row, col).  Pivot choice
     is the syntactically smallest confirmed-nonzero entry in the column.
-    Entries that test zero are replaced by the literal zero expression.
+    Elimination is fraction-free; entries that test zero are replaced by
+    the literal zero expression, and only the final division divides.
     """
     rows = [list(r) for r in rows]
     nrows = len(rows)
@@ -67,8 +71,7 @@ def row_echelon(rows, zc: ZeroCtx, reduced: bool = False):
             continue
         rows[r], rows[best] = rows[best], rows[r]
         p = rows[r][c]
-        start = 0 if reduced else r + 1
-        for i in range(start, nrows):
+        for i in range(nrows):
             if i == r:
                 continue
             e = rows[i][c]
@@ -83,16 +86,6 @@ def row_echelon(rows, zc: ZeroCtx, reduced: bool = False):
             rows[i] = new
         pivots.append((r, c))
         r += 1
-    return rows, pivots
-
-
-def rank(rows, zc: ZeroCtx) -> int:
-    return len(row_echelon(rows, zc)[1])
-
-
-def rre_divided(rows, zc: ZeroCtx):
-    """Reduced row echelon with pivot division: pivot entries become 1."""
-    rows, pivots = row_echelon(rows, zc, reduced=True)
     for r, c in pivots:
         p = rows[r][c]
         if p is ONE:
@@ -100,6 +93,52 @@ def rre_divided(rows, zc: ZeroCtx):
         inv = pow_(p, -1)
         rows[r] = [ZERO if e is ZERO else mul(inv, e) for e in rows[r]]
     return rows, pivots
+
+
+def _remainder(row, echelon, zc: ZeroCtx):
+    """Fraction-free remainder of row against echelon, a list of (row,
+    pivot column) pairs from independent_rows.  Every entry of the result
+    has passed the zero test: an entry that tests zero is the literal zero."""
+    rem = [ZERO if e is ZERO or zc.zero(e) else e for e in row]
+    for prow, c in echelon:
+        e = rem[c]
+        if e is ZERO:
+            continue
+        p = prow[c]
+        rem = [add(mul(p, x), neg(mul(e, y))) for x, y in zip(rem, prow)]
+        rem = [ZERO if v is ZERO or zc.zero(v) else v for v in rem]
+    return rem
+
+
+def independent_rows(rows, zc: ZeroCtx):
+    """A maximal generically independent subset of rows, greedily front-first.
+
+    One pass reduces each row against the remainders kept so far and keeps
+    it when its remainder is not zero.  Returns (kept, echelon): the kept
+    row indices, and per kept row its remainder with a pivot column, the
+    column of its syntactically smallest nonzero entry.
+    """
+    kept, echelon = [], []
+    for i, row in enumerate(rows):
+        rem = _remainder(row, echelon, zc)
+        live = [j for j, e in enumerate(rem) if e is not ZERO]
+        if live:
+            kept.append(i)
+            echelon.append((rem, min(live, key=lambda j: rem[j].nodes)))
+    return kept, echelon
+
+
+def rank(rows, zc: ZeroCtx) -> int:
+    return len(independent_rows(rows, zc)[0])
+
+
+def in_span(span_rows, targets, zc: ZeroCtx) -> bool:
+    """Whether every row of the iterable targets lies in the span of
+    span_rows.  The span is eliminated once; targets are reduced lazily, up
+    to the first one outside it."""
+    _, echelon = independent_rows(span_rows, zc)
+    return all(all(e is ZERO for e in _remainder(t, echelon, zc))
+               for t in targets)
 
 
 def _collect_dens(e: Expr, out: dict) -> None:
@@ -171,7 +210,7 @@ def nullspace(rows, ncols: int, zc: ZeroCtx):
             v[i] = ONE
             basis.append(v)
         return basis
-    red, pivots = rre_divided(live, zc)
+    red, pivots = row_echelon(live, zc)
     pivot_cols = {c for _, c in pivots}
     basis = []
     for f in range(ncols):
@@ -186,35 +225,6 @@ def nullspace(rows, ncols: int, zc: ZeroCtx):
         v = clear_denominators(v, zc)
         basis.append(normalize_leading(v, zc))
     return basis
-
-
-def reduce_against(echelon_rows, pivots, target, zc: ZeroCtx):
-    """Fraction-free remainder of target against an echelonized row set."""
-    target = list(target)
-    for r, c in pivots:
-        e = target[c]
-        if e is ZERO:
-            continue
-        if zc.zero(e):
-            target[c] = ZERO
-            continue
-        p = echelon_rows[r][c]
-        new = []
-        for j in range(len(target)):
-            v = add(mul(p, target[j]), neg(mul(e, echelon_rows[r][j])))
-            if v is not ZERO and zc.zero(v):
-                v = ZERO
-            new.append(v)
-        target = new
-    return target
-
-
-def in_span(span_rows, target, zc: ZeroCtx) -> bool:
-    if not span_rows:
-        return all(e is ZERO or zc.zero(e) for e in target)
-    ech, pivots = row_echelon(span_rows, zc)
-    rem = reduce_against(ech, pivots, target, zc)
-    return all(e is ZERO for e in rem)
 
 
 # -- elimination over GF(PRIME) and its dual numbers --------------------------------

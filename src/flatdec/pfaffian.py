@@ -43,26 +43,12 @@ def _row_field(chart: Chart, row) -> VectorField:
                                if c is not ZERO})
 
 
-def _independent_subset(rows, zc: ZeroCtx):
-    """Indices of a maximal generically independent subset, greedily front-first."""
-    kept = []
-    kept_rows = []
-    for i, row in enumerate(rows):
-        if linalg.in_span(kept_rows, row, zc):
-            continue
-        kept.append(i)
-        kept_rows.append(row)
-    return kept
-
-
 class PfaffianSystem:
     """Codistribution spanned by independent time-invariant 1-forms."""
 
     __slots__ = ("chart", "generators")
 
-    def __init__(self, chart: Chart, generators, zc: ZeroCtx = None,
-                 assume_independent: bool = False):
-        zc = zc or ZeroCtx()
+    def __init__(self, chart: Chart, generators, zc: ZeroCtx):
         gens = []
         for g in generators:
             if g.degree != 1:
@@ -75,11 +61,8 @@ class PfaffianSystem:
             if not g.is_structurally_zero():
                 gens.append(g)
         rows = [_form_row(g, chart) for g in gens]
-        if not assume_independent:
-            keep = _independent_subset(rows, zc)
-            gens = [gens[i] for i in keep]
-            rows = [rows[i] for i in keep]
-        norm = [linalg.normalize_leading(r, zc) for r in rows]
+        keep, _ = linalg.independent_rows(rows, zc)
+        norm = [linalg.normalize_leading(rows[i], zc) for i in keep]
         self.chart = chart
         self.generators = tuple(_row_form(chart, r) for r in norm)
 
@@ -96,7 +79,7 @@ class PfaffianSystem:
     def contains(self, w: KForm, zc: ZeroCtx) -> bool:
         if w.chart != self.chart:
             return False
-        return linalg.in_span(self.rows(), _form_row(w, self.chart), zc)
+        return linalg.in_span(self.rows(), [_form_row(w, self.chart)], zc)
 
     def __repr__(self):
         return f"<PfaffianSystem dim={self.dim} on {len(self.chart.coords)} coords>"
@@ -107,19 +90,15 @@ class Distribution:
 
     __slots__ = ("chart", "generators")
 
-    def __init__(self, chart: Chart, generators, zc: ZeroCtx = None,
-                 assume_independent: bool = False):
-        zc = zc or ZeroCtx()
+    def __init__(self, chart: Chart, generators, zc: ZeroCtx):
         gens = [g for g in generators if not g.is_structurally_zero()]
         for g in gens:
             if g.chart != chart:
                 raise ValueError("field lives on a different chart")
-        if not assume_independent:
-            rows = [_field_row(g, chart) for g in gens]
-            keep = _independent_subset(rows, zc)
-            gens = [gens[i] for i in keep]
+        rows = [_field_row(g, chart) for g in gens]
+        keep, _ = linalg.independent_rows(rows, zc)
         self.chart = chart
-        self.generators = tuple(gens)
+        self.generators = tuple(gens[i] for i in keep)
 
     @property
     def dim(self) -> int:
@@ -131,19 +110,19 @@ class Distribution:
     def contains(self, v: VectorField, zc: ZeroCtx) -> bool:
         if v.chart != self.chart:
             return False
-        return linalg.in_span(self.rows(), _field_row(v, self.chart), zc)
+        return linalg.in_span(self.rows(), [_field_row(v, self.chart)], zc)
 
     def __repr__(self):
         return f"<Distribution dim={self.dim} on {len(self.chart.coords)} coords>"
 
 
-def from_control_system(cs) -> PfaffianSystem:
+def from_control_system(cs, zc: ZeroCtx) -> PfaffianSystem:
     """The system's Pfaffian form dx^a - f^a dt on the chart (states, inputs)."""
     chart = Chart(tuple(cs.states) + tuple(cs.inputs))
     gens = []
     for s, f in zip(cs.states, cs.dynamics):
         gens.append(oneform(chart, {s: ONE, T: neg(f)}))
-    return PfaffianSystem(chart, gens, assume_independent=True)
+    return PfaffianSystem(chart, gens, zc)
 
 
 def vertical_annihilator(P: PfaffianSystem, zc: ZeroCtx) -> Distribution:
@@ -153,8 +132,7 @@ def vertical_annihilator(P: PfaffianSystem, zc: ZeroCtx) -> Distribution:
     dt_row = [ZERO] * len(chart.axes)
     dt_row[chart.axis_index(T)] = ONE
     basis = linalg.nullspace(rows + [dt_row], len(chart.axes), zc)
-    return Distribution(chart, [_row_field(chart, r) for r in basis],
-                        assume_independent=True)
+    return Distribution(chart, [_row_field(chart, r) for r in basis], zc)
 
 
 def _coefficient_rows(forms):
@@ -198,19 +176,13 @@ def derived_flag(P: PfaffianSystem, zc: ZeroCtx):
 
 
 def is_characteristic(v: VectorField, P: PfaffianSystem, zc: ZeroCtx) -> bool:
-    """Direct test for v being a characteristic direction of P: v.g = 0 and
-    (v.dg) ^ Omega_P = 0 for every generator g, Omega_P the top form of P."""
-    if P.dim == 0:
-        return True
-    top = P.top_form()
+    """Whether v is a Cauchy characteristic of P: v.g = 0 and v.dg lies in
+    the span of P for every generator g."""
     for g in P.generators:
-        for c in contract(v, g).coeffs.values():
-            if not zc.zero(c):
-                return False
-        w = wedge(contract(v, d(g)), top)
-        if any(not zc.zero(c) for c in w.coeffs.values()):
+        if any(not zc.zero(c) for c in contract(v, g).coeffs.values()):
             return False
-    return True
+    return linalg.in_span(P.rows(), (_form_row(contract(v, d(g)), P.chart)
+                                     for g in P.generators), zc)
 
 
 def jet(sym: Symbol, order: int) -> Symbol:
@@ -239,13 +211,12 @@ def solves_for(gens, params, zc: ZeroCtx) -> bool:
 
 
 def is_involutive(D: Distribution, zc: ZeroCtx) -> bool:
-    rows = D.rows()
-    for i in range(D.dim):
-        for j in range(i + 1, D.dim):
-            br = lie_bracket(D.generators[i], D.generators[j])
-            if not linalg.in_span(rows, _field_row(br, D.chart), zc):
-                return False
-    return True
+    """Whether every bracket of two generators lies in D, all of them tested
+    against one elimination of D."""
+    gens = D.generators
+    brackets = (_field_row(lie_bracket(gens[i], gens[j]), D.chart)
+                for i in range(D.dim) for j in range(i + 1, D.dim))
+    return linalg.in_span(D.rows(), brackets, zc)
 
 
 def is_integrable_with_dt(P: PfaffianSystem, zc: ZeroCtx) -> bool:
@@ -280,7 +251,7 @@ def restrict_to_subchart(P: PfaffianSystem, phi: ChartTransform, drop,
                 raise NotReducible(
                     f"pulled generator keeps a d{w.name} component")
     rows = [_form_row(g, src) for g in pulled]
-    red, pivots = linalg.rre_divided(rows, zc)
+    red, _ = linalg.row_echelon(rows, zc)
     red = [r for r in red if any(e is not ZERO for e in r)]
     drop_set = set(drop)
     keep = [s for s in src.coords if s not in drop_set]

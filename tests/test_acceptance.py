@@ -106,7 +106,7 @@ def test_criterion_1_motivating_flat_outputs(sin_run, zc):
 
 
 def test_criterion_2_motivating_derived_generator(sin_sys_m, zc):
-    S0 = from_control_system(sin_sys_m)
+    S0 = from_control_system(sin_sys_m, zc)
     S1 = derived_system(S0, zc)
     assert S1.dim == 1
     coords = tuple(sin_sys_m.states) + tuple(sin_sys_m.inputs)
@@ -135,7 +135,7 @@ def test_criterion_3_coupled_outputs_and_dead_end(coupled_run, zc):
     want = [parse_expr("x1 - u2*x2", coords), parse_expr("x4", coords)]
     assert _outputs_match(list(cert.outputs), want, coords, zc)
 
-    S0 = from_control_system(cs)
+    S0 = from_control_system(cs, zc)
     S1d = derived_system(S0, zc)
     by = {s.name: s for s in coords}
     target_F = {frozenset({("u1", "1")}), frozenset({("u2", "1")})}
@@ -164,7 +164,7 @@ def test_criterion_3_coupled_outputs_and_dead_end(coupled_run, zc):
 def test_criterion_4_integrator_chain_flag_consistency(all_fixtures, zc):
     checked = []
     for name, cs in all_fixtures:
-        S0 = from_control_system(cs)
+        S0 = from_control_system(cs, zc)
         flag = derived_flag(S0, zc)
         if not all(is_integrable_with_dt(P, zc) for P in flag[1:]):
             continue
@@ -188,7 +188,7 @@ def test_criterion_4_integrator_chain_flag_consistency(all_fixtures, zc):
 def test_criterion_5_derived_condition_vanishing(all_fixtures, zc):
     total = 0
     for name, cs in all_fixtures:
-        S0 = from_control_system(cs)
+        S0 = from_control_system(cs, zc)
         flag = derived_flag(S0, zc)
         for P, P1 in zip(flag, flag[1:]):
             if P.dim == 0:

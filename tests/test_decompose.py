@@ -14,12 +14,13 @@ from flatdec.decompose import (
     sequence_transforms,
     _REJECT, _SKIP, _Screen, _along, _candidate_stream, _coefficient_vectors,
     _combination_span, _combine, _field_row_tables, _lift_through,
-    _pencil_rows, _projective_key, _span_from_solutions, _tuple_stream,
+    _Prefixes, _pencil_rows, _projective_key, _span_from_solutions,
+    _tuple_stream,
 )
 from flatdec.exterior import Chart, T, VectorField, oneform
 from flatdec.linalg import (
     ZeroCtx, _rref_mod_p, in_span_mod_p, nullspace, nullspace_mod_p,
-    row_echelon_mod_p, rre_divided,
+    row_echelon, row_echelon_mod_p,
 )
 from flatdec.pfaffian import (
     Distribution, PfaffianSystem, derived_system, from_control_system,
@@ -60,6 +61,12 @@ def splitting_holds(sp: Splitting, parent: PfaffianSystem, zc) -> bool:
     return all(is_characteristic(v, P, zc) for v in sp.F.generators)
 
 
+def reduce_top(S, zc, events=None, cfg=AnsatzConfig()):
+    """reduce_once on a level-0 system, with fresh names for its chart."""
+    naming = _Prefixes({s.name for s in S.chart.axes})
+    return reduce_once(S, cfg, zc, naming, 0, [] if events is None else events)
+
+
 def axis(chart, name):
     for s in chart.axes:
         if s.name == name:
@@ -69,8 +76,8 @@ def axis(chart, name):
 
 # -- the coefficient pool and tuple stream ----------------------------------------
 
-def test_monomial_pool_basics(sin_sys):
-    S0 = from_control_system(sin_sys)
+def test_monomial_pool_basics(sin_sys, zc):
+    S0 = from_control_system(sin_sys, zc)
     cfg = AnsatzConfig()
     pairs = monomial_pool(S0.chart, cfg)
     pool = [m for m, _ in pairs]
@@ -173,8 +180,8 @@ def _corpus(name):
 
 @pytest.mark.parametrize("name", ["nfd", "nfd4", "coupled", "unicycle",
                                   "chain6"])
-def test_coefficient_vectors_match_symbolic_reference(name, monkeypatch):
-    chart = from_control_system(_corpus(name)).chart
+def test_coefficient_vectors_match_symbolic_reference(name, zc, monkeypatch):
+    chart = from_control_system(_corpus(name), zc).chart
     truncated = False
     for k, deg in itertools.product((1, 2, 3), range(4)):
         want = list(_symbolic_coefficient_vectors(
@@ -195,7 +202,7 @@ def test_coefficient_vectors_match_symbolic_reference(name, monkeypatch):
 # -- the necessary condition --------------------------------------------------------
 
 def test_necessary_condition_finds_scaling_family(sin_sys, zc):
-    S0, basis, tabs = _level(from_control_system(sin_sys), zc)
+    S0, basis, tabs = _level(from_control_system(sin_sys, zc), zc)
     cfg = AnsatzConfig()
     found = [(c, cand) for c, cand in _candidate_stream(S0, basis, tabs, cfg, zc)
              if cand is not None]
@@ -220,13 +227,13 @@ def test_necessary_condition_finds_scaling_family(sin_sys, zc):
 
 
 def test_necessary_condition_budget_exhaustion(sin_sys, zc, monkeypatch):
-    S0, basis, tabs = _level(from_control_system(sin_sys), zc)
+    S0, basis, tabs = _level(from_control_system(sin_sys, zc), zc)
     monkeypatch.setattr(decompose, "MAX_CANDIDATES", 0)
     cfg = AnsatzConfig()
     assert list(_candidate_stream(S0, basis, tabs, cfg, zc)) == []
     events = []
     with pytest.raises(AnsatzExhausted):
-        reduce_once(S0, cfg, zc=zc, events=events)
+        reduce_top(S0, zc, events, cfg)
     # the exhausted scan logs its one entry, with nothing to show as c
     scan, = [e for e in events if e["kind"] == "ansatz"]
     assert scan["count"] == 0 and not {"first", "last"} & set(scan)
@@ -234,7 +241,7 @@ def test_necessary_condition_budget_exhaustion(sin_sys, zc, monkeypatch):
 
 
 def test_necessary_condition_no_directions(sin_sys, zc):
-    S0 = from_control_system(sin_sys)
+    S0 = from_control_system(sin_sys, zc)
     tabs = _field_row_tables(S0, [])
     assert list(_candidate_stream(S0, [], tabs, AnsatzConfig(), zc)) == []
 
@@ -243,7 +250,7 @@ def test_necessary_condition_no_directions(sin_sys, zc):
 
 def test_refine_accepts_characteristic_field(chain, zc):
     cs = chain(2)
-    S0 = from_control_system(cs)
+    S0 = from_control_system(cs, zc)
     u = coord(cs, "u")
     x1, x2 = coord(cs, "x1"), coord(cs, "x2")
     cand = PfaffianSystem(S0.chart, [oneform(S0.chart, {x1: ONE, T: neg(var(x2))})], zc)
@@ -255,7 +262,7 @@ def test_refine_accepts_characteristic_field(chain, zc):
 
 def test_refine_rejects_non_invariant_field(chain, zc):
     cs = chain(2)
-    S0 = from_control_system(cs)
+    S0 = from_control_system(cs, zc)
     x1, x2 = coord(cs, "x1"), coord(cs, "x2")
     cand = PfaffianSystem(S0.chart, [oneform(S0.chart, {x1: ONE, T: neg(var(x2))})], zc)
     # d_x2 annihilates the generator but fails the invariance condition
@@ -268,7 +275,7 @@ def test_refine_rejects_non_invariant_field(chain, zc):
 
 def test_refine_rejects_non_involutive_pair(chain, zc):
     cs = chain(3)
-    S0 = from_control_system(cs)
+    S0 = from_control_system(cs, zc)
     x1, x2, x3 = (coord(cs, n) for n in ("x1", "x2", "x3"))
     empty = PfaffianSystem(S0.chart, [], zc)
     v1 = VectorField(S0.chart, {x1: ONE})
@@ -302,8 +309,8 @@ def test_check_parameterizable_cases(zc):
 
 def test_reduce_once_chain_straightens_the_input(chain, zc):
     cs = chain(3)
-    S0 = from_control_system(cs)
-    splits = reduce_once(S0, AnsatzConfig(), zc=zc)
+    S0 = from_control_system(cs, zc)
+    splits = reduce_top(S0, zc)
     assert len(splits) == 1
     sp = splits[0]
     u = coord(cs, "u")
@@ -315,9 +322,9 @@ def test_reduce_once_chain_straightens_the_input(chain, zc):
 
 
 def test_reduce_once_sin_level0(sin_sys, zc):
-    S0 = from_control_system(sin_sys)
+    S0 = from_control_system(sin_sys, zc)
     events = []
-    splits = reduce_once(S0, AnsatzConfig(), zc=zc, events=events)
+    splits = reduce_top(S0, zc, events)
     assert len(splits) == 1
     sp = splits[0]
     u1, u2 = coord(sin_sys, "u1"), coord(sin_sys, "u2")
@@ -333,8 +340,8 @@ def test_reduce_once_sin_level0(sin_sys, zc):
 
 def test_splitting_verify_detects_corruption(chain, zc):
     cs = chain(3)
-    S0 = from_control_system(cs)
-    sp = reduce_once(S0, AnsatzConfig(), zc=zc)[0]
+    S0 = from_control_system(cs, zc)
+    sp = reduce_top(S0, zc)[0]
     x1 = coord(cs, "x1")
     horizontal = Distribution(S0.chart, [VectorField(S0.chart, {x1: ONE})], zc)
     assert not splitting_holds(dataclasses.replace(sp, F=horizontal), S0, zc)
@@ -372,10 +379,10 @@ def test_derived_system_is_the_joint_span(name, seed, monkeypatch):
 
 
 def test_reduce_once_builds_the_tables_once(coupled_sys, zc, monkeypatch):
-    S0 = from_control_system(coupled_sys)
+    S0 = from_control_system(coupled_sys, zc)
     assert vertical_annihilator(S0, zc).dim == 2
     calls = _recording_tables(monkeypatch)
-    splits = reduce_once(S0, AnsatzConfig(), zc=zc)
+    splits = reduce_top(S0, zc)
     # the joint candidate and the scan both found a splitting
     assert sorted(sp.F.dim for sp in splits) == [1, 2]
     assert len(calls) == 1
@@ -390,7 +397,8 @@ def expr_for(cs, text):
 
 def outputs_of(res):
     deep = res.sequence[-1].S_next.chart
-    theta, _ = sequence_transforms(from_control_system(res.system).chart,
+    zc = ZeroCtx(res.config.zero_budget, res.config.seed)
+    theta, _ = sequence_transforms(from_control_system(res.system, zc).chart,
                                    res.sequence)
     return [theta.inverse[s] for s in deep.coords]
 
@@ -421,7 +429,7 @@ def test_run_decomposition_sin(sin_sys):
 
 def test_run_decomposition_sin_splittings_verify(sin_sys, zc):
     res = run_decomposition(sin_sys)
-    parent = from_control_system(sin_sys)
+    parent = from_control_system(sin_sys, zc)
     for sp in res.sequence:
         assert splitting_holds(sp, parent, zc)
         parent = sp.S_next
@@ -433,7 +441,7 @@ def test_run_decomposition_coupled(coupled_sys, zc):
     assert [sp.S_next.dim for sp in res.sequence] == [3, 2, 1, 0]
     want = [expr_for(coupled_sys, "x1 - u2*x2"), expr_for(coupled_sys, "x4")]
     assert match_up_to_sign(outputs_of(res), want)
-    parent = from_control_system(coupled_sys)
+    parent = from_control_system(coupled_sys, zc)
     for sp in res.sequence:
         assert splitting_holds(sp, parent, zc)
         parent = sp.S_next
@@ -462,7 +470,7 @@ def test_run_decomposition_chains(chain, zc):
         dims = [sp.S_next.dim for sp in res.sequence]
         assert dims == list(range(n - 1, -1, -1))
         # single-input chains reduce along the derived flag throughout
-        parent = from_control_system(cs)
+        parent = from_control_system(cs, zc)
         for sp in res.sequence:
             assert sp.F.dim == 1
             assert splitting_holds(sp, parent, zc)
@@ -495,9 +503,9 @@ def test_branch_log_shape(sin_sys):
         assert e["parent"] is None or e["parent"] < e["id"]
 
 
-def test_sequence_transforms_chart_bookkeeping(sin_sys):
+def test_sequence_transforms_chart_bookkeeping(sin_sys, zc):
     res = run_decomposition(sin_sys)
-    S0 = from_control_system(sin_sys)
+    S0 = from_control_system(sin_sys, zc)
     theta, exts = sequence_transforms(S0.chart, res.sequence)
     assert theta.target == S0.chart
     assert len(exts) == len(res.sequence)
@@ -525,7 +533,7 @@ def _level(S, zc):
 
 def _first_level(name, zc):
     cs = parse_system((DATA / f"{name}.fds").read_text())
-    return _level(from_control_system(cs), zc)
+    return _level(from_control_system(cs, zc), zc)
 
 
 @pytest.mark.parametrize("name", ["nfd", "nfd2", "nfd4", "coupled", "chain4",
@@ -534,7 +542,7 @@ def test_screen_agrees_with_symbolic_path(name, zc):
     if name == "coupled-joint":
         # below coupled's joint splitting (a dead end) the screen mostly skips
         S0 = _first_level("coupled", zc)[0]
-        joint = next(sp for sp in reduce_once(S0, AnsatzConfig(), zc=zc)
+        joint = next(sp for sp in reduce_top(S0, zc)
                      if sp.F.dim == 2)
         S, basis, tabs = _level(joint.S_next, zc)
     else:
@@ -592,7 +600,7 @@ def _plain_combination(c, basis):
 def test_combine_is_the_plain_sum(name, zc):
     cs = _corpus(name)
     res = run_decomposition(cs)
-    levels = [from_control_system(cs)] + [sp.S_next for sp in res.sequence]
+    levels = [from_control_system(cs, zc)] + [sp.S_next for sp in res.sequence]
     rng = random.Random(3)
     multi = zeros = 0
     for S in levels:
@@ -691,7 +699,7 @@ def test_dual_nullspace_is_value_and_derivative():
     rows = [[X, Y, mul(X, Y), ONE],
             [pow_(Y, 2), add(X, W), ONE, mul(W, X)]]
     v = VectorField(Chart((x, y, w)), {x: Y, y: ONE, w: mul(X, W)})
-    red, pivots = rre_divided(rows, ZeroCtx())
+    red, pivots = row_echelon(rows, ZeroCtx())
     pivot_cols = [c for _, c in pivots]
     basis = []
     for f in range(4):
@@ -723,7 +731,7 @@ def test_screen_pencil_is_value_and_derivative(name, zc):
     # symbolic pencil evaluated at the same point
     if name == "coupled-joint":
         S0 = _first_level("coupled", zc)[0]
-        joint = next(sp for sp in reduce_once(S0, AnsatzConfig(), zc=zc)
+        joint = next(sp for sp in reduce_top(S0, zc)
                      if sp.F.dim == 2)
         S, basis, tabs = _level(joint.S_next, zc)
     else:
@@ -752,7 +760,7 @@ def test_screen_pencil_is_value_and_derivative(name, zc):
 
 def test_function_levels_bypass_screen(sin_sys, zc):
     res = run_decomposition(sin_sys)
-    levels = [from_control_system(sin_sys)] + [sp.S_next for sp in res.sequence]
+    levels = [from_control_system(sin_sys, zc)] + [sp.S_next for sp in res.sequence]
     for S in levels[:-1]:
         assert not _Screen(*_level(S, zc), zc).usable
     # a Func-free level still hands a candidate with a function in c over

@@ -38,7 +38,7 @@ def sin_phi(chart, x1, x2, x3, u1, u2):
 # -- construction --------------------------------------------------------------
 
 def test_from_control_system_sin(sin_sys, zc):
-    S0 = from_control_system(sin_sys)
+    S0 = from_control_system(sin_sys, zc)
     assert S0.dim == 3
     assert S0.chart.coords == sin_sys.states + sin_sys.inputs
     x1, u1, u2 = (coord(sin_sys, n) for n in ("x1", "u1", "u2"))
@@ -50,7 +50,7 @@ def test_from_control_system_sin(sin_sys, zc):
 
 
 def test_from_control_system_coupled(coupled_sys, zc):
-    S0 = from_control_system(coupled_sys)
+    S0 = from_control_system(coupled_sys, zc)
     assert S0.dim == 4
     x2, x3, x1, u2 = (coord(coupled_sys, n) for n in ("x2", "x3", "x1", "u2"))
     g2 = one_coeffs(S0.generators[1])
@@ -66,7 +66,7 @@ def annihilator(P, zc):
     basis = nullspace(P.rows(), len(axes), zc)
     return Distribution(P.chart, [VectorField(P.chart, {
         s: c for s, c in zip(axes, row) if c is not ZERO}) for row in basis],
-        assume_independent=True)
+        zc)
 
 
 def test_annihilator_single_form(zc):
@@ -83,7 +83,7 @@ def test_annihilator_single_form(zc):
 
 def test_vertical_annihilator_is_input_directions(sin_sys, coupled_sys, zc):
     for cs in (sin_sys, coupled_sys):
-        S0 = from_control_system(cs)
+        S0 = from_control_system(cs, zc)
         V = vertical_annihilator(S0, zc)
         assert V.dim == len(cs.inputs)
         for u in cs.inputs:
@@ -94,7 +94,7 @@ def test_vertical_annihilator_is_input_directions(sin_sys, coupled_sys, zc):
 
 
 def test_vertical_annihilator_inside_annihilator(sin_sys, zc):
-    S0 = from_control_system(sin_sys)
+    S0 = from_control_system(sin_sys, zc)
     A = annihilator(S0, zc)
     for v in vertical_annihilator(S0, zc).generators:
         assert A.contains(v, zc)
@@ -116,7 +116,7 @@ def test_vertical_annihilator_eq22(zc):
 # -- derived systems ------------------------------------------------------------
 
 def test_derived_sin_is_phi(sin_sys, zc):
-    S0 = from_control_system(sin_sys)
+    S0 = from_control_system(sin_sys, zc)
     D = derived_system(S0, zc)
     assert D.dim == 1
     names = ("x1", "x2", "x3", "u1", "u2")
@@ -130,7 +130,7 @@ def test_derived_sin_is_phi(sin_sys, zc):
 
 def test_derived_double_integrator(chain, zc):
     cs = chain(2)
-    S0 = from_control_system(cs)
+    S0 = from_control_system(cs, zc)
     D = derived_system(S0, zc)
     x1, x2 = cs.states
     expected = PfaffianSystem(
@@ -150,7 +150,7 @@ def test_derived_eq22_vanishes(zc):
 
 
 def test_derived_coupled(coupled_sys, zc):
-    S0 = from_control_system(coupled_sys)
+    S0 = from_control_system(coupled_sys, zc)
     D = derived_system(S0, zc)
     x1, x2, x3, x4 = coupled_sys.states
     expected = PfaffianSystem(S0.chart, [
@@ -163,7 +163,7 @@ def test_derived_coupled(coupled_sys, zc):
 
 def test_derived_flag_chain(chain, zc):
     cs = chain(4)
-    S0 = from_control_system(cs)
+    S0 = from_control_system(cs, zc)
     flag = derived_flag(S0, zc)
     assert [P.dim for P in flag] == [4, 3, 2, 1, 0]
     for k, P in enumerate(flag[1:]):
@@ -175,7 +175,7 @@ def test_derived_flag_chain(chain, zc):
 
 def test_derived_contained_in_parent(sin_sys, coupled_sys, zc):
     for cs in (sin_sys, coupled_sys):
-        S0 = from_control_system(cs)
+        S0 = from_control_system(cs, zc)
         for g in derived_system(S0, zc).generators:
             assert S0.contains(g, zc)
 
@@ -207,7 +207,7 @@ def test_cauchy_eq24(zc):
 def test_cauchy_of_control_system_is_trivial(sin_sys, zc):
     # explicit dynamics leave no characteristic directions: no coordinate
     # field, and no field of the annihilator, the time flow included
-    S0 = from_control_system(sin_sys)
+    S0 = from_control_system(sin_sys, zc)
     fields = [VectorField(S0.chart, {s: ONE}) for s in S0.chart.axes]
     fields += annihilator(S0, zc).generators
     assert not any(is_characteristic(v, S0, zc) for v in fields)
@@ -216,7 +216,7 @@ def test_cauchy_of_control_system_is_trivial(sin_sys, zc):
 # -- involutivity and integrability ----------------------------------------------
 
 def test_involutive_coordinate_fields(sin_sys, zc):
-    S0 = from_control_system(sin_sys)
+    S0 = from_control_system(sin_sys, zc)
     V = vertical_annihilator(S0, zc)
     assert is_involutive(V, zc)
 
@@ -248,7 +248,7 @@ def test_integrable_with_dt(zc, sin_sys):
     P = PfaffianSystem(chart, [oneform(chart, {x1: ONE, T: neg(var(x2))})], zc)
     assert is_integrable_with_dt(P, zc)
     assert is_integrable_with_dt(PfaffianSystem(chart, [], zc), zc)
-    S0 = from_control_system(sin_sys)
+    S0 = from_control_system(sin_sys, zc)
     names = ("x1", "x2", "x3", "u1", "u2")
     phi = sin_phi(S0.chart, *(coord(sin_sys, n) for n in names))
     assert not is_integrable_with_dt(PfaffianSystem(S0.chart, [phi], zc), zc)
@@ -256,12 +256,12 @@ def test_integrable_with_dt(zc, sin_sys):
 
 def test_coupled_derived_not_integrable(coupled_sys, zc):
     # the joint dead-end branch exists despite failing the derived shortcut
-    S0 = from_control_system(coupled_sys)
+    S0 = from_control_system(coupled_sys, zc)
     assert not is_integrable_with_dt(derived_system(S0, zc), zc)
 
 
 def test_chain_flag_all_integrable(chain, zc):
-    S0 = from_control_system(chain(3))
+    S0 = from_control_system(chain(3), zc)
     for P in derived_flag(S0, zc)[1:]:
         assert is_integrable_with_dt(P, zc)
 
@@ -270,7 +270,7 @@ def test_chain_flag_all_integrable(chain, zc):
 
 def test_restrict_scaling_flow_reproduces_reduced_basis(sin_sys, zc):
     # S1 of the worked example restricts to {dw3 - sin(w4)dt, dw1 - w4 dw2}
-    S0 = from_control_system(sin_sys)
+    S0 = from_control_system(sin_sys, zc)
     chart = S0.chart
     x1, x2, x3, u1, u2 = (coord(sin_sys, n)
                           for n in ("x1", "x2", "x3", "u1", "u2"))
@@ -313,7 +313,7 @@ def test_restrict_rejects_lingering_dependence(zc):
 
 
 def test_restrict_coupled_level0(coupled_sys, zc):
-    S0 = from_control_system(coupled_sys)
+    S0 = from_control_system(coupled_sys, zc)
     chart = S0.chart
     u1 = coord(coupled_sys, "u1")
     S1 = PfaffianSystem(
@@ -339,7 +339,7 @@ def test_restrict_coupled_level0(coupled_sys, zc):
 def test_derived_condition_vanishes_on_vertical_fields(sin_sys, coupled_sys,
                                                        chain, zc):
     # for v in V(S)^perp and omega in S^(1): (v . d omega) ^ top == 0
-    systems = [from_control_system(cs)
+    systems = [from_control_system(cs, zc)
                for cs in (sin_sys, coupled_sys, chain(2), chain(3))]
     for S in systems:
         top = S.top_form()
@@ -353,7 +353,7 @@ def test_derived_condition_vanishes_on_vertical_fields(sin_sys, coupled_sys,
 
 def test_flag_dims_strictly_descend(sin_sys, coupled_sys, zc):
     for cs in (sin_sys, coupled_sys):
-        flag = derived_flag(from_control_system(cs), zc)
+        flag = derived_flag(from_control_system(cs, zc), zc)
         dims = [P.dim for P in flag]
         assert all(a > b for a, b in zip(dims, dims[1:]))
 
@@ -361,7 +361,7 @@ def test_flag_dims_strictly_descend(sin_sys, coupled_sys, zc):
 def test_cauchy_result_involutive(coupled_sys, zc):
     # the inputs are the characteristic directions of coupled's derived
     # system; function multiples and brackets of them stay characteristic
-    S0 = from_control_system(coupled_sys)
+    S0 = from_control_system(coupled_sys, zc)
     D = derived_system(S0, zc)
     u1, u2, x3 = (coord(coupled_sys, n) for n in ("u1", "u2", "x3"))
     v = VectorField(S0.chart, {u1: var(u2)})
@@ -373,7 +373,7 @@ def test_cauchy_result_involutive(coupled_sys, zc):
 
 
 def test_span_normalization_drops_dependent_generators(sin_sys, zc):
-    S0 = from_control_system(sin_sys)
+    S0 = from_control_system(sin_sys, zc)
     doubled = list(S0.generators) + [S0.generators[0]]
     P = PfaffianSystem(S0.chart, doubled, zc)
     assert P.dim == 3

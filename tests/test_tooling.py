@@ -97,6 +97,24 @@ def test_every_import_is_read():
     assert not found, "imported but never read: " + "; ".join(found)
 
 
+def test_no_zero_context_has_a_default():
+    # a defaulted zc decides with its own budget and seed, not the ones the
+    # command line asked for
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            a = node.args
+            positional = a.posonlyargs + a.args
+            defaulted = positional[len(positional) - len(a.defaults):] + [
+                arg for arg, d in zip(a.kwonlyargs, a.kw_defaults)
+                if d is not None]
+            if any(arg.arg == "zc" for arg in defaulted):
+                found.append(f"{path.name}:{node.lineno} {node.name}")
+    assert not found, "zc with a default: " + "; ".join(found)
+
+
 def _traced():
     """TRACED of perfbench/spans.py, read without importing the benchmark."""
     tree = ast.parse((ROOT / "perfbench" / "spans.py").read_text(encoding="utf-8"))

@@ -187,7 +187,7 @@ def test_recovery_closed_form_point(sin_cert):
     assert abs(u["u1"][0] / u["u2"][0] - math.asin(0.5)) < 1e-9
     assert abs(x["x1"][0] - u["u1"][0] * x["x2"][0] / u["u2"][0] - 1.5) < 1e-9
     # a single sample has no neighbour to take a divided difference with
-    assert math.isnan(_dynamics_residual(engine, ts, x, u, np.ones(1, bool)))
+    assert math.isnan(_dynamics_residual(engine, ts, x, u))
 
 
 def test_recovery_integrator_chain_exact(chain_m, zc):
@@ -200,11 +200,8 @@ def test_recovery_integrator_chain_exact(chain_m, zc):
     assert np.abs(x["x1"] - ts ** 3).max() < 1e-12
     assert np.abs(x["x2"] - 3 * ts ** 2).max() < 1e-9
     # midpoint defect of the cubic on the coarse grid: (dt)^2 / 2
-    defect = _dynamics_residual(engine, ts, x, u, np.ones(len(ts), bool))
+    defect = _dynamics_residual(engine, ts, x, u)
     assert abs(defect - 0.125) < 1e-9
-    # a failed sample takes no part: without sample 2 the widest gap is 0.5
-    ok = np.array([True, True, False, True])
-    assert abs(_dynamics_residual(engine, ts, x, u, ok) - 0.03125) < 1e-9
 
 
 def test_recovery_constant_output_degenerates(sin_cert):
