@@ -12,17 +12,14 @@ import json
 import sys
 import time
 
-from .decompose import AnsatzConfig, run_decomposition
+from .decompose import run_decomposition
 from .exterior import Chart, ChartTransform, T, oneform
 from .linalg import RankDecisionFailed, ZeroCtx
-from .pfaffian import (
-    derived_flag, from_control_system, is_integrable_with_dt,
-    vertical_annihilator,
-)
+from .pfaffian import derived_flag, from_control_system, is_integrable_with_dt
 from .symexpr import AUX, Symbol
 from .sysdsl import (
-    ParseError, SemanticError, field_dict, form_dict, parse_expr,
-    parse_system, render,
+    ParseError, SemanticError, check_inputs_independent, field_dict,
+    form_dict, parse_expr, parse_system, render,
 )
 from .triangular import (
     Block, FlatnessCertificate, OutputCountMismatch, StructureViolation,
@@ -34,15 +31,14 @@ SHORTCUT_NOTE = "static-feedback-linearizable shortcut applicable"
 SCHEMA = "flatdec/1"
 
 
-def _read_system(path: str):
+def _read_system(path: str, zc: ZeroCtx):
+    """The file's text and system, its inputs checked with the command's
+    zero test."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    return text, parse_system(text)
-
-
-def _config(args) -> AnsatzConfig:
-    return AnsatzConfig(max_degree=args.max_degree, zero_budget=args.samples,
-                        seed=args.seed, max_depth=args.max_depth)
+    cs = parse_system(text)
+    check_inputs_independent(cs, zc)
+    return text, cs
 
 
 def _base_report(command: str, path: str, text: str, cs, args) -> dict:
@@ -87,22 +83,20 @@ def _emit(report: dict, args, timer: dict) -> None:
 
 def cmd_analyze(args) -> int:
     t0 = time.perf_counter()
-    text, cs = _read_system(args.file)
     zc = ZeroCtx(budget=args.samples, seed=args.seed)
+    text, cs = _read_system(args.file, zc)
     S0 = from_control_system(cs, zc)
-    flag = derived_flag(S0, zc)
     levels = []
-    for k, P in enumerate(flag):
-        V = vertical_annihilator(P, zc)
+    for k, (P, V, tabs) in enumerate(derived_flag(S0, zc)):
         levels.append({
             "level": k,
             "dimension": P.dim,
             "generators": [form_dict(g) for g in P.generators],
             "vertical_annihilator": [field_dict(v) for v in V.generators],
-            "integrable_with_dt": is_integrable_with_dt(P, zc),
+            "integrable_with_dt": is_integrable_with_dt(P, tabs, zc),
         })
-    shortcut = flag[-1].dim == 0 and all(l["integrable_with_dt"]
-                                         for l in levels)
+    shortcut = levels[-1]["dimension"] == 0 and all(
+        l["integrable_with_dt"] for l in levels)
     report = _base_report("analyze", args.file, text, cs, args)
     report["analysis"] = {
         "pfaffian_dimension": S0.dim,
@@ -129,7 +123,7 @@ def cmd_analyze(args) -> int:
 
 def _certificate_json(cert: FlatnessCertificate) -> dict:
     td = cert.decomposition
-    phi = cert.transform
+    phi = td.transform
     return {
         "chart": [c.name for c in td.chart.coords],
         "blocks": [{"index": b.index,
@@ -252,16 +246,16 @@ def _certificate_load(obj, cs) -> FlatnessCertificate:
     td = TriangularDecomposition(chart=final, blocks=tuple(blocks),
                                  equations=tuple(equations), transform=phi,
                                  system=cs)
-    return FlatnessCertificate(system=cs, decomposition=td,
+    return FlatnessCertificate(decomposition=td,
                                outputs=tuple(base_expr(y) for y in outputs),
-                               order=order, transform=phi)
+                               order=order)
 
 
 def cmd_decompose(args) -> int:
     t0 = time.perf_counter()
-    text, cs = _read_system(args.file)
-    cfg = _config(args)
-    res = run_decomposition(cs, cfg)
+    zc = ZeroCtx(budget=args.samples, seed=args.seed)
+    text, cs = _read_system(args.file, zc)
+    res = run_decomposition(cs, zc, args.max_degree, args.max_depth)
     report = _base_report("decompose", args.file, text, cs, args)
     report["decomposition"] = {
         "status": res.status,
@@ -276,8 +270,7 @@ def cmd_decompose(args) -> int:
         _emit(report, args, timer)
         return 3
 
-    zc = ZeroCtx(budget=args.samples, seed=args.seed)
-    td = from_sequence(res.sequence, zc, system=cs)
+    td = from_sequence(res.sequence, zc, cs)
     cert = extract_flat_output(td)
     report["certificate"] = _certificate_json(cert)
     report["decomposition"]["blocks"] = report["certificate"]["blocks"]
@@ -333,9 +326,9 @@ def _verification_text(items, verdict) -> str:
 
 def cmd_verify(args) -> int:
     t0 = time.perf_counter()
-    text, cs = _read_system(args.file)
-    report = _base_report("verify", args.file, text, cs, args)
     zc = ZeroCtx(budget=args.samples, seed=args.seed)
+    text, cs = _read_system(args.file, zc)
+    report = _base_report("verify", args.file, text, cs, args)
 
     if args.certificate:
         try:
@@ -348,13 +341,12 @@ def cmd_verify(args) -> int:
             raise CertificateError(f"certificate is not JSON: {ex}") from None
         cert = _certificate_load(obj, cs)
     elif args.outputs:
-        cfg = _config(args)
-        res = run_decomposition(cs, cfg)
+        res = run_decomposition(cs, zc, args.max_degree, args.max_depth)
         if res.status != "Triangularized":
             print(f"{cs.name}: {res.status}, nothing to verify against",
                   file=sys.stderr)
             return 3
-        td = from_sequence(res.sequence, zc, system=cs)
+        td = from_sequence(res.sequence, zc, cs)
         cert = extract_flat_output(td)
         claimed = tuple(parse_expr(part.strip(),
                                    tuple(cs.states) + tuple(cs.inputs))

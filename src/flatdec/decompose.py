@@ -10,17 +10,18 @@ is assembled from; branches are explored depth first with backtracking.
 from dataclasses import dataclass
 
 from .exterior import (
-    ChartTransform, NotSolvable, VectorField, compose, contract, d,
-    extend_transform, identity_transform, one_coeffs, oneform, pullback,
-    pushforward, scale, straighten_flow, wedge, zero_form,
+    ChartTransform, NotSolvable, VectorField, compose, extend_transform,
+    identity_transform, one_coeffs, oneform, pullback, pushforward,
+    straighten_flow,
 )
 from .linalg import (
     ZeroCtx, in_span_mod_p, independent_rows, nullspace, nullspace_mod_p,
     row_echelon_mod_p,
 )
 from .pfaffian import (
-    Distribution, NotReducible, PfaffianSystem, from_control_system,
-    is_characteristic, is_involutive, restrict_to_subchart, solves_for,
+    Distribution, NotReducible, PfaffianSystem, contraction_tables,
+    derived_system, from_control_system, is_characteristic, is_involutive,
+    restrict_to_subchart, solves_for, span_from_solutions,
     vertical_annihilator,
 )
 from .symexpr import (
@@ -32,14 +33,6 @@ from .sysdsl import field_dict, form_dict, render
 
 class AnsatzExhausted(RuntimeError):
     """No candidate subsystem passed the necessary condition within budget."""
-
-
-@dataclass(frozen=True)
-class AnsatzConfig:
-    max_degree: int = 2
-    zero_budget: int = 20
-    seed: int = 0
-    max_depth: int = 8
 
 
 # coefficient tuples the ansatz scan tries per level
@@ -55,7 +48,6 @@ class Splitting:
     straightened chart, which is transform.source.
     """
 
-    level: int
     F: Distribution
     S_next: PfaffianSystem
     S_comp: PfaffianSystem
@@ -68,8 +60,6 @@ class DecompositionResult:
     status: str  # Triangularized | Inconclusive | NotReducible
     sequence: tuple
     branch_log: tuple
-    system: object
-    config: AnsatzConfig
 
 
 # -- chart and field helpers -------------------------------------------------------
@@ -106,55 +96,6 @@ def _combine(c, basis):
 
 # -- the necessary condition --------------------------------------------------------
 
-def _field_row_tables(S: PfaffianSystem, basis):
-    """A level's contractions and row tables, built once per level.
-
-    Returns (C, tables, keys): C[i][j] is the 1-form b_i . d g_j; tables[i]
-    maps a wedge index to a row of coefficients, one per generator, where
-    row r states that sum_j a_j ((b_i . d g_j) ^ Omega) vanishes on that
-    wedge index; keys are all wedge indices, sorted.  The tables are
-    combined linearly when a field is a coefficient combination of the
-    basis.
-    """
-    gens = S.generators
-    top = S.top_form()
-    dg = [d(g) for g in gens]
-    C = []
-    tables = []
-    keys = set()
-    for v in basis:
-        Ci = [contract(v, w) for w in dg]
-        tab = {}
-        for j, w in enumerate(Ci):
-            for idx, cexpr in wedge(w, top).coeffs.items():
-                tab.setdefault(idx, [ZERO] * len(gens))[j] = cexpr
-        C.append(Ci)
-        tables.append(tab)
-        keys.update(tab)
-    return C, tables, sorted(keys)
-
-
-def _span_from_solutions(S: PfaffianSystem, sols, zc: ZeroCtx) -> PfaffianSystem:
-    combos = []
-    for a in sols:
-        f = zero_form(S.chart, 1)
-        for aj, g in zip(a, S.generators):
-            f = f + scale(g, aj)
-        combos.append(f)
-    return PfaffianSystem(S.chart, combos, zc)
-
-
-def _combination_span(S: PfaffianSystem, tabs, zc: ZeroCtx) -> PfaffianSystem:
-    """Span of generator combinations invariant along every basis field of
-    the level's tables tabs (_field_row_tables)."""
-    if S.dim == 0:
-        return PfaffianSystem(S.chart, [], zc)
-    _, tables, _ = tabs
-    rows = [tab[idx] for tab in tables for idx in sorted(tab)]
-    sols = nullspace(rows, len(S.generators), zc)
-    return _span_from_solutions(S, sols, zc)
-
-
 def _bounded_exponents(n: int, d: int):
     """Integer vectors of length n with absolute values summing to at most d."""
     if n == 0:
@@ -165,7 +106,7 @@ def _bounded_exponents(n: int, d: int):
             yield (e,) + rest
 
 
-def monomial_pool(chart, cfg: AnsatzConfig):
+def monomial_pool(chart, max_degree: int):
     """Monomials of bounded total absolute degree in the chart coordinates,
     as (monomial, exponent vector) pairs, simplest monomial first.
 
@@ -174,7 +115,7 @@ def monomial_pool(chart, cfg: AnsatzConfig):
     """
     coords = chart.coords
     out = []
-    for expo in _bounded_exponents(len(coords), cfg.max_degree):
+    for expo in _bounded_exponents(len(coords), max_degree):
         factors = [pow_(var(s), e) for s, e in zip(coords, expo) if e]
         out.append((mul(*factors) if factors else ONE, expo))
     return sorted(out, key=lambda m: (m[0].nodes, structural_key(m[0])))
@@ -305,8 +246,6 @@ class _Screen:
         return self._points[k]
 
     def decide(self, c):
-        if any(x.needs_mp for x in c):
-            return None
         for x in c:
             if x not in self._dc:
                 self._dc[x] = [_along(b, x) for b in self.basis]
@@ -366,10 +305,10 @@ def _lincomb(coeffs, rows):
     return [o % PRIME for o in out]
 
 
-def _coefficient_vectors(chart, k: int, cfg: AnsatzConfig):
+def _coefficient_vectors(chart, k: int, max_degree: int):
     """The scan's coefficient tuples: simplest first, one per projective
     class, at most MAX_CANDIDATES of them."""
-    pool = monomial_pool(chart, cfg)
+    pool = monomial_pool(chart, max_degree)
     items = [ZERO] + [m for m, _ in pool]
     expos = [None] + [e for _, e in pool]
     seen = set()
@@ -391,10 +330,10 @@ def _pencil_rows(tables, keys, c, m: int):
              for j in range(m)] for idx in keys]
 
 
-def _candidate_stream(S: PfaffianSystem, basis, tabs,
-                      cfg: AnsatzConfig, zc: ZeroCtx):
+def _candidate_stream(S: PfaffianSystem, basis, tabs, max_degree: int,
+                      zc: ZeroCtx):
     """Lazily yield single-field candidates (c, S_candidate) over the
-    vertical basis, from the level's tables tabs (_field_row_tables).
+    vertical basis, from the level's tables tabs (contraction_tables).
 
     On Func-free levels each c first meets the sample-point screen (_Screen):
     candidates that fail the necessary condition there are skipped before
@@ -410,7 +349,7 @@ def _candidate_stream(S: PfaffianSystem, basis, tabs,
     screen = _Screen(S, basis, tabs, zc)
     if not screen.usable:
         screen = None
-    for c in _coefficient_vectors(S.chart, k, cfg):
+    for c in _coefficient_vectors(S.chart, k, max_degree):
         verdict = screen.decide(c) if screen else None
         if verdict == _SKIP:
             continue
@@ -420,7 +359,7 @@ def _candidate_stream(S: PfaffianSystem, basis, tabs,
         sols = nullspace(_pencil_rows(tables, keys, c, len(gens)), len(gens), zc)
         if len(sols) != want:
             continue
-        cand = _span_from_solutions(S, sols, zc)
+        cand = span_from_solutions(S, sols, zc)
         if cand.dim != want:
             continue
         yield tuple(c), cand
@@ -503,7 +442,7 @@ def _straighten_level(F: Distribution, zc: ZeroCtx, naming: _Prefixes):
                     continue
                 comps[s] = e
             cur = VectorField(moved.chart, comps)
-        step = straighten_flow(cur, zc, prefix=naming.take())
+        step = straighten_flow(cur, zc, naming.take())
         renamed = []
         for p in params:
             e = step.forward[p]
@@ -523,22 +462,23 @@ def _complement(S: PfaffianSystem, S_sub: PfaffianSystem, zc: ZeroCtx):
 
 # -- one reduction layer ----------------------------------------------------------------
 
-def reduce_once(S: PfaffianSystem, cfg: AnsatzConfig, zc: ZeroCtx,
-                naming: _Prefixes, level: int, events: list):
+def reduce_once(S: PfaffianSystem, max_degree: int, zc: ZeroCtx,
+                naming: _Prefixes, events: list):
     """Every verified splitting of S, in search order.
 
     Order: the joint candidate over all vertical directions, then single
     combined fields by ascending coefficient size, up to the first one
     accepted.  Both read the contractions and row tables that
-    _field_row_tables builds once for the level.  Candidate rejections that
-    reached verification are appended to events, except that the scan's
-    candidates whose field is not characteristic are counted in one entry
-    for the level, with the first and last such c.  Raises AnsatzExhausted,
+    contraction_tables builds once for the level; the joint candidate is
+    derived_system over them.  Candidate rejections that reached
+    verification are appended to events, except that the scan's candidates
+    whose field is not characteristic are counted in one entry for the
+    level, with the first and last such c.  Raises AnsatzExhausted,
     after that entry, when nothing is accepted.
     """
     V = vertical_annihilator(S, zc)
     basis = list(V.generators)
-    tabs = _field_row_tables(S, basis)
+    tabs = contraction_tables(S, basis)
     out = []
     rejected = []  # scanned c whose field is not characteristic
 
@@ -572,17 +512,17 @@ def reduce_once(S: PfaffianSystem, cfg: AnsatzConfig, zc: ZeroCtx,
             nxt = restrict_to_subchart(cand, phi, params, zc)
         except NotReducible as ex:
             return reject(f"restriction blocked: {ex}", restrict_failed=True)
-        out.append(Splitting(level, F, nxt, comp, phi, tuple(params)))
+        out.append(Splitting(F, nxt, comp, phi, tuple(params)))
 
     if 2 <= V.dim <= S.dim and is_involutive(V, zc):
-        consider(basis, _combination_span(S, tabs, zc), "joint")
+        consider(basis, derived_system(S, tabs, zc), "joint")
     # The tuple stream is ordered simplest-first and deduplicated up to
     # scale, so the first field surviving the full check chain is kept and
     # the scan stops; alternatives at this level would only differ by a
     # more complicated coefficient vector.
     tried = 0
     before = len(out)
-    for c, cand in _candidate_stream(S, basis, tabs, cfg, zc):
+    for c, cand in _candidate_stream(S, basis, tabs, max_degree, zc):
         tried += 1
         if cand is None:
             rejected.append(c)
@@ -626,15 +566,15 @@ def sequence_transforms(base_chart, sequence):
     return theta, exts
 
 
-def run_decomposition(cs, cfg: AnsatzConfig = None) -> DecompositionResult:
+def run_decomposition(cs, zc: ZeroCtx, max_degree: int,
+                      max_depth: int) -> DecompositionResult:
     """Depth-first reduction of the system's Pfaffian form.
 
-    Triangularized iff some branch empties the system within the depth
-    budget; otherwise Inconclusive, or NotReducible when restriction
-    failures were the only way branches died.
+    Triangularized iff some branch empties the system within max_depth
+    levels; otherwise Inconclusive, or NotReducible when restriction
+    failures were the only way branches died.  The ansatz scan combines
+    the vertical fields with monomials of total degree up to max_degree.
     """
-    cfg = cfg or AnsatzConfig()
-    zc = ZeroCtx(cfg.zero_budget, cfg.seed)
     S0 = from_control_system(cs, zc)
     naming = _Prefixes({s.name for s in S0.chart.axes})
     log = []
@@ -645,16 +585,15 @@ def run_decomposition(cs, cfg: AnsatzConfig = None) -> DecompositionResult:
     def explore(S, level, parent):
         if S.dim == 0:
             return True
-        if level >= cfg.max_depth:
+        if level >= max_depth:
             log.append({"id": len(log), "parent": parent, "level": level,
                         "kind": "depth-limit", "outcome": "suspended",
-                        "note": f"depth budget {cfg.max_depth} reached"})
+                        "note": f"depth budget {max_depth} reached"})
             flags["depth"] = True
             return False
         events = []
         try:
-            splits = reduce_once(S, cfg, zc=zc, naming=naming,
-                                 level=level, events=events)
+            splits = reduce_once(S, max_degree, zc, naming, events)
         except AnsatzExhausted:
             splits = []
             flags["exhausted"] = True
@@ -693,4 +632,4 @@ def run_decomposition(cs, cfg: AnsatzConfig = None) -> DecompositionResult:
     else:
         status = "Inconclusive"
     return DecompositionResult(status=status, sequence=tuple(path),
-                               branch_log=tuple(log), system=cs, config=cfg)
+                               branch_log=tuple(log))

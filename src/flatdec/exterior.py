@@ -1,6 +1,6 @@
 """Exterior calculus on a coordinate chart.
 
-Charts carry named coordinates plus an optional distinguished time axis t
+Charts carry named coordinates plus the distinguished time axis t
 (always last).  K-forms store coefficients on strictly increasing axis-index
 tuples, so antisymmetry is normalized away structurally.  All coefficient
 arithmetic goes through the canonical expression constructors.
@@ -29,18 +29,17 @@ class NotSolvable(RuntimeError):
 @dataclass(frozen=True)
 class Chart:
     coords: tuple
-    includes_time: bool = True
 
     def __post_init__(self):
         names = [s.name for s in self.coords]
         if len(set(names)) != len(names):
             raise ValueError("chart coordinates must be distinct")
-        if self.includes_time and any(s == T for s in self.coords):
+        if any(s == T for s in self.coords):
             raise ValueError("t is implicit; do not list it as a coordinate")
 
     @property
     def axes(self) -> tuple:
-        return self.coords + (T,) if self.includes_time else self.coords
+        return self.coords + (T,)
 
     def axis_index(self, sym: Symbol) -> int:
         try:
@@ -337,8 +336,8 @@ def extend_transform(phi: ChartTransform, extras) -> ChartTransform:
     extras = tuple(extras)
     if not extras:
         return phi
-    src = Chart(phi.source.coords + extras, phi.source.includes_time)
-    tgt = Chart(phi.target.coords + extras, phi.target.includes_time)
+    src = Chart(phi.source.coords + extras)
+    tgt = Chart(phi.target.coords + extras)
     fwd = dict(phi.forward)
     inv = dict(phi.inverse)
     for s in extras:
@@ -421,14 +420,16 @@ class _FlowSolution:
         self.sol = sol              # Expr in ICs and _FLOW_S
 
 
-def straighten_flow(v: VectorField, zc, prefix: str = "w") -> ChartTransform:
+def straighten_flow(v: VectorField, zc, prefix: str) -> ChartTransform:
     """Chart in which v becomes the coordinate field of one new coordinate.
 
     The flow ODEs are solved one coordinate at a time; each component must be
     linear in its own coordinate with coefficients depending only on already
     solved coordinates, and each scalar equation must be either polynomially
     forced (alpha = 0) or autonomous linear (alpha != 0).  Anything else
-    raises NotSolvable; callers treat that branch as suspended.
+    raises NotSolvable; callers treat that branch as suspended.  The new
+    chart names the kept coordinates prefix1, prefix2, ... and the flow
+    parameter prefixh.
     """
     chart = v.chart
     tcomp = v.components.get(T)
@@ -523,8 +524,7 @@ def straighten_flow(v: VectorField, zc, prefix: str = "w") -> ChartTransform:
     kept = [c for c in chart.coords if c != pivot]
     new_names = {c: Symbol(f"{prefix}{i + 1}", AUX) for i, c in enumerate(kept)}
     param = Symbol(f"{prefix}h", AUX)
-    new_chart = Chart(tuple(new_names[c] for c in kept) + (param,),
-                      chart.includes_time)
+    new_chart = Chart(tuple(new_names[c] for c in kept) + (param,))
 
     ic_to_new = {ic[c]: var(new_names[c]) for c in kept}
     ic_to_new[ic[pivot]] = const(pivot_k)

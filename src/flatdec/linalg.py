@@ -27,7 +27,7 @@ class ZeroCtx:
 
     __slots__ = ("budget", "seed")
 
-    def __init__(self, budget: int = 20, seed: int = 0):
+    def __init__(self, budget: int, seed: int):
         self.budget = budget
         self.seed = seed
 

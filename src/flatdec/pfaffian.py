@@ -3,17 +3,20 @@
 A Pfaffian system is a codistribution spanned by time-invariant 1-forms
 m(xi) dxi - n(xi) dt; a Distribution is its vector-field counterpart.  All
 spans are generic: membership and rank are decided by the probabilistic zero
-test through fraction-free elimination.  The Cauchy-characteristic test and
-the check that equations solve for given variables live here for the search
-and the certificate checks alike.
+test through fraction-free elimination.  The contraction tables of a
+level, (v.dg) ^ Omega for its vertical fields v, live here: the derived
+system, the search's joint candidate and the Frobenius test of {P, dt} are
+all read off them.  The Cauchy-characteristic test and the check that
+equations solve for given variables live here for the search and the
+certificate checks alike.
 """
 
 from __future__ import annotations
 
 from . import linalg
 from .exterior import (
-    Chart, ChartTransform, KForm, T, VectorField, contract, d, dt,
-    lie_bracket, oneform, one_coeffs, pullback, wedge, wedge_all, zero_form,
+    Chart, ChartTransform, KForm, T, VectorField, contract, d, lie_bracket,
+    oneform, one_coeffs, pullback, scale, wedge, wedge_all, zero_form,
 )
 from .linalg import ZeroCtx
 from .symexpr import (
@@ -135,44 +138,81 @@ def vertical_annihilator(P: PfaffianSystem, zc: ZeroCtx) -> Distribution:
     return Distribution(chart, [_row_field(chart, r) for r in basis], zc)
 
 
-def _coefficient_rows(forms):
-    """Stack k-forms into rows over the union of their index tuples.
+def contraction_tables(S: PfaffianSystem, basis):
+    """A level's contractions and row tables, built once per level.
 
-    Returns the matrix transpose-wise: one row per index tuple, one column
-    per form, suitable for nullspace over the form weights.
+    Returns (C, tables, keys): C[i][j] is the 1-form b_i . d g_j; tables[i]
+    maps a wedge index to a row of coefficients, one per generator, where
+    row r states that sum_j a_j ((b_i . d g_j) ^ Omega) vanishes on that
+    wedge index; keys are all wedge indices, sorted.  The tables are
+    combined linearly when a field is a coefficient combination of the
+    basis.
     """
-    keys = sorted({idx for f in forms for idx in f.coeffs})
-    return [[f.coeffs.get(idx, ZERO) for f in forms] for idx in keys]
+    gens = S.generators
+    top = S.top_form()
+    dg = [d(g) for g in gens]
+    C = []
+    tables = []
+    keys = set()
+    for v in basis:
+        Ci = [contract(v, w) for w in dg]
+        tab = {}
+        for j, w in enumerate(Ci):
+            for idx, cexpr in wedge(w, top).coeffs.items():
+                tab.setdefault(idx, [ZERO] * len(gens))[j] = cexpr
+        C.append(Ci)
+        tables.append(tab)
+        keys.update(tab)
+    return C, tables, sorted(keys)
 
 
-def derived_system(P: PfaffianSystem, zc: ZeroCtx) -> PfaffianSystem:
-    """Forms of P whose exterior derivative vanishes modulo P."""
-    if P.dim == 0:
-        return P
-    omega = P.top_form()
-    weighted = [wedge(d(g), omega) for g in P.generators]
-    rows = _coefficient_rows(weighted)
-    sols = linalg.nullspace(rows, P.dim, zc)
-    gens = []
+def span_from_solutions(S: PfaffianSystem, sols, zc: ZeroCtx) -> PfaffianSystem:
+    """The span of the generator combinations sum_j a_j g_j, a in sols."""
+    combos = []
     for a in sols:
-        acc = zero_form(P.chart, 1)
-        for coeff, g in zip(a, P.generators):
-            if coeff is not ZERO:
-                acc = acc + KForm(P.chart, 1,
-                                  {i: mul(coeff, c) for i, c in g.coeffs.items()})
-        gens.append(acc)
-    return PfaffianSystem(P.chart, gens, zc)
+        f = zero_form(S.chart, 1)
+        for aj, g in zip(a, S.generators):
+            f = f + scale(g, aj)
+        combos.append(f)
+    return PfaffianSystem(S.chart, combos, zc)
+
+
+def derived_system(S: PfaffianSystem, tabs, zc: ZeroCtx) -> PfaffianSystem:
+    """Span of generator combinations p with (v.dp) ^ Omega = 0 for every
+    basis field v of the level's tables tabs (contraction_tables).
+
+    Over a basis of the vertical annihilator this is the derived system
+    {p : dp ^ Omega = 0}: with the drift, the vertical fields span the
+    annihilator of S, v.(dp ^ Omega) = (v.dp) ^ Omega there, and the drift
+    contracted twice gives nothing.  The search's joint candidate is the
+    same span.
+    """
+    if S.dim == 0:
+        return PfaffianSystem(S.chart, [], zc)
+    _, tables, _ = tabs
+    rows = [tab[idx] for tab in tables for idx in sorted(tab)]
+    sols = linalg.nullspace(rows, len(S.generators), zc)
+    return span_from_solutions(S, sols, zc)
 
 
 def derived_flag(P: PfaffianSystem, zc: ZeroCtx):
-    """The descending chain P, P^(1), P^(2), ... down to stabilization."""
-    flag = [P]
-    while flag[-1].dim:
-        nxt = derived_system(flag[-1], zc)
-        if nxt.dim == flag[-1].dim:
-            break
-        flag.append(nxt)
-    return flag
+    """The descending chain P, P^(1), P^(2), ... down to stabilization.
+
+    One (P, V, tabs) per level: V is the level's vertical annihilator and
+    tabs its contraction tables over V's basis, from which the next level
+    and the level's Frobenius test are read.
+    """
+    flag = []
+    while True:
+        V = vertical_annihilator(P, zc)
+        tabs = contraction_tables(P, list(V.generators))
+        flag.append((P, V, tabs))
+        if P.dim == 0:
+            return flag
+        nxt = derived_system(P, tabs, zc)
+        if nxt.dim == P.dim:
+            return flag
+        P = nxt
 
 
 def is_characteristic(v: VectorField, P: PfaffianSystem, zc: ZeroCtx) -> bool:
@@ -219,16 +259,18 @@ def is_involutive(D: Distribution, zc: ZeroCtx) -> bool:
     return linalg.in_span(D.rows(), brackets, zc)
 
 
-def is_integrable_with_dt(P: PfaffianSystem, zc: ZeroCtx) -> bool:
-    """Frobenius test for {P, dt}: d(omega) ^ Omega ^ dt = 0 for all generators."""
-    if P.dim == 0:
-        return True
-    base = wedge(P.top_form(), dt(P.chart))
-    for g in P.generators:
-        w = wedge(d(g), base)
-        if any(not zc.zero(c) for c in w.coeffs.values()):
-            return False
-    return True
+def is_integrable_with_dt(P: PfaffianSystem, tabs, zc: ZeroCtx) -> bool:
+    """Frobenius test for {P, dt}, read off P's contraction tables tabs
+    over a basis of its vertical annihilator (derived_flag).
+
+    v.Omega = v.dt = 0 for a vertical v, so dg ^ Omega ^ dt = 0 exactly when
+    every (v.dg) ^ Omega ^ dt = 0, that is, when no (v.dg) ^ Omega has a
+    term free of dt: every table entry off the t axis is zero.
+    """
+    t = P.chart.axis_index(T)
+    _, tables, _ = tabs
+    return all(zc.zero(e) for tab in tables for idx, row in tab.items()
+               if t not in idx for e in row if e is not ZERO)
 
 
 def restrict_to_subchart(P: PfaffianSystem, phi: ChartTransform, drop,
@@ -255,7 +297,7 @@ def restrict_to_subchart(P: PfaffianSystem, phi: ChartTransform, drop,
     red = [r for r in red if any(e is not ZERO for e in r)]
     drop_set = set(drop)
     keep = [s for s in src.coords if s not in drop_set]
-    reduced_chart = Chart(tuple(keep), src.includes_time)
+    reduced_chart = Chart(tuple(keep))
     out = []
     for row in red:
         coeffs = {}

@@ -579,7 +579,7 @@ def _vanishes(e: Expr, budget: int, seed: int, modp: bool) -> bool:
     raise EvaluationFailed(f"no valid sample after {10 * budget} attempts for zero test")
 
 
-def is_zero(e: Expr, budget: int = 20, seed: int = 0) -> bool:
+def is_zero(e: Expr, budget: int, seed: int) -> bool:
     """Probabilistic zero test: True iff e vanishes at `budget` sample points.
 
     All expressions share the points 0, 1, 2, ... of a seed: a symbol's

@@ -64,12 +64,16 @@ class ControlSystem:
                 bad = sorted(sym.name for sym in stray)
                 raise SemanticError(
                     f"dot({s.name}) mentions undeclared symbols: {', '.join(bad)}")
-        zc = linalg.ZeroCtx()
-        jac = [[diff(f, u) for u in self.inputs] for f in self.dynamics]
-        if linalg.rank(jac, zc) != len(self.inputs):
-            raise SemanticError(
-                "inputs are dependent: the input Jacobian of the dynamics "
-                "has generic rank below the input count")
+
+
+def check_inputs_independent(cs: ControlSystem, zc: linalg.ZeroCtx) -> None:
+    """Raise SemanticError unless the input Jacobian of the dynamics has
+    generic rank equal to the input count, decided by the zero test zc."""
+    jac = [[diff(f, u) for u in cs.inputs] for f in cs.dynamics]
+    if linalg.rank(jac, zc) != len(cs.inputs):
+        raise SemanticError(
+            "inputs are dependent: the input Jacobian of the dynamics "
+            "has generic rank below the input count")
 
 
 # -- tokenizer ----------------------------------------------------------------
@@ -206,6 +210,8 @@ def parse_expr(text: str, chart) -> Expr:
 
 
 def parse_system(text: str) -> ControlSystem:
+    """The system a .fds text declares.  Whether its inputs are independent
+    is a zero-test decision, left to check_inputs_independent."""
     p = _Parser(_tokenize(text), {})
     p.expect("system")
     name, _, _ = p.expect_ident()

@@ -54,7 +54,7 @@ class TriangularDecomposition:
     blocks: tuple          # Block, index i at position i-1
     equations: tuple       # tuple per Xi^i of one-forms on chart
     transform: object      # original chart <- final chart
-    system: object = None
+    system: object         # the ControlSystem the sequence came from
 
     @property
     def n_b(self) -> int:
@@ -74,7 +74,7 @@ def _span(td: TriangularDecomposition, count: int, zc: ZeroCtx) -> PfaffianSyste
     return PfaffianSystem(td.chart, gens, zc)
 
 
-def from_sequence(sequence, zc: ZeroCtx, system=None) -> TriangularDecomposition:
+def from_sequence(sequence, zc: ZeroCtx, system) -> TriangularDecomposition:
     """Assemble the triangular form from a completed reduction sequence.
 
     The per-level complements are carried to the final chart through the
@@ -233,11 +233,9 @@ def validate(td: TriangularDecomposition, zc: ZeroCtx):
 
 @dataclass(frozen=True)
 class FlatnessCertificate:
-    system: object
     decomposition: TriangularDecomposition
     outputs: tuple         # Expr in the original (x, u) coordinates
     order: str             # "0-flat" | "1-flat"
-    transform: object      # original chart <- final chart
 
 
 def extract_flat_output(td: TriangularDecomposition) -> FlatnessCertificate:
@@ -250,10 +248,8 @@ def extract_flat_output(td: TriangularDecomposition) -> FlatnessCertificate:
         raise OutputCountMismatch(
             f"{len(outputs)} flat-output candidates for {n_u} inputs")
     inputy = any(s.kind == INPUT for e in outputs for s in e.free)
-    return FlatnessCertificate(system=td.system, decomposition=td,
-                               outputs=outputs,
-                               order="1-flat" if inputy else "0-flat",
-                               transform=phi)
+    return FlatnessCertificate(decomposition=td, outputs=outputs,
+                               order="1-flat" if inputy else "0-flat")
 
 
 # -- trajectory recovery ------------------------------------------------------------
@@ -354,14 +350,13 @@ class RecoveryEngine:
             self.blocks.append((unknowns, [self.slot[s] for s in need], rows,
                                 compiled(residuals), compiled(jac),
                                 [compiled(c) for c in chains]))
-        base = cert.transform.target
+        base = td.transform.target
         self.base_coords = base.coords
-        self.base_f = [compile_expr(cert.transform.forward[s], self.args, np)
+        self.base_f = [compile_expr(td.transform.forward[s], self.args, np)
                        for s in base.coords]
-        self.system = cs = cert.system
-        if cs is not None:
-            names = list(cs.states) + list(cs.inputs)
-            self.dynamics = [compile_expr(f, names, np) for f in cs.dynamics]
+        self.system = cs = td.system
+        names = list(cs.states) + list(cs.inputs)
+        self.dynamics = [compile_expr(f, names, np) for f in cs.dynamics]
 
     @staticmethod
     def _dt(e, bump):
@@ -518,8 +513,8 @@ class NumericVerdict:
     ok: bool
 
 
-def verify_flatness_numeric(cert: FlatnessCertificate, trials: int = 20,
-                            seed: int = 0) -> NumericVerdict:
+def verify_flatness_numeric(cert: FlatnessCertificate, trials: int,
+                            seed: int) -> NumericVerdict:
     """Independent numeric check that the certificate's outputs are flat.
 
     Per trial: simulate the original dynamics under random smooth inputs,
@@ -541,15 +536,13 @@ def verify_flatness_numeric(cert: FlatnessCertificate, trials: int = 20,
     more or fewer outputs than inputs raises OutputCountMismatch at once.
     """
     import numpy as np
-    if cert.system is None:
-        raise ValueError("certificate carries no source system")
-    cs = cert.system
+    td = cert.decomposition
+    cs = td.system
     coords = list(cs.states) + list(cs.inputs)
     n_x, n_u = len(cs.states), len(cs.inputs)
     if len(cert.outputs) != n_u:
         raise OutputCountMismatch(
             f"{len(cert.outputs)} claimed flat outputs for {n_u} inputs")
-    td = cert.decomposition
     if len(td.flat_coords) != n_u:
         raise OutputCountMismatch(
             f"blocks list {len(td.flat_coords)} flat outputs for {n_u} inputs")
@@ -557,7 +550,7 @@ def verify_flatness_numeric(cert: FlatnessCertificate, trials: int = 20,
     outs = [compile_expr(y, coords, np) for y in cert.outputs]
     engine = RecoveryEngine(cert)
     # branch selectors: the solved chart variables in original coordinates
-    chartvals = {p.name: compile_expr(cert.transform.inverse[p], coords, np)
+    chartvals = {p.name: compile_expr(td.transform.inverse[p], coords, np)
                  for blk in td.blocks for p in blk.nondrv}
     degree = max(engine.n_b, 3)
     rng = random.Random(seed)

@@ -15,14 +15,14 @@ import time
 import pytest
 
 from flatdec.cli import main
-from flatdec.decompose import AnsatzConfig, _lift_through, run_decomposition
+from flatdec.decompose import _lift_through
 from flatdec.exterior import (
     Chart, T, VectorField, contract, d, oneform, wedge, wedge_all,
 )
 from flatdec.linalg import ZeroCtx
 from flatdec.pfaffian import (
     PfaffianSystem, derived_flag, derived_system, from_control_system,
-    is_integrable_with_dt, vertical_annihilator,
+    is_integrable_with_dt,
 )
 from flatdec.symexpr import AUX, Symbol, ZERO, add, const, func, mul, neg, var
 from flatdec.sysdsl import parse_expr, parse_system
@@ -30,7 +30,7 @@ from flatdec.triangular import (
     extract_flat_output, from_sequence, verify_flatness_numeric,
 )
 
-from conftest import SIN_SYS, chain_text, same_span
+from conftest import SIN_SYS, chain_text, same_span, search, tables
 
 
 @pytest.fixture(scope="module")
@@ -40,11 +40,10 @@ def zc():
 
 def _decompose_timed(cs):
     t0 = time.perf_counter()
-    res = run_decomposition(cs, AnsatzConfig())
+    res = search(cs)
     cert = None
     if res.status == "Triangularized":
-        td = from_sequence(res.sequence, ZeroCtx(budget=20, seed=0),
-                           system=cs)
+        td = from_sequence(res.sequence, ZeroCtx(budget=20, seed=0), cs)
         cert = extract_flat_output(td)
     return res, cert, time.perf_counter() - t0
 
@@ -107,7 +106,7 @@ def test_criterion_1_motivating_flat_outputs(sin_run, zc):
 
 def test_criterion_2_motivating_derived_generator(sin_sys_m, zc):
     S0 = from_control_system(sin_sys_m, zc)
-    S1 = derived_system(S0, zc)
+    S1 = derived_system(S0, tables(S0, zc), zc)
     assert S1.dim == 1
     coords = tuple(sin_sys_m.states) + tuple(sin_sys_m.inputs)
     by = {s.name: s for s in coords}
@@ -136,7 +135,7 @@ def test_criterion_3_coupled_outputs_and_dead_end(coupled_run, zc):
     assert _outputs_match(list(cert.outputs), want, coords, zc)
 
     S0 = from_control_system(cs, zc)
-    S1d = derived_system(S0, zc)
+    S1d = derived_system(S0, tables(S0, zc), zc)
     by = {s.name: s for s in coords}
     target_F = {frozenset({("u1", "1")}), frozenset({("u2", "1")})}
     hit = False
@@ -165,10 +164,12 @@ def test_criterion_4_integrator_chain_flag_consistency(all_fixtures, zc):
     checked = []
     for name, cs in all_fixtures:
         S0 = from_control_system(cs, zc)
-        flag = derived_flag(S0, zc)
-        if not all(is_integrable_with_dt(P, zc) for P in flag[1:]):
+        levels = derived_flag(S0, zc)
+        if not all(is_integrable_with_dt(P, tabs, zc)
+                   for P, _, tabs in levels[1:]):
             continue
-        res = run_decomposition(cs, AnsatzConfig())
+        flag = [P for P, _, _ in levels]
+        res = search(cs)
         assert res.status == "Triangularized", name
         assert len(flag) == len(res.sequence) + 1, name
         for k in range(1, len(flag)):
@@ -190,10 +191,9 @@ def test_criterion_5_derived_condition_vanishing(all_fixtures, zc):
     for name, cs in all_fixtures:
         S0 = from_control_system(cs, zc)
         flag = derived_flag(S0, zc)
-        for P, P1 in zip(flag, flag[1:]):
+        for (P, V, _), (P1, _, _) in zip(flag, flag[1:]):
             if P.dim == 0:
                 break
-            V = vertical_annihilator(P, zc)
             top = wedge_all(list(P.generators))
             for v in V.generators:
                 for w in P1.generators:

@@ -449,3 +449,46 @@ def test_verify_survives_finite_time_blowup(nlchain_file, tmp_path, capsys):
     assert "internal error" not in capsys.readouterr().err
     numeric = json.loads(report.read_text())["verification"]["numeric"]
     assert numeric["passed"] + numeric["failed"] + numeric["singular"] == 3
+
+
+# -- every command -------------------------------------------------------------------
+
+
+def test_every_zero_test_uses_the_command_line_budget_and_seed(
+        sin_file, tmp_path, monkeypatch, capsys):
+    # the input check, the search, assembly and the structure checks all
+    # decide with --samples and --seed, none with a context of their own
+    from flatdec import linalg
+    zero_test, seen = linalg.is_zero, []
+
+    def recording(e, budget, seed):
+        seen[-1].add((budget, seed))
+        return zero_test(e, budget, seed)
+
+    monkeypatch.setattr(linalg, "is_zero", recording)
+    report = tmp_path / "d.json"
+    flags = ["--seed", "7", "--samples", "3"]
+    for argv in (["analyze", sin_file],
+                 ["decompose", sin_file, "--verify", "--report", str(report)],
+                 ["verify", sin_file, "--certificate", str(report)]):
+        seen.append(set())
+        assert main(argv + flags) == 0, argv
+        assert seen[-1] == {(3, 7)}, argv
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", [
+    ["analyze"], ["decompose"], ["decompose", "--verify"],
+    ["verify", "--outputs", "x1; x2"], ["verify", "--certificate", "CERT"]])
+def test_dependent_inputs_exit_1_without_a_report(tmp_path, capsys, command):
+    p = tmp_path / "dep.fds"
+    p.write_text("system dep {\n  states: x1, x2;\n  inputs: u1, u2;\n"
+                 "  dot(x1) = u1 + u2;\n  dot(x2) = 2*u1 + 2*u2;\n}\n")
+    cert = tmp_path / "cert.json"
+    cert.write_text("{}")
+    report = tmp_path / "r.json"
+    cmd, *flags = [str(cert) if a == "CERT" else a for a in command]
+    assert main([cmd, str(p), *flags, "--report", str(report)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("SemanticError: inputs are dependent")
+    assert not report.exists()

@@ -15,7 +15,7 @@ X1, X2, X3 = Symbol("x1", sx.STATE), Symbol("x2", sx.STATE), Symbol("x3", sx.STA
 U1, U2 = Symbol("u1", sx.INPUT), Symbol("u2", sx.INPUT)
 CH = Chart((X1, X2, X3, U1, U2))
 x1, x2, x3, u1, u2 = (var(s) for s in (X1, X2, X3, U1, U2))
-ZC = ZeroCtx()
+ZC = ZeroCtx(20, 0)
 
 
 def form_zero(a: KForm, zc=ZC) -> bool:
@@ -267,20 +267,20 @@ def test_straighten_identity_relabel():
 def test_straighten_rejects_time_component():
     v = VectorField(CH, {T: sx.ONE})
     with pytest.raises(ValueError):
-        straighten_flow(v, ZC)
+        straighten_flow(v, ZC, prefix="w")
 
 
 def test_straighten_rejects_zero_field():
     v = VectorField(CH, {})
     with pytest.raises(ValueError):
-        straighten_flow(v, ZC)
+        straighten_flow(v, ZC, prefix="w")
 
 
 def test_straighten_not_solvable_nonlinear():
     # dx1/ds = x1^2 is nonlinear in its own coordinate
     v = VectorField(CH, {X1: pow_(x1, 2)})
     with pytest.raises(NotSolvable):
-        straighten_flow(v, ZC)
+        straighten_flow(v, ZC, prefix="w")
 
 
 def test_straighten_pushforward_property_random():

@@ -14,7 +14,7 @@ from flatdec.pfaffian import (
 )
 from flatdec.symexpr import AUX, ONE, ZERO, Symbol, div, func, mul, neg, var
 
-from conftest import same_span
+from conftest import same_span, tables
 
 
 def coord(cs, name):
@@ -117,7 +117,7 @@ def test_vertical_annihilator_eq22(zc):
 
 def test_derived_sin_is_phi(sin_sys, zc):
     S0 = from_control_system(sin_sys, zc)
-    D = derived_system(S0, zc)
+    D = derived_system(S0, tables(S0, zc), zc)
     assert D.dim == 1
     names = ("x1", "x2", "x3", "u1", "u2")
     phi = sin_phi(S0.chart, *(coord(sin_sys, n) for n in names))
@@ -131,7 +131,7 @@ def test_derived_sin_is_phi(sin_sys, zc):
 def test_derived_double_integrator(chain, zc):
     cs = chain(2)
     S0 = from_control_system(cs, zc)
-    D = derived_system(S0, zc)
+    D = derived_system(S0, tables(S0, zc), zc)
     x1, x2 = cs.states
     expected = PfaffianSystem(
         S0.chart, [oneform(S0.chart, {x1: ONE, T: neg(var(x2))})], zc)
@@ -146,12 +146,12 @@ def test_derived_eq22_vanishes(zc):
         oneform(chart, {w[2]: ONE, T: neg(func("sin", var(w[3])))}),
         oneform(chart, {w[0]: ONE, w[1]: neg(var(w[3]))}),
     ], zc)
-    assert derived_system(S1, zc).dim == 0
+    assert derived_system(S1, tables(S1, zc), zc).dim == 0
 
 
 def test_derived_coupled(coupled_sys, zc):
     S0 = from_control_system(coupled_sys, zc)
-    D = derived_system(S0, zc)
+    D = derived_system(S0, tables(S0, zc), zc)
     x1, x2, x3, x4 = coupled_sys.states
     expected = PfaffianSystem(S0.chart, [
         oneform(S0.chart, {x1: ONE, x4: neg(var(x3)), T: neg(var(x2))}),
@@ -164,7 +164,7 @@ def test_derived_coupled(coupled_sys, zc):
 def test_derived_flag_chain(chain, zc):
     cs = chain(4)
     S0 = from_control_system(cs, zc)
-    flag = derived_flag(S0, zc)
+    flag = [P for P, _, _ in derived_flag(S0, zc)]
     assert [P.dim for P in flag] == [4, 3, 2, 1, 0]
     for k, P in enumerate(flag[1:]):
         expected = PfaffianSystem(S0.chart, [
@@ -173,10 +173,22 @@ def test_derived_flag_chain(chain, zc):
         assert same_span(P, expected, zc)
 
 
+def test_derived_flag_levels_carry_their_annihilator_and_tables(coupled_sys,
+                                                                zc):
+    flag = derived_flag(from_control_system(coupled_sys, zc), zc)
+    assert [P.dim for P, _, _ in flag] == [4, 2, 0]
+    for (P, V, tabs), nxt in zip(flag, flag[1:] + [None]):
+        assert same_span(V, vertical_annihilator(P, zc), zc)
+        C, tabs_by_field, _ = tabs
+        assert len(C) == len(tabs_by_field) == V.dim
+        if nxt is not None:
+            assert same_span(nxt[0], derived_system(P, tabs, zc), zc)
+
+
 def test_derived_contained_in_parent(sin_sys, coupled_sys, zc):
     for cs in (sin_sys, coupled_sys):
         S0 = from_control_system(cs, zc)
-        for g in derived_system(S0, zc).generators:
+        for g in derived_system(S0, tables(S0, zc), zc).generators:
             assert S0.contains(g, zc)
 
 
@@ -246,24 +258,27 @@ def test_integrable_with_dt(zc, sin_sys):
     x2 = Symbol("y2", AUX)
     chart = Chart((x1, x2))
     P = PfaffianSystem(chart, [oneform(chart, {x1: ONE, T: neg(var(x2))})], zc)
-    assert is_integrable_with_dt(P, zc)
-    assert is_integrable_with_dt(PfaffianSystem(chart, [], zc), zc)
+    assert is_integrable_with_dt(P, tables(P, zc), zc)
+    empty = PfaffianSystem(chart, [], zc)
+    assert is_integrable_with_dt(empty, tables(empty, zc), zc)
     S0 = from_control_system(sin_sys, zc)
     names = ("x1", "x2", "x3", "u1", "u2")
     phi = sin_phi(S0.chart, *(coord(sin_sys, n) for n in names))
-    assert not is_integrable_with_dt(PfaffianSystem(S0.chart, [phi], zc), zc)
+    P = PfaffianSystem(S0.chart, [phi], zc)
+    assert not is_integrable_with_dt(P, tables(P, zc), zc)
 
 
 def test_coupled_derived_not_integrable(coupled_sys, zc):
     # the joint dead-end branch exists despite failing the derived shortcut
     S0 = from_control_system(coupled_sys, zc)
-    assert not is_integrable_with_dt(derived_system(S0, zc), zc)
+    D = derived_system(S0, tables(S0, zc), zc)
+    assert not is_integrable_with_dt(D, tables(D, zc), zc)
 
 
 def test_chain_flag_all_integrable(chain, zc):
     S0 = from_control_system(chain(3), zc)
-    for P in derived_flag(S0, zc)[1:]:
-        assert is_integrable_with_dt(P, zc)
+    for P, _, tabs in derived_flag(S0, zc)[1:]:
+        assert is_integrable_with_dt(P, tabs, zc)
 
 
 # -- restriction -----------------------------------------------------------------
@@ -344,7 +359,7 @@ def test_derived_condition_vanishes_on_vertical_fields(sin_sys, coupled_sys,
     for S in systems:
         top = S.top_form()
         V = vertical_annihilator(S, zc)
-        D = derived_system(S, zc)
+        D = derived_system(S, tables(S, zc), zc)
         for v in V.generators:
             for g in D.generators:
                 w = wedge(contract(v, d(g)), top)
@@ -354,7 +369,7 @@ def test_derived_condition_vanishes_on_vertical_fields(sin_sys, coupled_sys,
 def test_flag_dims_strictly_descend(sin_sys, coupled_sys, zc):
     for cs in (sin_sys, coupled_sys):
         flag = derived_flag(from_control_system(cs, zc), zc)
-        dims = [P.dim for P in flag]
+        dims = [P.dim for P, _, _ in flag]
         assert all(a > b for a, b in zip(dims, dims[1:]))
 
 
@@ -362,7 +377,7 @@ def test_cauchy_result_involutive(coupled_sys, zc):
     # the inputs are the characteristic directions of coupled's derived
     # system; function multiples and brackets of them stay characteristic
     S0 = from_control_system(coupled_sys, zc)
-    D = derived_system(S0, zc)
+    D = derived_system(S0, tables(S0, zc), zc)
     u1, u2, x3 = (coord(coupled_sys, n) for n in ("u1", "u2", "x3"))
     v = VectorField(S0.chart, {u1: var(u2)})
     w = VectorField(S0.chart, {u1: ONE, u2: mul(var(u1), var(u2))})

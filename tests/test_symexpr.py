@@ -163,7 +163,7 @@ def test_diff_basics():
 
 def test_diff_arctan():
     d = diff(func("arctan", x), X)
-    assert is_zero(add(d, neg(pow_(add(sx.ONE, pow_(x, 2)), -1))))
+    assert is_zero(add(d, neg(pow_(add(sx.ONE, pow_(x, 2)), -1))), 20, 0)
 
 
 @given(exprs(max_leaves=5), exprs(max_leaves=5))
@@ -172,7 +172,7 @@ def test_product_rule(a, b):
     lhs = diff(mul(a, b), X)
     rhs = add(mul(diff(a, X), b), mul(a, diff(b, X)))
     try:
-        assert is_zero(add(lhs, neg(rhs)), budget=6)
+        assert is_zero(add(lhs, neg(rhs)), 6, 0)
     except EvaluationFailed:
         pass   # expressions whose domain excludes the sample box
 
@@ -186,7 +186,7 @@ def test_chain_rule_through_substitution(e):
     lhs = diff(substitute(e, {X: inner}), Y)
     rhs = mul(substitute(diff(e, X), {X: inner}), mul(const(2), y))
     try:
-        assert is_zero(add(lhs, neg(rhs)), budget=6)
+        assert is_zero(add(lhs, neg(rhs)), 6, 0)
     except EvaluationFailed:
         pass
 
@@ -239,33 +239,33 @@ def test_eval_domain_errors():
     for e in (func("ln", const(-1)), func("sqrt", const(-4)),
               func("arcsin", const(2))):
         with pytest.raises(EvaluationFailed):
-            is_zero(e)
+            is_zero(e, 20, 0)
 
 
 def test_exact_rational_evaluation_path():
     # func-free expressions evaluate exactly; a tiny-but-nonzero rational
     # difference must be detected as nonzero despite being < 1e-40
     tiny = const(Fraction(1, 10**60))
-    assert not is_zero(tiny)
+    assert not is_zero(tiny, 20, 0)
     e = add(div(x, const(3)), neg(mul(const(Fraction(1, 3)), x)), tiny)
-    assert not is_zero(e)
+    assert not is_zero(e, 20, 0)
 
 
 # -- zero test --------------------------------------------------------------------
 
 def test_is_zero_pythagorean():
     e = add(pow_(func("sin", x), 2), pow_(func("cos", x), 2), neg(sx.ONE))
-    assert is_zero(e)
+    assert is_zero(e, 20, 0)
 
 
 def test_is_zero_tan_identity():
     e = add(func("tan", x), neg(div(func("sin", x), func("cos", x))))
-    assert is_zero(e)
+    assert is_zero(e, 20, 0)
 
 
 def test_is_zero_rejects_nonzero():
-    assert not is_zero(add(x, y))
-    assert not is_zero(func("sin", x))
+    assert not is_zero(add(x, y), 20, 0)
+    assert not is_zero(func("sin", x), 20, 0)
 
 
 def test_is_zero_deterministic_across_call_order():
@@ -277,18 +277,18 @@ def test_is_zero_deterministic_across_call_order():
         return a, b
 
     a, b = fresh()
-    r1 = (is_zero(a, seed=7), is_zero(b, seed=7))
+    r1 = (is_zero(a, 20, 7), is_zero(b, 20, 7))
     a, b = fresh()
-    r2 = (is_zero(b, seed=7), is_zero(a, seed=7))
+    r2 = (is_zero(b, 20, 7), is_zero(a, 20, 7))
     assert r1 == (r2[1], r2[0])
 
 
 def test_is_zero_needs_a_positive_budget():
     for budget in (0, -1):
         with pytest.raises(ValueError):
-            is_zero(add(x, y), budget=budget)
+            is_zero(add(x, y), budget, 0)
         with pytest.raises(ValueError):
-            is_zero(sx.ZERO, budget=budget)
+            is_zero(sx.ZERO, budget, 0)
 
 
 def test_sample_points_are_shared_and_memoized(monkeypatch):
@@ -298,14 +298,14 @@ def test_sample_points_are_shared_and_memoized(monkeypatch):
     coordinate = sx._coordinate
     monkeypatch.setattr(sx, "_coordinate",
                         lambda *args: calls.append(args) or coordinate(*args))
-    assert not is_zero(add(a, b), seed=3)
+    assert not is_zero(add(a, b), 20, 3)
     assert [(c[0].name, c[2]) for c in calls] == [("u", 0), ("v", 0)]
     # p*a - e*b style entries reuse a's and b's values: no new coordinates
-    assert not is_zero(add(mul(const(2), a), neg(mul(u, b))), seed=3)
+    assert not is_zero(add(mul(const(2), a), neg(mul(u, b))), 20, 3)
     assert len(calls) == 2
     # a symbol's value at a point does not depend on the node holding it
     w = var(Symbol("u", sx.STATE))
-    assert is_zero(add(mul(w, v), neg(a)), seed=3)
+    assert is_zero(add(mul(w, v), neg(a)), 20, 3)
     assert sx._at(w, 0, 3, True) == sx._at(u, 0, 3, True)
 
 
@@ -323,12 +323,12 @@ def test_constant_that_prime_divides_takes_the_mpmath_branch():
     for c in (Fraction(1, p), Fraction(5, 3 * p), Fraction(p), Fraction(2 * p, 7)):
         e = add(mul(const(c), x), y)
         assert e.needs_mp
-        assert not is_zero(e)
-        assert not is_zero(mul(const(c), x))
+        assert not is_zero(e, 20, 0)
+        assert not is_zero(mul(const(c), x), 20, 0)
         # zero with terms near c^2: the threshold scales with them
         sq = _square_identity(c, x)
-        assert sq.needs_mp and is_zero(sq)
-        assert not is_zero(add(sq, x))
+        assert sq.needs_mp and is_zero(sq, 20, 0)
+        assert not is_zero(add(sq, x), 20, 0)
     assert not add(mul(const(Fraction(p + 1, 2)), x), y).needs_mp
 
 
@@ -336,11 +336,11 @@ def test_zero_with_large_terms_and_a_function():
     # 50-digit cancellation leaves about 1e-50 * 1e60 here; an absolute
     # 1e-40 threshold called this zero nonzero
     sq = _square_identity(Fraction(10**30), func("sin", x))
-    assert is_zero(sq)
-    assert not is_zero(add(sq, mul(const(10**25), x)))
+    assert is_zero(sq, 20, 0)
+    assert not is_zero(add(sq, mul(const(10**25), x)), 20, 0)
     # small terms keep the absolute floor
     tiny = mul(const(Fraction(1, 10**30)), func("sin", x))
-    assert not is_zero(tiny)
+    assert not is_zero(tiny, 20, 0)
 
 
 def test_schwartz_zippel_bound_at_a_small_prime(monkeypatch):
@@ -354,7 +354,7 @@ def test_schwartz_zippel_bound_at_a_small_prime(monkeypatch):
     for e, d, rate in ((roots3, 3, 3 / 100), (hyper, 2, 1 / 100)):
         for budget in (1, 2):
             bound = (d / 100) ** budget
-            got = sum(is_zero(e, budget=budget, seed=k) for k in range(n))
+            got = sum(is_zero(e, budget, k) for k in range(n))
             assert got <= bound * n + 4 * math.sqrt(bound * n)
             # the points are uniform: the rate matches the known roots
             want = rate ** budget * n
@@ -365,13 +365,13 @@ def test_is_zero_evaluation_failed():
     # ln(-x^2 - 1) has empty real domain; every sample fails
     e = func("ln", add(neg(pow_(x, 2)), neg(sx.ONE)))
     with pytest.raises(EvaluationFailed):
-        is_zero(e)
+        is_zero(e, 20, 0)
 
 
 def test_is_zero_resamples_past_poles():
     # 1/(x - 1) is undefined at x=1 but samples rarely hit it; and the
     # expression is nonzero wherever defined
-    assert not is_zero(pow_(add(x, neg(sx.ONE)), -1))
+    assert not is_zero(pow_(add(x, neg(sx.ONE)), -1), 20, 0)
 
 
 # -- sympy as an independent oracle -------------------------------------------------
@@ -445,7 +445,7 @@ def test_is_zero_and_diff_agree_with_sympy():
                 * sp.Symbol(rng.choice("xyz")) ** rng.randint(0, 2)
         e = add(a, neg(_from_sympy(sp, other)))
         want = sp.cancel(_to_sympy(sp, e)) == 0
-        assert is_zero(e) == want, (a, other)
+        assert is_zero(e, 20, 0) == want, (a, other)
         if not isinstance(e, sx.Const):
             seen[e.needs_mp, want] += 1
         for sym in (X, Y):

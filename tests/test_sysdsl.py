@@ -4,9 +4,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from flatdec import symexpr as sx
+from flatdec.linalg import ZeroCtx
 from flatdec.symexpr import Symbol, add, const, div, func, mul, neg, pow_, var
 from flatdec.sysdsl import (
-    ControlSystem, ParseError, SemanticError, parse_expr, parse_system, render,
+    ControlSystem, ParseError, SemanticError, check_inputs_independent,
+    parse_expr, parse_system, render,
 )
 
 X1, X2, U1, U2 = (Symbol("x1", sx.STATE), Symbol("x2", sx.STATE),
@@ -73,12 +75,15 @@ def test_dot_of_nonstate():
 
 
 def test_dependent_inputs_rejected():
-    with pytest.raises(SemanticError, match="rank"):
-        parse_system("""
+    # parsing leaves the zero-test decision to the command's context
+    cs = parse_system("""
         system s { states: x1, x2; inputs: u1, u2;
           dot(x1) = u1 + u2;
           dot(x2) = 2*u1 + 2*u2;
         }""")
+    with pytest.raises(SemanticError, match="rank"):
+        check_inputs_independent(cs, ZeroCtx(20, 0))
+    check_inputs_independent(parse_system(SIN_SYS), ZeroCtx(20, 0))
 
 
 def test_empty_file_is_syntax_error():

@@ -98,8 +98,8 @@ def test_every_import_is_read():
 
 
 def test_no_zero_context_has_a_default():
-    # a defaulted zc decides with its own budget and seed, not the ones the
-    # command line asked for
+    # a defaulted zc, zero-test budget or seed decides with its own values,
+    # not the ones the command line asked for
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -110,9 +110,9 @@ def test_no_zero_context_has_a_default():
             defaulted = positional[len(positional) - len(a.defaults):] + [
                 arg for arg, d in zip(a.kwonlyargs, a.kw_defaults)
                 if d is not None]
-            if any(arg.arg == "zc" for arg in defaulted):
+            if any(arg.arg in ("zc", "budget", "seed") for arg in defaulted):
                 found.append(f"{path.name}:{node.lineno} {node.name}")
-    assert not found, "zc with a default: " + "; ".join(found)
+    assert not found, "zc, budget or seed with a default: " + "; ".join(found)
 
 
 def _traced():

@@ -6,7 +6,6 @@ import math
 import numpy as np
 import pytest
 
-from flatdec.decompose import run_decomposition
 from flatdec.exterior import T, one_coeffs, oneform
 from flatdec.linalg import ZeroCtx
 from flatdec.symexpr import INPUT, ZERO, func, mul, neg, var
@@ -17,11 +16,13 @@ from flatdec.triangular import (
     recover_trajectory, validate, verify_flatness_numeric,
 )
 
+from conftest import search
+
 
 def build(cs, zc):
-    res = run_decomposition(cs)
+    res = search(cs)
     assert res.status == "Triangularized"
-    return from_sequence(res.sequence, zc, system=cs), res
+    return from_sequence(res.sequence, zc, cs), res
 
 
 @pytest.fixture(scope="module")
@@ -92,15 +93,15 @@ def test_coefficient_accessors(sin_td, zc):
         assert all(zc.zero(coeffs.get(c, ZERO)) for c in blk.coords)
 
 
-def test_empty_sequence_rejected(zc):
+def test_empty_sequence_rejected(sin_sys_m, zc):
     with pytest.raises(StructureViolation):
-        from_sequence([], zc)
+        from_sequence([], zc, sin_sys_m)
 
 
 def test_unfinished_sequence_rejected(sin_sys_m, zc):
-    res = run_decomposition(sin_sys_m)
+    res = search(sin_sys_m)
     with pytest.raises(StructureViolation):
-        from_sequence(res.sequence[:-1], zc)
+        from_sequence(res.sequence[:-1], zc, sin_sys_m)
 
 
 # -- validate ------------------------------------------------------------------------
@@ -359,12 +360,6 @@ def test_verify_rejects_corrupted_outputs(sin_cert, sin_sys_m):
                                 trials=5, seed=0)
     assert not v.ok
     assert v.failed > 0
-
-
-def test_verify_requires_source_system(sin_cert):
-    orphan = dataclasses.replace(sin_cert, system=None)
-    with pytest.raises(ValueError):
-        verify_flatness_numeric(orphan)
 
 
 def test_verify_deterministic(sin_cert):
