@@ -15,8 +15,7 @@ from .exterior import (
     straighten_flow,
 )
 from .linalg import (
-    ZeroCtx, in_span_mod_p, independent_rows, nullspace, nullspace_mod_p,
-    row_echelon_mod_p,
+    ZeroCtx, in_span_mod_p, independent_rows, nullspace, row_echelon_mod_p,
 )
 from .pfaffian import (
     Distribution, NotReducible, PfaffianSystem, contraction_tables,
@@ -159,16 +158,18 @@ def _tuple_stream(pool, k: int):
         yield from fill(k, size)
 
 
-def _projective_key(expos):
+def _projective_key(codes):
     """The class of a monomial tuple up to a common monomial factor, from
-    the entries' exponent vectors (None for ZERO): each vector minus the
-    lead entry's.  None for the zero tuple.  For Laurent monomials with
-    coefficient 1 this is the class of structural_key(div(x, lead))."""
-    lead = next((e for e in expos if e is not None), None)
+    the entries' exponent codes (None for ZERO): each code minus the lead
+    entry's.  None for the zero tuple.  A code is the exponent vector read
+    as an integer in radix 4d + 1, d the degree bound; a difference of two
+    vectors has digits in [-2d, 2d], so it is told apart by its code, and
+    for Laurent monomials with coefficient 1 the key is the class of
+    structural_key(div(x, lead))."""
+    lead = next((e for e in codes if e is not None), None)
     if lead is None:
         return None
-    return tuple(None if e is None else tuple(a - b for a, b in zip(e, lead))
-                 for e in expos)
+    return tuple(None if e is None else e - lead for e in codes)
 
 
 def _along(v: VectorField, e):
@@ -183,26 +184,34 @@ _NOT_CHARACTERISTIC = "fields are not characteristic for the candidate"
 class _Screen:
     """Decides a single-field candidate at one sample point, over GF(PRIME).
 
-    A level has generators g_j, vertical basis b_i and tables T_i.  For a
-    coefficient vector c, v = sum_i c_i b_i and M = sum_i c_i T_i, whose
-    nullspace basis a_k gives the candidate p_k = sum_j a_kj g_j.  At a
-    point z of the zero test's shared stream, M(z) + eps*v(M)(z) is
-    eliminated over GF(PRIME)[eps]/eps^2, which yields a_k(z) and v(a_k)(z)
-    together, and since v.g_j = 0 for a vertical field,
+    A level has generators g_j, vertical basis b_i, contractions
+    C_i[j] = b_i.dg_j and tables T_i.  For a coefficient vector c,
+    v = sum_i c_i b_i and M = sum_i c_i T_i, whose nullspace vectors a give
+    the candidate's forms p = sum_j a_j g_j.  At a point z of the zero
+    test's shared stream, G = [g_j(z)] has full row rank m, and reducing
+    each C_i[j](z) against it splits C_i[j] = Y_i[j] G + R_i[j] with R_i[j]
+    zero on G's pivot columns.  Since v.g_j = 0 for a vertical field,
+    v.dp = (v(a) + Y_c^T a) G + R_c^T a.  M a = 0 says
+    (R_c^T a) ^ g_1 ^ ... ^ g_m = 0, so R_c^T a lies in the span of G and,
+    zero on its pivot columns, vanishes; with M v(a) = -v(M) a, v.dp lies
+    in the span of P = [p] exactly when (M Y_c^T - v(M)) a = 0.
+    Over all of null M(z) that reads: the rows of
 
-        (v.dp_k)(z) = sum_j v(a_kj)(z) g_j(z) + a_kj(z) sum_i c_i(z) (b_i.dg_j)(z).
+        Q = sum_il c_i c_l H_il - sum_i v(c_i) T_i,
+        H_il = T_i Y_l^T - b_l(T_i),
 
-    `decide(c)` returns _SKIP when the nullity of M(z) is below `want` (the
-    symbolic nullity cannot exceed it), _REJECT when P(z) = [p_k(z)] has rank
-    `want` and some (v.dp_k)(z) is outside its span (then v.dp_k is outside
-    the span of P, so is_characteristic fails and refine_to_cauchy rejects
-    c), and None, leaving c to the symbolic path, in every other case:
-    nullity above `want`, a deficient P(z), or a pole at each of 10*budget
-    points.  Error bound: a skip or a rejection differs from the symbolic
-    path's decision only if z lies on the zero set of a nonzero minor of M
-    or of [P; v.dP], a rational function whose numerator has some degree d;
-    that happens with probability at most d/(p - 1), p = PRIME, per
-    candidate (Schwartz-Zippel).
+    lie in the row space of M(z).  `decide(c)` returns _SKIP when the
+    nullity of M(z) is below `want` (the symbolic nullity cannot exceed
+    it), _REJECT when it is `want` and some row of Q(z) is outside the row
+    space of M(z) (then some v.dp is outside the span of P, so
+    is_characteristic fails and refine_to_cauchy rejects c), and None,
+    leaving c to the symbolic path, in every other case: nullity above
+    `want`, a rank-deficient G(z), or a pole at each of 10*budget points.
+    Error bound: a skip or a rejection differs from the symbolic path's
+    decision only if z lies on the zero set of a nonzero minor of M, G or
+    [M; Q], a rational function whose numerator has some degree d; that
+    happens with probability at most d/(p - 1), p = PRIME, per candidate
+    (Schwartz-Zippel).
     """
 
     def __init__(self, S: PfaffianSystem, basis, tabs, zc: ZeroCtx):
@@ -223,7 +232,7 @@ class _Screen:
             self.usable = not any(e.needs_mp for l in self.dT for Ti in l
                                   for row in Ti for e in row)
         self._points = {}
-        self._dc = {}
+        self._residues = {}
 
     def _entries(self):
         yield from (e for row in self.g for e in row)
@@ -231,7 +240,9 @@ class _Screen:
         yield from (e for Ti in self.T for row in Ti for e in row)
 
     def _values(self, k: int):
-        """The level's data at point k as residues, None at a pole."""
+        """The level's matrices at point k, None at a pole: per row of M the
+        rows T_i(z), and per row of Q the rows H_il(z) and T_i(z) that
+        c_i c_l and -v(c_i) combine (None when G(z) is rank-deficient)."""
         if k not in self._points:
             seed = self.zc.seed
 
@@ -242,56 +253,60 @@ class _Screen:
                 return value_mod_p(x, k, seed)
 
             vals = [at(x) for x in (self.g, self.C, self.T, self.dT)]
-            self._points[k] = None if None in vals else vals
+            self._points[k] = None if None in vals else self._tables_at(*vals)
         return self._points[k]
 
+    @staticmethod
+    def _tables_at(g, C, T, dT):
+        m, n = len(g), len(g[0])
+        Trows = [[Ti[r] for Ti in T] for r in range(len(T[0]))]
+        # [G | I] reduces to [rref G | E] with rref G = E G
+        red, pivots = row_echelon_mod_p(
+            [row + [int(i == j) for i in range(m)] for j, row in enumerate(g)])
+        if len(pivots) < m or pivots[-1] >= n:
+            return Trows, None
+        E = [row[n:] for row in red]
+        # Y_l[j]: C_l[j] on G's pivot columns, times E
+        Y = [[_lincomb([w[c] for c in pivots], E) for w in Cl] for Cl in C]
+        k = len(T)
+        Hrows = [[[(sum(a * b for a, b in zip(Trow[i], Y[l][j]))
+                    - dT[l][i][r][j]) % PRIME for j in range(m)]
+                  for i in range(k) for l in range(k)] + Trow
+                 for r, Trow in enumerate(Trows)]
+        return Trows, Hrows
+
+    def _residues_at(self, x, k: int):
+        """c(z) and b_l(c)(z) for one coefficient c, None at a pole."""
+        key = (x, k)
+        if key not in self._residues:
+            seed = self.zc.seed
+            vals = [value_mod_p(y, k, seed)
+                    for y in [x] + [_along(b, x) for b in self.basis]]
+            self._residues[key] = None if None in vals else vals
+        return self._residues[key]
+
     def decide(self, c):
-        for x in c:
-            if x not in self._dc:
-                self._dc[x] = [_along(b, x) for b in self.basis]
-        seed = self.zc.seed
         for k in range(10 * self.zc.budget):
             level = self._values(k)
             if level is None:
                 continue
-            cv = [value_mod_p(x, k, seed) for x in c]
-            dcv = [[value_mod_p(y, k, seed) for y in self._dc[x]] for x in c]
-            if None in cv or any(None in row for row in dcv):
+            res = [self._residues_at(x, k) for x in c]
+            if None in res:
                 continue
-            return self._decide_at(level, cv, dcv)
-        return None
-
-    @staticmethod
-    def _pencil_at(level, cv, dcv):
-        """M(z) and v(M)(z), from c_i(z) = cv[i] and b_l(c_i)(z) = dcv[i][l]."""
-        _, _, T, dT = level
-        k = len(cv)
-        # v(c_i) = sum_l c_l b_l(c_i); v(T_i) = sum_l c_l b_l(T_i)
-        vc = [sum(cv[l] * dcv[i][l] for l in range(k)) % PRIME for i in range(k)]
-        cc = [cv[i] * cv[l] for i in range(k) for l in range(k)]
-        M, dM = [], []
-        for r in range(len(T[0])):
-            Tr = [Ti[r] for Ti in T]
-            M.append(_lincomb(cv, Tr))
-            dM.append(_lincomb(vc + cc, Tr + [dT[l][i][r] for i in range(k)
-                                              for l in range(k)]))
-        return M, dM
-
-    def _decide_at(self, level, cv, dcv):
-        want = self.want
-        g, C, _, _ = level
-        m = len(g)
-        sols = nullspace_mod_p(*self._pencil_at(level, cv, dcv), m)
-        if len(sols) < want:
-            return _SKIP
-        if len(sols) > want:
-            return None
-        red, pivots = row_echelon_mod_p([_lincomb(a, g) for a, _ in sols])
-        if len(pivots) < want:
-            return None
-        vC = [_lincomb(cv, [Ci[j] for Ci in C]) for j in range(m)]
-        W = (_lincomb(da + a, g + vC) for a, da in sols)
-        if any(not in_span_mod_p(red, pivots, w) for w in W):
+            Trows, Hrows = level
+            cv = [r[0] for r in res]
+            red, pivots = row_echelon_mod_p([_lincomb(cv, Tr) for Tr in Trows])
+            nullity = len(self.g) - len(pivots)
+            if nullity < self.want:
+                return _SKIP
+            if nullity > self.want or Hrows is None:
+                return None
+            # c_i c_l, then -v(c_i) = -sum_l c_l b_l(c_i)
+            coeffs = [a * b for a in cv for b in cv]
+            coeffs += [-sum(a * b for a, b in zip(cv, r[1:])) for r in res]
+            if all(in_span_mod_p(red, pivots, _lincomb(coeffs, H))
+                   for H in Hrows):
+                return None
             return _REJECT
         return None
 
@@ -310,12 +325,14 @@ def _coefficient_vectors(chart, k: int, max_degree: int):
     class, at most MAX_CANDIDATES of them."""
     pool = monomial_pool(chart, max_degree)
     items = [ZERO] + [m for m, _ in pool]
-    expos = [None] + [e for _, e in pool]
+    radix = 4 * max_degree + 1
+    codes = [None] + [sum(e * radix ** s for s, e in enumerate(expo))
+                      for _, expo in pool]
     seen = set()
     for t in _tuple_stream(items[1:], k):
         if len(seen) >= MAX_CANDIDATES:
             return
-        key = _projective_key([expos[i] for i in t])
+        key = _projective_key([codes[i] for i in t])
         if key is None or key in seen:
             continue
         seen.add(key)

@@ -6,8 +6,7 @@ yes/no span question (rank, membership, independence) is decided by one
 greedy pass, independent_rows, whose remainders are zero-tested entry by
 entry.  Bases come from row_echelon, the reduced form whose pivots are
 divided to 1, which nullspace and the subchart restriction read.
-Matrices of values at one sample point are eliminated over GF(PRIME), plain
-or over the dual numbers GF(PRIME)[eps]/eps^2, which carry a derivative.
+Matrices of values at one sample point are eliminated over GF(PRIME).
 """
 
 from __future__ import annotations
@@ -227,52 +226,33 @@ def nullspace(rows, ncols: int, zc: ZeroCtx):
     return basis
 
 
-# -- elimination over GF(PRIME) and its dual numbers --------------------------------
+# -- elimination over GF(PRIME) ------------------------------------------------------
 
-def _rref_mod_p(vals, ders=None):
-    """Reduced row echelon of vals + eps*ders over GF(PRIME)[eps]/eps^2.
+def row_echelon_mod_p(rows):
+    """(reduced rows, pivot columns) of a matrix of residues over GF(PRIME).
 
-    Pivots are chosen by value parts and divided to 1; (a + eps*a')^-1 is
-    a^-1 - eps*a'*a^-2.  Returns (vals, ders, pivot columns) of the rows
-    that carry a pivot.  With ders None this is plain GF(PRIME) elimination,
-    and the ders returned is None.
+    Pivots are the first nonzero entries of their columns, divided to 1;
+    only the rows that carry a pivot are returned.
     """
     p = PRIME
-    vals = [list(r) for r in vals]
-    ders = None if ders is None else [list(r) for r in ders]
-    ncols = len(vals[0]) if vals else 0
+    rows = [list(r) for r in rows]
+    ncols = len(rows[0]) if rows else 0
     pivots = []
     r = 0
     for c in range(ncols):
-        i = next((i for i in range(r, len(vals)) if vals[i][c]), None)
+        i = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if i is None:
             continue
-        vals[r], vals[i] = vals[i], vals[r]
-        row = vals[r]
-        inv = pow(row[c], -1, p)
-        pv = vals[r] = [x * inv % p for x in row]
-        if ders is not None:
-            ders[r], ders[i] = ders[i], ders[r]
-            dinv = -ders[r][c] * inv * inv % p
-            pd = ders[r] = [(dx * inv + x * dinv) % p
-                            for x, dx in zip(row, ders[r])]
-        for i in range(len(vals)):
-            fv, fd = vals[i][c], 0 if ders is None else ders[i][c]
-            if i == r or not (fv or fd):
-                continue
-            vals[i] = [(x - fv * y) % p for x, y in zip(vals[i], pv)]
-            if ders is not None:
-                ders[i] = [(dx - fv * dy - fd * y) % p
-                           for dx, y, dy in zip(ders[i], pv, pd)]
+        rows[r], rows[i] = rows[i], rows[r]
+        inv = pow(rows[r][c], -1, p)
+        pv = rows[r] = [x * inv % p for x in rows[r]]
+        for i in range(len(rows)):
+            f = rows[i][c]
+            if i != r and f:
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], pv)]
         pivots.append(c)
         r += 1
-    return vals[:r], None if ders is None else ders[:r], pivots
-
-
-def row_echelon_mod_p(rows):
-    """(reduced rows, pivot columns) of a matrix of residues over GF(PRIME)."""
-    red, _, pivots = _rref_mod_p(rows)
-    return red, pivots
+    return rows[:r], pivots
 
 
 def in_span_mod_p(red, pivots, row) -> bool:
@@ -283,26 +263,3 @@ def in_span_mod_p(red, pivots, row) -> bool:
         if f:
             row = [(x - f * y) % p for x, y in zip(row, prow)]
     return not any(row)
-
-
-def nullspace_mod_p(vals, ders, ncols: int):
-    """Right nullspace of M = vals + eps*ders over GF(PRIME)[eps]/eps^2.
-
-    Returns one (a, a') per non-pivot column f, with a[f] = 1.  When vals
-    and ders are a matrix M(z) of rational functions and its derivative
-    v(M)(z) along a field v, and the rank of M(z) is M's generic rank,
-    a + eps*a' is the value and the v-derivative at z of the nullspace
-    basis with the same pivot columns: M a = 0 differentiates to
-    v(M) a + M v(a) = 0, which the dual elimination solves.
-    """
-    red, dred, pivots = _rref_mod_p(vals, ders)
-    basis = []
-    for f in range(ncols):
-        if f in pivots:
-            continue
-        a, da = [0] * ncols, [0] * ncols
-        a[f] = 1
-        for row, drow, c in zip(red, dred, pivots):
-            a[c], da[c] = -row[f] % PRIME, -drow[f] % PRIME
-        basis.append((a, da))
-    return basis

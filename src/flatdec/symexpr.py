@@ -656,10 +656,10 @@ def compile_rk4(dynamics, states, inputs):
     """Compile the classic 4th-order Runge-Kutta sweep of dot(states) = dynamics.
 
     Returns run(x0, ua, ub, uc, n, step), which takes n steps of size step
-    from the state list x0 and returns the n + 1 states as lists of floats,
-    x0 first.  ua[k], ub[k] and uc[k] are the input lists at the start,
-    the midpoint and the end of step k.  Every state and stage value is a
-    local variable of the generated function, and each step computes
+    from the state list x0 and returns one list of n + 1 floats per state,
+    x0's entry first.  ua[j][k], ub[j][k] and uc[j][k] are input j at the
+    start, the midpoint and the end of step k.  Every state and stage value
+    is a local variable of the generated function, and each step computes
     x + step / 2 * k for the middle stages, x + step * k3 for the last, and
     x + step / 6 * (k1 + 2*k2 + 2*k3 + k4) with functions from `math`, so
     it gives the same floats as that loop written out, and raises
@@ -675,11 +675,12 @@ def compile_rk4(dynamics, states, inputs):
     def unpack(targets, src):
         return f"{', '.join(targets)}, = {src}"
 
-    x, s, k1, k2, k3, k4 = ([f"{p}_{i}" for i in range(len(states))]
-                            for p in ("x", "s", "k1", "k2", "k3", "k4"))
+    x, s, k1, k2, k3, k4, out = ([f"{p}_{i}" for i in range(len(states))]
+                                 for p in ("x", "s", "k1", "k2", "k3", "k4",
+                                           "out"))
     ua, ub, uc = ([f"{p}_{j}" for j in range(len(inputs))]
                   for p in ("ua", "ub", "uc"))
-    body = [unpack(ua, "ua[k]"), unpack(ub, "ub[k]"), unpack(uc, "uc[k]")]
+    body = [f"{u} = {u}s[k]" for u in ua + ub + uc]
     body += [f"{a} = {b}" for a, b in zip(k1, stage(x, ua))]
     for ks, prev, coef, us in ((k2, k1, "h2", ub), (k3, k2, "h2", ub),
                                (k4, k3, "step", uc)):
@@ -687,16 +688,18 @@ def compile_rk4(dynamics, states, inputs):
         body += [f"{a} = {b}" for a, b in zip(ks, stage(s, us))]
     body += [f"{a} = {a} + h6 * ({b} + 2 * {c} + 2 * {d} + {e})"
              for a, b, c, d, e in zip(x, k1, k2, k3, k4)]
-    body.append(f"out.append([{', '.join(x)}])")
+    body += [f"{o}.append({a})" for o, a in zip(out, x)]
     src = "\n".join([
         "def run(x0, ua, ub, uc, n, step):",
         "    " + unpack(x, "x0"),
+        *("    " + unpack([f"{u}s" for u in us], name)
+          for us, name in ((ua, "ua"), (ub, "ub"), (uc, "uc"))),
         "    h2 = step / 2",
         "    h6 = step / 6",
-        f"    out = [[{', '.join(x)}]]",
+        *(f"    {o} = [{a}]" for o, a in zip(out, x)),
         "    for k in range(n):",
         *("        " + line for line in body),
-        "    return out",
+        f"    return [{', '.join(out)}]",
     ])
     scope = {"_m": math}
     exec(src, scope)  # noqa: S102  (source built locally above)

@@ -587,13 +587,12 @@ def verify_flatness_numeric(cert: FlatnessCertificate, trials: int,
 
             # reference run of the true dynamics, sampled for curve fitting
             try:
-                xs = run(x0, uref(steps).T.tolist(),
-                         uref(steps + half).T.tolist(),
-                         uref(steps + h).T.tolist(), n_steps, h)
+                xs = run(x0, uref(steps).tolist(), uref(steps + half).tolist(),
+                         uref(steps + h).tolist(), n_steps, h)
             except (ArithmeticError, ValueError):
                 singular += 1
                 continue
-            xs = np.array(xs).T
+            xs = np.array(xs)
             fit_ys = _stack(outs, np.vstack([xs[:, ::10], uref(fit_ts)]))
             if not (np.isfinite(xs).all() and np.isfinite(fit_ys).all()):
                 singular += 1
@@ -619,14 +618,14 @@ def verify_flatness_numeric(cert: FlatnessCertificate, trials: int,
                 failed += 1
                 continue
 
-            us = ur.T.tolist()
             try:
-                path = run(xr[:, 0].tolist(), us[0:-1:2], us[1::2], us[2::2],
+                path = run(xr[:, 0].tolist(), ur[:, 0:-1:2].tolist(),
+                           ur[:, 1::2].tolist(), ur[:, 2::2].tolist(),
                            n_steps, h)
             except (ArithmeticError, ValueError):
                 singular += 1
                 continue
-            dev = np.abs(np.array(path).T - xr[:, ::2])
+            dev = np.abs(np.array(path) - xr[:, ::2])
             if not np.isfinite(dev).all():
                 singular += 1
                 continue

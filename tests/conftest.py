@@ -1,16 +1,17 @@
 """Shared fixtures: the two worked systems and integrator chains, the
-search at the command line's defaults, and textbook reference versions of
-the table-based derived system and Frobenius test."""
+search at the command line's defaults, textbook reference versions of
+the table-based derived system and Frobenius test, and the dual-number
+elimination the ansatz screen's row-space test replaced."""
 
 import pytest
 
-from flatdec.decompose import run_decomposition
+from flatdec.decompose import _along, run_decomposition
 from flatdec.exterior import d, dt, scale, wedge, zero_form
-from flatdec.linalg import ZeroCtx, nullspace
+from flatdec.linalg import ZeroCtx, in_span_mod_p, nullspace
 from flatdec.pfaffian import (
     PfaffianSystem, contraction_tables, vertical_annihilator,
 )
-from flatdec.symexpr import ZERO
+from flatdec.symexpr import PRIME, ZERO, value_mod_p
 from flatdec.sysdsl import parse_system
 
 # the command line's --max-degree and --max-depth defaults
@@ -81,6 +82,157 @@ def wedge_integrable_with_dt(P, zc):
     base = wedge(P.top_form(), dt(P.chart))
     return all(zc.zero(c) for g in P.generators
                for c in wedge(d(g), base).coeffs.values())
+
+
+def dual_rref_mod_p(vals, ders=None):
+    """Reduced row echelon of vals + eps*ders over GF(PRIME)[eps]/eps^2.
+
+    Pivots are chosen by value parts and divided to 1; (a + eps*a')^-1 is
+    a^-1 - eps*a'*a^-2.  Returns (vals, ders, pivot columns) of the rows
+    that carry a pivot.  With ders None this is plain GF(PRIME) elimination,
+    and the ders returned is None.
+    """
+    p = PRIME
+    vals = [list(r) for r in vals]
+    ders = None if ders is None else [list(r) for r in ders]
+    ncols = len(vals[0]) if vals else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        i = next((i for i in range(r, len(vals)) if vals[i][c]), None)
+        if i is None:
+            continue
+        vals[r], vals[i] = vals[i], vals[r]
+        row = vals[r]
+        inv = pow(row[c], -1, p)
+        pv = vals[r] = [x * inv % p for x in row]
+        if ders is not None:
+            ders[r], ders[i] = ders[i], ders[r]
+            dinv = -ders[r][c] * inv * inv % p
+            pd = ders[r] = [(dx * inv + x * dinv) % p
+                            for x, dx in zip(row, ders[r])]
+        for i in range(len(vals)):
+            fv, fd = vals[i][c], 0 if ders is None else ders[i][c]
+            if i == r or not (fv or fd):
+                continue
+            vals[i] = [(x - fv * y) % p for x, y in zip(vals[i], pv)]
+            if ders is not None:
+                ders[i] = [(dx - fv * dy - fd * y) % p
+                           for dx, y, dy in zip(ders[i], pv, pd)]
+        pivots.append(c)
+        r += 1
+    return vals[:r], None if ders is None else ders[:r], pivots
+
+
+def dual_nullspace_mod_p(vals, ders, ncols: int):
+    """Right nullspace of M = vals + eps*ders over GF(PRIME)[eps]/eps^2.
+
+    Returns one (a, a') per non-pivot column f, with a[f] = 1.  When vals
+    and ders are a matrix M(z) of rational functions and its derivative
+    v(M)(z) along a field v, and the rank of M(z) is M's generic rank,
+    a + eps*a' is the value and the v-derivative at z of the nullspace
+    basis with the same pivot columns: M a = 0 differentiates to
+    v(M) a + M v(a) = 0, which the dual elimination solves.
+    """
+    red, dred, pivots = dual_rref_mod_p(vals, ders)
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        a, da = [0] * ncols, [0] * ncols
+        a[f] = 1
+        for row, drow, c in zip(red, dred, pivots):
+            a[c], da[c] = -row[f] % PRIME, -drow[f] % PRIME
+        basis.append((a, da))
+    return basis
+
+
+def _lincomb(coeffs, rows):
+    """sum_i coeffs[i] * rows[i] over GF(PRIME), for rows of residues."""
+    out = [0] * len(rows[0])
+    for c, row in zip(coeffs, rows):
+        if c:
+            out = [o + c * x for o, x in zip(out, row)]
+    return [o % PRIME for o in out]
+
+
+def dual_pencil_at(level, cv, dcv):
+    """M(z) and v(M)(z), from c_i(z) = cv[i] and b_l(c_i)(z) = dcv[i][l]."""
+    _, _, T, dT = level
+    k = len(cv)
+    # v(c_i) = sum_l c_l b_l(c_i); v(T_i) = sum_l c_l b_l(T_i)
+    vc = [sum(cv[l] * dcv[i][l] for l in range(k)) % PRIME for i in range(k)]
+    cc = [cv[i] * cv[l] for i in range(k) for l in range(k)]
+    M, dM = [], []
+    for r in range(len(T[0])):
+        Tr = [Ti[r] for Ti in T]
+        M.append(_lincomb(cv, Tr))
+        dM.append(_lincomb(vc + cc, Tr + [dT[l][i][r] for i in range(k)
+                                          for l in range(k)]))
+    return M, dM
+
+
+class DualScreen:
+    """Reference verdicts of the ansatz screen on a level, by elimination
+    over the dual numbers.  At the first point z where the level and c
+    have no pole, a_k + eps*v(a_k) solves (M + eps*v(M))(z) a = 0,
+    p_k = sum_j a_kj g_j, and
+
+        (v.dp_k)(z) = sum_j v(a_kj)(z) g_j(z) + a_kj(z) sum_i c_i(z) (b_i.dg_j)(z).
+
+    `decide(c)` is "skip" when the nullity of M(z) is below want, "reject"
+    when P(z) = [p_k(z)] has rank want and some (v.dp_k)(z) is outside its
+    span, None otherwise.  It reads the level's expressions from a _Screen.
+    """
+
+    def __init__(self, screen):
+        self.screen = screen
+        self._levels = {}
+
+    def level_at(self, k):
+        """g_j, C_i, T_i and b_l(T_i) at point k as residues, None at a
+        pole."""
+        if k not in self._levels:
+            sc = self.screen
+
+            def at(x):
+                if isinstance(x, (list, tuple)):
+                    out = [at(y) for y in x]
+                    return None if any(y is None for y in out) else out
+                return value_mod_p(x, k, sc.zc.seed)
+
+            vals = [at(x) for x in (sc.g, sc.C, sc.T, sc.dT)]
+            self._levels[k] = None if None in vals else vals
+        return self._levels[k]
+
+    def decide(self, c):
+        sc = self.screen
+        seed = sc.zc.seed
+        for k in range(10 * sc.zc.budget):
+            level = self.level_at(k)
+            if level is None:
+                continue
+            cv = [value_mod_p(x, k, seed) for x in c]
+            dcv = [[value_mod_p(_along(b, x), k, seed) for b in sc.basis]
+                   for x in c]
+            if None in cv or any(None in row for row in dcv):
+                continue
+            g, C, _, _ = level
+            m = len(g)
+            sols = dual_nullspace_mod_p(*dual_pencil_at(level, cv, dcv), m)
+            if len(sols) < sc.want:
+                return "skip"
+            if len(sols) > sc.want:
+                return None
+            red, _, pivots = dual_rref_mod_p([_lincomb(a, g) for a, _ in sols])
+            if len(pivots) < sc.want:
+                return None
+            vC = [_lincomb(cv, [Ci[j] for Ci in C]) for j in range(m)]
+            W = (_lincomb(da + a, g + vC) for a, da in sols)
+            if any(not in_span_mod_p(red, pivots, w) for w in W):
+                return "reject"
+            return None
+        return None
 
 
 def chain_text(n: int) -> str:

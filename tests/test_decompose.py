@@ -15,10 +15,9 @@ from flatdec.decompose import (
     _combine, _lift_through, _Prefixes, _pencil_rows, _projective_key,
     _tuple_stream,
 )
-from flatdec.exterior import Chart, T, VectorField, oneform
+from flatdec.exterior import Chart, T, VectorField, oneform, scale
 from flatdec.linalg import (
-    ZeroCtx, _rref_mod_p, in_span_mod_p, nullspace, nullspace_mod_p,
-    row_echelon, row_echelon_mod_p,
+    ZeroCtx, in_span_mod_p, nullspace, row_echelon, row_echelon_mod_p,
 )
 from flatdec.pfaffian import (
     Distribution, PfaffianSystem, contraction_tables, derived_flag,
@@ -32,7 +31,8 @@ from flatdec.symexpr import (
 from flatdec.sysdsl import parse_system
 
 from conftest import (
-    MAX_DEGREE, MAX_DEPTH, same_span, search, wedge_derived_system,
+    MAX_DEGREE, MAX_DEPTH, DualScreen, dual_nullspace_mod_p, dual_pencil_at,
+    dual_rref_mod_p, same_span, search, wedge_derived_system,
     wedge_integrable_with_dt,
 )
 
@@ -131,15 +131,19 @@ def test_tuple_stream_unit_vectors_first():
 
 
 def test_projective_key_collapses_scale():
-    # exponent vectors over one coordinate x: (x, 1) and (x^2, x) differ
-    # by the factor x; None stands for a ZERO entry
-    a = ((1,), (0,))
-    b = ((2,), (1,))
+    # over one coordinate x the exponent codes are the exponents: (x, 1)
+    # and (x^2, x) differ by the factor x; None stands for a ZERO entry
+    a = (1, 0)
+    b = (2, 1)
     assert _projective_key(a) == _projective_key(b)
     assert _projective_key((None, None)) is None
-    assert _projective_key(a) != _projective_key(((0,), (1,)))
-    assert _projective_key((None, (3,))) == _projective_key((None, (0,)))
-    assert _projective_key((None, (3,))) != _projective_key(((0,), None))
+    assert _projective_key(a) != _projective_key((0, 1))
+    assert _projective_key((None, 3)) == _projective_key((None, 0))
+    assert _projective_key((None, 3)) != _projective_key((0, None))
+    # over (x, y) at degree 1 the radix is 5: (x, y) and (1, y/x) differ by
+    # the factor x, (y, x) does not
+    assert _projective_key((1, 5)) == _projective_key((0, 5 - 1))
+    assert _projective_key((1, 5)) != _projective_key((5, 1))
 
 
 def _symbolic_projective_key(c):
@@ -350,12 +354,13 @@ def test_splitting_verify_detects_corruption(chain, zc):
 # -- one set of tables per level --------------------------------------------------------
 
 def _recording_tables(monkeypatch):
-    """Patch the search's contraction_tables to record (S, tables) per call."""
+    """Patch the search's contraction_tables to record (S, basis, tables)
+    per call."""
     calls = []
 
     def record(S, basis):
         tabs = contraction_tables(S, basis)
-        calls.append((S, tabs))
+        calls.append((S, basis, tabs))
         return tabs
 
     monkeypatch.setattr(decompose, "contraction_tables", record)
@@ -378,7 +383,7 @@ def test_derived_system_is_the_joint_span(name, seed, monkeypatch):
     assert calls
     flag = [(P, tabs) for P, _, tabs in
             derived_flag(from_control_system(cs, zc), zc)]
-    for S, tabs in flag + calls:
+    for S, tabs in flag + [(S, tabs) for S, _, tabs in calls]:
         assert same_span(derived_system(S, tabs, zc),
                          wedge_derived_system(S, zc), zc)
         assert is_integrable_with_dt(S, tabs, zc) == \
@@ -658,13 +663,13 @@ def test_rank_mod_p_matches_the_dual_elimination():
         deficient += r < min(rows, cols)
         M = _residue_matrix(rng, rows, cols, r)
         ders = [[rng.randrange(PRIME) for _ in range(cols)] for _ in range(rows)]
-        vals, dvals, pivots = _rref_mod_p(M, ders)
+        vals, dvals, pivots = dual_rref_mod_p(M, ders)
         assert len(row_echelon_mod_p(M)[1]) == len(pivots) == r
-        assert len(nullspace_mod_p(M, ders, cols)) == cols - r
+        assert len(dual_nullspace_mod_p(M, ders, cols)) == cols - r
         # the plain elimination is the value part of the dual one
         red, plain_pivots = row_echelon_mod_p(M)
         assert (red, plain_pivots) == (vals, pivots)
-        assert _rref_mod_p(M)[1] is None and len(dvals) == r
+        assert dual_rref_mod_p(M)[1] is None and len(dvals) == r
     assert deficient > 50
 
 
@@ -718,7 +723,7 @@ def test_dual_nullspace_is_value_and_derivative():
     for k in range(3):
         vals = [[value_mod_p(e, k, 0) for e in row] for row in rows]
         ders = [[value_mod_p(_along(v, e), k, 0) for e in row] for row in rows]
-        got = nullspace_mod_p(vals, ders, 4)
+        got = dual_nullspace_mod_p(vals, ders, 4)
         assert len(got) == len(basis) == 2
         for (a, da), sym in zip(got, basis):
             assert a == [value_mod_p(e, k, 0) for e in sym]
@@ -743,11 +748,12 @@ def test_screen_pencil_is_value_and_derivative(name, zc):
         S, basis, tabs = _first_level(name, zc)
     _, tables, keys = tabs
     screen = _Screen(S, basis, tabs, zc)
+    oracle = DualScreen(screen)
     m = len(S.generators)
     checked = 0
     for c in itertools.islice(
             _coefficient_vectors(S.chart, len(basis), MAX_DEGREE), 80):
-        level = screen._values(0)
+        level = oracle.level_at(0)
         cv = [value_mod_p(x, 0, zc.seed) for x in c]
         dcv = [[value_mod_p(_along(b, x), 0, zc.seed) for b in basis]
                for x in c]
@@ -755,12 +761,86 @@ def test_screen_pencil_is_value_and_derivative(name, zc):
             continue
         v = _combine(c, basis)
         rows = _pencil_rows(tables, keys, c, m)
-        M, dM = screen._pencil_at(level, cv, dcv)
+        M, dM = dual_pencil_at(level, cv, dcv)
         assert M == [[value_mod_p(e, 0, zc.seed) for e in row] for row in rows]
         assert dM == [[value_mod_p(_along(v, e), 0, zc.seed) for e in row]
                       for row in rows]
         checked += 1
     assert checked > 40
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("name", sorted(p.stem for p in DATA.glob("*.fds")))
+def test_screen_matches_the_dual_number_oracle(name, seed, monkeypatch):
+    # rowspace Q(z) in rowspace M(z) decides every candidate of every level
+    # the search reaches as the elimination of (M + eps v(M))(z) over the
+    # dual numbers does
+    calls = _recording_tables(monkeypatch)
+    cs = parse_system((DATA / f"{name}.fds").read_text())
+    zc = ZeroCtx(20, seed)
+    run_decomposition(cs, zc, MAX_DEGREE, MAX_DEPTH)
+    screened = 0
+    for S, basis, tabs in calls:
+        screen = _Screen(S, basis, tabs, zc)
+        if not screen.usable:
+            continue
+        oracle = DualScreen(screen)
+        for c in _coefficient_vectors(S.chart, len(basis), MAX_DEGREE):
+            assert screen.decide(c) == oracle.decide(c), (name, c)
+            screened += 1
+    # the levels of sinex and unicycle carry functions and bypass the screen
+    assert screened or name in ("sinex", "unicycle")
+
+
+@pytest.mark.parametrize("name", ["nfd", "nfd2", "coupled"])
+def test_screen_matches_the_oracle_on_mixed_generators(name, zc):
+    # g'_j = g_j + w g_(j+1) with w a coordinate the vertical fields move
+    # spans the same system, but b.dg'_j gains b(w) g_(j+1), a part in the
+    # span of the generators that the row-space test reads through Y
+    S0, basis0, _ = _first_level(name, zc)
+    w = var(next(s for s in basis0[0].components if s in S0.chart.coords))
+    g = S0.generators
+    S = PfaffianSystem(S0.chart, [g[j] + scale(g[j + 1], w) if j + 1 < len(g)
+                                  else g[j] for j in range(len(g))], zc)
+    S, basis, tabs = _level(S, zc)
+    screen = _Screen(S, basis, tabs, zc)
+    oracle = DualScreen(screen)
+    verdicts = [screen.decide(c) for c in
+                _coefficient_vectors(S.chart, len(basis), MAX_DEGREE)]
+    assert verdicts == [oracle.decide(c) for c in
+                        _coefficient_vectors(S.chart, len(basis), MAX_DEGREE)]
+    assert same_span(S, S0, zc) and _REJECT in verdicts
+
+
+def test_deficient_generators_pass_the_candidate_on(zc):
+    # with G(z) rank-deficient the contractions cannot be split against it,
+    # so a candidate whose nullity is want goes to the symbolic path
+    S, basis, tabs = _first_level("nfd", zc)
+    cands = list(itertools.islice(
+        _coefficient_vectors(S.chart, len(basis), MAX_DEGREE), 40))
+    assert {_Screen(S, basis, tabs, zc).decide(c) for c in cands} == {_REJECT}
+    screen = _Screen(S, basis, tabs, zc)
+    assert len(screen.g) >= 2
+    screen.g = [screen.g[0]] * len(screen.g)
+    assert {screen.decide(c) for c in cands} == {None}
+
+
+def test_screen_eliminates_once_per_candidate(zc, monkeypatch):
+    # the level's matrices at z are built once: scanning nfd's first level
+    # runs one GF(p) elimination for G(z) and one of M(z) per candidate
+    S, basis, tabs = _first_level("nfd", zc)
+    calls = []
+
+    def counted(rows):
+        calls.append(len(rows))
+        return row_echelon_mod_p(rows)
+
+    monkeypatch.setattr(decompose, "row_echelon_mod_p", counted)
+    cands = list(_coefficient_vectors(S.chart, len(basis), MAX_DEGREE))
+    assert list(_candidate_stream(S, basis, tabs, MAX_DEGREE, zc)) == \
+        [(c, None) for c in cands]
+    assert len(cands) == decompose.MAX_CANDIDATES
+    assert len(calls) == len(cands) + 1
 
 
 def test_function_levels_bypass_screen(sin_sys, zc):

@@ -526,13 +526,20 @@ def _rk4_loop(dynamics, states, inputs):
     return run
 
 
-def _both(cs, *args):
-    """Results of the sweep and the loop, or the classes they raised."""
+def _columns(rows):
+    return [list(col) for col in zip(*rows)]
+
+
+def _both(cs, x0, ua, ub, uc, n, step):
+    """Results of the sweep and the loop, or the classes they raised.  The
+    loop takes the inputs and returns the states per step, the sweep per
+    variable; both are compared per step."""
     out = []
-    for make in (compile_rk4, _rk4_loop):
+    for make, per_step in ((compile_rk4, _columns), (_rk4_loop, list)):
         run = make(cs.dynamics, cs.states, cs.inputs)
         try:
-            out.append(run(*args))
+            us = [per_step(u) for u in (ua, ub, uc)]
+            out.append(per_step(run(x0, *us, n, step)))
         except (ArithmeticError, ValueError) as ex:
             out.append(type(ex))
     return out
