@@ -30,10 +30,6 @@ from .symexpr import (
 from .sysdsl import field_dict, form_dict, render
 
 
-class AnsatzExhausted(RuntimeError):
-    """No candidate subsystem passed the necessary condition within budget."""
-
-
 # coefficient tuples the ansatz scan tries per level
 MAX_CANDIDATES = 512
 
@@ -490,8 +486,8 @@ def reduce_once(S: PfaffianSystem, max_degree: int, zc: ZeroCtx,
     derived_system over them.  Candidate rejections that reached
     verification are appended to events, except that the scan's candidates
     whose field is not characteristic are counted in one entry for the
-    level, with the first and last such c.  Raises AnsatzExhausted,
-    after that entry, when nothing is accepted.
+    level, with the first and last such c.  Returns the empty list, after
+    that entry, when nothing is accepted.
     """
     V = vertical_annihilator(S, zc)
     basis = list(V.generators)
@@ -558,8 +554,6 @@ def reduce_once(S: PfaffianSystem, max_degree: int, zc: ZeroCtx,
                             f"coefficient tuples ({tried} candidate subsystems "
                             f"rejected)")
         events.append(scan)
-    if not out:
-        raise AnsatzExhausted(scan["note"])
     return out
 
 
@@ -609,10 +603,8 @@ def run_decomposition(cs, zc: ZeroCtx, max_degree: int,
             flags["depth"] = True
             return False
         events = []
-        try:
-            splits = reduce_once(S, max_degree, zc, naming, events)
-        except AnsatzExhausted:
-            splits = []
+        splits = reduce_once(S, max_degree, zc, naming, events)
+        if not splits:
             flags["exhausted"] = True
         for ev in events:
             if ev.pop("restrict_failed", False):

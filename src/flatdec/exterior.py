@@ -9,10 +9,11 @@ arithmetic goes through the canonical expression constructors.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .symexpr import (
-    AUX, MINUS_ONE, ONE, TIME, ZERO, Expr, Symbol, add, const, diff, div,
-    func, mul, neg, substitute, var,
+    AUX, MINUS_ONE, ONE, TIME, ZERO, Add, Expr, Mul, Pow, Symbol, Var, add,
+    const, diff, div, func, mul, neg, substitute, var,
 )
 
 T = Symbol("t", TIME)
@@ -351,85 +352,49 @@ def extend_transform(phi: ChartTransform, extras) -> ChartTransform:
 _FLOW_S = Symbol("_flow_s", AUX)
 
 
-def _poly_in(e: Expr, s: Symbol):
-    """Coefficient list [c0, c1, ...] of e as a polynomial in s, else None."""
-    from .symexpr import Add, Mul, Pow, Var
-    if s not in e.free:
-        return [e]
-    if isinstance(e, Var):
-        return [ZERO, ONE]
+def _polynomial_in(e: Expr, s: Symbol) -> bool:
+    """s occurs in e only under sums, products and positive powers."""
+    if s not in e.free or isinstance(e, Var):
+        return True
     if isinstance(e, Add):
-        out = [ZERO]
-        for t in e.terms:
-            p = _poly_in(t, s)
-            if p is None:
-                return None
-            if len(p) > len(out):
-                out.extend([ZERO] * (len(p) - len(out)))
-            for k, c in enumerate(p):
-                out[k] = add(out[k], c)
-        return out
+        return all(_polynomial_in(t, s) for t in e.terms)
     if isinstance(e, Mul):
-        out = [ONE]
-        for f in e.factors:
-            p = _poly_in(f, s)
-            if p is None:
-                return None
-            out = _poly_mul(out, p)
-        return out
-    if isinstance(e, Pow):
-        if e.exp < 0:
-            return None   # s in a denominator
-        p = _poly_in(e.base, s)
-        if p is None:
-            return None
-        out = [ONE]
-        for _ in range(e.exp):
-            out = _poly_mul(out, p)
-        return out
-    return None   # s inside a function argument
+        return all(_polynomial_in(f, s) for f in e.factors)
+    return isinstance(e, Pow) and e.exp > 0 and _polynomial_in(e.base, s)
 
 
-def _poly_mul(a, b):
-    out = [ZERO] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] = add(out[i + j], mul(x, y))
-    return out
-
-
-def _integrate_poly(coeffs, s_var: Expr) -> Expr:
-    """Definite integral 0..s of a polynomial given by its coefficients."""
-    parts = []
-    for k, c in enumerate(coeffs):
-        if c is ZERO:
-            continue
-        parts.append(mul(const(1) / const(k + 1), c, s_var ** (k + 1)))
-    return add(*parts) if parts else ZERO
-
-
-class _FlowSolution:
-    __slots__ = ("coord", "kind", "alpha", "beta", "beta_poly", "sol")
-
-    def __init__(self, coord, kind, alpha, beta, beta_poly, sol):
-        self.coord = coord
-        self.kind = kind            # "poly" or "exp"
-        self.alpha = alpha          # exp only: nonzero Expr in IC symbols
-        self.beta = beta            # exp only: Expr in IC symbols
-        self.beta_poly = beta_poly  # poly only: s-coefficient list in ICs
-        self.sol = sol              # Expr in ICs and _FLOW_S
+def _integral_from_zero(beta: Expr, sv: Expr) -> Expr:
+    """Integral of beta over s from 0 to sv, by beta's Taylor series at s = 0:
+    the sum of beta^(k-1)(0) sv^k / k!, which ends for beta polynomial in s."""
+    parts, coeff, k = [], Fraction(1), 1
+    while beta is not ZERO:
+        parts.append(mul(const(coeff), substitute(beta, {_FLOW_S: ZERO}), sv ** k))
+        beta = diff(beta, _FLOW_S)
+        k += 1
+        coeff /= k
+    return add(*parts)
 
 
 def straighten_flow(v: VectorField, zc, prefix: str) -> ChartTransform:
     """Chart in which v becomes the coordinate field of one new coordinate.
 
-    The flow ODEs are solved one coordinate at a time; each component must be
-    linear in its own coordinate with coefficients depending only on already
-    solved coordinates, and each scalar equation must be either polynomially
-    forced (alpha = 0) or autonomous linear (alpha != 0).  Anything else
-    raises NotSolvable; callers treat that branch as suspended.  The new
-    chart names the kept coordinates prefix1, prefix2, ... and the flow
-    parameter prefixh.
+    v can be straightened when its flow ODEs solve one coordinate at a time:
+    each moved coordinate c has v_c = alpha c + beta, with alpha and beta
+    depending only on coordinates v does not move or already solved ones.
+    Along the flow these become functions of the initial values and the flow
+    parameter s.  With alpha = 0 the forcing beta must be polynomial in s
+    (s only under sums, products and positive powers), and c is its Taylor
+    integral at s = 0; with alpha != 0 both must be free of s, and c is the
+    exponential solution.  Anything else raises NotSolvable; callers treat
+    that branch as suspended.
+
+    The pivot is the last moved coordinate whose solution inverts for s over
+    the unmoved coordinates, and the transversal pins its initial value to
+    k in {0, 1, 2}.  The forward map is the flow from the transversal.  The
+    inverse is the backward flow: each kept coordinate is its solution
+    started at x and run for -S(x), where S(x) is the time the pivot takes
+    from k to x.  The new chart names the kept coordinates prefix1,
+    prefix2, ... and the flow parameter prefixh.
     """
     chart = v.chart
     tcomp = v.components.get(T)
@@ -449,10 +414,9 @@ def straighten_flow(v: VectorField, zc, prefix: str) -> ChartTransform:
 
     ic = {c: Symbol(f"_ic_{c.name}", AUX) for c in chart.coords}
     inactive_ics = {ic[c] for c in inactive}
-    flow_val = {c: var(ic[c]) for c in inactive}
+    flow = {c: var(ic[c]) for c in chart.coords}   # each coordinate at time s
 
-    solved: dict = {}
-    order = []
+    solved: dict = {}   # moved coordinate -> (alpha or None, beta, solution)
     remaining = list(active)
     while remaining:
         progressed = False
@@ -465,55 +429,43 @@ def straighten_flow(v: VectorField, zc, prefix: str) -> ChartTransform:
             deps = (alpha.free | beta.free) & set(chart.coords)
             if deps - set(inactive) - set(solved):
                 continue   # waits on an unsolved active coordinate
-            alpha_v = substitute(alpha, flow_val)
-            beta_v = substitute(beta, flow_val)
-            if alpha_v is ZERO or zc.zero(alpha_v):
-                poly = _poly_in(beta_v, _FLOW_S)
-                if poly is None:
+            alpha = substitute(alpha, flow)
+            beta = substitute(beta, flow)
+            if alpha is ZERO or zc.zero(alpha):
+                if not _polynomial_in(beta, _FLOW_S):
                     raise NotSolvable(
                         f"forcing for {c.name} is not polynomial in the flow parameter")
-                sol = add(var(ic[c]), _integrate_poly(poly, sv))
-                rec = _FlowSolution(c, "poly", None, None, poly, sol)
+                alpha = None
+                sol = add(var(ic[c]), _integral_from_zero(beta, sv))
             else:
-                if _FLOW_S in alpha_v.free or _FLOW_S in beta_v.free:
+                if _FLOW_S in alpha.free or _FLOW_S in beta.free:
                     raise NotSolvable(
                         f"equation for {c.name} is linear but not autonomous")
-                ratio = div(beta_v, alpha_v)
-                sol = add(mul(add(var(ic[c]), ratio), func("exp", mul(alpha_v, sv))),
+                ratio = div(beta, alpha)
+                sol = add(mul(add(var(ic[c]), ratio), func("exp", mul(alpha, sv))),
                           neg(ratio))
-                rec = _FlowSolution(c, "exp", alpha_v, beta_v, None, sol)
-            solved[c] = rec
-            flow_val[c] = sol
-            order.append(rec)
+            solved[c] = (alpha, beta, sol)
+            flow[c] = sol
             remaining.remove(c)
             progressed = True
         if not progressed:
             names = ", ".join(c.name for c in remaining)
             raise NotSolvable(f"coupled flow outside the solvable class: {names}")
 
-    # pivot: the last (declaration order) active coordinate whose solution
-    # inverts for the flow parameter in closed form over old coordinates
     def ic_pure(e: Expr) -> bool:
         return {s for s in e.free if s.name.startswith("_ic_")} <= inactive_ics
 
     pivot = None
-    pivot_k = None
     for c in active:
-        rec = solved[c]
-        if rec.kind == "poly":
-            if len(rec.beta_poly) != 1:
-                continue   # s-dependent forcing: polynomial of degree > 1
-            b0 = rec.beta_poly[0]
-            if not ic_pure(b0) or zc.zero(b0):
+        alpha, beta, _ = solved[c]
+        if alpha is None:
+            if _FLOW_S in beta.free or not ic_pure(beta) or zc.zero(beta):
                 continue
-        else:
-            if not (ic_pure(rec.alpha) and ic_pure(rec.beta)):
-                continue
+        elif not (ic_pure(alpha) and ic_pure(beta)):
+            continue
         for k in (0, 1, 2):
-            if rec.kind == "exp":
-                ratio = div(rec.beta, rec.alpha)
-                if zc.zero(add(const(k), ratio)):
-                    continue   # log argument degenerates
+            if alpha is not None and zc.zero(add(const(k), div(beta, alpha))):
+                continue   # log argument degenerates
             transversal = substitute(v.comp(c), {c: const(k)})
             if zc.nonzero(transversal):
                 pivot, pivot_k = c, k
@@ -528,45 +480,20 @@ def straighten_flow(v: VectorField, zc, prefix: str) -> ChartTransform:
 
     ic_to_new = {ic[c]: var(new_names[c]) for c in kept}
     ic_to_new[ic[pivot]] = const(pivot_k)
-    forward = {}
-    for c in chart.coords:
-        if c in solved:
-            forward[c] = substitute(solved[c].sol,
-                                    {**ic_to_new, _FLOW_S: var(param)})
-        else:
-            forward[c] = var(new_names[c])
+    forward = {c: substitute(flow[c], {**ic_to_new, _FLOW_S: var(param)})
+               for c in chart.coords}
 
-    # inverse: the pivot gives the flow parameter in old coordinates; then
-    # every other solved coordinate's IC back-substitutes in solve order
-    ic_inverse = {ic[c]: var(c) for c in inactive}
-    ic_inverse[ic[pivot]] = const(pivot_k)   # transversal pins the pivot's IC
-    prec = solved[pivot]
-    if prec.kind == "poly":
-        s_expr = div(add(var(pivot), const(-pivot_k)), prec.beta_poly[0])
+    alpha, beta, _ = solved[pivot]
+    if alpha is None:
+        s_expr = div(add(var(pivot), const(-pivot_k)), beta)
     else:
-        ratio = div(prec.beta, prec.alpha)
+        ratio = div(beta, alpha)
         s_expr = div(func("ln", div(add(var(pivot), ratio),
-                                    add(const(pivot_k), ratio))), prec.alpha)
-    s_in_old = substitute(s_expr, ic_inverse)
-
-    for rec in order:
-        c = rec.coord
-        if c == pivot:
-            continue
-        if rec.kind == "poly":
-            integ = _integrate_poly(
-                [substitute(b, ic_inverse) for b in rec.beta_poly], s_in_old)
-            ic_inverse[ic[c]] = add(var(c), neg(integ))
-        else:
-            alpha_o = substitute(rec.alpha, ic_inverse)
-            ratio_o = substitute(div(rec.beta, rec.alpha), ic_inverse)
-            ic_inverse[ic[c]] = add(
-                mul(add(var(c), ratio_o), func("exp", neg(mul(alpha_o, s_in_old)))),
-                neg(ratio_o))
-
-    inverse = {}
-    for c in kept:
-        inverse[new_names[c]] = var(c) if c in inactive else ic_inverse[ic[c]]
+                                    add(const(pivot_k), ratio))), alpha)
+    ic_to_old = {ic[c]: var(c) for c in chart.coords}
+    s_in_old = substitute(s_expr, ic_to_old)
+    backward = {**ic_to_old, _FLOW_S: neg(s_in_old)}
+    inverse = {new_names[c]: substitute(flow[c], backward) for c in kept}
     inverse[param] = s_in_old
 
     phi = ChartTransform(new_chart, chart, forward, inverse)

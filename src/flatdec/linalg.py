@@ -163,7 +163,7 @@ def _mul_through(e: Expr, factors) -> Expr:
     return mul(e, *factors)
 
 
-def clear_denominators(vec, zc: ZeroCtx):
+def clear_denominators(vec):
     """Multiply a vector by the collected denominators of all its entries."""
     dens: dict = {}
     for e in vec:
@@ -221,7 +221,7 @@ def nullspace(rows, ncols: int, zc: ZeroCtx):
             entry = red[r][f]
             if entry is not ZERO:
                 v[c] = neg(entry)
-        v = clear_denominators(v, zc)
+        v = clear_denominators(v)
         basis.append(normalize_leading(v, zc))
     return basis
 

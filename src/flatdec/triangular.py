@@ -69,9 +69,10 @@ class TriangularDecomposition:
         return tuple(c for blk in self.blocks for c in blk.y)
 
 
-def _span(td: TriangularDecomposition, count: int, zc: ZeroCtx) -> PfaffianSystem:
-    gens = [g for xi in td.equations[:count] for g in xi]
-    return PfaffianSystem(td.chart, gens, zc)
+def _prefix_spans(chart, equations, zc: ZeroCtx) -> list:
+    """The spans of Xi^1..Xi^j on chart, for j = 0..n_b."""
+    return [PfaffianSystem(chart, [g for xi in equations[:j] for g in xi], zc)
+            for j in range(len(equations) + 1)]
 
 
 def from_sequence(sequence, zc: ZeroCtx, system) -> TriangularDecomposition:
@@ -108,8 +109,7 @@ def from_sequence(sequence, zc: ZeroCtx, system) -> TriangularDecomposition:
         equations.append(tuple(gens))
     equations = tuple(equations)
 
-    spans = [PfaffianSystem(final, [g for xi in equations[:j] for g in xi], zc)
-             for j in range(n_b + 1)]
+    spans = _prefix_spans(final, equations, zc)
     kept = sequence[-1].S_next.chart.coords
     member = {}
     for c in kept:
@@ -206,16 +206,15 @@ def validate(td: TriangularDecomposition, zc: ZeroCtx):
     coordinates are characteristic for every block that omits them.
     """
     n_b, m = td.n_b, td.m
+    spans = _prefix_spans(td.chart, td.equations, zc)
     report = []
     for k in range(n_b):
         blk = td.blocks[m - k - 1]
         fields = [VectorField(td.chart, {p: ONE}) for p in blk.nondrv]
-        S_k = _span(td, n_b - k, zc)
-        V = vertical_annihilator(S_k, zc)
+        V = vertical_annihilator(spans[n_b - k], zc)
         ok = all(V.contains(v, zc) for v in fields)
         report.append((f"zhat^{m - k} vertical for S_d{k}", ok))
-        S_next = _span(td, n_b - k - 1, zc)
-        ok = all(is_characteristic(v, S_next, zc) for v in fields)
+        ok = all(is_characteristic(v, spans[n_b - k - 1], zc) for v in fields)
         report.append((f"zhat^{m - k} Cauchy for S_d{k + 1}", ok))
     for i in range(1, n_b + 1):
         ok = solves_for(td.equations[i - 1], td.blocks[i].nondrv, zc)
@@ -224,9 +223,8 @@ def validate(td: TriangularDecomposition, zc: ZeroCtx):
         blk = td.blocks[k - 1]
         if not blk.y:
             continue
-        S_deep = _span(td, k - 1, zc)
         fields = [VectorField(td.chart, {c: ONE}) for c in blk.y]
-        ok = all(is_characteristic(v, S_deep, zc) for v in fields)
+        ok = all(is_characteristic(v, spans[k - 1], zc) for v in fields)
         report.append((f"y^{k} Cauchy for S_d{m - k}", ok))
     return report
 

@@ -283,6 +283,27 @@ def test_straighten_not_solvable_nonlinear():
         straighten_flow(v, ZC, prefix="w")
 
 
+def test_straighten_integrates_polynomial_forcing():
+    # x3' = x1^2 with x1 = wh along the flow: forcing of degree 2 in s
+    ch = Chart((X1, X2, X3))
+    phi = straighten_flow(VectorField(ch, {X1: sx.ONE, X3: pow_(x1, 2)}),
+                          ZC, prefix="w")
+    w = {s.name: var(s) for s in phi.source.coords}
+    assert ZC.zero(add(phi.forward[X3],
+                       neg(add(w["w2"], div(pow_(w["wh"], 3), 3)))))
+    assert ZC.zero(add(phi.inverse[phi.source.coords[1]],
+                       neg(add(x3, neg(div(pow_(x1, 3), 3))))))
+
+
+@pytest.mark.parametrize("forcing", [pow_(x1, -1), func("sin", x1)],
+                         ids=["reciprocal", "sin"])
+def test_straighten_rejects_non_polynomial_forcing(forcing):
+    ch = Chart((X1, X2, X3))
+    v = VectorField(ch, {X1: sx.ONE, X3: forcing})
+    with pytest.raises(NotSolvable, match="not polynomial"):
+        straighten_flow(v, ZC, prefix="w")
+
+
 def test_straighten_pushforward_property_random():
     rng = random.Random(11)
     coords = (X1, X2, X3)

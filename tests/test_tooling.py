@@ -97,6 +97,26 @@ def test_every_import_is_read():
     assert not found, "imported but never read: " + "; ".join(found)
 
 
+def test_every_parameter_is_read():
+    # a parameter its function never reads is an interface that lies; a
+    # method's self is the receiver and exempt
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                continue
+            a = node.args
+            params = a.posonlyargs + a.args + a.kwonlyargs + [
+                arg for arg in (a.vararg, a.kwarg) if arg is not None]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {n.id for stmt in body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            found += [f"{path.name}:{node.lineno} {arg.arg}"
+                      for arg in params
+                      if arg.arg not in read and arg.arg != "self"]
+    assert not found, "parameters never read: " + "; ".join(found)
+
+
 def test_no_zero_context_has_a_default():
     # a defaulted zc, zero-test budget or seed decides with its own values,
     # not the ones the command line asked for
