@@ -178,6 +178,9 @@ def _certificate_load(obj, cs) -> FlatnessCertificate:
         obj = _field(obj, "certificate", "", lambda v: isinstance(v, dict),
                      "an object")
     names = _field(obj, "chart", "", _is_names, "a list of names")
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise CertificateError(f"field chart names {name} a second time")
     coords = tuple(Symbol(n, AUX) for n in names)
     final = Chart(coords)
     byname = {s.name: s for s in coords}

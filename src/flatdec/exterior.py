@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .symexpr import (
     AUX, MINUS_ONE, ONE, TIME, ZERO, Add, Expr, Mul, Pow, Symbol, Var, add,
-    const, diff, div, func, mul, neg, substitute, var,
+    const, diff, div, func, mul, neg, pow_, substitute, var,
 )
 
 T = Symbol("t", TIME)
@@ -368,7 +368,7 @@ def _integral_from_zero(beta: Expr, sv: Expr) -> Expr:
     the sum of beta^(k-1)(0) sv^k / k!, which ends for beta polynomial in s."""
     parts, coeff, k = [], Fraction(1), 1
     while beta is not ZERO:
-        parts.append(mul(const(coeff), substitute(beta, {_FLOW_S: ZERO}), sv ** k))
+        parts.append(mul(const(coeff), substitute(beta, {_FLOW_S: ZERO}), pow_(sv, k)))
         beta = diff(beta, _FLOW_S)
         k += 1
         coeff /= k

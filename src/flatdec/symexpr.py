@@ -47,59 +47,40 @@ class Symbol:
 
 
 class Expr:
-    """Base node.  `key` is a nested tuple giving a total structural order.
+    """Base node.  `key` is a nested tuple giving a total structural order;
+    equal keys mean equal nodes, and nodes built apart may share children,
+    so an expression is a DAG that every walk visits once per distinct node.
     `needs_mp` (a function, or a constant that PRIME divides, inside) and
     `_memo` (values at sample points) serve `is_zero`."""
 
     __slots__ = ("key", "_hash", "free", "nodes", "needs_mp", "_memo")
 
-    def _seal(self, key, free, nodes, needs_mp):
+    def _seal(self, key, hkey, free, nodes, needs_mp):
+        """hkey is key with each child's key replaced by the child's cached
+        hash, so hashing costs O(children), not O(subtree)."""
         self.key = key
-        self._hash = hash(key)
+        self._hash = hash(hkey)
         self.free = free
         self.nodes = nodes
         self.needs_mp = needs_mp
         self._memo = None
+
+    def _seal_kids(self, tag, kids):
+        """_seal of a sum or product: key (tag, *the children's keys)."""
+        key, hkey, free, nodes, needs_mp = [tag], [tag], frozenset(), 1, False
+        for k in kids:
+            key.append(k.key)
+            hkey.append(k._hash)
+            free |= k.free
+            nodes += k.nodes
+            needs_mp = needs_mp or k.needs_mp
+        self._seal(tuple(key), tuple(hkey), free, nodes, needs_mp)
 
     def __hash__(self):
         return self._hash
 
     def __eq__(self, other):
         return self is other or (isinstance(other, Expr) and self.key == other.key)
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
-    # arithmetic sugar, used heavily by the geometry layers and tests
-    def __add__(self, other):
-        return add(self, _coerce(other))
-
-    def __radd__(self, other):
-        return add(_coerce(other), self)
-
-    def __sub__(self, other):
-        return add(self, neg(_coerce(other)))
-
-    def __rsub__(self, other):
-        return add(_coerce(other), neg(self))
-
-    def __mul__(self, other):
-        return mul(self, _coerce(other))
-
-    def __rmul__(self, other):
-        return mul(_coerce(other), self)
-
-    def __truediv__(self, other):
-        return div(self, _coerce(other))
-
-    def __rtruediv__(self, other):
-        return div(_coerce(other), self)
-
-    def __pow__(self, n):
-        return pow_(self, n)
-
-    def __neg__(self):
-        return neg(self)
 
     def __repr__(self):
         return f"<Expr {self.key!r}>"
@@ -111,7 +92,8 @@ class Const(Expr):
     def __init__(self, value: Fraction):
         self.value = value
         n, d = value.numerator, value.denominator
-        self._seal(("c", (n, d)), frozenset(), 1,
+        key = ("c", (n, d))
+        self._seal(key, key, frozenset(), 1,
                    (n != 0 and n % PRIME == 0) or d % PRIME == 0)
 
 
@@ -120,7 +102,8 @@ class Var(Expr):
 
     def __init__(self, sym: Symbol):
         self.sym = sym
-        self._seal(("v", sym.name, sym.kind), frozenset((sym,)), 1, False)
+        key = ("v", sym.name, sym.kind)
+        self._seal(key, key, frozenset((sym,)), 1, False)
 
 
 class Add(Expr):
@@ -128,9 +111,7 @@ class Add(Expr):
 
     def __init__(self, terms: tuple):
         self.terms = terms
-        free = frozenset().union(*(t.free for t in terms))
-        self._seal(("a",) + tuple(t.key for t in terms), free,
-                   1 + sum(t.nodes for t in terms), any(t.needs_mp for t in terms))
+        self._seal_kids("a", terms)
 
 
 class Mul(Expr):
@@ -138,9 +119,7 @@ class Mul(Expr):
 
     def __init__(self, factors: tuple):
         self.factors = factors
-        free = frozenset().union(*(f.free for f in factors))
-        self._seal(("m",) + tuple(f.key for f in factors), free,
-                   1 + sum(f.nodes for f in factors), any(f.needs_mp for f in factors))
+        self._seal_kids("m", factors)
 
 
 class Pow(Expr):
@@ -149,7 +128,8 @@ class Pow(Expr):
     def __init__(self, base: Expr, exp: int):
         self.base = base
         self.exp = exp
-        self._seal(("p", base.key, exp), base.free, 1 + base.nodes, base.needs_mp)
+        self._seal(("p", base.key, exp), ("p", base._hash, exp), base.free,
+                   1 + base.nodes, base.needs_mp)
 
 
 class Func(Expr):
@@ -158,7 +138,8 @@ class Func(Expr):
     def __init__(self, fn: str, arg: Expr):
         self.fn = fn
         self.arg = arg
-        self._seal(("f", fn, arg.key), arg.free, 1 + arg.nodes, True)
+        self._seal(("f", fn, arg.key), ("f", fn, arg._hash), arg.free,
+                   1 + arg.nodes, True)
 
 
 ZERO = Const(Fraction(0))
@@ -203,7 +184,7 @@ def _coeff_core(term: Expr):
 
 
 def add(*terms) -> Expr:
-    acc: dict = {}   # core key -> [coeff, core]
+    acc: dict = {}   # core -> [coeff, core]
     csum = Fraction(0)
     stack = list(terms)
     for t in stack:
@@ -217,9 +198,9 @@ def add(*terms) -> Expr:
         if core is ONE:
             csum += coeff
             continue
-        slot = acc.get(core.key)
+        slot = acc.get(core)
         if slot is None:
-            acc[core.key] = [coeff, core]
+            acc[core] = [coeff, core]
         else:
             slot[0] += coeff
     out = []
@@ -244,7 +225,7 @@ def add(*terms) -> Expr:
 
 def mul(*factors) -> Expr:
     coeff = Fraction(1)
-    powers: dict = {}  # base key -> [base, int exponent]
+    powers: dict = {}  # base -> [base, int exponent]
     stack = list(factors)
     for f in stack:
         if isinstance(f, Mul):
@@ -259,9 +240,9 @@ def mul(*factors) -> Expr:
             base, e = f.base, f.exp
         else:
             base, e = f, 1
-        slot = powers.get(base.key)
+        slot = powers.get(base)
         if slot is None:
-            powers[base.key] = [base, e]
+            powers[base] = [base, e]
         else:
             slot[1] += e
     out = []
@@ -367,44 +348,50 @@ def func(fn: str, arg) -> Expr:
     return Func(fn, arg)
 
 
+# f'(a) for e = f(a), as the factors that multiply a' in diff
+_OUTER = {
+    "sin": lambda e: (func("cos", e.arg),),
+    "cos": lambda e: (MINUS_ONE, func("sin", e.arg)),
+    "tan": lambda e: (add(ONE, pow_(func("tan", e.arg), 2)),),
+    "exp": lambda e: (e,),
+    "ln": lambda e: (pow_(e.arg, -1),),
+    "sqrt": lambda e: (const(Fraction(1, 2)), pow_(e, -1)),
+    "arcsin": lambda e: (pow_(func("sqrt", add(ONE, neg(pow_(e.arg, 2)))), -1),),
+    "arctan": lambda e: (pow_(add(ONE, pow_(e.arg, 2)), -1),),
+}
+
+
 def diff(e: Expr, sym: Symbol) -> Expr:
-    if sym not in e.free:
-        return ZERO
-    if isinstance(e, Var):
-        return ONE if e.sym == sym else ZERO
-    if isinstance(e, Add):
-        return add(*(diff(t, sym) for t in e.terms))
-    if isinstance(e, Mul):
-        parts = []
-        for i, f in enumerate(e.factors):
-            df = diff(f, sym)
-            if df is ZERO:
-                continue
-            rest = e.factors[:i] + e.factors[i + 1:]
-            parts.append(mul(df, *rest))
-        return add(*parts)
-    if isinstance(e, Pow):
-        return mul(const(e.exp), pow_(e.base, e.exp - 1), diff(e.base, sym))
-    if isinstance(e, Func):
-        da = diff(e.arg, sym)
-        a = e.arg
-        if e.fn == "sin":
-            return mul(func("cos", a), da)
-        if e.fn == "cos":
-            return mul(MINUS_ONE, func("sin", a), da)
-        if e.fn == "tan":
-            return mul(add(ONE, pow_(func("tan", a), 2)), da)
-        if e.fn == "exp":
-            return mul(e, da)
-        if e.fn == "ln":
-            return mul(pow_(a, -1), da)
-        if e.fn == "sqrt":
-            return mul(const(Fraction(1, 2)), pow_(e, -1), da)
-        if e.fn == "arcsin":
-            return mul(pow_(func("sqrt", add(ONE, neg(pow_(a, 2)))), -1), da)
-        if e.fn == "arctan":
-            return mul(pow_(add(ONE, pow_(a, 2)), -1), da)
-    raise TypeError(f"not an Expr: {e!r}")
+    """Derivative of e in sym, normalized.  Memoized on the node within one
+    call, as `substitute` is, so each distinct subexpression is
+    differentiated once."""
+    memo: dict = {}
+
+    def rec(x: Expr) -> Expr:
+        if sym not in x.free:
+            return ZERO
+        got = memo.get(id(x))
+        if got is not None:
+            return got
+        if isinstance(x, Var):
+            out = ONE
+        elif isinstance(x, Add):
+            out = add(*(rec(t) for t in x.terms))
+        elif isinstance(x, Mul):
+            parts = []
+            for i, f in enumerate(x.factors):
+                df = rec(f)
+                if df is not ZERO:
+                    parts.append(mul(df, *x.factors[:i], *x.factors[i + 1:]))
+            out = add(*parts)
+        elif isinstance(x, Pow):
+            out = mul(const(x.exp), pow_(x.base, x.exp - 1), rec(x.base))
+        else:
+            out = mul(*_OUTER[x.fn](x), rec(x.arg))
+        memo[id(x)] = out
+        return out
+
+    return rec(e)
 
 
 def substitute(e: Expr, bindings: dict) -> Expr:
@@ -606,50 +593,69 @@ def is_zero(e: Expr, budget: int, seed: int) -> bool:
         return _vanishes(e, budget, seed, False)
 
 
-def _source(e: Expr, names: dict, module) -> str:
-    """Python source of e: symbols as `names[sym]`, functions as `_m.<name>`
-    with `_m` bound to `module`."""
-    if isinstance(e, Const):
-        if e.value.denominator == 1:
-            return f"({e.value.numerator})"
-        return f"({e.value.numerator}/{e.value.denominator})"
-    if isinstance(e, Var):
-        return names[e.sym]
-    if isinstance(e, Add):
-        return "(" + "+".join(_source(t, names, module) for t in e.terms) + ")"
-    if isinstance(e, Mul):
-        return "(" + "*".join(_source(f, names, module) for f in e.factors) + ")"
-    if isinstance(e, Pow):
-        return f"({_source(e.base, names, module)})**({e.exp})"
-    if isinstance(e, Func):
-        name = "log" if e.fn == "ln" else e.fn
-        # math spells the inverse functions asin/atan, numpy arcsin/arctan
-        if not hasattr(module, name):
-            name = "a" + name[3:]
-        return f"_m.{name}({_source(e.arg, names, module)})"
-    raise TypeError(f"not an Expr: {e!r}")
-
-
-def _check_bound(exprs, args) -> None:
-    missing = frozenset().union(*(e.free for e in exprs)) - set(args)
+def _program(exprs, names: dict, module):
+    """Straight-line Python source of exprs, children first: one line
+    `_t<k> = ...` per distinct non-leaf node, each with its node's own
+    operation and operand order, so it computes what the nested expression
+    would, in the same order.  Symbols read as `names[sym]` (ValueError for
+    one that names lacks), constants are literals, and functions are
+    `_m.<name>` with `_m` bound to `module`.  Returns the lines and each
+    expression's value as source text."""
+    missing = frozenset().union(*(e.free for e in exprs)) - set(names)
     if missing:
         raise ValueError(f"unbound symbols: {sorted(s.name for s in missing)}")
+    text: dict = {}   # node -> a leaf's literal or a local's name
+    lines = []
+
+    def emit(e: Expr) -> str:
+        got = text.get(e)
+        if got is not None:
+            return got
+        if isinstance(e, Const):
+            n, d = e.value.numerator, e.value.denominator
+            got = f"({n})" if d == 1 else f"({n}/{d})"
+        elif isinstance(e, Var):
+            got = names[e.sym]
+        else:
+            args = [emit(c) for c in _children(e)]
+            if isinstance(e, Add):
+                src = "+".join(args)
+            elif isinstance(e, Mul):
+                src = "*".join(args)
+            elif isinstance(e, Pow):
+                src = f"{args[0]}**({e.exp})"
+            else:
+                name = "log" if e.fn == "ln" else e.fn
+                # math spells the inverse functions asin/atan, numpy arcsin/arctan
+                if not hasattr(module, name):
+                    name = "a" + name[3:]
+                src = f"_m.{name}({args[0]})"
+            got = f"_t{len(lines)}"
+            lines.append(f"{got} = {src}")
+        text[e] = got
+        return got
+
+    return lines, [emit(e) for e in exprs]
 
 
-def compile_expr(e: Expr, args: list, module=math):
-    """Compile to a fast float-valued callable of the given symbols.
+def compile_expr(exprs, args: list):
+    """Compile a list of expressions to one numpy function of the given symbols.
 
-    The callable takes a sequence `_a` indexed like `args`; functions come
-    from `module`.  With `math` it maps floats to a float and raises
-    ValueError/OverflowError on domain violations.  With `numpy` each
-    `_a[i]` may be an array of samples, the result is an array of the same
-    shape (a scalar for a constant expression), and domain violations give
-    nan or inf instead of raising.
+    The function takes an (len(args), N) float array whose row i holds the
+    samples of args[i], and returns the (len(exprs), N) array of the values
+    (a constant expression fills its row).  Its body is the straight-line
+    program of `_program`: each distinct node is computed once, in the
+    nested expression's operation order.  Domain violations give nan or inf
+    instead of raising.
     """
-    _check_bound([e], args)
+    import numpy as np
     names = {s: f"_a[{i}]" for i, s in enumerate(args)}
-    src = f"lambda _a: {_source(e, names, module)}"
-    return eval(src, {"_m": module})  # noqa: S307  (source built locally above)
+    lines, roots = _program(exprs, names, np)
+    lines += [f"_out = _m.empty(({len(roots)}, _a.shape[1]))",
+              *(f"_out[{i}] = {r}" for i, r in enumerate(roots)), "return _out"]
+    scope = {"_m": np}
+    exec("def values(_a):\n    " + "\n    ".join(lines), scope)  # noqa: S102
+    return scope["values"]
 
 
 def compile_rk4(dynamics, states, inputs):
@@ -659,18 +665,19 @@ def compile_rk4(dynamics, states, inputs):
     from the state list x0 and returns one list of n + 1 floats per state,
     x0's entry first.  ua[j][k], ub[j][k] and uc[j][k] are input j at the
     start, the midpoint and the end of step k.  Every state and stage value
-    is a local variable of the generated function, and each step computes
-    x + step / 2 * k for the middle stages, x + step * k3 for the last, and
-    x + step / 6 * (k1 + 2*k2 + 2*k3 + k4) with functions from `math`, so
-    it gives the same floats as that loop written out, and raises
+    is a local variable of the generated function, each stage evaluates the
+    dynamics as one straight-line program (`_program`) with functions from
+    `math`, and each step computes x + step / 2 * k for the middle stages,
+    x + step * k3 for the last, and x + step / 6 * (k1 + 2*k2 + 2*k3 + k4),
+    so it gives the same floats as that loop written out, and raises
     ValueError or an ArithmeticError where it would.
     """
     states, inputs = list(states), list(inputs)
-    _check_bound(dynamics, states + inputs)
 
-    def stage(xs, us):
-        names = dict(zip(states + inputs, xs + us))
-        return [_source(f, names, math) for f in dynamics]
+    def stage(ks, xs, us):
+        lines, roots = _program(dynamics, dict(zip(states + inputs, xs + us)),
+                                math)
+        return lines + [f"{a} = {b}" for a, b in zip(ks, roots)]
 
     def unpack(targets, src):
         return f"{', '.join(targets)}, = {src}"
@@ -681,11 +688,11 @@ def compile_rk4(dynamics, states, inputs):
     ua, ub, uc = ([f"{p}_{j}" for j in range(len(inputs))]
                   for p in ("ua", "ub", "uc"))
     body = [f"{u} = {u}s[k]" for u in ua + ub + uc]
-    body += [f"{a} = {b}" for a, b in zip(k1, stage(x, ua))]
+    body += stage(k1, x, ua)
     for ks, prev, coef, us in ((k2, k1, "h2", ub), (k3, k2, "h2", ub),
                                (k4, k3, "step", uc)):
         body += [f"{a} = {b} + {coef} * {c}" for a, b, c in zip(s, x, prev)]
-        body += [f"{a} = {b}" for a, b in zip(ks, stage(s, us))]
+        body += stage(ks, s, us)
     body += [f"{a} = {a} + h6 * ({b} + 2 * {c} + 2 * {d} + {e})"
              for a, b, c, d, e in zip(x, k1, k2, k3, k4)]
     body += [f"{o}.append({a})" for o, a in zip(out, x)]

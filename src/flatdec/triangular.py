@@ -287,26 +287,17 @@ class _SampleDiverged(_SampleFailure):
     """Newton blow-up, or no convergence within the iteration limit."""
 
 
-def _stack(fns, a):
-    """Numpy-compiled expressions on (n_args, N) columns, as (len(fns), N)."""
-    import numpy as np
-    out = np.empty((len(fns), a.shape[1]))
-    for i, f in enumerate(fns):
-        out[i] = f(a)
-    return out
-
-
 class RecoveryEngine:
     """Compiled per-certificate solver, evaluated on (n_args, N) sample arrays.
 
     Row slot[s] holds jet s of `args`.  Each block's residuals, Jacobian
-    entries and derivative chain are compiled against the block's own
-    argument list: the sorted slots of the jets they mention and of its
-    unknowns' jets up to the order its chain solves for.
+    entries and each step of its derivative chain are compiled, one
+    function per list, against the block's own argument list: the sorted
+    slots of the jets they mention and of its unknowns' jets up to the
+    order its chain solves for.
     """
 
     def __init__(self, cert: FlatnessCertificate):
-        import numpy as np
         td = cert.decomposition
         self.n_b = td.n_b
         coords = td.chart.coords
@@ -339,22 +330,18 @@ class RecoveryEngine:
             need.update(jet(p, j) for p in unknowns for j in orders)
             need = sorted(need, key=self.slot.__getitem__)
             pos = {s: k for k, s in enumerate(need)}
-
-            def compiled(exprs):
-                return [compile_expr(e, need, np) for e in exprs]
-
             # rows[j]: where the j-th jets of the unknowns sit in the block
             rows = [[pos[jet(p, j)] for p in unknowns] for j in orders]
             self.blocks.append((unknowns, [self.slot[s] for s in need], rows,
-                                compiled(residuals), compiled(jac),
-                                [compiled(c) for c in chains]))
+                                *(compile_expr(x, need)
+                                  for x in (residuals, jac, *chains))))
         base = td.transform.target
         self.base_coords = base.coords
-        self.base_f = [compile_expr(td.transform.forward[s], self.args, np)
-                       for s in base.coords]
+        self.base_f = compile_expr(
+            [td.transform.forward[s] for s in base.coords], self.args)
         self.system = cs = td.system
         names = list(cs.states) + list(cs.inputs)
-        self.dynamics = [compile_expr(f, names, np) for f in cs.dynamics]
+        self.dynamics = compile_expr(cs.dynamics, names)
 
     @staticmethod
     def _dt(e, bump):
@@ -417,7 +404,7 @@ def recover_trajectory(engine: RecoveryEngine, curves, ts, guess):
 
     def jacobian(block, jf, size, idx, a):
         """Jacobians at samples idx, minus the non-finite and singular ones."""
-        jac = _stack(jf, a)
+        jac = jf(a)
         if size == 1:
             jac = det = jac[0]
             finite = np.isfinite(jac)
@@ -434,7 +421,7 @@ def recover_trajectory(engine: RecoveryEngine, curves, ts, guess):
         return keep, jac[keep]
 
     with np.errstate(all="ignore"):
-        for bi, (unknowns, need, rows, rf, jf, chains) in enumerate(
+        for bi, (unknowns, need, rows, rf, jf, *chains) in enumerate(
                 engine.blocks, start=1):
             size = len(unknowns)
             blk = vals[need]
@@ -445,7 +432,7 @@ def recover_trajectory(engine: RecoveryEngine, curves, ts, guess):
                 if not idx.size:
                     break
                 a = blk[:, idx]
-                res = _stack(rf, a)
+                res = rf(a)
                 finite = np.isfinite(res).all(axis=0)
                 fail(_SampleSingular, bi, idx[~finite],
                      "domain violation (non-finite residual)")
@@ -469,7 +456,7 @@ def recover_trajectory(engine: RecoveryEngine, curves, ts, guess):
             keep, jac = jacobian(bi, jf, size, idx, a)
             idx, a = idx[keep], a[:, keep]
             for cf, rj in zip(chains, rows[1:]):
-                sol = _solve(jac, -_stack(cf, a))
+                sol = _solve(jac, -cf(a))
                 a[rj] = sol
                 finite = np.isfinite(sol).all(axis=0)
                 fail(_SampleSingular, bi, idx[~finite],
@@ -478,7 +465,7 @@ def recover_trajectory(engine: RecoveryEngine, curves, ts, guess):
             blk[:, idx] = a
             vals[need] = blk
 
-        xu = _stack(engine.base_f, vals)
+        xu = engine.base_f(vals)
     x, u = {}, {}
     for s, row in zip(engine.base_coords, xu):
         (u if s.kind == INPUT else x)[s.name] = row
@@ -497,7 +484,7 @@ def _dynamics_residual(engine: RecoveryEngine, ts, x, u) -> float:
     with np.errstate(all="ignore"):
         mid = ((pts[:, :-1] + pts[:, 1:]) / 2)[:, pair]
         rate = (np.diff(xs, axis=1) / np.diff(ts))[:, pair]
-        err = np.abs(rate - _stack(engine.dynamics, mid))
+        err = np.abs(rate - engine.dynamics(mid))
     return float(np.fmax.reduce(err.ravel()))
 
 
@@ -545,11 +532,11 @@ def verify_flatness_numeric(cert: FlatnessCertificate, trials: int,
         raise OutputCountMismatch(
             f"blocks list {len(td.flat_coords)} flat outputs for {n_u} inputs")
     run = compile_rk4(cs.dynamics, cs.states, cs.inputs)
-    outs = [compile_expr(y, coords, np) for y in cert.outputs]
+    outs = compile_expr(cert.outputs, coords)
     engine = RecoveryEngine(cert)
     # branch selectors: the solved chart variables in original coordinates
-    chartvals = {p.name: compile_expr(td.transform.inverse[p], coords, np)
-                 for blk in td.blocks for p in blk.nondrv}
+    solved = [p for blk in td.blocks for p in blk.nondrv]
+    chartvals = compile_expr([td.transform.inverse[p] for p in solved], coords)
     degree = max(engine.n_b, 3)
     rng = random.Random(seed)
     h = 1e-3
@@ -591,7 +578,7 @@ def verify_flatness_numeric(cert: FlatnessCertificate, trials: int,
                 singular += 1
                 continue
             xs = np.array(xs)
-            fit_ys = _stack(outs, np.vstack([xs[:, ::10], uref(fit_ts)]))
+            fit_ys = outs(np.vstack([xs[:, ::10], uref(fit_ts)]))
             if not (np.isfinite(xs).all() and np.isfinite(fit_ys).all()):
                 singular += 1
                 continue
@@ -601,7 +588,7 @@ def verify_flatness_numeric(cert: FlatnessCertificate, trials: int,
             xmid[:, ::2] = xs
             xmid[:, 1::2] = (xs[:, :-1] + xs[:, 1:]) / 2
             start = np.vstack([xmid, uref(grid)])
-            guess = {name: f(start) for name, f in chartvals.items()}
+            guess = {p.name: row for p, row in zip(solved, chartvals(start))}
             _, xd, ud, failures = recover_trajectory(engine, curves, grid,
                                                      guess)
             if failures:
@@ -610,7 +597,7 @@ def verify_flatness_numeric(cert: FlatnessCertificate, trials: int,
             xr = np.array([xd[c.name] for c in cs.states])
             ur = np.array([ud[c.name] for c in cs.inputs])
 
-            got = _stack(outs, np.vstack([xr[:, ::2], ur[:, ::2]]))
+            got = outs(np.vstack([xr[:, ::2], ur[:, ::2]]))
             want = np.array([c.eval(grid[::2]) for c in curves])
             if (np.abs(got - want) > 1e-7).any():
                 failed += 1

@@ -1,7 +1,8 @@
 """Shared fixtures: the two worked systems and integrator chains, the
 search at the command line's defaults, textbook reference versions of
-the table-based derived system and Frobenius test, and the dual-number
-elimination the ansatz screen's row-space test replaced."""
+the table-based derived system and Frobenius test, the dual-number
+elimination the ansatz screen's row-space test replaced, and the
+tree-walk compiler the straight-line programs replaced."""
 
 import pytest
 
@@ -11,7 +12,9 @@ from flatdec.linalg import ZeroCtx, in_span_mod_p, nullspace
 from flatdec.pfaffian import (
     PfaffianSystem, contraction_tables, vertical_annihilator,
 )
-from flatdec.symexpr import PRIME, ZERO, value_mod_p
+from flatdec.symexpr import (
+    PRIME, ZERO, Add, Const, Func, Mul, Pow, Var, value_mod_p,
+)
 from flatdec.sysdsl import parse_system
 
 # the command line's --max-degree and --max-depth defaults
@@ -233,6 +236,40 @@ class DualScreen:
                 return "reject"
             return None
         return None
+
+
+def _tree_source(e, names, module) -> str:
+    """Python source of e as one nested expression, each subtree written out
+    wherever it occurs: symbols as names[sym], functions as `_m.<name>`."""
+    if isinstance(e, Const):
+        if e.value.denominator == 1:
+            return f"({e.value.numerator})"
+        return f"({e.value.numerator}/{e.value.denominator})"
+    if isinstance(e, Var):
+        return names[e.sym]
+    if isinstance(e, Add):
+        return "(" + "+".join(_tree_source(t, names, module) for t in e.terms) + ")"
+    if isinstance(e, Mul):
+        return "(" + "*".join(_tree_source(f, names, module) for f in e.factors) + ")"
+    if isinstance(e, Pow):
+        return f"({_tree_source(e.base, names, module)})**({e.exp})"
+    if isinstance(e, Func):
+        name = "log" if e.fn == "ln" else e.fn
+        # math spells the inverse functions asin/atan, numpy arcsin/arctan
+        if not hasattr(module, name):
+            name = "a" + name[3:]
+        return f"_m.{name}({_tree_source(e.arg, names, module)})"
+    raise TypeError(f"not an Expr: {e!r}")
+
+
+def tree_compile(e, args, module):
+    """Reference compiler: e as one nested expression of the sequence `_a`,
+    indexed like args, with functions from module.  With math it maps floats
+    to a float and raises on domain violations; with numpy each `_a[i]` may
+    be an array of samples (a constant e gives a scalar), and domain
+    violations give nan or inf."""
+    names = {s: f"_a[{i}]" for i, s in enumerate(args)}
+    return eval(f"lambda _a: {_tree_source(e, names, module)}", {"_m": module})
 
 
 def chain_text(n: int) -> str:

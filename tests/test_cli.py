@@ -348,6 +348,8 @@ def _misshape(cert, case):
         cert["blocks"][2]["index"] = 7
     elif case == "output-dropped":
         cert["blocks"][0]["outputs"] = []
+    elif case == "chart-duplicate":
+        cert["chart"].append(cert["chart"][0])
     elif case == "solved-in-block-1":
         cert["blocks"][0]["solved"] = list(cert["blocks"][1]["solved"])
         cert["blocks"][1]["solved"] = []
@@ -366,6 +368,7 @@ def _misshape(cert, case):
     ("wrong-index", "blocks[2].index must be 3, got 7"),
     ("solved-in-block-1", "blocks[0].solved names 1 variables for 0"),
     ("coordinate-twice", "blocks[1] names"),
+    ("chart-duplicate", "field chart names"),
     ("output-dropped", "which no block lists"),
 ])
 def test_verify_malformed_certificate_exits_1(sin_file, sin_report, tmp_path,
@@ -401,7 +404,7 @@ def sin_certificate(tmp_path_factory):
 def _lists(cert):
     """Every list of the certificate that the fuzz may drop, duplicate or
     shuffle entries of."""
-    out = [cert["blocks"], cert["equations"], cert["outputs"]]
+    out = [cert["chart"], cert["blocks"], cert["equations"], cert["outputs"]]
     for b in cert["blocks"]:
         out += [b["solved"], b["outputs"]]
     return out + cert["equations"]

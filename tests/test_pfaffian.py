@@ -12,7 +12,9 @@ from flatdec.pfaffian import (
     from_control_system, is_characteristic, is_integrable_with_dt,
     is_involutive, restrict_to_subchart, vertical_annihilator,
 )
-from flatdec.symexpr import AUX, ONE, ZERO, Symbol, div, func, mul, neg, var
+from flatdec.symexpr import (
+    AUX, ONE, ZERO, Symbol, add, div, func, mul, neg, var,
+)
 
 from conftest import same_span, tables
 
@@ -44,9 +46,9 @@ def test_from_control_system_sin(sin_sys, zc):
     x1, u1, u2 = (coord(sin_sys, n) for n in ("x1", "u1", "u2"))
     g = one_coeffs(S0.generators[0])
     assert g[x1] is ONE
-    assert zc.zero(g[T] + var(u1))
+    assert zc.zero(add(g[T], var(u1)))
     g3 = one_coeffs(S0.generators[2])
-    assert zc.zero(g3[T] + func("sin", div(var(u1), var(u2))))
+    assert zc.zero(add(g3[T], func("sin", div(var(u1), var(u2)))))
 
 
 def test_from_control_system_coupled(coupled_sys, zc):
@@ -55,7 +57,7 @@ def test_from_control_system_coupled(coupled_sys, zc):
     x2, x3, x1, u2 = (coord(coupled_sys, n) for n in ("x2", "x3", "x1", "u2"))
     g2 = one_coeffs(S0.generators[1])
     assert g2[x2] is ONE
-    assert zc.zero(g2[T] + var(x3) + mul(var(x1), var(u2)))
+    assert zc.zero(add(g2[T], var(x3), mul(var(x1), var(u2))))
 
 
 # -- annihilators --------------------------------------------------------------
@@ -341,9 +343,9 @@ def test_restrict_coupled_level0(coupled_sys, zc):
     w1, w2, w3, w4, w5 = reduced.chart.coords
     expected = PfaffianSystem(reduced.chart, [
         oneform(reduced.chart,
-                {w1: ONE, T: neg(var(w2) + mul(var(w3), var(w5)))}),
+                {w1: ONE, T: neg(add(var(w2), mul(var(w3), var(w5))))}),
         oneform(reduced.chart,
-                {w2: ONE, T: neg(var(w3) + mul(var(w1), var(w5)))}),
+                {w2: ONE, T: neg(add(var(w3), mul(var(w1), var(w5))))}),
         oneform(reduced.chart, {w4: ONE, T: neg(var(w5))}),
     ], zc)
     assert same_span(reduced, expected, zc)

@@ -17,6 +17,8 @@ from flatdec.symexpr import (
 )
 from flatdec.sysdsl import parse_system
 
+from conftest import tree_compile
+
 X = Symbol("x", sx.STATE)
 Y = Symbol("y", sx.STATE)
 Z = Symbol("z", sx.STATE)
@@ -459,13 +461,13 @@ def test_is_zero_and_diff_agree_with_sympy():
 
 def test_compile_expr_matches_eval():
     e = add(func("sin", x), mul(y, pow_(x, -1)), func("arctan", y))
-    f = compile_expr(e, [X, Y])
+    f = compile_expr([e], [X, Y])
     rng = random.Random(3)
     for _ in range(10):
         ax = rng.uniform(0.5, 2.0)
         ay = rng.uniform(0.5, 2.0)
         want = math.sin(ax) + ay / ax + math.atan(ay)
-        assert abs(f([ax, ay]) - want) < 1e-12
+        assert abs(f(np.array([[ax], [ay]]))[0, 0] - want) < 1e-12
 
 
 def test_compile_expr_numpy_matches_math():
@@ -486,10 +488,10 @@ def test_compile_expr_numpy_matches_math():
                       mul(coeff(), pow_(z, rng.choice((1, 2, -1)))), coeff())
             terms.append(mul(coeff(1), func(fn, arg)))
         e = add(*terms)
-        f_math = compile_expr(e, [X, Y, Z])
-        f_np = compile_expr(e, [X, Y, Z], np)
+        f_math = tree_compile(e, [X, Y, Z], math)
+        f_np = compile_expr([e], [X, Y, Z])
         with np.errstate(all="ignore"):
-            got = f_np(pts)
+            got = f_np(pts)[0]
         for k in range(pts.shape[1]):
             try:
                 want = f_math(pts[:, k].tolist())
@@ -504,7 +506,7 @@ def test_compile_expr_numpy_matches_math():
 def _rk4_loop(dynamics, states, inputs):
     """The verifier's RK4 written as a plain loop over compiled callables:
     the reference the generated sweep must match float for float."""
-    fs = [compile_expr(f, list(states) + list(inputs)) for f in dynamics]
+    fs = [tree_compile(f, list(states) + list(inputs), math) for f in dynamics]
 
     def f_eval(x, u):
         return [f(x + u) for f in fs]
@@ -584,9 +586,42 @@ def test_compile_rk4_raises_like_the_loop(text, x0, u, n, step, error):
 
 def test_compile_expr_unbound():
     with pytest.raises(ValueError):
-        compile_expr(x, [Y])
+        compile_expr([x], [Y])
     with pytest.raises(ValueError):
         compile_rk4([x], [Y], [Z])
+
+
+def _doubling(k):
+    """e_k with e_0 = x + y and e_(j+1) = x*e_j + y*e_j: its tree doubles
+    with each j, its distinct nodes grow by three."""
+    e = add(x, y)
+    for _ in range(k):
+        e = add(mul(x, e), mul(y, e))
+    return e
+
+
+def test_programs_and_derivatives_grow_with_the_distinct_nodes(monkeypatch):
+    calls = []
+
+    def counted(f):
+        def call(*args):
+            calls.append(f)
+            return f(*args)
+        return call
+
+    monkeypatch.setattr(sx, "add", counted(sx.add))
+    monkeypatch.setattr(sx, "mul", counted(sx.mul))
+    lines, work = [], []
+    for k in (8, 12, 16):
+        e = _doubling(k)
+        assert e.nodes > 2 ** (k + 2)
+        lines.append(len(sx._program([e], {X: "x", Y: "y"}, math)[0]))
+        calls.clear()
+        diff(e, X)
+        work.append(len(calls))
+    # a constant step per four levels, where the tree grows 16-fold
+    assert lines[2] - lines[1] == lines[1] - lines[0] <= 4 * 3
+    assert work[2] - work[1] == work[1] - work[0] <= 4 * 6
 
 
 # -- structural identity ------------------------------------------------------------

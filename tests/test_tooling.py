@@ -12,6 +12,7 @@ import subprocess
 import sys
 
 from flatdec.cli import _build_parser
+from flatdec.symexpr import Expr
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "flatdec"
@@ -43,6 +44,16 @@ def test_only_symexpr_turns_source_into_code():
                     and node.func.id in ("eval", "exec")):
                 found.append(f"{path.name}:{node.lineno} {node.func.id}")
     assert not found, "eval or exec outside symexpr: " + "; ".join(found)
+
+
+def test_expressions_define_no_arithmetic_operators():
+    # expressions are built by the normalizing constructors add, mul, pow_,
+    # div and neg; operator sugar would hide which one runs
+    ops = [f"__{p}{op}__" for op in ("add", "sub", "mul", "truediv", "pow")
+           for p in ("", "r")] + ["__neg__", "__pos__"]
+    found = [f"{cls.__name__}.{op}" for cls in (Expr, *Expr.__subclasses__())
+             for op in ops if hasattr(cls, op)]
+    assert not found, "arithmetic operators on Expr: " + ", ".join(found)
 
 
 def _uses(node):

@@ -1,14 +1,19 @@
 """Block-triangular assembly, structure checks, and numeric recovery."""
 
 import dataclasses
+import json
 import math
+import pathlib
+import random
 
 import numpy as np
 import pytest
 
+from flatdec import triangular
+from flatdec.cli import _certificate_load
 from flatdec.exterior import T, one_coeffs, oneform
 from flatdec.linalg import ZeroCtx
-from flatdec.symexpr import INPUT, ZERO, func, mul, neg, var
+from flatdec.symexpr import INPUT, ZERO, compile_expr, func, mul, neg, var
 from flatdec.sysdsl import parse_expr, parse_system, render
 from flatdec.triangular import (
     Block, OutputCountMismatch, PolyCurve, RecoveryEngine, StructureViolation,
@@ -16,7 +21,9 @@ from flatdec.triangular import (
     recover_trajectory, validate, verify_flatness_numeric,
 )
 
-from conftest import search
+from conftest import search, tree_compile
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def build(cs, zc):
@@ -385,3 +392,54 @@ def test_polycurve_fit_roundtrip():
     ts = [k / 10 for k in range(11)]
     fit = PolyCurve.fit(ts, [src.eval(t) for t in ts], 2)
     assert all(abs(a - b) < 1e-9 for a, b in zip(src.coeffs, fit.coeffs))
+
+
+# -- compiled programs against the tree-walk oracle ----------------------------------
+
+FLAT_CORPUS = ("chain2", "chain3", "chain4", "chain5", "chain6", "chained",
+               "coupled", "nlchain", "sinex", "unicycle")
+# the tree-walk oracle spends about 11 s and over 1 GB compiling the one
+# larger expression, pvtol's 1,358,702-node recovery residual
+ORACLE_NODES = 200_000
+
+
+def _certificate(name):
+    if name == "pvtol":
+        data = ROOT / "tests" / "data" / "slow"
+        cs = parse_system((data / "pvtol.fds").read_text(encoding="utf-8"))
+        obj = json.loads((data / "pvtol.cert.json").read_text(encoding="utf-8"))
+        return _certificate_load(obj, cs)
+    path = ROOT / "perfbench" / "systems" / f"{name}.fds"
+    cs = parse_system(path.read_text(encoding="utf-8"))
+    td, _ = build(cs, ZeroCtx(budget=20, seed=0))
+    return extract_flat_output(td)
+
+
+@pytest.mark.parametrize("name", FLAT_CORPUS + ("pvtol",))
+def test_verifier_programs_match_the_tree_oracle(name, monkeypatch):
+    # every list the verifier compiles, at points inside and outside the
+    # domain: random ones, all zeros (poles) and 1e300 (overflow)
+    lists = []
+
+    def record(exprs, args):
+        lists.append((list(exprs), list(args)))
+        return compile_expr(exprs, args)
+
+    monkeypatch.setattr(triangular, "compile_expr", record)
+    verify_flatness_numeric(_certificate(name), trials=0, seed=0)
+    assert lists
+    rng = random.Random(name)
+    checked = 0
+    for exprs, args in lists:
+        pts = np.array([[rng.uniform(-2.0, 2.0) for _ in range(30)]
+                        + [0.0, 1e300] for _ in args])
+        with np.errstate(all="ignore"):
+            got = compile_expr(exprs, args)(pts)
+            for row, e in zip(got, exprs):
+                if e.nodes > ORACLE_NODES:
+                    continue
+                want = np.broadcast_to(tree_compile(e, args, np)(pts),
+                                       row.shape)
+                assert np.array_equal(row, want, equal_nan=True), e
+                checked += 1
+    assert checked >= len(lists)
