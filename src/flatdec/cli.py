@@ -422,10 +422,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("verify", help="check a flatness certificate")
     _add_common(pv)
-    pv.add_argument("--certificate", metavar="PATH",
-                    help="JSON report or certificate from decompose")
-    pv.add_argument("--outputs", metavar="EXPRS",
-                    help="semicolon-separated claimed flat outputs")
+    claim = pv.add_mutually_exclusive_group()
+    claim.add_argument("--certificate", metavar="PATH",
+                       help="JSON report or certificate from decompose")
+    claim.add_argument("--outputs", metavar="EXPRS",
+                       help="semicolon-separated claimed flat outputs")
 
     return ap
 

@@ -143,10 +143,7 @@ def in_span(span_rows, targets, zc: ZeroCtx) -> bool:
 def _collect_dens(e: Expr, out: dict) -> None:
     # top-level negative powers (one Add level deep); Func args are opaque
     if isinstance(e, Pow) and e.exp < 0:
-        k = out.get(e.base.key)
-        need = -e.exp
-        if k is None or k[1] < need:
-            out[e.base.key] = (e.base, need)
+        out[e.base] = max(out.get(e.base, 0), -e.exp)
     elif isinstance(e, Mul):
         for f in e.factors:
             _collect_dens(f, out)
@@ -169,7 +166,7 @@ def clear_denominators(vec):
     for e in vec:
         _collect_dens(e, dens)
     if dens:
-        factors = [pow_(b, k) for b, k in dens.values()]
+        factors = [pow_(b, k) for b, k in dens.items()]
         vec = [_mul_through(e, factors) for e in vec]
     return vec
 

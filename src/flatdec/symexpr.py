@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import mpmath
@@ -41,75 +42,87 @@ class EvaluationFailed(RuntimeError):
 class Symbol:
     name: str
     kind: str = AUX
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.name, self.kind)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __repr__(self) -> str:
         return f"Symbol({self.name!r}, {self.kind!r})"
 
 
 class Expr:
-    """Base node.  `key` is a nested tuple giving a total structural order;
-    equal keys mean equal nodes, and nodes built apart may share children,
-    so an expression is a DAG that every walk visits once per distinct node.
-    `needs_mp` (a function, or a constant that PRIME divides, inside) and
-    `_memo` (values at sample points) serve `is_zero`."""
+    """Base node.  Nodes are interned: `Cls(*args)` returns the one live node
+    built from those arguments, so structurally equal nodes are one object,
+    equality is identity, and an expression is a DAG that every walk visits
+    once per distinct node.  `key` is a nested tuple giving a total
+    structural order.  `needs_mp` (a function, or a constant that PRIME
+    divides, inside) and `_memo` (values at sample points, one per distinct
+    node) serve `is_zero`."""
 
-    __slots__ = ("key", "_hash", "free", "nodes", "needs_mp", "_memo")
+    __slots__ = ("key", "free", "nodes", "needs_mp", "_memo", "__weakref__")
 
-    def _seal(self, key, hkey, free, nodes, needs_mp):
-        """hkey is key with each child's key replaced by the child's cached
-        hash, so hashing costs O(children), not O(subtree)."""
+    def __new__(cls, *args):
+        # children are interned already, so the table compares them by identity
+        ident = (cls, *args)
+        node = _NODES.get(ident)
+        if node is None:
+            node = _NODES[ident] = object.__new__(cls)
+            node._memo = None
+            node._build(*args)
+        return node
+
+    def _seal(self, key, free, nodes, needs_mp):
         self.key = key
-        self._hash = hash(hkey)
         self.free = free
         self.nodes = nodes
         self.needs_mp = needs_mp
-        self._memo = None
 
     def _seal_kids(self, tag, kids):
         """_seal of a sum or product: key (tag, *the children's keys)."""
-        key, hkey, free, nodes, needs_mp = [tag], [tag], frozenset(), 1, False
+        key, free, nodes, needs_mp = [tag], frozenset(), 1, False
         for k in kids:
             key.append(k.key)
-            hkey.append(k._hash)
             free |= k.free
             nodes += k.nodes
             needs_mp = needs_mp or k.needs_mp
-        self._seal(tuple(key), tuple(hkey), free, nodes, needs_mp)
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        return self is other or (isinstance(other, Expr) and self.key == other.key)
+        self._seal(tuple(key), free, nodes, needs_mp)
 
     def __repr__(self):
         return f"<Expr {self.key!r}>"
 
 
+_NODES = weakref.WeakValueDictionary()   # (class, *arguments) -> live node
+
+
 class Const(Expr):
     __slots__ = ("value",)
 
-    def __init__(self, value: Fraction):
-        self.value = value
-        n, d = value.numerator, value.denominator
-        key = ("c", (n, d))
-        self._seal(key, key, frozenset(), 1,
+    def __new__(cls, value: Fraction):
+        # interned by numerator and denominator: hashing a Fraction is slow
+        return Expr.__new__(cls, value.numerator, value.denominator)
+
+    def _build(self, n, d):
+        self.value = Fraction(n, d)
+        self._seal(("c", (n, d)), frozenset(), 1,
                    (n != 0 and n % PRIME == 0) or d % PRIME == 0)
 
 
 class Var(Expr):
     __slots__ = ("sym",)
 
-    def __init__(self, sym: Symbol):
+    def _build(self, sym: Symbol):
         self.sym = sym
-        key = ("v", sym.name, sym.kind)
-        self._seal(key, key, frozenset((sym,)), 1, False)
+        self._seal(("v", sym.name, sym.kind), frozenset((sym,)), 1, False)
 
 
 class Add(Expr):
     __slots__ = ("terms",)
 
-    def __init__(self, terms: tuple):
+    def _build(self, terms: tuple):
         self.terms = terms
         self._seal_kids("a", terms)
 
@@ -117,7 +130,7 @@ class Add(Expr):
 class Mul(Expr):
     __slots__ = ("factors",)
 
-    def __init__(self, factors: tuple):
+    def _build(self, factors: tuple):
         self.factors = factors
         self._seal_kids("m", factors)
 
@@ -125,21 +138,20 @@ class Mul(Expr):
 class Pow(Expr):
     __slots__ = ("base", "exp")
 
-    def __init__(self, base: Expr, exp: int):
+    def _build(self, base: Expr, exp: int):
         self.base = base
         self.exp = exp
-        self._seal(("p", base.key, exp), ("p", base._hash, exp), base.free,
-                   1 + base.nodes, base.needs_mp)
+        self._seal(("p", base.key, exp), base.free, 1 + base.nodes,
+                   base.needs_mp)
 
 
 class Func(Expr):
     __slots__ = ("fn", "arg")
 
-    def __init__(self, fn: str, arg: Expr):
+    def _build(self, fn: str, arg: Expr):
         self.fn = fn
         self.arg = arg
-        self._seal(("f", fn, arg.key), ("f", fn, arg._hash), arg.free,
-                   1 + arg.nodes, True)
+        self._seal(("f", fn, arg.key), arg.free, 1 + arg.nodes, True)
 
 
 ZERO = Const(Fraction(0))
@@ -157,12 +169,7 @@ def const(value) -> Const:
     """Exact rational constant.  Floats are rejected: no inexact literals."""
     if isinstance(value, float):
         raise TypeError("float constants are not exact; pass a Fraction")
-    value = Fraction(value)
-    if value == 0:
-        return ZERO
-    if value == 1:
-        return ONE
-    return Const(value)
+    return Const(Fraction(value))
 
 
 def var(sym: Symbol) -> Var:
@@ -184,7 +191,7 @@ def _coeff_core(term: Expr):
 
 
 def add(*terms) -> Expr:
-    acc: dict = {}   # core -> [coeff, core]
+    acc: dict = {}   # core -> coefficient
     csum = Fraction(0)
     stack = list(terms)
     for t in stack:
@@ -198,13 +205,9 @@ def add(*terms) -> Expr:
         if core is ONE:
             csum += coeff
             continue
-        slot = acc.get(core)
-        if slot is None:
-            acc[core] = [coeff, core]
-        else:
-            slot[0] += coeff
+        acc[core] = acc[core] + coeff if core in acc else coeff
     out = []
-    for coeff, core in acc.values():
+    for core, coeff in acc.items():
         if coeff == 0:
             continue
         if coeff == 1:
@@ -225,7 +228,7 @@ def add(*terms) -> Expr:
 
 def mul(*factors) -> Expr:
     coeff = Fraction(1)
-    powers: dict = {}  # base -> [base, int exponent]
+    powers: dict = {}  # base -> int exponent
     stack = list(factors)
     for f in stack:
         if isinstance(f, Mul):
@@ -240,13 +243,9 @@ def mul(*factors) -> Expr:
             base, e = f.base, f.exp
         else:
             base, e = f, 1
-        slot = powers.get(base)
-        if slot is None:
-            powers[base] = [base, e]
-        else:
-            slot[1] += e
+        powers[base] = powers.get(base, 0) + e
     out = []
-    for base, e in powers.values():
+    for base, e in powers.items():
         if e == 0:
             continue
         p = pow_(base, e)
@@ -507,8 +506,8 @@ def _mp_scale(e: Expr, v, args, scales):
 def _at(e: Expr, k: int, seed: int, modp: bool):
     """Value of e at sample point k, None where e is undefined: a residue
     mod PRIME, or a 50-digit (value, magnitude) pair (see _mp_scale).  Each
-    node memoizes its values per (seed, branch): new expressions cost new
-    nodes."""
+    node memoizes its values per (seed, branch), and equal subexpressions
+    are one node, so each is evaluated once per point."""
     if isinstance(e, Const):
         if modp:
             return _modp_node(e, ())

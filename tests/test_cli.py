@@ -1,10 +1,14 @@
 """Exit codes, report structure, and determinism of the command line."""
 
 import contextlib
+import gc
 import io
 import json
+import os
 import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +18,7 @@ from flatdec.cli import SHORTCUT_NOTE, main
 from conftest import COUPLED_SYS, SIN_SYS, chain_text
 
 DATA = pathlib.Path(__file__).parent / "data"
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture
@@ -121,7 +126,8 @@ def test_decompose_reports_are_byte_identical(sin_file, tmp_path):
 def test_in_process_runs_start_cold(coupled_file, tmp_path, monkeypatch):
     # mirrors perfbench/selftest.py: back-to-back runs in one process make
     # the same zero tests and write the same bytes, and symexpr keeps no
-    # module-level cache (sample values live on the expression nodes)
+    # module-level cache (sample values live on the expression nodes, and
+    # the intern table holds only live nodes)
     from flatdec import linalg, symexpr
     zero_test, calls = linalg.is_zero, []
 
@@ -134,18 +140,50 @@ def test_in_process_runs_start_cold(coupled_file, tmp_path, monkeypatch):
                 if not k.startswith("__") and isinstance(v, (dict, list, set))}
 
     monkeypatch.setattr(linalg, "is_zero", counting)
+    gc.collect()
+    # the module constants, and the nodes other test modules hold
+    live = set(symexpr._NODES.values())
+    assert {symexpr.ZERO, symexpr.ONE, symexpr.MINUS_ONE} <= live
     before, reports = containers(), []
     for i in range(2):
         calls.append(0)
         report = tmp_path / f"r{i}.json"
         assert main(["decompose", coupled_file, "--report", str(report)]) == 0
         reports.append(report.read_bytes())
+        gc.collect()
+        assert set(symexpr._NODES.values()) == live
     assert reports[0] == reports[1]
     assert calls[0] == calls[1] > 0
     assert containers() == before
     assert not hasattr(symexpr, "clear_zero_cache")
     assert all(c._memo is None
                for c in (symexpr.ZERO, symexpr.ONE, symexpr.MINUS_ONE))
+
+
+_INTERNED_AFTER = """
+import gc, sys
+from flatdec import symexpr
+from flatdec.cli import main
+system, report = sys.argv[1:]
+for argv in (["analyze", system], ["decompose", system, "--verify"]):
+    assert main(argv + ["--samples", "2", "--report", report]) == 0
+    gc.collect()
+    print("interned:", sorted(n.key for n in symexpr._NODES.values()))
+"""
+
+
+def test_commands_leave_only_the_constants_interned(coupled_file, tmp_path):
+    # in a fresh interpreter, nothing a command builds outlives it
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run(
+        [sys.executable, "-c", _INTERNED_AFTER, coupled_file,
+         str(tmp_path / "r.json")],
+        capture_output=True, text=True, env=env, timeout=300, check=True)
+    interned = [line for line in done.stdout.splitlines()
+                if line.startswith("interned:")]
+    constants = "interned: " + str([("c", (-1, 1)), ("c", (0, 1)),
+                                    ("c", (1, 1))])
+    assert interned == [constants, constants]
 
 
 def test_decompose_depth_budget_suspends(sin_file, tmp_path):
@@ -318,6 +356,27 @@ def test_verify_accepts_own_outputs(sin_file, capsys):
 def test_verify_without_certificate(sin_file, capsys):
     assert main(["verify", sin_file]) == 1
     assert "missing certificate" in capsys.readouterr().err
+
+
+def test_verify_takes_a_certificate_or_outputs_not_both(sin_file, tmp_path,
+                                                        capsys):
+    # a claim passed next to a certificate would go unchecked
+    report = tmp_path / "d.json"
+    assert main(["decompose", sin_file, "--samples", "5",
+                 "--report", str(report)]) == 0
+    err = _usage_error(["verify", sin_file, "--certificate", str(report),
+                        "--outputs", "x3; x2"], capsys)
+    assert "argument --outputs: not allowed with argument --certificate" in err
+
+
+@pytest.mark.parametrize("name, claim", [
+    ("car", "x; y"), ("trailer1", "x - cos(th1); y - sin(th1)")])
+@pytest.mark.xfail(strict=True, reason=(
+    "all 6 trials singular: the claim is checked against the search's "
+    "blocks (ROADMAP item 4), and ph crosses pi/2 inside [0, 1] (item 6)"))
+def test_verify_passes_the_textbook_flat_outputs(name, claim, capsys):
+    assert main(["verify", str(DATA / f"{name}.fds"), "--outputs", claim,
+                 "--samples", "6"]) == 0
 
 
 def test_verify_missing_certificate_file(sin_file, tmp_path, capsys):

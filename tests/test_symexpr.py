@@ -629,8 +629,37 @@ def test_programs_and_derivatives_grow_with_the_distinct_nodes(monkeypatch):
 @given(exprs())
 @settings(max_examples=100, deadline=None)
 def test_keys_are_hash_consistent(e):
-    e2 = normalize(e)
-    assert hash(e) == hash(e2) and e == e2
+    assert normalize(e) is e
+
+
+def test_equal_expressions_are_one_node(monkeypatch):
+    # built twice, apart, an expression is one object, so the zero test of
+    # the second copy reads the first copy's sample values
+    from flatdec.sysdsl import parse_expr
+    a, b = Symbol("intern_a", sx.STATE), Symbol("intern_b", sx.STATE)
+
+    def build():
+        va, vb = var(a), var(b)
+        return add(mul(va, pow_(vb, 3)), div(va, add(vb, const(2))), neg(va))
+
+    first, second = build(), build()
+    assert second is first
+    text = "intern_a*intern_b^3 + intern_a/(intern_b + 2) - intern_a"
+    assert parse_expr(text, [a, b]) is parse_expr(text, [a, b]) is first
+    assert sx.Const(Fraction(0)) is sx.ZERO and const(1) is sx.ONE
+    evaluated = []
+    node = sx._modp_node
+
+    def counting(e, args):
+        evaluated.append(e)
+        return node(e, args)
+
+    monkeypatch.setattr(sx, "_modp_node", counting)
+    assert not is_zero(first, 3, seed=9_871)
+    assert evaluated
+    evaluated.clear()
+    assert not is_zero(second, 3, seed=9_871)
+    assert evaluated == []
 
 
 def test_heterogeneous_keys_compare():

@@ -56,6 +56,14 @@ def test_expressions_define_no_arithmetic_operators():
     assert not found, "arithmetic operators on Expr: " + ", ".join(found)
 
 
+def test_expressions_compare_by_identity():
+    # nodes are interned, so the inherited identity equality and hash are
+    # the structural ones
+    found = [f"{cls.__name__}.{op}" for cls in (Expr, *Expr.__subclasses__())
+             for op in ("__eq__", "__hash__") if op in vars(cls)]
+    assert not found, "structural comparison on Expr: " + ", ".join(found)
+
+
 def _uses(node):
     """Names read in node's subtree: bare names and attribute names."""
     for n in ast.walk(node):
