@@ -23,8 +23,8 @@ from .sysdsl import (
 )
 from .triangular import (
     Block, FlatnessCertificate, OutputCountMismatch, StructureViolation,
-    TriangularDecomposition, check_shape, extract_flat_output, from_sequence,
-    validate, verify_flatness_numeric,
+    TriangularDecomposition, check_shape, extract_flat_output, flat_order,
+    from_sequence, validate, verify_flatness_numeric,
 )
 
 SHORTCUT_NOTE = "static-feedback-linearizable shortcut applicable"
@@ -166,8 +166,9 @@ def _field(obj: dict, key: str, where: str, test, what: str):
 def _certificate_load(obj, cs) -> FlatnessCertificate:
     """The certificate of a decompose report, or a bare certificate.
 
-    Keys, types and coordinate names are checked before anything is built;
-    a violation raises CertificateError naming the field.
+    Keys, types and coordinate names are checked before anything is built,
+    and `order` must be the order the outputs imply (flat_order); a
+    violation raises CertificateError naming the field.
     """
     if not isinstance(obj, dict):
         raise CertificateError("a certificate must be a JSON object")
@@ -205,8 +206,8 @@ def _certificate_load(obj, cs) -> FlatnessCertificate:
         where = f"blocks[{i}]."
         if not isinstance(b, dict):
             raise CertificateError(f"field blocks[{i}] must be an object")
-        index = _field(b, "index", where, lambda v: isinstance(v, int),
-                       "an integer")
+        index = _field(b, "index", where, lambda v: isinstance(v, int)
+                       and not isinstance(v, bool), "an integer")
         ys = tuple(coord(n, where + "outputs") for n in _field(
             b, "outputs", where, _is_names, "a list of names"))
         solved = tuple(coord(n, where + "solved") for n in _field(
@@ -240,8 +241,11 @@ def _certificate_load(obj, cs) -> FlatnessCertificate:
         for s in need:
             if s.name not in m:
                 raise CertificateError(f"missing field {where}{s.name}")
-    outputs = _field(obj, "outputs", "", _is_names, "a list of expressions")
-    order = _field(obj, "order", "", lambda v: isinstance(v, str), "a string")
+    outputs = tuple(base_expr(y) for y in _field(
+        obj, "outputs", "", _is_names, "a list of expressions"))
+    order = flat_order(outputs)
+    _field(obj, "order", "", lambda v: v == order,
+           f"{order!r}, the order its outputs imply")
     phi = ChartTransform(
         final, base,
         {s: final_expr(forward[s.name]) for s in base_coords},
@@ -249,9 +253,7 @@ def _certificate_load(obj, cs) -> FlatnessCertificate:
     td = TriangularDecomposition(chart=final, blocks=tuple(blocks),
                                  equations=tuple(equations), transform=phi,
                                  system=cs)
-    return FlatnessCertificate(decomposition=td,
-                               outputs=tuple(base_expr(y) for y in outputs),
-                               order=order)
+    return FlatnessCertificate(decomposition=td, outputs=outputs, order=order)
 
 
 def cmd_decompose(args) -> int:
@@ -286,26 +288,37 @@ def cmd_decompose(args) -> int:
     print(f"flat outputs ({cert.order}): "
           + ", ".join(report["certificate"]["outputs"]))
 
+    ok = True
     if args.verify:
         t1 = time.perf_counter()
-        items = validate(td, zc)
-        verdict = verify_flatness_numeric(cert, trials=args.samples,
-                                          seed=args.seed)
-        report["verification"] = _verification_json(items, verdict)
+        ok = _verify_into(report, cert, zc, args)
         timer["verify"] = time.perf_counter() - t1
-        print(_verification_text(items, verdict))
 
     _emit(report, args, timer)
-    return 4 if args.verify and not report["verification"]["ok"] else 0
+    return 0 if ok else 4
 
 
 # -- verify --------------------------------------------------------------------------
 
 
-def _verification_json(items, verdict) -> dict:
-    ok = all(flag for _, flag in items) and verdict.ok
-    return {
-        "structure": [{"check": label, "ok": flag} for label, flag in items],
+def _verify_into(report: dict, cert: FlatnessCertificate, zc: ZeroCtx,
+                 args) -> bool:
+    """Run the structure checks and the numeric check on cert, record them
+    as report["verification"] and print the summary; True when all pass."""
+    items = validate(cert.decomposition, zc)
+    structure = [{"check": label, "ok": flag} for label, flag in items]
+    try:
+        verdict = verify_flatness_numeric(cert, trials=args.samples,
+                                          seed=args.seed)
+    except OutputCountMismatch as ex:
+        report["verification"] = {"structure": structure,
+                                  "numeric": {"error": str(ex)}, "ok": False}
+        print(f"output count mismatch: {ex}", file=sys.stderr)
+        return False
+    good = sum(1 for _, flag in items if flag)
+    ok = good == len(items) and verdict.ok
+    report["verification"] = {
+        "structure": structure,
         "numeric": {
             "trials": verdict.trials,
             "passed": verdict.passed,
@@ -316,15 +329,11 @@ def _verification_json(items, verdict) -> dict:
         },
         "ok": ok,
     }
-
-
-def _verification_text(items, verdict) -> str:
-    good = sum(1 for _, flag in items if flag)
-    ok = good == len(items) and verdict.ok
-    return (f"structure checks: {good}/{len(items)} pass\n"
-            f"numeric: {verdict.trials} trials, {verdict.passed} passed, "
-            f"{verdict.failed} failed, {verdict.singular} singular\n"
-            f"verdict: {'PASS' if ok else 'FAIL'}")
+    print(f"structure checks: {good}/{len(items)} pass\n"
+          f"numeric: {verdict.trials} trials, {verdict.passed} passed, "
+          f"{verdict.failed} failed, {verdict.singular} singular\n"
+          f"verdict: {'PASS' if ok else 'FAIL'}")
+    return ok
 
 
 def cmd_verify(args) -> int:
@@ -360,22 +369,9 @@ def cmd_verify(args) -> int:
               "or --outputs <expr;expr>", file=sys.stderr)
         return 1
 
-    items = validate(cert.decomposition, zc)
-    try:
-        verdict = verify_flatness_numeric(cert, trials=args.samples,
-                                          seed=args.seed)
-    except OutputCountMismatch as ex:
-        report["verification"] = {
-            "structure": [{"check": label, "ok": flag} for label, flag in items],
-            "numeric": {"error": str(ex)},
-            "ok": False,
-        }
-        print(f"output count mismatch: {ex}", file=sys.stderr)
-    else:
-        report["verification"] = _verification_json(items, verdict)
-        print(_verification_text(items, verdict))
+    ok = _verify_into(report, cert, zc, args)
     _emit(report, args, {"verify": time.perf_counter() - t0})
-    return 0 if report["verification"]["ok"] else 4
+    return 0 if ok else 4
 
 
 # -- entry point ---------------------------------------------------------------------

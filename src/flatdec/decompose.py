@@ -52,7 +52,7 @@ class Splitting:
 
 @dataclass(frozen=True)
 class DecompositionResult:
-    status: str  # Triangularized | Inconclusive | NotReducible
+    status: str  # Triangularized | Inconclusive
     sequence: tuple
     branch_log: tuple
 
@@ -200,7 +200,7 @@ class _Screen:
     nullity of M(z) is below `want` (the symbolic nullity cannot exceed
     it), _REJECT when it is `want` and some row of Q(z) is outside the row
     space of M(z) (then some v.dp is outside the span of P, so
-    is_characteristic fails and refine_to_cauchy rejects c), and None,
+    is_characteristic fails and the search rejects c), and None,
     leaving c to the symbolic path, in every other case: nullity above
     `want`, a rank-deficient G(z), or a pole at each of 10*budget points.
     Error bound: a skip or a rejection differs from the symbolic path's
@@ -378,56 +378,23 @@ def _candidate_stream(S: PfaffianSystem, basis, tabs, max_degree: int,
         yield tuple(c), cand
 
 
-def refine_to_cauchy(fields, S_candidate: PfaffianSystem, zc: ZeroCtx):
-    """Verify that fields make a necessary-condition candidate invariant.
-
-    Every field must be a Cauchy characteristic of the candidate
-    (is_characteristic), and the fields must span an involutive
-    distribution.  Returns that distribution F, or None.
-    """
-    for v in fields:
-        if not is_characteristic(v, S_candidate, zc):
-            return None
-    F = Distribution(S_candidate.chart, list(fields), zc)
-    if F.dim != len(fields) or not is_involutive(F, zc):
-        return None
-    return F
-
-
-def check_parameterizable(S_comp: PfaffianSystem, nondrv, zc: ZeroCtx) -> bool:
-    """True when the complement equations solve for the flow parameters:
-    one parameter per generator, and `solves_for` holds."""
-    params = list(nondrv)
-    return len(params) == S_comp.dim and solves_for(S_comp.generators, params, zc)
-
-
 # -- straightening one level ---------------------------------------------------------
 
 _PREFIX_LETTERS = "wqrsgehjkmnpv"
 
 
-class _Prefixes:
-    """Deterministic supply of fresh coordinate-name prefixes."""
-
-    def __init__(self, reserved):
-        self._reserved = set(reserved)
-        self._stream = self._gen()
-
-    def _gen(self):
-        for ch in _PREFIX_LETTERS:
-            yield ch
-        for a in _PREFIX_LETTERS:
-            for b in _PREFIX_LETTERS:
-                yield a + b
-
-    def take(self) -> str:
-        for p in self._stream:
-            if not any(name.startswith(p) for name in self._reserved):
-                return p
-        raise RuntimeError("out of fresh coordinate prefixes")
+def _prefixes(reserved):
+    """Deterministic supply of fresh coordinate-name prefixes, read with
+    next(): the letters, then the pairs of letters, that start no reserved
+    name."""
+    pairs = [a + b for a in _PREFIX_LETTERS for b in _PREFIX_LETTERS]
+    for p in list(_PREFIX_LETTERS) + pairs:
+        if not any(name.startswith(p) for name in reserved):
+            yield p
+    raise RuntimeError("out of fresh coordinate prefixes")
 
 
-def _straighten_level(F: Distribution, zc: ZeroCtx, naming: _Prefixes):
+def _straighten_level(F: Distribution, zc: ZeroCtx, naming):
     """Straighten the fields of F one after another.
 
     Returns (phi, params): phi maps the level chart from the fully
@@ -455,7 +422,7 @@ def _straighten_level(F: Distribution, zc: ZeroCtx, naming: _Prefixes):
                     continue
                 comps[s] = e
             cur = VectorField(moved.chart, comps)
-        step = straighten_flow(cur, zc, naming.take())
+        step = straighten_flow(cur, zc, next(naming))
         renamed = []
         for p in params:
             e = step.forward[p]
@@ -476,7 +443,7 @@ def _complement(S: PfaffianSystem, S_sub: PfaffianSystem, zc: ZeroCtx):
 # -- one reduction layer ----------------------------------------------------------------
 
 def reduce_once(S: PfaffianSystem, max_degree: int, zc: ZeroCtx,
-                naming: _Prefixes, events: list):
+                naming, events: list):
     """Every verified splitting of S, in search order.
 
     Order: the joint candidate over all vertical directions, then single
@@ -504,14 +471,17 @@ def reduce_once(S: PfaffianSystem, max_degree: int, zc: ZeroCtx,
 
         if S.dim != cand.dim + len(fields):
             return reject("size bookkeeping fails")
-        F = refine_to_cauchy(fields, cand, zc)
-        if F is None:
+        if not all(is_characteristic(v, cand, zc) for v in fields):
             # the scan counts these in one entry for the level
             if c is None:
                 reject(_NOT_CHARACTERISTIC)
             else:
                 rejected.append(c)
             return
+        # a scan field is one nonzero field, and the joint fields are the
+        # basis of V, which is involutive: F keeps every field and is
+        # involutive
+        F = Distribution(cand.chart, fields, zc)
         try:
             phi, params = _straighten_level(F, zc, naming)
         except NotSolvable as ex:
@@ -519,12 +489,12 @@ def reduce_once(S: PfaffianSystem, max_degree: int, zc: ZeroCtx,
         comp_gens = _complement(S, cand, zc)
         comp = PfaffianSystem(phi.source,
                               [pullback(phi, g) for g in comp_gens], zc)
-        if not check_parameterizable(comp, params, zc):
+        if not solves_for(comp.generators, params, zc):
             return reject("complement not parameterizable")
         try:
             nxt = restrict_to_subchart(cand, phi, params, zc)
         except NotReducible as ex:
-            return reject(f"restriction blocked: {ex}", restrict_failed=True)
+            return reject(f"restriction blocked: {ex}")
         out.append(Splitting(F, nxt, comp, phi, tuple(params)))
 
     if 2 <= V.dim <= S.dim and is_involutive(V, zc):
@@ -582,16 +552,13 @@ def run_decomposition(cs, zc: ZeroCtx, max_degree: int,
     """Depth-first reduction of the system's Pfaffian form.
 
     Triangularized iff some branch empties the system within max_depth
-    levels; otherwise Inconclusive, or NotReducible when restriction
-    failures were the only way branches died.  The ansatz scan combines
-    the vertical fields with monomials of total degree up to max_degree.
+    levels, otherwise Inconclusive.  The ansatz scan combines the vertical
+    fields with monomials of total degree up to max_degree.
     """
     S0 = from_control_system(cs, zc)
-    naming = _Prefixes({s.name for s in S0.chart.axes})
+    naming = _prefixes({s.name for s in S0.chart.axes})
     log = []
     path = []
-    flags = {"exhausted": False, "suspended": False,
-             "notreducible": False, "depth": False}
 
     def explore(S, level, parent):
         if S.dim == 0:
@@ -600,17 +567,10 @@ def run_decomposition(cs, zc: ZeroCtx, max_degree: int,
             log.append({"id": len(log), "parent": parent, "level": level,
                         "kind": "depth-limit", "outcome": "suspended",
                         "note": f"depth budget {max_depth} reached"})
-            flags["depth"] = True
             return False
         events = []
         splits = reduce_once(S, max_degree, zc, naming, events)
-        if not splits:
-            flags["exhausted"] = True
         for ev in events:
-            if ev.pop("restrict_failed", False):
-                flags["notreducible"] = True
-            if ev.get("outcome") == "suspended":
-                flags["suspended"] = True
             ev.update(id=len(log), parent=parent, level=level)
             log.append(ev)
         for sp in splits:
@@ -633,12 +593,6 @@ def run_decomposition(cs, zc: ZeroCtx, max_degree: int,
             path.pop()
         return False
 
-    if explore(S0, 0, None):
-        status = "Triangularized"
-    elif flags["notreducible"] and not (flags["exhausted"] or flags["suspended"]
-                                        or flags["depth"]):
-        status = "NotReducible"
-    else:
-        status = "Inconclusive"
+    status = "Triangularized" if explore(S0, 0, None) else "Inconclusive"
     return DecompositionResult(status=status, sequence=tuple(path),
                                branch_log=tuple(log))

@@ -196,16 +196,7 @@ def normalize_leading(vec, zc: ZeroCtx):
 
 def nullspace(rows, ncols: int, zc: ZeroCtx):
     """Basis of the right nullspace, denominators cleared, leading coeff 1."""
-    if ncols == 0:
-        return []
     live = [r for r in rows if any(e is not ZERO for e in r)]
-    if not live:
-        basis = []
-        for i in range(ncols):
-            v = [ZERO] * ncols
-            v[i] = ONE
-            basis.append(v)
-        return basis
     red, pivots = row_echelon(live, zc)
     pivot_cols = {c for _, c in pivots}
     basis = []

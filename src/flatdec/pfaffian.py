@@ -187,8 +187,6 @@ def derived_system(S: PfaffianSystem, tabs, zc: ZeroCtx) -> PfaffianSystem:
     contracted twice gives nothing.  The search's joint candidate is the
     same span.
     """
-    if S.dim == 0:
-        return PfaffianSystem(S.chart, [], zc)
     _, tables, _ = tabs
     rows = [tab[idx] for tab in tables for idx in sorted(tab)]
     sols = linalg.nullspace(rows, len(S.generators), zc)

@@ -236,6 +236,13 @@ class FlatnessCertificate:
     order: str             # "0-flat" | "1-flat"
 
 
+def flat_order(outputs) -> str:
+    """The order of flat outputs: "1-flat" when one of them mentions an
+    input, else "0-flat"."""
+    inputy = any(s.kind == INPUT for e in outputs for s in e.free)
+    return "1-flat" if inputy else "0-flat"
+
+
 def extract_flat_output(td: TriangularDecomposition) -> FlatnessCertificate:
     """Read the flat outputs off the y-coordinates of the blocks."""
     phi = td.transform
@@ -245,9 +252,8 @@ def extract_flat_output(td: TriangularDecomposition) -> FlatnessCertificate:
     if len(outputs) != n_u:
         raise OutputCountMismatch(
             f"{len(outputs)} flat-output candidates for {n_u} inputs")
-    inputy = any(s.kind == INPUT for e in outputs for s in e.free)
     return FlatnessCertificate(decomposition=td, outputs=outputs,
-                               order="1-flat" if inputy else "0-flat")
+                               order=flat_order(outputs))
 
 
 # -- trajectory recovery ------------------------------------------------------------

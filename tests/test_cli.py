@@ -409,6 +409,10 @@ def _misshape(cert, case):
         cert["blocks"][0]["outputs"] = []
     elif case == "chart-duplicate":
         cert["chart"].append(cert["chart"][0])
+    elif case == "index-true":
+        cert["blocks"][0]["index"] = True
+    elif case in ("order-relabelled", "order-unknown"):
+        cert["order"] = "0-flat" if case == "order-relabelled" else "2-flat"
     elif case == "solved-in-block-1":
         cert["blocks"][0]["solved"] = list(cert["blocks"][1]["solved"])
         cert["blocks"][1]["solved"] = []
@@ -429,6 +433,9 @@ def _misshape(cert, case):
     ("coordinate-twice", "blocks[1] names"),
     ("chart-duplicate", "field chart names"),
     ("output-dropped", "which no block lists"),
+    ("index-true", "field blocks[0].index must be an integer"),
+    ("order-relabelled", "field order must be '1-flat'"),
+    ("order-unknown", "field order must be '1-flat'"),
 ])
 def test_verify_malformed_certificate_exits_1(sin_file, sin_report, tmp_path,
                                               capsys, case, message):

@@ -9,11 +9,10 @@ import pytest
 
 from flatdec import decompose
 from flatdec.decompose import (
-    Splitting, check_parameterizable, monomial_pool,
-    reduce_once, refine_to_cauchy, run_decomposition, sequence_transforms,
-    _REJECT, _SKIP, _Screen, _along, _candidate_stream, _coefficient_vectors,
-    _combine, _lift_through, _Prefixes, _pencil_rows, _projective_key,
-    _tuple_stream,
+    Splitting, monomial_pool, reduce_once, run_decomposition,
+    sequence_transforms, _REJECT, _SKIP, _Screen, _along, _candidate_stream,
+    _coefficient_vectors, _combine, _lift_through, _pencil_rows,
+    _prefixes, _projective_key, _tuple_stream,
 )
 from flatdec.exterior import Chart, T, VectorField, oneform, scale
 from flatdec.linalg import (
@@ -22,7 +21,8 @@ from flatdec.linalg import (
 from flatdec.pfaffian import (
     Distribution, PfaffianSystem, contraction_tables, derived_flag,
     derived_system, from_control_system, is_characteristic,
-    is_integrable_with_dt, span_from_solutions, vertical_annihilator,
+    is_integrable_with_dt, solves_for, span_from_solutions,
+    vertical_annihilator,
 )
 from flatdec.symexpr import (
     ONE, PRIME, STATE, ZERO, Symbol, add, const, div, is_zero, mul, neg,
@@ -65,7 +65,7 @@ def splitting_holds(sp: Splitting, parent: PfaffianSystem, zc) -> bool:
 
 def reduce_top(S, zc, events=None):
     """reduce_once on a level-0 system, with fresh names for its chart."""
-    naming = _Prefixes({s.name for s in S.chart.axes})
+    naming = _prefixes({s.name for s in S.chart.axes})
     return reduce_once(S, MAX_DEGREE, zc, naming,
                        [] if events is None else events)
 
@@ -248,7 +248,7 @@ def test_necessary_condition_no_directions(sin_sys, zc):
     assert list(_candidate_stream(S0, [], tabs, MAX_DEGREE, zc)) == []
 
 
-# -- refinement and parameterizability ------------------------------------------------
+# -- the characteristic and parameterizability checks --------------------------------
 
 def test_refine_accepts_characteristic_field(chain, zc):
     cs = chain(2)
@@ -257,9 +257,7 @@ def test_refine_accepts_characteristic_field(chain, zc):
     x1, x2 = coord(cs, "x1"), coord(cs, "x2")
     cand = PfaffianSystem(S0.chart, [oneform(S0.chart, {x1: ONE, T: neg(var(x2))})], zc)
     du = VectorField(S0.chart, {u: ONE})
-    F = refine_to_cauchy([du], cand, zc)
-    assert F is not None
-    assert F.dim == 1 and F.contains(du, zc)
+    assert is_characteristic(du, cand, zc)
 
 
 def test_refine_rejects_non_invariant_field(chain, zc):
@@ -269,22 +267,10 @@ def test_refine_rejects_non_invariant_field(chain, zc):
     cand = PfaffianSystem(S0.chart, [oneform(S0.chart, {x1: ONE, T: neg(var(x2))})], zc)
     # d_x2 annihilates the generator but fails the invariance condition
     bad = VectorField(S0.chart, {x2: ONE})
-    assert refine_to_cauchy([bad], cand, zc) is None
+    assert not is_characteristic(bad, cand, zc)
     # d_x1 does not even annihilate it
     worse = VectorField(S0.chart, {x1: ONE})
-    assert refine_to_cauchy([worse], cand, zc) is None
-
-
-def test_refine_rejects_non_involutive_pair(chain, zc):
-    cs = chain(3)
-    S0 = from_control_system(cs, zc)
-    x1, x2, x3 = (coord(cs, n) for n in ("x1", "x2", "x3"))
-    empty = PfaffianSystem(S0.chart, [], zc)
-    v1 = VectorField(S0.chart, {x1: ONE})
-    v2 = VectorField(S0.chart, {x2: ONE, x3: var(x1)})
-    assert refine_to_cauchy([v1, v2], empty, zc) is None
-    # each field alone is fine against the empty candidate
-    assert refine_to_cauchy([v1], empty, zc) is not None
+    assert not is_characteristic(worse, cand, zc)
 
 
 def test_check_parameterizable_cases(zc):
@@ -292,19 +278,19 @@ def test_check_parameterizable_cases(zc):
     b = Symbol("b", STATE)
     p = Symbol("p", STATE)
     ch = Chart((a, b, p))
-    solves = PfaffianSystem(ch, [oneform(ch, {a: ONE, T: neg(var(p))})], zc)
-    assert check_parameterizable(solves, [p], zc)
+    solves = [oneform(ch, {a: ONE, T: neg(var(p))})]
+    assert solves_for(solves, [p], zc)
     # residual da - dt never mentions p: singular Jacobian
-    constant = PfaffianSystem(ch, [oneform(ch, {a: ONE, T: neg(ONE)})], zc)
-    assert not check_parameterizable(constant, [p], zc)
+    constant = [oneform(ch, {a: ONE, T: neg(ONE)})]
+    assert not solves_for(constant, [p], zc)
     # a surviving dp component disqualifies the complement outright
-    leaky = PfaffianSystem(ch, [oneform(ch, {a: ONE, p: neg(ONE)})], zc)
-    assert not check_parameterizable(leaky, [p], zc)
+    leaky = [oneform(ch, {a: ONE, p: neg(ONE)})]
+    assert not solves_for(leaky, [p], zc)
     # ... even when the Jacobian in p alone is regular
-    leaky = PfaffianSystem(ch, [oneform(ch, {a: ONE, p: ONE, T: neg(var(p))})], zc)
-    assert not check_parameterizable(leaky, [p], zc)
-    # parameter count must match the complement dimension
-    assert not check_parameterizable(solves, [p, b], zc)
+    leaky = [oneform(ch, {a: ONE, p: ONE, T: neg(var(p))})]
+    assert not solves_for(leaky, [p], zc)
+    # one equation cannot solve for two parameters
+    assert not solves_for(solves, [p, b], zc)
 
 
 # -- one reduction level ----------------------------------------------------------------
@@ -494,6 +480,21 @@ def test_run_decomposition_depth_cap(sin_sys):
     assert res.branch_log[0]["outcome"] == "suspended"
 
 
+@pytest.mark.parametrize("max_depth", [0, 1])
+@pytest.mark.parametrize("path", sorted(DATA.glob("*.fds")),
+                         ids=lambda p: p.stem)
+def test_search_status_follows_from_its_log(path, max_depth):
+    # a branch fails only at the depth limit or at a level without an
+    # admissible splitting, and either one leaves its entry in the log
+    res = search(parse_system(path.read_text()), max_depth=max_depth)
+    assert res.status in ("Triangularized", "Inconclusive")
+    if res.status == "Inconclusive":
+        assert any(e["kind"] == "depth-limit" or (
+            e["kind"] == "ansatz"
+            and e["note"].startswith("no admissible splitting"))
+            for e in res.branch_log)
+
+
 def test_run_decomposition_deterministic(coupled_sys):
     a = search(coupled_sys)
     b = search(coupled_sys)
@@ -574,7 +575,7 @@ def test_screen_agrees_with_symbolic_path(name, zc):
             assert len(sols) == want, c
             cand = span_from_solutions(S, sols, zc)
             assert cand.dim == want
-            assert refine_to_cauchy([_combine(c, basis)], cand, zc) is None
+            assert not is_characteristic(_combine(c, basis), cand, zc)
     if name.startswith("nfd"):
         # not flat: every candidate fails, and the screen decides all of them
         assert set(verdicts) == {_REJECT}
