@@ -9,7 +9,6 @@ arithmetic goes through the canonical expression constructors.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .symexpr import (
     AUX, MINUS_ONE, ONE, TIME, ZERO, Add, Expr, Mul, Pow, Symbol, Var, add,
@@ -366,12 +365,13 @@ def _polynomial_in(e: Expr, s: Symbol) -> bool:
 def _integral_from_zero(beta: Expr, sv: Expr) -> Expr:
     """Integral of beta over s from 0 to sv, by beta's Taylor series at s = 0:
     the sum of beta^(k-1)(0) sv^k / k!, which ends for beta polynomial in s."""
-    parts, coeff, k = [], Fraction(1), 1
+    parts, fact, k = [], 1, 1
     while beta is not ZERO:
-        parts.append(mul(const(coeff), substitute(beta, {_FLOW_S: ZERO}), pow_(sv, k)))
+        parts.append(mul(pow_(const(fact), -1), substitute(beta, {_FLOW_S: ZERO}),
+                         pow_(sv, k)))
         beta = diff(beta, _FLOW_S)
         k += 1
-        coeff /= k
+        fact *= k
     return add(*parts)
 
 

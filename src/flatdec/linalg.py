@@ -173,11 +173,11 @@ def clear_denominators(vec):
 
 def _rational_coeff(e: Expr):
     if isinstance(e, Const):
-        return e.value
+        return e
     if isinstance(e, Mul):
         for f in e.factors:
             if isinstance(f, Const):
-                return f.value
+                return f
     return None
 
 
@@ -187,8 +187,8 @@ def normalize_leading(vec, zc: ZeroCtx):
         if e is ZERO or zc.zero(e):
             continue
         coeff = _rational_coeff(e)
-        if coeff is not None and coeff not in (0, 1):
-            inv = Const(1 / coeff)
+        if coeff is not None and coeff not in (ZERO, ONE):
+            inv = pow_(coeff, -1)
             return [ZERO if x is ZERO else mul(inv, x) for x in vec]
         return list(vec)
     return list(vec)

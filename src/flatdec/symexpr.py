@@ -4,6 +4,8 @@ Expressions are immutable trees over exact rational constants, named symbols,
 n-ary sums and products, integer powers and a small set of elementary
 functions.  Every constructor normalizes, so two structurally equal trees
 denote the same function; the converse is decided numerically by `is_zero`.
+Rational coefficients are reduced integer pairs (numerator, denominator > 0):
+the constructors fold them in int arithmetic and build no Fraction.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import math
 import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
+from numbers import Rational
 
 import mpmath
 
@@ -25,7 +28,7 @@ TIME = "time"
 AUX = "auxiliary"
 ANSATZ = "ansatz"
 
-ZERO_THRESHOLD = Fraction(1, 10**40)
+ZERO_SCALE = 10**40   # a 50-digit value under 1/ZERO_SCALE of its terms is zero
 ZERO_DPS = 50
 PRIME = 2**61 - 1   # the zero test evaluates Func-free expressions in GF(PRIME)
 
@@ -99,14 +102,15 @@ _NODES = weakref.WeakValueDictionary()   # (class, *arguments) -> live node
 
 
 class Const(Expr):
-    __slots__ = ("value",)
+    """`Const(n, d)` is the rational n/d given as its reduced integer pair:
+    gcd(n, d) = 1 and d > 0 (`const` reduces).  The pair is also its intern
+    key; no Fraction is kept."""
 
-    def __new__(cls, value: Fraction):
-        # interned by numerator and denominator: hashing a Fraction is slow
-        return Expr.__new__(cls, value.numerator, value.denominator)
+    __slots__ = ("n", "d")
 
     def _build(self, n, d):
-        self.value = Fraction(n, d)
+        self.n = n
+        self.d = d
         self._seal(("c", (n, d)), frozenset(), 1,
                    (n != 0 and n % PRIME == 0) or d % PRIME == 0)
 
@@ -154,9 +158,17 @@ class Func(Expr):
         self._seal(("f", fn, arg.key), arg.free, 1 + arg.nodes, True)
 
 
-ZERO = Const(Fraction(0))
-ONE = Const(Fraction(1))
-MINUS_ONE = Const(Fraction(-1))
+def _const(n: int, d: int) -> Const:
+    """The constant n/d, d != 0, reduced by one gcd."""
+    g = math.gcd(n, d)
+    if d < 0:
+        g = -g
+    return Const(n // g, d // g)
+
+
+ZERO = _const(0, 1)
+ONE = _const(1, 1)
+MINUS_ONE = _const(-1, 1)
 
 
 def _coerce(v) -> Expr:
@@ -167,9 +179,13 @@ def _coerce(v) -> Expr:
 
 def const(value) -> Const:
     """Exact rational constant.  Floats are rejected: no inexact literals."""
+    if type(value) is int:
+        return Const(value, 1)
     if isinstance(value, float):
         raise TypeError("float constants are not exact; pass a Fraction")
-    return Const(Fraction(value))
+    if not isinstance(value, Rational):
+        value = Fraction(value)
+    return _const(value.numerator, value.denominator)
 
 
 def var(sym: Symbol) -> Var:
@@ -177,47 +193,50 @@ def var(sym: Symbol) -> Var:
 
 
 def _coeff_core(term: Expr):
-    """Split a canonical term into (rational coefficient, symbolic core)."""
-    if isinstance(term, Const):
-        return term.value, ONE
+    """Split a canonical non-constant term into (n, d, core): its rational
+    coefficient n/d and its symbolic core."""
     if isinstance(term, Mul):
         for i, f in enumerate(term.factors):
             if isinstance(f, Const):
                 rest = term.factors[:i] + term.factors[i + 1:]
-                core = rest[0] if len(rest) == 1 else Mul(rest)
-                return f.value, core
-        return Fraction(1), term
-    return Fraction(1), term
+                return f.n, f.d, rest[0] if len(rest) == 1 else Mul(rest)
+    return 1, 1, term
 
 
 def add(*terms) -> Expr:
-    acc: dict = {}   # core -> coefficient
-    csum = Fraction(0)
+    acc: dict = {}   # core -> [n, d], its coefficient n/d
+    cn, cd = 0, 1    # the constant term cn/cd
     stack = list(terms)
     for t in stack:
         if isinstance(t, Add):
             stack.extend(t.terms)  # appended while iterating: flattens nested sums
             continue
         if isinstance(t, Const):
-            csum += t.value
+            if t.d == cd:
+                cn += t.n
+            else:
+                cn, cd = cn * t.d + t.n * cd, cd * t.d
             continue
-        coeff, core = _coeff_core(t)
-        if core is ONE:
-            csum += coeff
-            continue
-        acc[core] = acc[core] + coeff if core in acc else coeff
+        n, d, core = _coeff_core(t)
+        c = acc.get(core)
+        if c is None:
+            acc[core] = [n, d]
+        elif c[1] == d:
+            c[0] += n
+        else:
+            c[0], c[1] = c[0] * d + n * c[1], c[1] * d
     out = []
-    for core, coeff in acc.items():
-        if coeff == 0:
+    for core, (n, d) in acc.items():
+        if n == 0:
             continue
-        if coeff == 1:
+        if n == d:
             out.append(core)
         elif isinstance(core, Mul):
-            out.append(Mul(tuple(sorted((Const(coeff),) + core.factors, key=lambda e: e.key))))
+            out.append(Mul(tuple(sorted((_const(n, d),) + core.factors, key=lambda e: e.key))))
         else:
-            out.append(Mul(tuple(sorted((Const(coeff), core), key=lambda e: e.key))))
-    if csum != 0:
-        out.append(const(csum))
+            out.append(Mul(tuple(sorted((_const(n, d), core), key=lambda e: e.key))))
+    if cn != 0:
+        out.append(_const(cn, cd))
     if not out:
         return ZERO
     if len(out) == 1:
@@ -227,7 +246,7 @@ def add(*terms) -> Expr:
 
 
 def mul(*factors) -> Expr:
-    coeff = Fraction(1)
+    cn, cd = 1, 1    # the coefficient cn/cd
     powers: dict = {}  # base -> int exponent
     stack = list(factors)
     for f in stack:
@@ -235,32 +254,22 @@ def mul(*factors) -> Expr:
             stack.extend(f.factors)
             continue
         if isinstance(f, Const):
-            if f.value == 0:
+            if f.n == 0:
                 return ZERO
-            coeff *= f.value
+            cn *= f.n
+            cd *= f.d
             continue
         if isinstance(f, Pow):
             base, e = f.base, f.exp
         else:
             base, e = f, 1
         powers[base] = powers.get(base, 0) + e
-    out = []
-    for base, e in powers.items():
-        if e == 0:
-            continue
-        p = pow_(base, e)
-        if isinstance(p, Const):
-            coeff *= p.value
-            if coeff == 0:
-                return ZERO
-        else:
-            out.append(p)
+    # a base is a sum, a symbol or a function, so no power of it is a constant
+    out = [pow_(base, e) for base, e in powers.items() if e != 0]
     if not out:
-        return const(coeff)
-    if coeff == 0:
-        return ZERO
-    if coeff != 1:
-        out.append(Const(coeff))
+        return _const(cn, cd)
+    if cn != cd:
+        out.append(_const(cn, cd))
     if len(out) == 1:
         return out[0]
     out.sort(key=lambda e: e.key)
@@ -269,8 +278,8 @@ def mul(*factors) -> Expr:
 
 def pow_(base: Expr, exp: int) -> Expr:
     if not isinstance(exp, int):
-        if isinstance(exp, Const) and exp.value.denominator == 1:
-            exp = exp.value.numerator
+        if isinstance(exp, Const) and exp.d == 1:
+            exp = exp.n
         elif isinstance(exp, Fraction) and exp.denominator == 1:
             exp = int(exp)
         else:
@@ -280,9 +289,11 @@ def pow_(base: Expr, exp: int) -> Expr:
     if exp == 1:
         return base
     if isinstance(base, Const):
-        if base.value == 0 and exp < 0:
+        if exp > 0:
+            return _const(base.n ** exp, base.d ** exp)
+        if base.n == 0:
             raise DomainError("zero raised to a negative power")
-        return const(base.value ** exp)
+        return _const(base.d ** -exp, base.n ** -exp)
     if isinstance(base, Pow):
         return pow_(base.base, base.exp * exp)
     if isinstance(base, Mul):
@@ -299,23 +310,23 @@ def neg(e) -> Expr:
     return mul(MINUS_ONE, _coerce(e))
 
 
-def _sqrt_const(v: Fraction):
-    if v < 0:
+def _sqrt_const(c: Const):
+    if c.n < 0:
         return None
-    pn, pd = math.isqrt(v.numerator), math.isqrt(v.denominator)
-    if pn * pn == v.numerator and pd * pd == v.denominator:
-        return Fraction(pn, pd)
+    pn, pd = math.isqrt(c.n), math.isqrt(c.d)
+    if pn * pn == c.n and pd * pd == c.d:
+        return _const(pn, pd)
     return None
 
 
-_FOLDS = {
-    ("sin", Fraction(0)): Fraction(0),
-    ("cos", Fraction(0)): Fraction(1),
-    ("tan", Fraction(0)): Fraction(0),
-    ("exp", Fraction(0)): Fraction(1),
-    ("ln", Fraction(1)): Fraction(0),
-    ("arcsin", Fraction(0)): Fraction(0),
-    ("arctan", Fraction(0)): Fraction(0),
+_FOLDS = {   # (function, n, d) -> its value at the constant n/d
+    ("sin", 0, 1): ZERO,
+    ("cos", 0, 1): ONE,
+    ("tan", 0, 1): ZERO,
+    ("exp", 0, 1): ONE,
+    ("ln", 1, 1): ZERO,
+    ("arcsin", 0, 1): ZERO,
+    ("arctan", 0, 1): ZERO,
 }
 
 
@@ -324,13 +335,13 @@ def func(fn: str, arg) -> Expr:
         raise ValueError(f"unknown function {fn!r}")
     arg = _coerce(arg)
     if isinstance(arg, Const):
-        folded = _FOLDS.get((fn, arg.value))
+        folded = _FOLDS.get((fn, arg.n, arg.d))
         if folded is not None:
-            return const(folded)
+            return folded
         if fn == "sqrt":
-            r = _sqrt_const(arg.value)
+            r = _sqrt_const(arg)
             if r is not None:
-                return const(r)
+                return r
     # exp/ln cancellations; valid wherever the unfolded expression is defined
     if fn == "exp":
         if isinstance(arg, Func) and arg.fn == "ln":
@@ -339,9 +350,9 @@ def func(fn: str, arg) -> Expr:
             a, b = arg.factors
             if isinstance(b, Const):
                 a, b = b, a
-            if (isinstance(a, Const) and a.value.denominator == 1
+            if (isinstance(a, Const) and a.d == 1
                     and isinstance(b, Func) and b.fn == "ln"):
-                return pow_(b.arg, a.value.numerator)
+                return pow_(b.arg, a.n)
     if fn == "ln" and isinstance(arg, Func) and arg.fn == "exp":
         return arg.arg
     return Func(fn, arg)
@@ -354,7 +365,7 @@ _OUTER = {
     "tan": lambda e: (add(ONE, pow_(func("tan", e.arg), 2)),),
     "exp": lambda e: (e,),
     "ln": lambda e: (pow_(e.arg, -1),),
-    "sqrt": lambda e: (const(Fraction(1, 2)), pow_(e, -1)),
+    "sqrt": lambda e: (_const(1, 2), pow_(e, -1)),
     "arcsin": lambda e: (pow_(func("sqrt", add(ONE, neg(pow_(e.arg, 2)))), -1),),
     "arctan": lambda e: (pow_(add(ONE, pow_(e.arg, 2)), -1),),
 }
@@ -438,7 +449,7 @@ _MP_NAMES = {"ln": "log", "arcsin": "asin", "arctan": "atan"}
 def _mp_node(e: Expr, args):
     """Value of a non-Var node from its children's values `args`, in mpmath."""
     if isinstance(e, Const):
-        return mpmath.mpf(e.value.numerator) / e.value.denominator
+        return mpmath.mpf(e.n) / e.d
     if isinstance(e, Add):
         return mpmath.fsum(args)
     if isinstance(e, Mul):
@@ -464,7 +475,7 @@ def structural_key(e: Expr) -> str:
 def _modp_node(e: Expr, args):
     """Value in GF(PRIME) of a non-Var node from its children's; None at a pole."""
     if isinstance(e, Const):
-        return e.value.numerator * pow(e.value.denominator, -1, PRIME) % PRIME
+        return e.n * pow(e.d, -1, PRIME) % PRIME
     if isinstance(e, Add):
         return sum(args) % PRIME
     if isinstance(e, Mul):
@@ -557,7 +568,7 @@ def _vanishes(e: Expr, budget: int, seed: int, modp: bool) -> bool:
             if v:
                 return False
         # |e| >= 1e-40 * max(1, magnitude of its terms)
-        elif abs(v[0]) * ZERO_THRESHOLD.denominator >= max(1, v[1]) * ZERO_THRESHOLD.numerator:
+        elif abs(v[0]) * ZERO_SCALE >= max(1, v[1]):
             return False
         found += 1
         if found == budget:
@@ -585,7 +596,7 @@ def is_zero(e: Expr, budget: int, seed: int) -> bool:
     if budget < 1:
         raise ValueError("the zero test needs a budget of at least one point")
     if isinstance(e, Const):
-        return e.value == 0
+        return e.n == 0
     if not e.needs_mp:
         return _vanishes(e, budget, seed, True)
     with mpmath.workdps(ZERO_DPS):
@@ -611,8 +622,7 @@ def _program(exprs, names: dict, module):
         if got is not None:
             return got
         if isinstance(e, Const):
-            n, d = e.value.numerator, e.value.denominator
-            got = f"({n})" if d == 1 else f"({n}/{d})"
+            got = f"({e.n})" if e.d == 1 else f"({e.n}/{e.d})"
         elif isinstance(e, Var):
             got = names[e.sym]
         else:

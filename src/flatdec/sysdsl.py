@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import linalg
 from .exterior import one_coeffs
@@ -189,11 +188,11 @@ class _Parser:
                 raise SemanticError(f"division by zero at {line}:{col}") from None
         if lex == "^":
             rhs = self.expression(39)   # right associative
-            if not (isinstance(rhs, Const) and rhs.value.denominator == 1):
+            if not (isinstance(rhs, Const) and rhs.d == 1):
                 raise SemanticError(
                     f"exponent at {line}:{col} must be an integer constant")
             try:
-                return pow_(left, rhs.value.numerator)
+                return pow_(left, rhs.n)
             except DomainError:
                 raise SemanticError(f"zero to a negative power at {line}:{col}") from None
         raise ParseError(f"unexpected operator {lex!r}", line, col)
@@ -292,22 +291,22 @@ def _render_base(b: Expr) -> str:
 
 def _render_product(e: Expr) -> str:
     """Render a product (or lone factor) as [-]num[/den]."""
-    coeff = Fraction(1)
+    n, d = 1, 1   # the rational coefficient n/d
     pos, neg_ = [], []
     factors = e.factors if isinstance(e, Mul) else (e,)
     for f in factors:
         if isinstance(f, Const):
-            coeff = f.value
+            n, d = f.n, f.d
         elif isinstance(f, Pow) and f.exp < 0:
             neg_.append(f)
         else:
             pos.append(f)
-    sign = "-" if coeff < 0 else ""
-    coeff = abs(coeff)
+    sign = "-" if n < 0 else ""
+    n = abs(n)
 
     num_parts = []
-    if coeff.numerator != 1 or not pos:
-        num_parts.append(str(coeff.numerator))
+    if n != 1 or not pos:
+        num_parts.append(str(n))
     for f in pos:
         if isinstance(f, Pow):
             num_parts.append(f"{_render_base(f.base)}^{f.exp}")
@@ -317,8 +316,8 @@ def _render_product(e: Expr) -> str:
             num_parts.append(render(f))
 
     den_parts = []
-    if coeff.denominator != 1:
-        den_parts.append(str(coeff.denominator))
+    if d != 1:
+        den_parts.append(str(d))
     for f in neg_:
         if f.exp == -1:
             den_parts.append(_render_base(f.base))
@@ -336,10 +335,7 @@ def _render_product(e: Expr) -> str:
 def render(e: Expr) -> str:
     """Deterministic serialization; parse_expr(render(e)) is structurally e."""
     if isinstance(e, Const):
-        sign = "-" if e.value < 0 else ""
-        v = abs(e.value)
-        return f"{sign}{v.numerator}" if v.denominator == 1 \
-            else f"{sign}{v.numerator}/{v.denominator}"
+        return str(e.n) if e.d == 1 else f"{e.n}/{e.d}"
     if isinstance(e, Var):
         return e.sym.name
     if isinstance(e, Func):

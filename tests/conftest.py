@@ -1,8 +1,11 @@
 """Shared fixtures: the two worked systems and integrator chains, the
 search at the command line's defaults, textbook reference versions of
 the table-based derived system and Frobenius test, the dual-number
-elimination the ansatz screen's row-space test replaced, and the
-tree-walk compiler the straight-line programs replaced."""
+elimination the ansatz screen's row-space test replaced, the
+tree-walk compiler the straight-line programs replaced, and the
+Fraction-based sum and product the int-pair constructors replaced."""
+
+from fractions import Fraction
 
 import pytest
 
@@ -13,7 +16,8 @@ from flatdec.pfaffian import (
     PfaffianSystem, contraction_tables, vertical_annihilator,
 )
 from flatdec.symexpr import (
-    PRIME, ZERO, Add, Const, Func, Mul, Pow, Var, value_mod_p,
+    ONE, PRIME, ZERO, Add, Const, Func, Mul, Pow, Var, const, pow_,
+    value_mod_p,
 )
 from flatdec.sysdsl import parse_system
 
@@ -242,9 +246,9 @@ def _tree_source(e, names, module) -> str:
     """Python source of e as one nested expression, each subtree written out
     wherever it occurs: symbols as names[sym], functions as `_m.<name>`."""
     if isinstance(e, Const):
-        if e.value.denominator == 1:
-            return f"({e.value.numerator})"
-        return f"({e.value.numerator}/{e.value.denominator})"
+        if e.d == 1:
+            return f"({e.n})"
+        return f"({e.n}/{e.d})"
     if isinstance(e, Var):
         return names[e.sym]
     if isinstance(e, Add):
@@ -270,6 +274,101 @@ def tree_compile(e, args, module):
     violations give nan or inf."""
     names = {s: f"_a[{i}]" for i, s in enumerate(args)}
     return eval(f"lambda _a: {_tree_source(e, names, module)}", {"_m": module})
+
+
+def fraction_coeff_core(term):
+    """Reference split of a canonical term into (Fraction coefficient, core)."""
+    if isinstance(term, Const):
+        return Fraction(term.n, term.d), ONE
+    if isinstance(term, Mul):
+        for i, f in enumerate(term.factors):
+            if isinstance(f, Const):
+                rest = term.factors[:i] + term.factors[i + 1:]
+                core = rest[0] if len(rest) == 1 else Mul(rest)
+                return Fraction(f.n, f.d), core
+        return Fraction(1), term
+    return Fraction(1), term
+
+
+def fraction_add(*terms):
+    """Reference sum: `add` with its coefficients folded as Fractions."""
+    acc = {}   # core -> coefficient
+    csum = Fraction(0)
+    stack = list(terms)
+    for t in stack:
+        if isinstance(t, Add):
+            stack.extend(t.terms)
+            continue
+        if isinstance(t, Const):
+            csum += Fraction(t.n, t.d)
+            continue
+        coeff, core = fraction_coeff_core(t)
+        if core is ONE:
+            csum += coeff
+            continue
+        acc[core] = acc[core] + coeff if core in acc else coeff
+    out = []
+    for core, coeff in acc.items():
+        if coeff == 0:
+            continue
+        if coeff == 1:
+            out.append(core)
+        elif isinstance(core, Mul):
+            out.append(Mul(tuple(sorted((const(coeff),) + core.factors,
+                                        key=lambda e: e.key))))
+        else:
+            out.append(Mul(tuple(sorted((const(coeff), core),
+                                        key=lambda e: e.key))))
+    if csum != 0:
+        out.append(const(csum))
+    if not out:
+        return ZERO
+    if len(out) == 1:
+        return out[0]
+    out.sort(key=lambda e: e.key)
+    return Add(tuple(out))
+
+
+def fraction_mul(*factors):
+    """Reference product: `mul` with its coefficient folded as a Fraction."""
+    coeff = Fraction(1)
+    powers = {}  # base -> int exponent
+    stack = list(factors)
+    for f in stack:
+        if isinstance(f, Mul):
+            stack.extend(f.factors)
+            continue
+        if isinstance(f, Const):
+            if f.n == 0:
+                return ZERO
+            coeff *= Fraction(f.n, f.d)
+            continue
+        if isinstance(f, Pow):
+            base, e = f.base, f.exp
+        else:
+            base, e = f, 1
+        powers[base] = powers.get(base, 0) + e
+    out = []
+    for base, e in powers.items():
+        if e == 0:
+            continue
+        p = pow_(base, e)
+        if isinstance(p, Const):
+            coeff *= Fraction(p.n, p.d)
+            if coeff == 0:
+                return ZERO
+        else:
+            out.append(p)
+    if not out:
+        return const(coeff)
+    if coeff == 0:
+        return ZERO
+    if coeff != 1:
+        out.append(const(coeff))
+    if len(out) == 1:
+        return out[0]
+    out.sort(key=lambda e: e.key)
+    return Mul(tuple(out))
 
 
 def chain_text(n: int) -> str:

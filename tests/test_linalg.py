@@ -65,7 +65,7 @@ def test_in_span_stops_at_the_first_target_outside(zc):
 
 def _to_sympy(sp, e):
     if isinstance(e, sx.Const):
-        return sp.Rational(e.value.numerator, e.value.denominator)
+        return sp.Rational(e.n, e.d)
     if isinstance(e, sx.Var):
         return sp.Symbol(e.sym.name)
     if isinstance(e, sx.Add):

@@ -17,7 +17,7 @@ from flatdec.symexpr import (
 )
 from flatdec.sysdsl import parse_system
 
-from conftest import tree_compile
+from conftest import fraction_add, fraction_mul, tree_compile
 
 X = Symbol("x", sx.STATE)
 Y = Symbol("y", sx.STATE)
@@ -138,6 +138,85 @@ def test_function_constant_folds():
 def test_no_product_expansion():
     e = mul(add(x, y), add(x, neg(y)))
     assert isinstance(e, sx.Mul)   # (x+y)(x-y) is NOT rewritten to x^2-y^2
+
+
+# -- int-pair coefficients against the Fraction oracle -------------------------
+
+BIG = 10 ** 30
+_coeffs = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-4, max_value=4, max_denominator=12),
+    st.builds(Fraction, st.integers(-BIG, BIG), st.integers(1, BIG)),
+    st.builds(Fraction, st.sampled_from([-BIG, BIG, BIG + 1]),
+              st.integers(1, 12)),
+)
+_cores = st.lists(st.sampled_from([x, y, pow_(x, -1), pow_(z, 2),
+                                   func("sin", y), add(x, const(1))]),
+                  max_size=3)
+
+
+@st.composite
+def _operands(draw):
+    """Canonical terms with rational coefficients, built by the oracle, plus
+    rescaled copies of some of them, so that like terms meet and cancel,
+    and sometimes a nested sum of two of them."""
+    terms = [fraction_mul(const(c), *core) for c, core in draw(
+        st.lists(st.tuples(_coeffs, _cores), min_size=1, max_size=5))]
+    scales = draw(st.lists(st.one_of(
+        st.sampled_from([Fraction(-1), Fraction(-1, 2), Fraction(1, 3)]),
+        _coeffs), max_size=5))
+    terms += [fraction_mul(const(r), t) for t, r in zip(terms, scales)]
+    if draw(st.booleans()):
+        terms.append(fraction_add(*terms[:2]))
+    return draw(st.permutations(terms))
+
+
+@given(_operands())
+@settings(max_examples=300, deadline=None)
+def test_int_pair_constructors_match_the_fraction_oracle(ts):
+    assert add(*ts) is fraction_add(*ts)
+    assert mul(*ts) is fraction_mul(*ts)
+
+
+def test_coefficients_cancel_like_the_fraction_oracle():
+    half, c = const(Fraction(1, 2)), const(Fraction(-7, BIG + 1))
+    cases = [
+        (add, fraction_add, (mul(half, x), mul(half, x)), x),
+        (mul, fraction_mul, (const(Fraction(2, 3)), const(Fraction(3, 2))),
+         sx.ONE),
+        (add, fraction_add, (mul(c, x), neg(mul(c, x))), sx.ZERO),
+        (add, fraction_add, (mul(c, x, y), const(Fraction(1, 3)),
+                             mul(const(-1), c, y, x), const(Fraction(-1, 3))),
+         sx.ZERO),
+        (mul, fraction_mul, (mul(c, x), pow_(c, -1), pow_(x, -1)), sx.ONE),
+    ]
+    for fast, oracle, args, want in cases:
+        assert fast(*args) is oracle(*args) is want
+
+
+def test_rebuilt_expressions_construct_no_fraction(monkeypatch):
+    # coefficients fold as integer pairs, and constants are interned, so
+    # rebuilding an expression while its first copy lives makes no Fraction
+    def build():
+        e = add(mul(const(Fraction(2, 3)), pow_(x, 3), y), div(y, const(6)),
+                const(Fraction(-5, 4)),
+                func("sqrt", add(x, mul(const(Fraction(1, 2)), z))),
+                mul(const(Fraction(7, 2)),
+                    func("sin", mul(const(Fraction(3, BIG)), z))))
+        return e, diff(e, X), diff(e, Z)
+
+    first = build()
+    made = []
+
+    class Counting(Fraction):
+        def __new__(cls, *args, **kwargs):
+            made.append(args)
+            return Fraction(*args, **kwargs)
+
+    monkeypatch.setattr(sx, "Fraction", Counting)
+    second = build()
+    assert made == []
+    assert all(a is b for a, b in zip(first, second, strict=True))
 
 
 @given(exprs())
@@ -383,7 +462,7 @@ _SYMPY_NAMES = {"ln": "log", "arcsin": "asin", "arctan": "atan"}
 
 def _to_sympy(sp, e):
     if isinstance(e, sx.Const):
-        return sp.Rational(e.value.numerator, e.value.denominator)
+        return sp.Rational(e.n, e.d)
     if isinstance(e, sx.Var):
         return sp.Symbol(e.sym.name)
     if isinstance(e, sx.Add):
@@ -646,7 +725,7 @@ def test_equal_expressions_are_one_node(monkeypatch):
     assert second is first
     text = "intern_a*intern_b^3 + intern_a/(intern_b + 2) - intern_a"
     assert parse_expr(text, [a, b]) is parse_expr(text, [a, b]) is first
-    assert sx.Const(Fraction(0)) is sx.ZERO and const(1) is sx.ONE
+    assert const(Fraction(0)) is sx.ZERO and const(1) is sx.ONE
     evaluated = []
     node = sx._modp_node
 
