@@ -379,16 +379,20 @@ def recover_trajectory(engine: RecoveryEngine, curves, ts, guess):
     value per sample, calls a sample singular when |J| < 1e-12, and takes
     each Newton and derivative step as one division; a larger block calls
     it singular when |det J| < 1e-12 and solves stacked systems with
-    np.linalg.solve.  Each block works on a copy of only the rows its
-    compiled functions read (RecoveryEngine) and writes them back.  The
-    block equations can have several roots: guess maps a solved-variable
-    name to a scalar or an (N,) array of starting values near the intended
-    branch (0 where absent), and so selects among them.  Returns the chart
-    jets as an (n_args, N) array, the states and inputs as name -> (N,)
-    arrays, and a map from failed sample index to its _SampleFailure (a
-    singular Jacobian, a domain violation or divergence, with its block
-    and time).  A sample that fails in one block takes no part in the
-    later ones.
+    np.linalg.solve.  Each block copies the rows its compiled functions
+    read (RecoveryEngine).  Newton works on one compact array of the
+    samples still iterating, stepping it in place; a sample's column
+    leaves it, and is written back to the block's rows, once: when the
+    sample converges, fails or reaches the iteration limit.  The
+    derivative chain gathers the live samples again and writes back the
+    ones that pass it.  The block equations can have several roots: guess
+    maps a solved-variable name to a scalar or an (N,) array of starting
+    values near the intended branch (0 where absent), and so selects among
+    them.  Returns the chart jets as an (n_args, N) array, the states and
+    inputs as name -> (N,) arrays, and a map from failed sample index to
+    its _SampleFailure (a singular Jacobian, a domain violation or
+    divergence, with its block and time).  A sample that fails in one
+    block takes no part in the later ones.
     """
     import numpy as np
     if len(curves) != len(engine.flat):
@@ -409,7 +413,8 @@ def recover_trajectory(engine: RecoveryEngine, curves, ts, guess):
                                f"{what} in block {block} at t={float(ts[k])}")
 
     def jacobian(block, jf, size, idx, a):
-        """Jacobians at samples idx, minus the non-finite and singular ones."""
+        """Jacobians at samples idx and the mask of the finite, regular
+        ones; the others fail."""
         jac = jf(a)
         if size == 1:
             jac = det = jac[0]
@@ -417,14 +422,14 @@ def recover_trajectory(engine: RecoveryEngine, curves, ts, guess):
         else:
             jac = jac.reshape(size, size, -1).transpose(2, 0, 1)
             finite = np.isfinite(jac).all(axis=(1, 2))
-            det = np.zeros(len(idx))
-            det[finite] = np.linalg.det(jac[finite])
-        fail(_SampleSingular, block, idx[~finite],
-             "domain violation (non-finite Jacobian)")
+            det = np.linalg.det(jac)
         singular = finite & (np.abs(det) < 1e-12)
-        fail(_SampleSingular, block, idx[singular], "singular Jacobian")
         keep = finite & ~singular
-        return keep, jac[keep]
+        if not keep.all():
+            fail(_SampleSingular, block, idx[~finite],
+                 "domain violation (non-finite Jacobian)")
+            fail(_SampleSingular, block, idx[singular], "singular Jacobian")
+        return jac, keep
 
     with np.errstate(all="ignore"):
         for bi, (unknowns, need, rows, rf, jf, *chains) in enumerate(
@@ -433,41 +438,54 @@ def recover_trajectory(engine: RecoveryEngine, curves, ts, guess):
             blk = vals[need]
             for r, p in zip(rows[0], unknowns):
                 blk[r] = guess.get(p.name, 0.0)
+            # the working set: one column per sample still iterating
             idx = np.flatnonzero(alive)
+            a = blk[:, idx]
             for _ in range(60):
                 if not idx.size:
                     break
-                a = blk[:, idx]
                 res = rf(a)
                 finite = np.isfinite(res).all(axis=0)
-                fail(_SampleSingular, bi, idx[~finite],
-                     "domain violation (non-finite residual)")
                 todo = finite & (np.abs(res).max(axis=0, initial=0.0) >= 1e-12)
-                idx, a, res = idx[todo], a[:, todo], res[:, todo]
-                keep, jac = jacobian(bi, jf, size, idx, a)
-                idx, res = idx[keep], res[:, keep]
-                cells = np.ix_(rows[0], idx)
-                blk[cells] += _solve(jac, -res)
-                blown = np.abs(blk[cells]).max(axis=0, initial=0.0) > 1e9
-                fail(_SampleDiverged, bi, idx[blown], "Newton blow-up")
-                idx = idx[~blown]
+                if not todo.all():
+                    fail(_SampleSingular, bi, idx[~finite],
+                         "domain violation (non-finite residual)")
+                    blk[:, idx[~todo]] = a[:, ~todo]
+                    idx, a, res = idx[todo], a[:, todo], res[:, todo]
+                    if not idx.size:
+                        break
+                jac, keep = jacobian(bi, jf, size, idx, a)
+                if not keep.all():
+                    blk[:, idx[~keep]] = a[:, ~keep]
+                    idx, a = idx[keep], a[:, keep]
+                    res, jac = res[:, keep], jac[keep]
+                step = a[rows[0]] + _solve(jac, -res)
+                a[rows[0]] = step
+                blown = np.abs(step).max(axis=0, initial=0.0) > 1e9
+                if blown.any():
+                    fail(_SampleDiverged, bi, idx[blown], "Newton blow-up")
+                    blk[:, idx[blown]] = a[:, blown]
+                    idx, a = idx[~blown], a[:, ~blown]
             else:
                 fail(_SampleDiverged, bi, idx, "no convergence")
+                blk[:, idx] = a
 
             # time derivatives of the solved variables: the j-th derivative
             # of the block equations is linear in the j-th jet, through the
             # same Jacobian
             idx = np.flatnonzero(alive)
             a = blk[:, idx]
-            keep, jac = jacobian(bi, jf, size, idx, a)
-            idx, a = idx[keep], a[:, keep]
+            jac, keep = jacobian(bi, jf, size, idx, a)
+            if not keep.all():
+                idx, a, jac = idx[keep], a[:, keep], jac[keep]
             for cf, rj in zip(chains, rows[1:]):
                 sol = _solve(jac, -cf(a))
                 a[rj] = sol
                 finite = np.isfinite(sol).all(axis=0)
-                fail(_SampleSingular, bi, idx[~finite],
-                     "domain violation (non-finite derivative)")
-                idx, a, jac = idx[finite], a[:, finite], jac[finite]
+                if not finite.all():
+                    fail(_SampleSingular, bi, idx[~finite],
+                         "domain violation (non-finite derivative)")
+                    idx, a, jac = idx[finite], a[:, finite], jac[finite]
             blk[:, idx] = a
             vals[need] = blk
 

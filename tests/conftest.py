@@ -2,8 +2,10 @@
 search at the command line's defaults, textbook reference versions of
 the table-based derived system and Frobenius test, the dual-number
 elimination the ansatz screen's row-space test replaced, the
-tree-walk compiler the straight-line programs replaced, and the
-Fraction-based sum and product the int-pair constructors replaced."""
+tree-walk compiler the straight-line programs replaced, the
+Fraction-based sum and product the int-pair constructors replaced, and
+the Newton recovery that re-gathered every sample on each iteration,
+which the compacted working set replaced."""
 
 from fractions import Fraction
 
@@ -13,13 +15,14 @@ from flatdec.decompose import _along, run_decomposition
 from flatdec.exterior import d, dt, scale, wedge, zero_form
 from flatdec.linalg import ZeroCtx, in_span_mod_p, nullspace
 from flatdec.pfaffian import (
-    PfaffianSystem, contraction_tables, vertical_annihilator,
+    PfaffianSystem, contraction_tables, jet, vertical_annihilator,
 )
 from flatdec.symexpr import (
-    ONE, PRIME, ZERO, Add, Const, Func, Mul, Pow, Var, const, pow_,
+    INPUT, ONE, PRIME, ZERO, Add, Const, Func, Mul, Pow, Var, const, pow_,
     value_mod_p,
 )
 from flatdec.sysdsl import parse_system
+from flatdec.triangular import _SampleDiverged, _SampleSingular
 
 # the command line's --max-degree and --max-depth defaults
 MAX_DEGREE, MAX_DEPTH = 2, 8
@@ -369,6 +372,102 @@ def fraction_mul(*factors):
         return out[0]
     out.sort(key=lambda e: e.key)
     return Mul(tuple(out))
+
+
+def _reference_solve(jac, rhs):
+    import numpy as np
+    if jac.ndim == 1:
+        return rhs / jac
+    return np.linalg.solve(jac, rhs.T[:, :, None])[:, :, 0].T
+
+
+def reference_recover_trajectory(engine, curves, ts, guess):
+    """Reference recovery: `recover_trajectory` as it was before the working
+    set was compacted.  Each Newton iteration gathers the still-iterating
+    samples from the block afresh, filters them after every test and
+    scatters the step back into the block."""
+    import numpy as np
+    if len(curves) != len(engine.flat):
+        raise ValueError(
+            f"{len(curves)} curves supplied for {len(engine.flat)} outputs")
+    n = len(ts)
+    vals = np.zeros((len(engine.args), n))
+    for c, curve in zip(engine.flat, curves):
+        for j in range(engine.n_b + 1):
+            vals[engine.slot[jet(c, j)]] = curve.eval(ts, j)
+    alive = np.ones(n, dtype=bool)
+    failures = {}
+
+    def fail(kind, block, idx, what):
+        alive[idx] = False
+        for k in idx.tolist():
+            failures[k] = kind(block,
+                               f"{what} in block {block} at t={float(ts[k])}")
+
+    def jacobian(block, jf, size, idx, a):
+        jac = jf(a)
+        if size == 1:
+            jac = det = jac[0]
+            finite = np.isfinite(jac)
+        else:
+            jac = jac.reshape(size, size, -1).transpose(2, 0, 1)
+            finite = np.isfinite(jac).all(axis=(1, 2))
+            det = np.zeros(len(idx))
+            det[finite] = np.linalg.det(jac[finite])
+        fail(_SampleSingular, block, idx[~finite],
+             "domain violation (non-finite Jacobian)")
+        singular = finite & (np.abs(det) < 1e-12)
+        fail(_SampleSingular, block, idx[singular], "singular Jacobian")
+        keep = finite & ~singular
+        return keep, jac[keep]
+
+    with np.errstate(all="ignore"):
+        for bi, (unknowns, need, rows, rf, jf, *chains) in enumerate(
+                engine.blocks, start=1):
+            size = len(unknowns)
+            blk = vals[need]
+            for r, p in zip(rows[0], unknowns):
+                blk[r] = guess.get(p.name, 0.0)
+            idx = np.flatnonzero(alive)
+            for _ in range(60):
+                if not idx.size:
+                    break
+                a = blk[:, idx]
+                res = rf(a)
+                finite = np.isfinite(res).all(axis=0)
+                fail(_SampleSingular, bi, idx[~finite],
+                     "domain violation (non-finite residual)")
+                todo = finite & (np.abs(res).max(axis=0, initial=0.0) >= 1e-12)
+                idx, a, res = idx[todo], a[:, todo], res[:, todo]
+                keep, jac = jacobian(bi, jf, size, idx, a)
+                idx, res = idx[keep], res[:, keep]
+                cells = np.ix_(rows[0], idx)
+                blk[cells] += _reference_solve(jac, -res)
+                blown = np.abs(blk[cells]).max(axis=0, initial=0.0) > 1e9
+                fail(_SampleDiverged, bi, idx[blown], "Newton blow-up")
+                idx = idx[~blown]
+            else:
+                fail(_SampleDiverged, bi, idx, "no convergence")
+
+            idx = np.flatnonzero(alive)
+            a = blk[:, idx]
+            keep, jac = jacobian(bi, jf, size, idx, a)
+            idx, a = idx[keep], a[:, keep]
+            for cf, rj in zip(chains, rows[1:]):
+                sol = _reference_solve(jac, -cf(a))
+                a[rj] = sol
+                finite = np.isfinite(sol).all(axis=0)
+                fail(_SampleSingular, bi, idx[~finite],
+                     "domain violation (non-finite derivative)")
+                idx, a, jac = idx[finite], a[:, finite], jac[finite]
+            blk[:, idx] = a
+            vals[need] = blk
+
+        xu = engine.base_f(vals)
+    x, u = {}, {}
+    for s, row in zip(engine.base_coords, xu):
+        (u if s.kind == INPUT else x)[s.name] = row
+    return vals, x, u, failures
 
 
 def chain_text(n: int) -> str:

@@ -5,9 +5,11 @@ report's input path is the bare file name, and the sha256 of each report
 file is compared with the value recorded when the report was last changed
 on purpose.  A change that alters a report must say why and update the pin.
 The `--verify` pins cover the numeric verifier's counts and deviations:
-chain4 and sinex recover only one-unknown blocks, unicycle also a block
-with two unknowns.  chained5, three, nfd3, car and trailer1 are the
-textbook fixtures of the ROADMAP, pinned on `decompose`.  pvtol (the
+chain4, sinex and coupled recover only one-unknown blocks, unicycle also
+a block with two unknowns.  The wrong sinex claim `x3; x2` is pinned on
+`verify`: its trials fail or turn singular, so that pin exits 4.
+chained5, three, nfd3, car and trailer1 are the textbook fixtures of the
+ROADMAP, pinned on `decompose`.  pvtol (the
 planar VTOL aircraft) is pinned on `verify` of the certificate its
 `decompose` reports; both live in data/slow/, outside the `data/*.fds`
 glob, because its search takes about 30 s.  Its verifier finds every trial
@@ -17,6 +19,7 @@ million terms), so that pin exits 4.
 
 import hashlib
 import pathlib
+import shlex
 
 import pytest
 
@@ -32,6 +35,7 @@ GOLDEN = {
     ("chained5", "decompose"): "a102269f31dfd4bbef8e848ccf7c5aae80ed2db6d5ea071c79ed82b0907ef9bd",
     ("coupled", "analyze"): "9372c82b93e8af4b8c9d111b21cd9a382acc1836cb943d7be5c338a02c25c0f6",
     ("coupled", "decompose"): "71e8226229cf59dc684cc94f7b44f7e7838a9af75e6b962723a4466f56885526",
+    ("coupled", "decompose --verify --samples 6"): "58cfe335ad9955212461c694761df55b87794dcd0d489e653fdc67b7c5daa13a",
     ("nfd", "analyze"): "025fcb5d227499aa3de449a2d15a464fca81d0b3310412783b0a5b0c747c3c35",
     ("nfd", "decompose"): "d6d757f05843b01b163739990508f7760259c7fbd601725a4fd5ba903cecd0d7",
     ("nfd2", "analyze"): "a769d9f09398d4a8aba8524b9e059737f5626f419ffd67db71753494331e8a8c",
@@ -41,6 +45,7 @@ GOLDEN = {
     ("sinex", "analyze"): "3ad4d8b735d142464b2f3360952c88169ab9b5525bc9f1eef7a69cf0f393c962",
     ("sinex", "decompose"): "7b66311307319d50d6000dbe3e6693fe21c28ae834e4cc57e3acedaf237ba75c",
     ("sinex", "decompose --verify --samples 6"): "0f7ca785f19933dea8ea54c2eeeaf5cdba5e0a77677a59a51fd91256ee03da91",
+    ("sinex", 'verify --outputs "x3; x2" --samples 6'): "3c19d0f18de2b3066ebb6355754b295a73b78b369ae5bdf9161e01fa8206ceed",
     ("three", "decompose"): "2a3acbf69bf001856b6f2ed878b687b181776f3798abfe02070603c2a99f79dc",
     ("trailer1", "decompose"): "978e4fed6c9909976c92c38919efee06d2ae25d350668242b40c60ee9a68dbc6",
     ("unicycle", "decompose --verify --samples 6"): "09a31fd01e1ce3e3805889bc54376d2d8c46bc6edeafc310ccf28f5b294cc8e9",
@@ -52,13 +57,14 @@ GOLDEN = {
 def test_report_bytes_are_pinned(name, command, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(DATA)
     report = tmp_path / "report.json"
-    cmd, *flags = command.split()
+    cmd, *flags = shlex.split(command)
     code = main([cmd, f"{name}.fds", *flags, "--seed", "0",
                  "--report", str(report)])
     capsys.readouterr()
     if name.startswith("nfd") and command == "decompose":
         assert code == 3
     else:
-        assert code == (4 if name == "slow/pvtol" else 0)
+        assert code == (4 if name == "slow/pvtol" or "--outputs" in command
+                        else 0)
     digest = hashlib.sha256(report.read_bytes()).hexdigest()
     assert digest == GOLDEN[(name, command)]

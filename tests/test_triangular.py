@@ -13,6 +13,7 @@ from flatdec import triangular
 from flatdec.cli import _certificate_load
 from flatdec.exterior import T, one_coeffs, oneform
 from flatdec.linalg import ZeroCtx
+from flatdec.pfaffian import jet
 from flatdec.symexpr import INPUT, ZERO, compile_expr, func, mul, neg, var
 from flatdec.sysdsl import parse_expr, parse_system, render
 from flatdec.triangular import (
@@ -21,7 +22,7 @@ from flatdec.triangular import (
     recover_trajectory, validate, verify_flatness_numeric,
 )
 
-from conftest import search, tree_compile
+from conftest import reference_recover_trajectory, search, tree_compile
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -327,6 +328,126 @@ def test_domain_violation_mid_batch_spares_neighbours(zc):
     assert "block 1 at t=0.3" in failures[2].detail
     good = np.array([0, 1, 3, 4])
     assert np.abs(np.log(u["u"][good]) - (0.1 + 0.4 * ts[good])).max() < 1e-12
+
+
+# -- the compacted Newton working set against the reference recovery ----------------
+
+
+def assert_same_recovery(got, want):
+    """Bit-identical jets, states and inputs at every sample, failed ones
+    too, and the same failures in the same order."""
+    assert np.array_equal(got[0], want[0], equal_nan=True)
+    for a, b in zip(got[1:3], want[1:3]):
+        assert list(a) == list(b)
+        assert all(np.array_equal(a[k], b[k], equal_nan=True) for k in a)
+    assert list(got[3].items()) == list(want[3].items())
+    assert [type(f) for f in got[3].values()] == \
+        [type(f) for f in want[3].values()]
+
+
+@pytest.fixture
+def recovery_oracle(monkeypatch):
+    """Check every recover_trajectory call against the reference; the list
+    of failure maps seen grows with each call."""
+    seen = []
+    compacted = triangular.recover_trajectory
+
+    def both(engine, curves, ts, guess):
+        got = compacted(engine, curves, ts, guess)
+        assert_same_recovery(
+            got, reference_recover_trajectory(engine, curves, ts, guess))
+        seen.append(got[3])
+        return got
+
+    monkeypatch.setattr(triangular, "recover_trajectory", both)
+    return seen
+
+
+def test_compacted_recovery_matches_the_reference(
+        sin_cert, coupled_td, sin_sys_m, zc, recovery_oracle):
+    uni_td, _ = build(parse_system(UNICYCLE), zc)
+    wrong = (base_expr(sin_sys_m, "x3"), base_expr(sin_sys_m, "x2"))
+    certs = [sin_cert, extract_flat_output(coupled_td),
+             extract_flat_output(uni_td),
+             dataclasses.replace(sin_cert, outputs=wrong)]
+    verdicts = [verify_flatness_numeric(c, trials=6, seed=0) for c in certs]
+    assert len(recovery_oracle) == 6 * 4
+    # the wrong claim fails trials and loses some to failed samples
+    assert verdicts[-1].failed and verdicts[-1].singular
+    assert any(recovery_oracle)
+
+
+def recovery_case(text, zc):
+    """The recovery engine of a one-input system's certificate and the name
+    of its one solved variable."""
+    td, _ = build(parse_system(text), zc)
+    return RecoveryEngine(extract_flat_output(td)), td.blocks[1].nondrv[0].name
+
+
+def test_newton_failures_match_the_reference(zc):
+    # dot(x) = u^3 - 2u along x = -2t: u^3 - 2u + 2 = 0 has one real root,
+    # u = -1.7693.  From 0 Newton cycles 0 -> 1 -> 0, and from 0.1 it is
+    # drawn into that cycle; from just above sqrt(2/3), where the derivative
+    # 3u^2 - 2 nearly vanishes, it leaps past 1e9; from 3 it reaches the root
+    engine, p = recovery_case("system cub {\n  states: x;\n  inputs: u;\n"
+                              "  dot(x) = u^3 - 2*u;\n}", zc)
+    curves = [PolyCurve((0.0, -2.0))]
+    ts = np.array([0.0, 0.25, 0.5, 0.75])
+    guess = {p: np.array([0.0, math.sqrt((2 + 1e-11) / 3), 3.0, 0.1])}
+    got = recover_trajectory(engine, curves, ts, guess)
+    assert_same_recovery(
+        got, reference_recover_trajectory(engine, curves, ts, guess))
+    u, failures = got[2]["u"], got[3]
+    assert list(failures) == [1, 0, 3]
+    assert {type(f) for f in failures.values()} == {triangular._SampleDiverged}
+    assert failures[0].detail == "no convergence in block 1 at t=0.0"
+    assert failures[1].detail == "Newton blow-up in block 1 at t=0.25"
+    assert failures[3].detail == "no convergence in block 1 at t=0.75"
+    assert abs(u[2] + 1.76929235) < 1e-8
+    # the failed samples keep where Newton left them
+    assert abs(u[1]) > 1e9
+    assert abs(u[3]) < 0.01
+
+
+def test_jacobian_failures_match_the_reference(zc):
+    # dot(x) = sqrt(u) along x = t: the Jacobian 1/(2 sqrt(u)) is below
+    # 1e-12 at u = 1e30 and infinite at u = 0, which Newton reaches from 4
+    engine, p = recovery_case("system sq {\n  states: x;\n  inputs: u;\n"
+                              "  dot(x) = sqrt(u);\n}", zc)
+    curves = [PolyCurve((0.0, 1.0))]
+    ts = np.array([0.0, 0.5, 1.0])
+    guess = {p: np.array([1e30, 0.0, 4.0])}
+    got = recover_trajectory(engine, curves, ts, guess)
+    assert_same_recovery(
+        got, reference_recover_trajectory(engine, curves, ts, guess))
+    # within one Newton iteration non-finite Jacobians fail before singular
+    # ones
+    assert {k: f.detail for k, f in got[3].items()} == {
+        1: "domain violation (non-finite Jacobian) in block 1 at t=0.5",
+        0: "singular Jacobian in block 1 at t=0.0",
+        2: "domain violation (non-finite Jacobian) in block 1 at t=1.0"}
+    assert list(got[3]) == [1, 0, 2]
+
+
+def test_derivative_chain_failure_writes_back_nothing(sin_cert):
+    # block 1 solves sin(rh) = r2' for rh and its derivatives: at t = 0 Newton
+    # converges, the first step of the chain gives rh' = r2''/cos(rh), about
+    # 2.3e155, and the second squares it past the float range; at t = 0.1
+    # r2' is about 2e154 and Newton blows up
+    engine = RecoveryEngine(sin_cert)
+    curves = [PolyCurve((0.0, 0.5, 1e155)), PolyCurve((1.0, 1.0))]
+    ts = np.array([0.0, 0.1])
+    got = recover_trajectory(engine, curves, ts, {})
+    assert_same_recovery(
+        got, reference_recover_trajectory(engine, curves, ts, {}))
+    vals, _, _, failures = got
+    assert {k: f.detail for k, f in failures.items()} == {
+        1: "Newton blow-up in block 1 at t=0.1",
+        0: "domain violation (non-finite derivative) in block 1 at t=0.0"}
+    (rh,) = sin_cert.decomposition.blocks[1].nondrv
+    rows = {s: vals[engine.slot[s], 0] for s in (rh, jet(rh, 1), jet(rh, 2))}
+    assert abs(rows[rh] - math.pi / 6) < 1e-12
+    assert rows[jet(rh, 1)] == rows[jet(rh, 2)] == 0.0
 
 
 # -- numeric verification ------------------------------------------------------------
