@@ -352,7 +352,7 @@ def cmd_verify(args) -> int:
         except ValueError as ex:
             raise CertificateError(f"certificate is not JSON: {ex}") from None
         cert = _certificate_load(obj, cs)
-    elif args.outputs:
+    elif args.outputs is not None:
         res = run_decomposition(cs, zc, args.max_degree, args.max_depth)
         if res.status != "Triangularized":
             print(f"{cs.name}: {res.status}, nothing to verify against",

@@ -24,8 +24,8 @@ from .pfaffian import (
     vertical_annihilator,
 )
 from .symexpr import (
-    ONE, PRIME, ZERO, Var, add, diff, mul, pow_, structural_key,
-    value_mod_p, var,
+    ONE, PRIME, ZERO, Var, add, derivatives_mod_p, mul, pow_,
+    structural_key, value_mod_p, var,
 )
 from .sysdsl import field_dict, form_dict, render
 
@@ -168,11 +168,6 @@ def _projective_key(codes):
     return tuple(None if e is None else e - lead for e in codes)
 
 
-def _along(v: VectorField, e):
-    """Directional derivative v(e) = sum_s v^s de/ds."""
-    return add(*(mul(vs, diff(e, s)) for s, vs in v.components.items()))
-
-
 _SKIP, _REJECT = "skip", "reject"
 _NOT_CHARACTERISTIC = "fields are not characteristic for the candidate"
 
@@ -207,7 +202,9 @@ class _Screen:
     decision only if z lies on the zero set of a nonzero minor of M, G or
     [M; Q], a rational function whose numerator has some degree d; that
     happens with probability at most d/(p - 1), p = PRIME, per candidate
-    (Schwartz-Zippel).
+    (Schwartz-Zippel).  The derivatives b_l(T_i)(z) and b_l(c_i)(z) are
+    taken forward-mode at z from the basis fields' residues there
+    (derivatives_mod_p), exactly, and no symbolic derivative is built.
     """
 
     def __init__(self, S: PfaffianSystem, basis, tabs, zc: ZeroCtx):
@@ -222,11 +219,6 @@ class _Screen:
         zrow = [ZERO] * len(S.generators)
         self.T = [[tab.get(idx, zrow) for idx in keys] for tab in tables]
         self.usable = not any(e.needs_mp for e in self._entries())
-        if self.usable:
-            self.dT = [[[[_along(b, e) for e in row] for row in Ti]
-                        for Ti in self.T] for b in basis]
-            self.usable = not any(e.needs_mp for l in self.dT for Ti in l
-                                  for row in Ti for e in row)
         self._points = {}
         self._residues = {}
 
@@ -234,11 +226,14 @@ class _Screen:
         yield from (e for row in self.g for e in row)
         yield from (e for Ci in self.C for row in Ci for e in row)
         yield from (e for Ti in self.T for row in Ti for e in row)
+        yield from (e for b in self.basis for e in b.components.values())
 
     def _values(self, k: int):
-        """The level's matrices at point k, None at a pole: per row of M the
-        rows T_i(z), and per row of Q the rows H_il(z) and T_i(z) that
-        c_i c_l and -v(c_i) combine (None when G(z) is rank-deficient)."""
+        """The level at point k, None at a pole: the basis fields' residues
+        and the point's derivative memo (derivatives_mod_p), then per row
+        of M the rows T_i(z), and per row of Q the rows H_il(z) and T_i(z)
+        that c_i c_l and -v(c_i) combine (None when G(z) is
+        rank-deficient)."""
         if k not in self._points:
             seed = self.zc.seed
 
@@ -248,8 +243,17 @@ class _Screen:
                     return None if any(y is None for y in out) else out
                 return value_mod_p(x, k, seed)
 
-            vals = [at(x) for x in (self.g, self.C, self.T, self.dT)]
-            self._points[k] = None if None in vals else self._tables_at(*vals)
+            vals = [at(x) for x in (self.g, self.C, self.T)]
+            fields = [{s: at(e) for s, e in b.components.items()}
+                      for b in self.basis]
+            if None in vals or any(None in f.values() for f in fields):
+                self._points[k] = None
+            else:
+                # dT[i][r][j][l] = b_l(T_i[r][j])(z), defined where T(z) is
+                memo = {}
+                dT = [[[derivatives_mod_p(e, k, seed, fields, memo)
+                        for e in row] for row in Ti] for Ti in self.T]
+                self._points[k] = (fields, memo, *self._tables_at(*vals, dT))
         return self._points[k]
 
     @staticmethod
@@ -266,7 +270,7 @@ class _Screen:
         Y = [[_lincomb([w[c] for c in pivots], E) for w in Cl] for Cl in C]
         k = len(T)
         Hrows = [[[(sum(a * b for a, b in zip(Trow[i], Y[l][j]))
-                    - dT[l][i][r][j]) % PRIME for j in range(m)]
+                    - dT[i][r][j][l]) % PRIME for j in range(m)]
                   for i in range(k) for l in range(k)] + Trow
                  for r, Trow in enumerate(Trows)]
         return Trows, Hrows
@@ -275,10 +279,11 @@ class _Screen:
         """c(z) and b_l(c)(z) for one coefficient c, None at a pole."""
         key = (x, k)
         if key not in self._residues:
+            fields, memo = self._points[k][:2]
             seed = self.zc.seed
-            vals = [value_mod_p(y, k, seed)
-                    for y in [x] + [_along(b, x) for b in self.basis]]
-            self._residues[key] = None if None in vals else vals
+            ders = derivatives_mod_p(x, k, seed, fields, memo)
+            self._residues[key] = (None if ders is None
+                                   else [value_mod_p(x, k, seed)] + ders)
         return self._residues[key]
 
     def decide(self, c):
@@ -289,7 +294,7 @@ class _Screen:
             res = [self._residues_at(x, k) for x in c]
             if None in res:
                 continue
-            Trows, Hrows = level
+            _, _, Trows, Hrows = level
             cv = [r[0] for r in res]
             red, pivots = row_echelon_mod_p([_lincomb(cv, Tr) for Tr in Trows])
             nullity = len(self.g) - len(pivots)
@@ -318,13 +323,20 @@ def _lincomb(coeffs, rows):
 
 def _coefficient_vectors(chart, k: int, max_degree: int):
     """The scan's coefficient tuples: simplest first, one per projective
-    class, at most MAX_CANDIDATES of them."""
+    class, at most MAX_CANDIDATES of them.  The k unit vectors come first
+    (the stream's first tuples, since the pool is headed by ONE); the
+    monomial pool is built only for a scan that reads past them."""
+    seen = set()
+    for i in range(k):
+        if len(seen) >= MAX_CANDIDATES:
+            return
+        seen.add(tuple(0 if j == i else None for j in range(k)))
+        yield tuple(ONE if j == i else ZERO for j in range(k))
     pool = monomial_pool(chart, max_degree)
     items = [ZERO] + [m for m, _ in pool]
     radix = 4 * max_degree + 1
     codes = [None] + [sum(e * radix ** s for s, e in enumerate(expo))
                       for _, expo in pool]
-    seen = set()
     for t in _tuple_stream(items[1:], k):
         if len(seen) >= MAX_CANDIDATES:
             return

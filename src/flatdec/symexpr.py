@@ -558,6 +558,49 @@ def value_mod_p(e: Expr, k: int, seed: int):
     return _at(e, k, seed, True)
 
 
+def derivatives_mod_p(e: Expr, k: int, seed: int, fields, memo: dict):
+    """(v_1(e), ..., v_K(e)) in GF(PRIME) at sample point k, None where
+    `value_mod_p(e, k, seed)` is None, for fields[l] mapping a symbol to
+    the residue of field l's component there.  Forward mode over the DAG
+    from the nodes' memoized values; a product takes the product rule with
+    the other factors' values, so a factor vanishing at the point needs no
+    division.  Exact over the field: wherever both are defined it is the
+    symbolic sum_s v_l^s de/ds at the point.  memo, per node, serves one
+    point and one list of fields."""
+    if value_mod_p(e, k, seed) is None:
+        return None
+    return _forward(e, k, seed, fields, memo, frozenset().union(*fields))
+
+
+def _forward(x: Expr, k: int, seed: int, fields, memo: dict, support):
+    """derivatives_mod_p of a node defined at point k; support holds the
+    symbols some field moves."""
+    if x.free.isdisjoint(support):
+        return [0] * len(fields)
+    out = memo.get(x)
+    if out is not None:
+        return out
+    if isinstance(x, Var):
+        out = [f.get(x.sym, 0) for f in fields]
+    elif isinstance(x, Add):
+        out = [sum(col) % PRIME for col in zip(
+            *(_forward(t, k, seed, fields, memo, support) for t in x.terms))]
+    elif isinstance(x, Mul):
+        vals = [_at(f, k, seed, True) for f in x.factors]
+        out = [0] * len(fields)
+        for i, f in enumerate(x.factors):
+            if not f.free.isdisjoint(support):
+                o = math.prod(vals[:i] + vals[i + 1:]) % PRIME
+                out = [(a + o * b) % PRIME for a, b in
+                       zip(out, _forward(f, k, seed, fields, memo, support))]
+    else:
+        s = x.exp * pow(_at(x.base, k, seed, True), x.exp - 1, PRIME)
+        out = [s * b % PRIME
+               for b in _forward(x.base, k, seed, fields, memo, support)]
+    memo[x] = out
+    return out
+
+
 def _vanishes(e: Expr, budget: int, seed: int, modp: bool) -> bool:
     found = 0
     for k in range(10 * budget):

@@ -1,7 +1,8 @@
 """Shared fixtures: the two worked systems and integrator chains, the
 search at the command line's defaults, textbook reference versions of
 the table-based derived system and Frobenius test, the dual-number
-elimination the ansatz screen's row-space test replaced, the
+elimination the ansatz screen's row-space test replaced (with the
+symbolic directional derivatives that forward-mode residues replaced), the
 tree-walk compiler the straight-line programs replaced, the
 Fraction-based sum and product the int-pair constructors replaced, and
 the Newton recovery that re-gathered every sample on each iteration,
@@ -11,15 +12,15 @@ from fractions import Fraction
 
 import pytest
 
-from flatdec.decompose import _along, run_decomposition
+from flatdec.decompose import run_decomposition
 from flatdec.exterior import d, dt, scale, wedge, zero_form
 from flatdec.linalg import ZeroCtx, in_span_mod_p, nullspace
 from flatdec.pfaffian import (
     PfaffianSystem, contraction_tables, jet, vertical_annihilator,
 )
 from flatdec.symexpr import (
-    INPUT, ONE, PRIME, ZERO, Add, Const, Func, Mul, Pow, Var, const, pow_,
-    value_mod_p,
+    INPUT, ONE, PRIME, ZERO, Add, Const, Func, Mul, Pow, Var, add, const,
+    diff, mul, pow_, value_mod_p,
 )
 from flatdec.sysdsl import parse_system
 from flatdec.triangular import _SampleDiverged, _SampleSingular
@@ -182,6 +183,11 @@ def dual_pencil_at(level, cv, dcv):
     return M, dM
 
 
+def along(v, e):
+    """Directional derivative v(e) = sum_s v^s de/ds, built symbolically."""
+    return add(*(mul(vs, diff(e, s)) for s, vs in v.components.items()))
+
+
 class DualScreen:
     """Reference verdicts of the ansatz screen on a level, by elimination
     over the dual numbers.  At the first point z where the level and c
@@ -192,11 +198,14 @@ class DualScreen:
 
     `decide(c)` is "skip" when the nullity of M(z) is below want, "reject"
     when P(z) = [p_k(z)] has rank want and some (v.dp_k)(z) is outside its
-    span, None otherwise.  It reads the level's expressions from a _Screen.
+    span, None otherwise.  It reads the level's expressions from a _Screen
+    and builds the derivatives b_l(T_i) symbolically.
     """
 
     def __init__(self, screen):
         self.screen = screen
+        self.dT = [[[[along(b, e) for e in row] for row in Ti]
+                    for Ti in screen.T] for b in screen.basis]
         self._levels = {}
 
     def level_at(self, k):
@@ -211,7 +220,7 @@ class DualScreen:
                     return None if any(y is None for y in out) else out
                 return value_mod_p(x, k, sc.zc.seed)
 
-            vals = [at(x) for x in (sc.g, sc.C, sc.T, sc.dT)]
+            vals = [at(x) for x in (sc.g, sc.C, sc.T, self.dT)]
             self._levels[k] = None if None in vals else vals
         return self._levels[k]
 
@@ -223,7 +232,7 @@ class DualScreen:
             if level is None:
                 continue
             cv = [value_mod_p(x, k, seed) for x in c]
-            dcv = [[value_mod_p(_along(b, x), k, seed) for b in sc.basis]
+            dcv = [[value_mod_p(along(b, x), k, seed) for b in sc.basis]
                    for x in c]
             if None in cv or any(None in row for row in dcv):
                 continue

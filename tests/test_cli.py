@@ -313,7 +313,8 @@ def test_verify_rejects_wrong_outputs(sin_file, capsys):
     assert "verdict: FAIL" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("claim, count", [("x3", 1), ("x3; x1; x2", 3)])
+@pytest.mark.parametrize("claim, count", [("x3", 1), ("x3; x1; x2", 3),
+                                          ("", 0), (" ; ", 0)])
 def test_verify_rejects_output_count_mismatch(sin_file, tmp_path, capsys,
                                               claim, count):
     report = tmp_path / "v.json"
@@ -367,6 +368,43 @@ def test_verify_takes_a_certificate_or_outputs_not_both(sin_file, tmp_path,
     err = _usage_error(["verify", sin_file, "--certificate", str(report),
                         "--outputs", "x3; x2"], capsys)
     assert "argument --outputs: not allowed with argument --certificate" in err
+
+
+# decompose at seed 0 on every fast fixture: status, then the certificate's
+# order and number of flat outputs (None for an Inconclusive search); a new
+# fixture fails the test below until it is listed here
+FIXTURE_SHAPES = {
+    "car": ("Triangularized", "0-flat", 2),
+    "chain4": ("Triangularized", "0-flat", 1),
+    "chained5": ("Triangularized", "0-flat", 2),
+    "coupled": ("Triangularized", "1-flat", 2),
+    "nfd": ("Inconclusive", None, None),
+    "nfd2": ("Inconclusive", None, None),
+    "nfd3": ("Inconclusive", None, None),
+    "nfd4": ("Inconclusive", None, None),
+    "sinex": ("Triangularized", "1-flat", 2),
+    "three": ("Triangularized", "0-flat", 3),
+    "trailer1": ("Triangularized", "0-flat", 2),
+    "unicycle": ("Triangularized", "0-flat", 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in DATA.glob("*.fds")))
+def test_fixture_decompose_status_and_certificate_shape(name, tmp_path,
+                                                        capsys):
+    report = tmp_path / "d.json"
+    code = main(["decompose", str(DATA / f"{name}.fds"), "--seed", "0",
+                 "--report", str(report)])
+    capsys.readouterr()
+    status, order, count = FIXTURE_SHAPES[name]
+    assert code == (0 if status == "Triangularized" else 3)
+    obj = json.loads(report.read_text())
+    assert obj["decomposition"]["status"] == status
+    cert = obj.get("certificate")
+    if order is None:
+        assert cert is None
+    else:
+        assert (cert["order"], len(cert["outputs"])) == (order, count)
 
 
 @pytest.mark.parametrize("name, claim", [

@@ -7,10 +7,10 @@ import random
 
 import pytest
 
-from flatdec import decompose
+from flatdec import decompose, exterior, pfaffian, symexpr
 from flatdec.decompose import (
     Splitting, monomial_pool, reduce_once, run_decomposition,
-    sequence_transforms, _REJECT, _SKIP, _Screen, _along, _candidate_stream,
+    sequence_transforms, _REJECT, _SKIP, _Screen, _candidate_stream,
     _coefficient_vectors, _combine, _lift_through, _pencil_rows,
     _prefixes, _projective_key, _tuple_stream,
 )
@@ -25,14 +25,14 @@ from flatdec.pfaffian import (
     vertical_annihilator,
 )
 from flatdec.symexpr import (
-    ONE, PRIME, STATE, ZERO, Symbol, add, const, div, is_zero, mul, neg,
-    pow_, structural_key, value_mod_p, var,
+    ONE, PRIME, STATE, ZERO, Symbol, add, const, div, func, is_zero, mul,
+    neg, pow_, structural_key, value_mod_p, var,
 )
 from flatdec.sysdsl import parse_system
 
 from conftest import (
-    MAX_DEGREE, MAX_DEPTH, DualScreen, dual_nullspace_mod_p, dual_pencil_at,
-    dual_rref_mod_p, same_span, search, wedge_derived_system,
+    MAX_DEGREE, MAX_DEPTH, DualScreen, along, dual_nullspace_mod_p,
+    dual_pencil_at, dual_rref_mod_p, same_span, search, wedge_derived_system,
     wedge_integrable_with_dt,
 )
 
@@ -191,7 +191,8 @@ def test_coefficient_vectors_match_symbolic_reference(name, zc, monkeypatch):
     truncated = False
     for k, deg in itertools.product((1, 2, 3), range(4)):
         want = list(_symbolic_coefficient_vectors(chart, k, deg))
-        for cap in (512, 7):
+        # a cap of 2 ends the scan inside the unit vectors when k = 3
+        for cap in (512, 7, 2):
             monkeypatch.setattr(decompose, "MAX_CANDIDATES", cap)
             got = list(_coefficient_vectors(chart, k, deg))
             # the same expressions in the same order
@@ -722,12 +723,12 @@ def test_dual_nullspace_is_value_and_derivative():
         basis.append(a)
     for k in range(3):
         vals = [[value_mod_p(e, k, 0) for e in row] for row in rows]
-        ders = [[value_mod_p(_along(v, e), k, 0) for e in row] for row in rows]
+        ders = [[value_mod_p(along(v, e), k, 0) for e in row] for row in rows]
         got = dual_nullspace_mod_p(vals, ders, 4)
         assert len(got) == len(basis) == 2
         for (a, da), sym in zip(got, basis):
             assert a == [value_mod_p(e, k, 0) for e in sym]
-            assert da == [value_mod_p(_along(v, e), k, 0) for e in sym]
+            assert da == [value_mod_p(along(v, e), k, 0) for e in sym]
             # and the pair really solves (M + eps M')(a + eps a') = 0
             for rv, rd in zip(vals, ders):
                 assert sum(p * q for p, q in zip(rv, a)) % PRIME == 0
@@ -755,7 +756,7 @@ def test_screen_pencil_is_value_and_derivative(name, zc):
             _coefficient_vectors(S.chart, len(basis), MAX_DEGREE), 80):
         level = oracle.level_at(0)
         cv = [value_mod_p(x, 0, zc.seed) for x in c]
-        dcv = [[value_mod_p(_along(b, x), 0, zc.seed) for b in basis]
+        dcv = [[value_mod_p(along(b, x), 0, zc.seed) for b in basis]
                for x in c]
         if level is None or None in cv or any(None in row for row in dcv):
             continue
@@ -763,7 +764,7 @@ def test_screen_pencil_is_value_and_derivative(name, zc):
         rows = _pencil_rows(tables, keys, c, m)
         M, dM = dual_pencil_at(level, cv, dcv)
         assert M == [[value_mod_p(e, 0, zc.seed) for e in row] for row in rows]
-        assert dM == [[value_mod_p(_along(v, e), 0, zc.seed) for e in row]
+        assert dM == [[value_mod_p(along(v, e), 0, zc.seed) for e in row]
                       for row in rows]
         checked += 1
     assert checked > 40
@@ -851,3 +852,47 @@ def test_function_levels_bypass_screen(sin_sys, zc):
         assert not _Screen(*_level(S, zc), zc).usable
     S, basis, tabs = _first_level("nfd", zc)
     assert _Screen(S, basis, tabs, zc).usable
+    # so does a function in a basis field: the screen reads the fields'
+    # components mod p for the derivatives it takes
+    b = basis[0]
+    s0, e0 = next(iter(b.components.items()))
+    odd = VectorField(b.chart, {**b.components,
+                                s0: mul(func("sin", var(s0)), e0)})
+    assert not _Screen(S, [odd] + basis[1:], tabs, zc).usable
+
+
+@pytest.mark.parametrize("name, pools", [("chain4", 0), ("coupled", 1)])
+def test_scan_builds_the_pool_only_past_the_unit_vectors(name, pools, zc,
+                                                         monkeypatch):
+    # chain4's levels have one vertical field each and accept its unit
+    # vector; only coupled's second level reads past the unit vectors
+    calls = []
+    pool = decompose.monomial_pool
+    monkeypatch.setattr(decompose, "monomial_pool",
+                        lambda *args: calls.append(args) or pool(*args))
+    cs = parse_system((DATA / f"{name}.fds").read_text())
+    assert run_decomposition(cs, zc, MAX_DEGREE, MAX_DEPTH).status == \
+        "Triangularized"
+    assert len(calls) == pools
+
+
+@pytest.mark.parametrize("name", ["coupled", "nfd"])
+def test_screen_builds_no_symbolic_derivative(name, zc, monkeypatch):
+    # every derivative the screen reads is taken forward-mode at the point
+    calls = _recording_tables(monkeypatch)
+    cs = parse_system((DATA / f"{name}.fds").read_text())
+    run_decomposition(cs, zc, MAX_DEGREE, MAX_DEPTH)
+
+    def no_diff(*args):
+        raise AssertionError("symbolic derivative inside the screen")
+
+    for mod in (symexpr, decompose, exterior, pfaffian):
+        monkeypatch.setattr(mod, "diff", no_diff, raising=False)
+    decided = 0
+    for S, basis, tabs in calls:
+        screen = _Screen(S, basis, tabs, zc)
+        assert screen.usable
+        for c in _coefficient_vectors(S.chart, len(basis), MAX_DEGREE):
+            screen.decide(c)
+            decided += 1
+    assert decided >= (decompose.MAX_CANDIDATES if name == "nfd" else 300)

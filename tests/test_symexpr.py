@@ -13,7 +13,7 @@ from flatdec import symexpr as sx
 from flatdec.symexpr import (
     DomainError, EvaluationFailed, Symbol, add, compile_expr, compile_rk4,
     const, diff, div, func, is_zero, mul, neg, pow_, substitute,
-    var,
+    value_mod_p, var,
 )
 from flatdec.sysdsl import parse_system
 
@@ -40,20 +40,22 @@ def normalize(e):
 
 # -- strategy for random canonical expressions --------------------------------
 
-def exprs(max_leaves=6):
+def exprs(max_leaves=6, funcs=True):
     leaves = st.one_of(
         st.sampled_from([x, y, z]),
         st.fractions(min_value=-4, max_value=4, max_denominator=6).map(const),
     )
 
     def extend(children):
-        return st.one_of(
+        ops = [
             st.lists(children, min_size=2, max_size=3).map(lambda ts: add(*ts)),
             st.lists(children, min_size=2, max_size=3).map(lambda fs: mul(*fs)),
             st.tuples(children, st.integers(-2, 3)).map(lambda p: _safe_pow(*p)),
-            st.tuples(st.sampled_from(["sin", "cos", "exp", "arctan"]), children)
-              .map(lambda p: func(p[0], p[1])),
-        )
+        ]
+        if funcs:
+            ops.append(st.tuples(st.sampled_from(["sin", "cos", "exp", "arctan"]),
+                                 children).map(lambda p: func(p[0], p[1])))
+        return st.one_of(*ops)
 
     return st.recursive(leaves, extend, max_leaves=max_leaves)
 
@@ -388,6 +390,63 @@ def test_sample_points_are_shared_and_memoized(monkeypatch):
     w = var(Symbol("u", sx.STATE))
     assert is_zero(add(mul(w, v), neg(a)), 20, 3)
     assert sx._at(w, 0, 3, True) == sx._at(u, 0, 3, True)
+
+
+def _symbolic_derivatives(e, k, seed, fields):
+    """sum_s f_l^s(z) * value_mod_p(diff(e, s)) per field, None where one
+    of the partial derivatives has a pole."""
+    out = []
+    for f in fields:
+        parts = [value_mod_p(diff(e, s), k, seed) for s in f]
+        if None in parts:
+            return None
+        out.append(sum(f[s] * p for s, p in zip(f, parts)) % sx.PRIME)
+    return out
+
+
+@given(exprs(max_leaves=8, funcs=False), st.integers(0, 2**32))
+@settings(max_examples=300, deadline=None)
+def test_derivatives_mod_p_match_the_symbolic_derivative(e, fseed):
+    rng = random.Random(fseed)
+    fields = [{s: rng.randrange(sx.PRIME) for s in rng.sample([X, Y, Z], r)}
+              for r in (rng.randint(0, 3) for _ in range(rng.randint(1, 3)))]
+    for k in range(3):
+        memo = {}
+        got = sx.derivatives_mod_p(e, k, 0, fields, memo)
+        if value_mod_p(e, k, 0) is None:
+            assert got is None
+            continue
+        want = _symbolic_derivatives(e, k, 0, fields)
+        if want is not None:
+            assert got == want
+        # the memo serves every expression at the point
+        assert sx.derivatives_mod_p(mul(e, x), k, 0, fields, memo) == \
+            _symbolic_derivatives(mul(e, x), k, 0, fields)
+
+
+def test_derivatives_mod_p_through_vanishing_factors_and_poles():
+    fields = [{X: 3, Y: 5, Z: 7}, {Z: 1}]
+    for k in range(4):
+        # a vanishes at point k, so the product rule may not divide by it
+        a = add(x, neg(const(sx._coordinate(X, 0, k, True))))
+        assert value_mod_p(a, k, 0) == 0
+        for e in (mul(a, y, pow_(z, -2)), mul(pow_(a, 2), pow_(add(y, z), -1)),
+                  mul(a, add(a, y), pow_(x, -3), z), add(pow_(a, 3), mul(a, z))):
+            got = sx.derivatives_mod_p(e, k, 0, fields, {})
+            assert got == _symbolic_derivatives(e, k, 0, fields)
+        # a pole of e is a pole of its derivatives
+        for e in (pow_(a, -1), mul(y, pow_(a, -2)), add(z, pow_(mul(a, y), -1))):
+            assert value_mod_p(e, k, 0) is None
+            assert sx.derivatives_mod_p(e, k, 0, fields, {}) is None
+    assert sx.derivatives_mod_p(sx.ONE, 0, 0, fields, {}) == [0, 0]
+    assert sx.derivatives_mod_p(x, 0, 0, [{}, {X: 4}], {}) == [0, 4]
+
+
+def test_derivatives_mod_p_rejects_the_50_digit_branch():
+    for e in (func("sin", x), mul(const(sx.PRIME), x)):
+        assert e.needs_mp
+        with pytest.raises(ValueError):
+            sx.derivatives_mod_p(e, 0, 0, [{X: 1}], {})
 
 
 def _square_identity(c, t):
