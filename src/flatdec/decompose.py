@@ -24,8 +24,8 @@ from .pfaffian import (
     vertical_annihilator,
 )
 from .symexpr import (
-    ONE, PRIME, ZERO, Var, add, derivatives_mod_p, mul, pow_,
-    structural_key, value_mod_p, var,
+    ONE, PRIME, ZERO, Var, add, derivatives_mod_p, evaluable_mod_p, mul,
+    pow_, structural_key, value_mod_p, var,
 )
 from .sysdsl import field_dict, form_dict, render
 
@@ -205,6 +205,9 @@ class _Screen:
     (Schwartz-Zippel).  The derivatives b_l(T_i)(z) and b_l(c_i)(z) are
     taken forward-mode at z from the basis fields' residues there
     (derivatives_mod_p), exactly, and no symbolic derivative is built.
+    The screen is usable when the level's expressions together have values
+    mod PRIME (evaluable_mod_p), so that sin, cos, tan and exp read one set
+    of residues across the level.
     """
 
     def __init__(self, S: PfaffianSystem, basis, tabs, zc: ZeroCtx):
@@ -218,7 +221,7 @@ class _Screen:
                   for Ci in C]
         zrow = [ZERO] * len(S.generators)
         self.T = [[tab.get(idx, zrow) for idx in keys] for tab in tables]
-        self.usable = not any(e.needs_mp for e in self._entries())
+        self.usable = evaluable_mod_p(self._entries(), zc.seed)
         self._points = {}
         self._residues = {}
 
@@ -360,7 +363,8 @@ def _candidate_stream(S: PfaffianSystem, basis, tabs, max_degree: int,
     """Lazily yield single-field candidates (c, S_candidate) over the
     vertical basis, from the level's tables tabs (contraction_tables).
 
-    On Func-free levels each c first meets the sample-point screen (_Screen):
+    On levels with values mod PRIME (evaluable_mod_p) each c first meets
+    the sample-point screen (_Screen):
     candidates that fail the necessary condition there are skipped before
     anything symbolic is built, and S_candidate is None when the screen has
     shown that c's field is not characteristic for it.

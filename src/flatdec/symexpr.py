@@ -30,7 +30,7 @@ ANSATZ = "ansatz"
 
 ZERO_SCALE = 10**40   # a 50-digit value under 1/ZERO_SCALE of its terms is zero
 ZERO_DPS = 50
-PRIME = 2**61 - 1   # the zero test evaluates Func-free expressions in GF(PRIME)
+PRIME = 2**61 - 1   # = 3 (mod 4); the zero test's finite field is GF(PRIME)
 
 
 class DomainError(ValueError):
@@ -62,11 +62,16 @@ class Expr:
     built from those arguments, so structurally equal nodes are one object,
     equality is identity, and an expression is a DAG that every walk visits
     once per distinct node.  `key` is a nested tuple giving a total
-    structural order.  `needs_mp` (a function, or a constant that PRIME
-    divides, inside) and `_memo` (values at sample points, one per distinct
-    node) serve `is_zero`."""
+    structural order.  `is_zero` reads three more: `needs_mp` (a constant
+    that PRIME divides inside, or a function other than sin, cos, tan and
+    exp of a Func-free non-constant argument), `fargs` (the pairs ("tau", a)
+    for each sin a, cos a and tan a inside, and ("exp", b) for each exp b:
+    the residues that stand for them in GF(PRIME)) and `_memo` (values at
+    sample points, one per distinct node, and whether fargs is proven
+    independent, see `evaluable_mod_p`)."""
 
-    __slots__ = ("key", "free", "nodes", "needs_mp", "_memo", "__weakref__")
+    __slots__ = ("key", "free", "nodes", "needs_mp", "fargs", "_memo",
+                 "__weakref__")
 
     def __new__(cls, *args):
         # children are interned already, so the table compares them by identity
@@ -78,21 +83,25 @@ class Expr:
             node._build(*args)
         return node
 
-    def _seal(self, key, free, nodes, needs_mp):
+    def _seal(self, key, free, nodes, needs_mp, fargs=frozenset()):
         self.key = key
         self.free = free
         self.nodes = nodes
         self.needs_mp = needs_mp
+        self.fargs = fargs
 
     def _seal_kids(self, tag, kids):
         """_seal of a sum or product: key (tag, *the children's keys)."""
         key, free, nodes, needs_mp = [tag], frozenset(), 1, False
+        fargs = frozenset()
         for k in kids:
             key.append(k.key)
             free |= k.free
             nodes += k.nodes
             needs_mp = needs_mp or k.needs_mp
-        self._seal(tuple(key), free, nodes, needs_mp)
+            if k.fargs:
+                fargs |= k.fargs
+        self._seal(tuple(key), free, nodes, needs_mp, fargs)
 
     def __repr__(self):
         return f"<Expr {self.key!r}>"
@@ -146,7 +155,7 @@ class Pow(Expr):
         self.base = base
         self.exp = exp
         self._seal(("p", base.key, exp), base.free, 1 + base.nodes,
-                   base.needs_mp)
+                   base.needs_mp, base.fargs)
 
 
 class Func(Expr):
@@ -155,7 +164,17 @@ class Func(Expr):
     def _build(self, fn: str, arg: Expr):
         self.fn = fn
         self.arg = arg
-        self._seal(("f", fn, arg.key), arg.free, 1 + arg.nodes, True)
+        key = ("f", fn, arg.key)
+        tag = _RESIDUES.get(fn)
+        if tag is None or arg.needs_mp or arg.fargs or isinstance(arg, Const):
+            self._seal(key, arg.free, 1 + arg.nodes, True)
+        else:
+            self._seal(key, arg.free, 1 + arg.nodes, False,
+                       frozenset(((tag, arg),)))
+
+
+# the residue that stands for f(a) in GF(PRIME): tau_a = tan(a/2) or E_a = exp a
+_RESIDUES = {"sin": "tau", "cos": "tau", "tan": "tau", "exp": "exp"}
 
 
 def _const(n: int, d: int) -> Const:
@@ -496,6 +515,26 @@ def _coordinate(sym: Symbol, seed: int, k: int, modp: bool):
     return mpmath.mpf(lo + (h >> 128) % (2 * q - lo + 1)) / q
 
 
+def _residue(e: Func, k: int, seed: int) -> int:
+    """The residue standing for e = f(a) at sample point k, tau_a for sin,
+    cos and tan, E_a for exp: like `_coordinate`, a pure function of
+    (seed, k, the residue's tag, a's structural key), uniform on the
+    nonzero residues."""
+    h = int.from_bytes(hashlib.sha256(repr(
+        (seed, k, _RESIDUES[e.fn], e.arg.key)).encode()).digest(), "big")
+    return 1 + h % (PRIME - 1)
+
+
+def _trig(fn: str, t: int):
+    """sin a, cos a or tan a in GF(PRIME) from t = tau_a = tan(a/2), None at
+    a pole of tan; 1 + t^2 never vanishes, as PRIME = 3 (mod 4)."""
+    if fn == "tan":
+        d = (1 - t * t) % PRIME
+        return None if d == 0 else 2 * t * pow(d, -1, PRIME) % PRIME
+    num = 2 * t if fn == "sin" else 1 - t * t
+    return num * pow(1 + t * t, -1, PRIME) % PRIME
+
+
 def _mp_scale(e: Expr, v, args, scales):
     """Magnitude of the terms behind the 50-digit value v of a non-Var node:
     sums and products of the children's magnitudes, carried through powers
@@ -536,6 +575,10 @@ def _at(e: Expr, k: int, seed: int, modp: bool):
         args = [_at(c, i, seed, modp) for c in _children(e)]
         if None in args:
             vals.append(None)
+        elif modp and isinstance(e, Func):
+            # f(a) reads a's residue; a pole of a is still a pole of f(a)
+            r = _residue(e, i, seed)
+            vals.append(r if e.fn == "exp" else _trig(e.fn, r))
         elif modp:
             vals.append(_modp_node(e, args))
         else:
@@ -549,11 +592,73 @@ def _at(e: Expr, k: int, seed: int, modp: bool):
     return vals[k]
 
 
+def evaluable_mod_p(exprs, seed: int) -> bool:
+    """Whether the expressions, together, have values in GF(PRIME): none
+    needs the 50-digit branch (`needs_mp`), and among all their `fargs`
+    the tau arguments, and apart from them the exp arguments, are proven
+    linearly independent over Q modulo constants (`_independent`).  Then
+    sin a = 2t/(1 + t^2), cos a = (1 - t^2)/(1 + t^2), tan a = 2t/(1 - t^2)
+    with t = tau_a, and exp b = E_b, the residues being independent
+    transcendentals (Ax 1971, "On Schanuel's conjectures"), embed the
+    functions the expressions denote into the rational functions of their
+    symbols and residues, derivatives included: their values at a point
+    are those rational functions' values, and zero tests and ranks over
+    GF(PRIME) keep the Schwartz-Zippel bound.  The verdict is memoized per
+    seed on each expression it is about, and a proof on every expression,
+    since it holds for any subset of the arguments."""
+    exprs = list(exprs)
+    if any(e.needs_mp for e in exprs):
+        return False
+    fargs = frozenset().union(*(e.fargs for e in exprs))
+    if not fargs:
+        return True
+    key = (seed, "independent")
+    for e in exprs:
+        if e.fargs == fargs and e._memo and key in e._memo:
+            return e._memo[key]
+    ok = all(_independent([a for t, a in fargs if t == tag], seed)
+             for tag in ("tau", "exp"))
+    for e in exprs:
+        if e.fargs and (ok or e.fargs == fargs):
+            if e._memo is None:
+                e._memo = {}
+            e._memo[key] = ok
+    return ok
+
+
+def _independent(args, seed: int) -> bool:
+    """Whether the Func-free args are proven linearly independent over Q
+    modulo constants: their gradients, stacked over the sample points 0 to
+    len(args) where all are defined, have full row rank over GF(PRIME).  A
+    relation sum q_i a_i = const, the q_i coprime integers, makes the rows
+    dependent at every point, so the rank is a proof.  Distinct symbols
+    need none."""
+    from .linalg import row_echelon_mod_p   # linalg imports this module
+    if all(isinstance(a, Var) for a in args):
+        return True
+    support = frozenset().union(*(a.free for a in args))
+    fields = [{s: 1} for s in support]
+    rows = [[] for _ in args]
+    for k in range(len(args) + 1):
+        if all(_at(a, k, seed, True) is not None for a in args):
+            memo = {}
+            for row, a in zip(rows, args):
+                row += _forward(a, k, seed, fields, memo, support)
+    return len(row_echelon_mod_p(rows)[1]) == len(args)
+
+
+def _on_residues(e: Expr, seed: int) -> bool:
+    """Whether e takes the GF(PRIME) branch: evaluable_mod_p of e alone."""
+    return not e.needs_mp and (not e.fargs or evaluable_mod_p((e,), seed))
+
+
 def value_mod_p(e: Expr, k: int, seed: int):
     """Value in GF(PRIME) of e at sample point k of the seed's shared point
     stream, None at a pole: the residues `is_zero` tests, from the same
-    per-node memo.  e must not need the 50-digit branch (`needs_mp`)."""
-    if e.needs_mp:
+    per-node memo, with sin, cos, tan and exp read from their arguments'
+    residues.  e must have such values (`evaluable_mod_p`); ValueError
+    otherwise."""
+    if not _on_residues(e, seed):
         raise ValueError("expression has no value mod PRIME: " + repr(e.key))
     return _at(e, k, seed, True)
 
@@ -564,9 +669,11 @@ def derivatives_mod_p(e: Expr, k: int, seed: int, fields, memo: dict):
     the residue of field l's component there.  Forward mode over the DAG
     from the nodes' memoized values; a product takes the product rule with
     the other factors' values, so a factor vanishing at the point needs no
-    division.  Exact over the field: wherever both are defined it is the
-    symbolic sum_s v_l^s de/ds at the point.  memo, per node, serves one
-    point and one list of fields."""
+    division, and a function the chain rule with sin' = cos, cos' = -sin,
+    tan' = 1 + tan^2 and exp' = exp, read from the same residues.  Exact
+    over the field: wherever both are defined it is the symbolic
+    sum_s v_l^s de/ds at the point.  memo, per node, serves one point and
+    one list of fields."""
     if value_mod_p(e, k, seed) is None:
         return None
     return _forward(e, k, seed, fields, memo, frozenset().union(*fields))
@@ -594,9 +701,18 @@ def _forward(x: Expr, k: int, seed: int, fields, memo: dict, support):
                 out = [(a + o * b) % PRIME for a, b in
                        zip(out, _forward(f, k, seed, fields, memo, support))]
     else:
-        s = x.exp * pow(_at(x.base, k, seed, True), x.exp - 1, PRIME)
-        out = [s * b % PRIME
-               for b in _forward(x.base, k, seed, fields, memo, support)]
+        # the chain rule, with sin' = cos, cos' = -sin, tan' = 1 + tan^2
+        # and exp' = exp read from the residues
+        if isinstance(x, Pow):
+            s = x.exp * pow(_at(x.base, k, seed, True), x.exp - 1, PRIME)
+        elif x.fn in ("sin", "cos"):
+            t = _residue(x, k, seed)
+            s = _trig("cos", t) if x.fn == "sin" else -_trig("sin", t)
+        else:
+            v = _at(x, k, seed, True)
+            s = v if x.fn == "exp" else 1 + v * v
+        out = [s * b % PRIME for b in
+               _forward(_children(x)[0], k, seed, fields, memo, support)]
     memo[x] = out
     return out
 
@@ -625,22 +741,26 @@ def is_zero(e: Expr, budget: int, seed: int) -> bool:
     All expressions share the points 0, 1, 2, ... of a seed: a symbol's
     value at point k depends only on (seed, k, name, kind).  Points where e
     has a pole or leaves its domain are skipped; 10*budget points without
-    `budget` valid ones raise EvaluationFailed.  Func-free e is evaluated in
-    GF(p), p = PRIME = 2^61 - 1, at points uniform on p's nonzero residues,
-    so a zero e is never called nonzero, and a nonzero e whose numerator
-    has degree d vanishes at a point with probability at most d/(p - 1)
-    (Schwartz-Zippel): it is called zero with probability at most
-    (d/(p - 1))**budget.  With a function, or a constant that p divides,
-    inside, e is evaluated at 50 digits at rationals in [1/2, 2] and
-    vanishes where |e| < 1e-40 * max(1, m), m the magnitude of the terms
-    behind it (sums of absolute values at every sum node, see _mp_scale),
-    so a zero built from large terms stays zero; that test is heuristic.
+    `budget` valid ones raise EvaluationFailed.  Where `evaluable_mod_p`
+    holds for e, e is evaluated in GF(p), p = PRIME = 2^61 - 1, with its
+    symbols and the residues tau_a and E_b that stand for sin a, cos a,
+    tan a and exp b uniform on p's nonzero residues, so a zero e is never
+    called nonzero, and a nonzero e whose numerator has degree d in the
+    symbols and residues vanishes at a point with probability at most
+    d/(p - 1) (Schwartz-Zippel): it is called zero with probability at
+    most (d/(p - 1))**budget.  Otherwise (ln, sqrt, arcsin, arctan, nested
+    functions, functions of constants, a constant that p divides, or
+    arguments not proven independent) e is evaluated at 50 digits at
+    rationals in [1/2, 2] and vanishes where |e| < 1e-40 * max(1, m), m the
+    magnitude of the terms behind it (sums of absolute values at every sum
+    node, see _mp_scale), so a zero built from large terms stays zero; that
+    test is heuristic.
     """
     if budget < 1:
         raise ValueError("the zero test needs a budget of at least one point")
     if isinstance(e, Const):
         return e.n == 0
-    if not e.needs_mp:
+    if _on_residues(e, seed):
         return _vanishes(e, budget, seed, True)
     with mpmath.workdps(ZERO_DPS):
         return _vanishes(e, budget, seed, False)

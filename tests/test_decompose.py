@@ -789,9 +789,9 @@ def test_screen_matches_the_dual_number_oracle(name, seed, monkeypatch):
         for c in _coefficient_vectors(S.chart, len(basis), MAX_DEGREE):
             assert screen.decide(c) == oracle.decide(c), (name, c)
             screened += 1
-    # the levels of sinex, unicycle, car and trailer1 carry functions and
-    # bypass the screen
-    assert screened or name in ("sinex", "unicycle", "car", "trailer1")
+    # sin, cos and tan of independent arguments take the residue branch,
+    # so every fixture has screened levels
+    assert screened
 
 
 @pytest.mark.parametrize("name", ["nfd", "nfd2", "coupled"])
@@ -845,20 +845,39 @@ def test_screen_eliminates_once_per_candidate(zc, monkeypatch):
     assert len(calls) == len(cands) + 1
 
 
-def test_function_levels_bypass_screen(sin_sys, zc):
-    res = search(sin_sys)
-    levels = [from_control_system(sin_sys, zc)] + [sp.S_next for sp in res.sequence]
-    for S in levels[:-1]:
-        assert not _Screen(*_level(S, zc), zc).usable
+def test_function_levels_bypass_screen(zc, monkeypatch):
+    # sinex's levels take the residue branch; ln, sqrt, a function of a
+    # constant and dependent arguments keep every level the search reaches
+    # on the symbolic path
+    calls = _recording_tables(monkeypatch)
+    for rhs, usable in (("sin(u1/u2)", True), ("ln(u1/u2)", False),
+                        ("sqrt(u1/u2)", False), ("sin(1)*u1 + u2*x1", False),
+                        ("sin(u1/u2) + sin(2*u1/u2)", False)):
+        calls.clear()
+        cs = parse_system("system v { states: x1, x2, x3; inputs: u1, u2; "
+                          f"dot(x1) = u1; dot(x2) = u2; dot(x3) = {rhs}; }}")
+        assert run_decomposition(cs, zc, MAX_DEGREE, MAX_DEPTH).status == \
+            "Triangularized"
+        assert calls
+        assert all(_Screen(*call, zc).usable == usable for call in calls), rhs
     S, basis, tabs = _first_level("nfd", zc)
     assert _Screen(S, basis, tabs, zc).usable
     # so does a function in a basis field: the screen reads the fields'
     # components mod p for the derivatives it takes
-    b = basis[0]
-    s0, e0 = next(iter(b.components.items()))
-    odd = VectorField(b.chart, {**b.components,
-                                s0: mul(func("sin", var(s0)), e0)})
-    assert not _Screen(S, [odd] + basis[1:], tabs, zc).usable
+    def times(b, fn, arg):
+        return VectorField(b.chart, {s: mul(func(fn, arg), e)
+                                     for s, e in b.components.items()})
+
+    w = var(next(iter(basis[0].components)))
+    assert not _Screen(S, [times(basis[0], "ln", w), basis[1]], tabs,
+                       zc).usable
+    # one set of residues serves the whole level: sin w and sin 2w each
+    # take it alone, but not together
+    sin_w, sin_2w = (times(b, "sin", a) for b, a in
+                     zip(basis, (w, mul(const(2), w))))
+    assert _Screen(S, [sin_w, basis[1]], tabs, zc).usable
+    assert _Screen(S, [basis[0], sin_2w], tabs, zc).usable
+    assert not _Screen(S, [sin_w, sin_2w], tabs, zc).usable
 
 
 @pytest.mark.parametrize("name, pools", [("chain4", 0), ("coupled", 1)])

@@ -10,11 +10,11 @@ a block with two unknowns.  The wrong sinex claim `x3; x2` is pinned on
 `verify`: its trials fail or turn singular, so that pin exits 4.
 chained5, three, nfd3, car and trailer1 are the textbook fixtures of the
 ROADMAP, pinned on `decompose`.  pvtol (the
-planar VTOL aircraft) is pinned on `verify` of the certificate its
-`decompose` reports; both live in data/slow/, outside the `data/*.fds`
-glob, because its search takes about 30 s.  Its verifier finds every trial
-singular (Newton stalls at the rounding floor of residuals with about a
-million terms), so that pin exits 4.
+planar VTOL aircraft) is pinned on `decompose` and on `verify` of the
+certificate its `decompose` reports; both live in data/slow/, outside the
+`data/*.fds` glob.  Its verifier finds every trial singular (Newton stalls
+at the rounding floor of residuals with about a million terms), so that
+pin exits 4.
 """
 
 import hashlib
@@ -41,6 +41,7 @@ GOLDEN = {
     ("nfd2", "analyze"): "a769d9f09398d4a8aba8524b9e059737f5626f419ffd67db71753494331e8a8c",
     ("nfd2", "decompose"): "9c43c977bb342b8082befe65224a8602a501cf47e5f54af8803cd318d4808616",
     ("nfd3", "decompose"): "4e5689046413e08f6e28eb8a86e00b39d8c16a81986213565b77831a1603f0ab",
+    ("slow/pvtol", "decompose"): "f52eacb5d81bfcf1190c3a40d1505df59b652c883f23f6eaa47f3ccc70bc85fa",
     ("slow/pvtol", "verify --certificate slow/pvtol.cert.json --samples 2"): "883e9de3b196458f8af6f0a7b2677227f45ff2810aad34ce0c05e5987ea35d0b",
     ("sinex", "analyze"): "3ad4d8b735d142464b2f3360952c88169ab9b5525bc9f1eef7a69cf0f393c962",
     ("sinex", "decompose"): "7b66311307319d50d6000dbe3e6693fe21c28ae834e4cc57e3acedaf237ba75c",
@@ -64,7 +65,7 @@ def test_report_bytes_are_pinned(name, command, tmp_path, monkeypatch, capsys):
     if name.startswith("nfd") and command == "decompose":
         assert code == 3
     else:
-        assert code == (4 if name == "slow/pvtol" or "--outputs" in command
-                        else 0)
+        assert code == (4 if command.startswith("verify --certificate")
+                        or "--outputs" in command else 0)
     digest = hashlib.sha256(report.read_bytes()).hexdigest()
     assert digest == GOLDEN[(name, command)]

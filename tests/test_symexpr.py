@@ -40,9 +40,12 @@ def normalize(e):
 
 # -- strategy for random canonical expressions --------------------------------
 
-def exprs(max_leaves=6, funcs=True):
+def exprs(max_leaves=6, funcs=True, args=()):
+    """Random canonical expressions; sin, cos, tan and exp of each of args
+    are leaves too."""
     leaves = st.one_of(
-        st.sampled_from([x, y, z]),
+        st.sampled_from([x, y, z] + [func(f, a) for a in args
+                                     for f in ("sin", "cos", "tan", "exp")]),
         st.fractions(min_value=-4, max_value=4, max_denominator=6).map(const),
     )
 
@@ -346,6 +349,52 @@ def test_is_zero_tan_identity():
     assert is_zero(e, 20, 0)
 
 
+def _sin(a):
+    return func("sin", a)
+
+
+def _cos(a):
+    return func("cos", a)
+
+
+def test_trig_and_exp_identities_take_the_residue_branch():
+    # sin, cos and tan of one argument read one residue tau, exp another
+    ex = func("exp", x)
+    for e in (add(pow_(_sin(x), 2), pow_(_cos(x), 2), neg(sx.ONE)),
+              add(func("tan", x), neg(div(_sin(x), _cos(x)))),
+              add(pow_(add(ex, sx.ONE), 2), neg(pow_(ex, 2)),
+                  mul(const(-2), ex), neg(sx.ONE))):
+        assert sx.evaluable_mod_p([e], 0)
+        assert all(value_mod_p(e, k, 0) is not None for k in range(5))
+        assert is_zero(e, 20, 0)
+    # the residues of sin x, tan x and exp x are not those of y or x + y
+    assert not is_zero(add(_sin(x), neg(_sin(y))), 20, 0)
+    assert not is_zero(add(_sin(add(x, y)), neg(_sin(x))), 20, 0)
+    assert not is_zero(add(ex, neg(_sin(x))), 20, 0)
+
+
+def test_dependent_or_constant_arguments_fall_back_to_50_digits():
+    # zero, but only through relations between the arguments: with a
+    # residue per argument these would be called nonzero
+    two_x = mul(const(2), x)
+    one = add(pow_(add(x, sx.ONE), 2), neg(pow_(x, 2)), mul(const(-2), x))
+    for e in (add(mul(const(2), _sin(x), _cos(x)), neg(_sin(two_x))),
+              add(_sin(add(x, sx.ONE)), neg(mul(_sin(x), _cos(sx.ONE))),
+                  neg(mul(_cos(x), _sin(sx.ONE)))),
+              add(mul(func("exp", x), func("exp", neg(x))), neg(sx.ONE)),
+              _sin(add(one, neg(sx.ONE))),
+              add(_sin(one), neg(_sin(sx.ONE)))):
+        assert not sx.evaluable_mod_p([e], 0)
+        assert is_zero(e, 20, 0)
+        with pytest.raises(ValueError):
+            value_mod_p(e, 0, 0)
+    # each argument set alone is independent; together they are not
+    a, b = add(_sin(x), y), _cos(two_x)
+    assert sx.evaluable_mod_p([a], 0) and sx.evaluable_mod_p([b], 0)
+    assert not sx.evaluable_mod_p([a, b], 0)
+    assert sx.evaluable_mod_p([a, func("tan", y), func("exp", two_x)], 0)
+
+
 def test_is_zero_rejects_nonzero():
     assert not is_zero(add(x, y), 20, 0)
     assert not is_zero(func("sin", x), 20, 0)
@@ -404,9 +453,17 @@ def _symbolic_derivatives(e, k, seed, fields):
     return out
 
 
-@given(exprs(max_leaves=8, funcs=False), st.integers(0, 2**32))
+# sin, cos, tan and exp of none, one or two arguments independent over Q
+# modulo constants
+RESIDUE_ARGS = ((), (mul(x, y),), (mul(x, y), add(y, pow_(z, 2))))
+
+
+@given(st.sampled_from(RESIDUE_ARGS).flatmap(
+    lambda args: exprs(max_leaves=8, funcs=False, args=args)),
+    st.integers(0, 2**32))
 @settings(max_examples=300, deadline=None)
 def test_derivatives_mod_p_match_the_symbolic_derivative(e, fseed):
+    assert sx.evaluable_mod_p([e], 0)
     rng = random.Random(fseed)
     fields = [{s: rng.randrange(sx.PRIME) for s in rng.sample([X, Y, Z], r)}
               for r in (rng.randint(0, 3) for _ in range(rng.randint(1, 3)))]
@@ -443,8 +500,9 @@ def test_derivatives_mod_p_through_vanishing_factors_and_poles():
 
 
 def test_derivatives_mod_p_rejects_the_50_digit_branch():
-    for e in (func("sin", x), mul(const(sx.PRIME), x)):
-        assert e.needs_mp
+    for e in (func("ln", x), func("sqrt", x), mul(_sin(sx.ONE), x),
+              add(_sin(x), _cos(mul(const(2), x))), mul(const(sx.PRIME), x)):
+        assert not sx.evaluable_mod_p([e], 0)
         with pytest.raises(ValueError):
             sx.derivatives_mod_p(e, 0, 0, [{X: 1}], {})
 
@@ -475,11 +533,11 @@ def test_constant_that_prime_divides_takes_the_mpmath_branch():
 def test_zero_with_large_terms_and_a_function():
     # 50-digit cancellation leaves about 1e-50 * 1e60 here; an absolute
     # 1e-40 threshold called this zero nonzero
-    sq = _square_identity(Fraction(10**30), func("sin", x))
-    assert is_zero(sq, 20, 0)
+    sq = _square_identity(Fraction(10**30), func("arctan", x))
+    assert sq.needs_mp and is_zero(sq, 20, 0)
     assert not is_zero(add(sq, mul(const(10**25), x)), 20, 0)
     # small terms keep the absolute floor
-    tiny = mul(const(Fraction(1, 10**30)), func("sin", x))
+    tiny = mul(const(Fraction(1, 10**30)), func("arctan", x))
     assert not is_zero(tiny, 20, 0)
 
 
@@ -587,7 +645,7 @@ def test_is_zero_and_diff_agree_with_sympy():
         want = sp.cancel(_to_sympy(sp, e)) == 0
         assert is_zero(e, 20, 0) == want, (a, other)
         if not isinstance(e, sx.Const):
-            seen[e.needs_mp, want] += 1
+            seen[sx.evaluable_mod_p([e], 0), want] += 1
         for sym in (X, Y):
             d = sp.diff(_to_sympy(sp, a), sp.Symbol(sym.name))
             assert sp.cancel(_to_sympy(sp, diff(a, sym)) - d) == 0, (a, sym)
