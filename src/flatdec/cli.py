@@ -182,6 +182,8 @@ def _certificate_load(obj, cs) -> FlatnessCertificate:
     for i, name in enumerate(names):
         if name in names[:i]:
             raise CertificateError(f"field chart names {name} a second time")
+    if "t" in names:
+        raise CertificateError("field chart names t, which is reserved for time")
     coords = tuple(Symbol(n, AUX) for n in names)
     final = Chart(coords)
     byname = {s.name: s for s in coords}

@@ -117,13 +117,11 @@ def monomial_pool(chart, max_degree: int):
 
 
 def _tuple_stream(pool, k: int):
-    """Coefficient tuples as indices into [ZERO] + pool: unit vectors first,
-    then the whole product by ascending total size, ties in the order of
-    the entries' structural keys.  The product is generated in that order,
-    not sorted, so a scan that stops early pays only for what it takes.
-    pool is a list of monomials headed by ONE."""
-    for i in range(k):
-        yield tuple(1 if j == i else 0 for j in range(k))
+    """Coefficient tuples as indices into [ZERO] + pool: the whole product
+    by ascending total size, ties in the order of the entries' structural
+    keys.  The product is generated in that order, not sorted, so a scan
+    that stops early pays only for what it takes.  pool is a list of
+    monomials headed by ONE."""
     n = len(pool)
     # the pool is cut to its simplest entries while the product has more
     # than 200,000 tuples
@@ -326,9 +324,8 @@ def _lincomb(coeffs, rows):
 
 def _coefficient_vectors(chart, k: int, max_degree: int):
     """The scan's coefficient tuples: simplest first, one per projective
-    class, at most MAX_CANDIDATES of them.  The k unit vectors come first
-    (the stream's first tuples, since the pool is headed by ONE); the
-    monomial pool is built only for a scan that reads past them."""
+    class, at most MAX_CANDIDATES of them.  The k unit vectors come first;
+    the monomial pool is built only for a scan that reads past them."""
     seen = set()
     for i in range(k):
         if len(seen) >= MAX_CANDIDATES:

@@ -74,18 +74,6 @@ class KForm:
     def is_structurally_zero(self) -> bool:
         return not self.coeffs
 
-    def __add__(self, other):
-        _same_chart(self, other)
-        if self.degree != other.degree:
-            raise ValueError("cannot add forms of different degree")
-        out = dict(self.coeffs)
-        for idx, c in other.coeffs.items():
-            out[idx] = add(out.get(idx, ZERO), c)
-        return KForm(self.chart, self.degree, out)
-
-    def __sub__(self, other):
-        return self + scale(other, MINUS_ONE)
-
     def __repr__(self):
         return f"<KForm deg={self.degree} terms={len(self.coeffs)}>"
 
@@ -102,20 +90,8 @@ def one_coeffs(w: KForm) -> dict:
     return {w.chart.axes[idx[0]]: c for idx, c in w.coeffs.items()}
 
 
-def dx(chart: Chart, sym: Symbol) -> KForm:
-    return KForm(chart, 1, {(chart.axis_index(sym),): ONE})
-
-
-def dt(chart: Chart) -> KForm:
-    return dx(chart, T)
-
-
 def zero_form(chart: Chart, degree: int) -> KForm:
     return KForm(chart, degree, {})
-
-
-def scale(a: KForm, e: Expr) -> KForm:
-    return KForm(a.chart, a.degree, {i: mul(e, c) for i, c in a.coeffs.items()})
 
 
 def _merge(idx_a, idx_b):
@@ -154,12 +130,10 @@ def wedge(a: KForm, b: KForm) -> KForm:
     return KForm(chart, a.degree + b.degree, out)
 
 
-def wedge_all(forms, chart: Chart = None) -> KForm:
+def wedge_all(forms, chart: Chart) -> KForm:
     """Wedge of a list; the empty wedge is the scalar unit 0-form."""
     forms = list(forms)
     if not forms:
-        if chart is None:
-            raise ValueError("empty wedge needs an explicit chart")
         return KForm(chart, 0, {(): ONE})
     acc = forms[0]
     for f in forms[1:]:
@@ -284,25 +258,22 @@ def identity_transform(chart: Chart) -> ChartTransform:
     return ChartTransform(chart, chart, dict(m), dict(m))
 
 
-def pullback(phi: ChartTransform, a: KForm) -> KForm:
-    if a.chart != phi.target:
+def pullback(phi: ChartTransform, w: KForm) -> KForm:
+    """The pullback of a 1-form: each coefficient, substituted once, times
+    the differential of its own target coordinate (dt stays dt)."""
+    if w.chart != phi.target:
         raise ChartMismatch("form does not live on the transform's target chart")
-    src = phi.source
-    if a.degree == 0:
-        return KForm(src, 0, {(): substitute(a.coeffs.get((), ZERO), phi.forward)})
-    pulled = {}
-    for p, axis in enumerate(phi.target.axes):
-        if axis == T:
-            pulled[p] = dt(src)
-        else:
-            f = phi.forward[axis]
-            pulled[p] = oneform(
-                src, {r: diff(f, r) for r in src.coords if r in f.free})
-    acc = zero_form(src, a.degree)
-    for idx, c in a.coeffs.items():
-        term = wedge_all([pulled[p] for p in idx])
-        acc = acc + scale(term, substitute(c, phi.forward))
-    return acc
+    terms: dict = {}
+    for s, c in one_coeffs(w).items():
+        c = substitute(c, phi.forward)
+        if s == T:
+            terms.setdefault(T, []).append(c)
+            continue
+        f = phi.forward[s]
+        for r in phi.source.coords:
+            if r in f.free:
+                terms.setdefault(r, []).append(mul(c, diff(f, r)))
+    return oneform(phi.source, {r: add(*t) for r, t in terms.items()})
 
 
 def pushforward(phi: ChartTransform, v: VectorField) -> VectorField:

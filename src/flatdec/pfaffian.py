@@ -6,9 +6,9 @@ spans are generic: membership and rank are decided by the probabilistic zero
 test through fraction-free elimination.  The contraction tables of a
 level, (v.dg) ^ Omega for its vertical fields v, live here: the derived
 system, the search's joint candidate and the Frobenius test of {P, dt} are
-all read off them.  The Cauchy-characteristic test and the check that
-equations solve for given variables live here for the search and the
-certificate checks alike.
+all read off them.  The vertical and Cauchy-characteristic tests and the
+check that equations solve for given variables live here for the search
+and the certificate checks alike.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 from . import linalg
 from .exterior import (
     Chart, ChartTransform, KForm, T, VectorField, contract, d, lie_bracket,
-    oneform, one_coeffs, pullback, scale, wedge, wedge_all, zero_form,
+    oneform, one_coeffs, pullback, wedge, wedge_all,
 )
 from .linalg import ZeroCtx
 from .symexpr import (
@@ -79,11 +79,6 @@ class PfaffianSystem:
     def top_form(self) -> KForm:
         return wedge_all(list(self.generators), self.chart)
 
-    def contains(self, w: KForm, zc: ZeroCtx) -> bool:
-        if w.chart != self.chart:
-            return False
-        return linalg.in_span(self.rows(), [_form_row(w, self.chart)], zc)
-
     def __repr__(self):
         return f"<PfaffianSystem dim={self.dim} on {len(self.chart.coords)} coords>"
 
@@ -109,11 +104,6 @@ class Distribution:
 
     def rows(self):
         return [_field_row(g, self.chart) for g in self.generators]
-
-    def contains(self, v: VectorField, zc: ZeroCtx) -> bool:
-        if v.chart != self.chart:
-            return False
-        return linalg.in_span(self.rows(), [_field_row(v, self.chart)], zc)
 
     def __repr__(self):
         return f"<Distribution dim={self.dim} on {len(self.chart.coords)} coords>"
@@ -170,10 +160,11 @@ def span_from_solutions(S: PfaffianSystem, sols, zc: ZeroCtx) -> PfaffianSystem:
     """The span of the generator combinations sum_j a_j g_j, a in sols."""
     combos = []
     for a in sols:
-        f = zero_form(S.chart, 1)
+        terms: dict = {}
         for aj, g in zip(a, S.generators):
-            f = f + scale(g, aj)
-        combos.append(f)
+            for s, c in one_coeffs(g).items():
+                terms.setdefault(s, []).append(mul(aj, c))
+        combos.append(oneform(S.chart, {s: add(*t) for s, t in terms.items()}))
     return PfaffianSystem(S.chart, combos, zc)
 
 
@@ -213,14 +204,20 @@ def derived_flag(P: PfaffianSystem, zc: ZeroCtx):
         P = nxt
 
 
+def is_vertical(v: VectorField, P: PfaffianSystem, zc: ZeroCtx) -> bool:
+    """Whether v annihilates P: every contraction v.g, g a generator, is
+    zero.  For v with no t component this is membership in the vertical
+    annihilator of P."""
+    return all(zc.zero(c) for g in P.generators
+               for c in contract(v, g).coeffs.values())
+
+
 def is_characteristic(v: VectorField, P: PfaffianSystem, zc: ZeroCtx) -> bool:
-    """Whether v is a Cauchy characteristic of P: v.g = 0 and v.dg lies in
-    the span of P for every generator g."""
-    for g in P.generators:
-        if any(not zc.zero(c) for c in contract(v, g).coeffs.values()):
-            return False
-    return linalg.in_span(P.rows(), (_form_row(contract(v, d(g)), P.chart)
-                                     for g in P.generators), zc)
+    """Whether v is a Cauchy characteristic of P: v is vertical for P
+    (is_vertical) and v.dg lies in the span of P for every generator g."""
+    return is_vertical(v, P, zc) and linalg.in_span(
+        P.rows(), (_form_row(contract(v, d(g)), P.chart)
+                   for g in P.generators), zc)
 
 
 def jet(sym: Symbol, order: int) -> Symbol:
@@ -313,9 +310,6 @@ def restrict_to_subchart(P: PfaffianSystem, phi: ChartTransform, drop,
                         raise NotReducible(
                             f"coefficient on d{s.name} depends on {w.name}")
                     c = substitute(c, {w: ONE})
-                    if w in c.free:
-                        raise NotReducible(
-                            f"could not eliminate {w.name} from a coefficient")
             coeffs[s] = c
         out.append(oneform(reduced_chart, coeffs))
     return PfaffianSystem(reduced_chart, out, zc)

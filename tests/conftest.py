@@ -6,21 +6,24 @@ symbolic directional derivatives that forward-mode residues replaced), the
 tree-walk compiler the straight-line programs replaced, the
 Fraction-based sum and product the int-pair constructors replaced, and
 the Newton recovery that re-gathered every sample on each iteration,
-which the compacted working set replaced."""
+which the compacted working set replaced; and the span membership and
+k-form sums that only the tests use."""
 
 from fractions import Fraction
 
 import pytest
 
 from flatdec.decompose import run_decomposition
-from flatdec.exterior import d, dt, scale, wedge, zero_form
-from flatdec.linalg import ZeroCtx, in_span_mod_p, nullspace
+from flatdec.exterior import (
+    KForm, T, VectorField, d, one_coeffs, oneform, wedge,
+)
+from flatdec.linalg import ZeroCtx, in_span, in_span_mod_p, nullspace
 from flatdec.pfaffian import (
     PfaffianSystem, contraction_tables, jet, vertical_annihilator,
 )
 from flatdec.symexpr import (
-    INPUT, ONE, PRIME, ZERO, Add, Const, Func, Mul, Pow, Var, add, const,
-    diff, mul, pow_, value_mod_p,
+    INPUT, MINUS_ONE, ONE, PRIME, ZERO, Add, Const, Func, Mul, Pow, Var, add,
+    const, diff, mul, pow_, value_mod_p,
 )
 from flatdec.sysdsl import parse_system
 from flatdec.triangular import _SampleDiverged, _SampleSingular
@@ -50,10 +53,47 @@ system coupled {
 """
 
 
+def dx(chart, sym) -> KForm:
+    return oneform(chart, {sym: ONE})
+
+
+def dt(chart) -> KForm:
+    return dx(chart, T)
+
+
+def scale(a: KForm, e) -> KForm:
+    return KForm(a.chart, a.degree, {i: mul(e, c) for i, c in a.coeffs.items()})
+
+
+def form_add(a: KForm, b: KForm) -> KForm:
+    assert a.chart == b.chart and a.degree == b.degree
+    out = dict(a.coeffs)
+    for idx, c in b.coeffs.items():
+        out[idx] = add(out.get(idx, ZERO), c)
+    return KForm(a.chart, a.degree, out)
+
+
+def form_sub(a: KForm, b: KForm) -> KForm:
+    return form_add(a, scale(b, MINUS_ONE))
+
+
+def contains(span, x, zc) -> bool:
+    """Whether the 1-form or vector field x lies in span, a Pfaffian system
+    or a distribution; never off span's chart."""
+    if x.chart != span.chart:
+        return False
+    if isinstance(x, VectorField):
+        row = [x.comp(s) for s in span.chart.axes]
+    else:
+        coeffs = one_coeffs(x)
+        row = [coeffs.get(s, ZERO) for s in span.chart.axes]
+    return in_span(span.rows(), [row], zc)
+
+
 def same_span(a, b, zc) -> bool:
     """Two Pfaffian systems, or two distributions, span the same space."""
-    return (all(a.contains(g, zc) for g in b.generators)
-            and all(b.contains(g, zc) for g in a.generators))
+    return (all(contains(a, g, zc) for g in b.generators)
+            and all(contains(b, g, zc) for g in a.generators))
 
 
 def search(cs, max_depth=MAX_DEPTH):
@@ -78,9 +118,9 @@ def wedge_derived_system(P, zc):
     rows = [[w.coeffs.get(idx, ZERO) for w in weighted] for idx in keys]
     combos = []
     for a in nullspace(rows, P.dim, zc):
-        f = zero_form(P.chart, 1)
+        f = KForm(P.chart, 1, {})
         for aj, g in zip(a, P.generators):
-            f = f + scale(g, aj)
+            f = form_add(f, scale(g, aj))
         combos.append(f)
     return PfaffianSystem(P.chart, combos, zc)
 

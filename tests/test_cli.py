@@ -378,6 +378,8 @@ FIXTURE_SHAPES = {
     "chain4": ("Triangularized", "0-flat", 1),
     "chained5": ("Triangularized", "0-flat", 2),
     "coupled": ("Triangularized", "1-flat", 2),
+    "gb3": ("Triangularized", "0-flat", 2),
+    "gb6": ("Triangularized", "0-flat", 2),
     "nfd": ("Inconclusive", None, None),
     "nfd2": ("Inconclusive", None, None),
     "nfd3": ("Inconclusive", None, None),
@@ -426,6 +428,28 @@ def test_verify_passes_the_pvtol_textbook_flat_outputs(capsys):
                  "x - sin(th)/2; z + cos(th)/2", "--samples", "6"]) == 0
 
 
+@pytest.mark.parametrize("name, outputs, checks", [
+    ("gb3", ["x1 - (-4*x2 - 1)*x2 - 2*x2^2", "x3"], 8),
+    ("gb6", ["x1 - x2 - x3*x4", "x4"], 11)])
+def test_generated_systems_pass_at_every_seed(name, outputs, checks,
+                                              tmp_path, capsys):
+    # flat by construction; an Xi^1 coefficient of each mentions a
+    # coordinate of a later block that cancels out of it
+    for seed in range(4):
+        report = tmp_path / f"{seed}.json"
+        code = main(["decompose", str(DATA / f"{name}.fds"), "--verify",
+                     "--samples", "6", "--seed", str(seed),
+                     "--report", str(report)])
+        capsys.readouterr()
+        assert code == 0, seed
+        obj = json.loads(report.read_text())
+        structure = obj["verification"]["structure"]
+        assert len(structure) == checks, seed
+        assert all(item["ok"] for item in structure), seed
+        assert obj["verification"]["numeric"]["passed"] == 6, seed
+        assert obj["certificate"]["outputs"] == outputs, seed
+
+
 def test_verify_missing_certificate_file(sin_file, tmp_path, capsys):
     code = main(["verify", sin_file,
                  "--certificate", str(tmp_path / "nope.json")])
@@ -456,6 +480,8 @@ def _misshape(cert, case):
         cert["blocks"][0]["outputs"] = []
     elif case == "chart-duplicate":
         cert["chart"].append(cert["chart"][0])
+    elif case == "chart-time":
+        cert["chart"][0] = "t"
     elif case == "index-true":
         cert["blocks"][0]["index"] = True
     elif case in ("order-relabelled", "order-unknown"):
@@ -479,6 +505,7 @@ def _misshape(cert, case):
     ("solved-in-block-1", "blocks[0].solved names 1 variables for 0"),
     ("coordinate-twice", "blocks[1] names"),
     ("chart-duplicate", "field chart names"),
+    ("chart-time", "field chart names t, which is reserved for time"),
     ("output-dropped", "which no block lists"),
     ("index-true", "field blocks[0].index must be an integer"),
     ("order-relabelled", "field order must be '1-flat'"),

@@ -14,7 +14,7 @@ from flatdec.decompose import (
     _coefficient_vectors, _combine, _lift_through, _pencil_rows,
     _prefixes, _projective_key, _tuple_stream,
 )
-from flatdec.exterior import Chart, T, VectorField, oneform, scale
+from flatdec.exterior import Chart, T, VectorField, oneform
 from flatdec.linalg import (
     ZeroCtx, in_span_mod_p, nullspace, row_echelon, row_echelon_mod_p,
 )
@@ -31,9 +31,9 @@ from flatdec.symexpr import (
 from flatdec.sysdsl import parse_system
 
 from conftest import (
-    MAX_DEGREE, MAX_DEPTH, DualScreen, along, dual_nullspace_mod_p,
-    dual_pencil_at, dual_rref_mod_p, same_span, search, wedge_derived_system,
-    wedge_integrable_with_dt,
+    MAX_DEGREE, MAX_DEPTH, DualScreen, along, contains, dual_nullspace_mod_p,
+    dual_pencil_at, dual_rref_mod_p, form_add, same_span, scale, search,
+    wedge_derived_system, wedge_integrable_with_dt,
 )
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -56,7 +56,7 @@ def splitting_holds(sp: Splitting, parent: PfaffianSystem, zc) -> bool:
     if len(sp.nondrv) != sp.S_comp.dim:
         return False
     V = vertical_annihilator(parent, zc)
-    if not all(V.contains(v, zc) for v in sp.F.generators):
+    if not all(contains(V, v, zc) for v in sp.F.generators):
         return False
     lifted = [_lift_through(sp.transform, g) for g in sp.S_next.generators]
     P = PfaffianSystem(parent.chart, lifted, zc)
@@ -118,16 +118,15 @@ def test_monomial_pool_matches_brute_force_filter():
                 [(m.key, e) for m, e in brute]
 
 
-def test_tuple_stream_unit_vectors_first():
+def test_tuple_stream_is_the_product_by_size_then_key():
     x = Symbol("x", STATE)
-    pool = [ONE, var(x)]
-    items = [ZERO] + pool
-    got = [tuple(items[i] for i in t) for t in _tuple_stream(pool, 2)]
-    assert got[0] == (ONE, ZERO)
-    assert got[1] == (ZERO, ONE)
-    # the remainder is the full product over {0} + pool, simplest first
-    assert len(got) == 2 + 9
-    assert got[2] == (ZERO, ZERO)
+    pool = [ONE, var(x), pow_(var(x), 2)]
+    got = list(_tuple_stream(pool, 2))
+    # indices into [ZERO] + pool: every tuple of the product once, those
+    # of one-node entries before any with x^2, ties in structural-key
+    # order (x^2's key sorts before x's)
+    assert got[:9] == list(itertools.product(range(3), repeat=2))
+    assert got[9:] == [(0, 3), (1, 3), (3, 0), (3, 1), (3, 2), (2, 3), (3, 3)]
 
 
 def test_projective_key_collapses_scale():
@@ -228,7 +227,7 @@ def test_necessary_condition_finds_scaling_family(sin_sys, zc):
     for c, cand in found:
         assert cand.dim == S0.dim - 1
         for g in cand.generators:
-            assert S0.contains(g, zc)
+            assert contains(S0, g, zc)
 
 
 def test_necessary_condition_budget_exhaustion(sin_sys, zc, monkeypatch):
@@ -304,7 +303,7 @@ def test_reduce_once_chain_straightens_the_input(chain, zc):
     sp = splits[0]
     u = coord(cs, "u")
     assert sp.F.dim == 1
-    assert sp.F.contains(VectorField(S0.chart, {u: ONE}), zc)
+    assert contains(sp.F, VectorField(S0.chart, {u: ONE}), zc)
     assert sp.S_next.dim == 2
     assert len(sp.nondrv) == 1
     assert splitting_holds(sp, S0, zc)
@@ -318,7 +317,7 @@ def test_reduce_once_sin_level0(sin_sys, zc):
     sp = splits[0]
     u1, u2 = coord(sin_sys, "u1"), coord(sin_sys, "u2")
     scaling = VectorField(S0.chart, {u1: var(u1), u2: var(u2)})
-    assert sp.F.dim == 1 and sp.F.contains(scaling, zc)
+    assert sp.F.dim == 1 and contains(sp.F, scaling, zc)
     assert sp.S_next.dim == 2
     assert splitting_holds(sp, S0, zc)
     kinds = {e["kind"] for e in events}
@@ -802,8 +801,9 @@ def test_screen_matches_the_oracle_on_mixed_generators(name, zc):
     S0, basis0, _ = _first_level(name, zc)
     w = var(next(s for s in basis0[0].components if s in S0.chart.coords))
     g = S0.generators
-    S = PfaffianSystem(S0.chart, [g[j] + scale(g[j + 1], w) if j + 1 < len(g)
-                                  else g[j] for j in range(len(g))], zc)
+    S = PfaffianSystem(S0.chart, [form_add(g[j], scale(g[j + 1], w))
+                                  if j + 1 < len(g) else g[j]
+                                  for j in range(len(g))], zc)
     S, basis, tabs = _level(S, zc)
     screen = _Screen(S, basis, tabs, zc)
     oracle = DualScreen(screen)

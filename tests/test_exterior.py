@@ -1,15 +1,20 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flatdec import symexpr as sx
 from flatdec.exterior import (
     Chart, ChartMismatch, ChartTransform, KForm, NotSolvable, T, VectorField,
-    compose, contract, d, dt, dx, extend_transform, identity_transform,
-    lie_bracket, oneform, pullback, pushforward, scale, straighten_flow, wedge,
+    compose, contract, d, extend_transform, identity_transform, lie_bracket,
+    one_coeffs, oneform, pullback, pushforward, straighten_flow, wedge,
 )
 from flatdec.linalg import ZeroCtx
-from flatdec.symexpr import Symbol, add, const, div, func, mul, neg, pow_, var
+from flatdec.symexpr import (
+    Symbol, add, const, diff, div, func, mul, neg, pow_, substitute, var,
+)
+
+from conftest import dt, dx, form_add, form_sub
 
 X1, X2, X3 = Symbol("x1", sx.STATE), Symbol("x2", sx.STATE), Symbol("x3", sx.STATE)
 U1, U2 = Symbol("u1", sx.INPUT), Symbol("u2", sx.INPUT)
@@ -35,7 +40,7 @@ def test_wedge_same_is_zero():
 def test_wedge_antisymmetry():
     a = wedge(dx(CH, X1), dx(CH, X2))
     b = wedge(dx(CH, X2), dx(CH, X1))
-    assert form_zero(a + b)
+    assert form_zero(form_add(a, b))
 
 
 def test_wedge_with_dt():
@@ -64,14 +69,14 @@ def test_d_leibniz_on_monomials():
     # d(u2 dx1 - u1 dx2) = du2 ^ dx1 - du1 ^ dx2
     w = oneform(CH, {X1: u2, X2: neg(u1)})
     got = d(w)
-    want = wedge(dx(CH, U2), dx(CH, X1)) - wedge(dx(CH, U1), dx(CH, X2))
-    assert form_zero(got - want)
+    want = form_sub(wedge(dx(CH, U2), dx(CH, X1)), wedge(dx(CH, U1), dx(CH, X2)))
+    assert form_zero(form_sub(got, want))
 
 
 def test_d_of_x3_dt():
     got = d(oneform(CH, {T: x3}))
     want = wedge(dx(CH, X3), dt(CH))
-    assert form_zero(got - want)
+    assert form_zero(form_sub(got, want))
 
 
 def test_dd_zero_on_function():
@@ -90,10 +95,10 @@ def test_contract_basis():
 def test_contract_scaling_field_into_two_form():
     # (u1 d/du1 + u2 d/du2) into (du2^dx1 - du1^dx2) = u2 dx1 - u1 dx2
     v = VectorField(CH, {U1: u1, U2: u2})
-    a = wedge(dx(CH, U2), dx(CH, X1)) - wedge(dx(CH, U1), dx(CH, X2))
+    a = form_sub(wedge(dx(CH, U2), dx(CH, X1)), wedge(dx(CH, U1), dx(CH, X2)))
     got = contract(v, a)
     want = oneform(CH, {X1: u2, X2: neg(u1)})
-    assert form_zero(got - want)
+    assert form_zero(form_sub(got, want))
 
 
 def test_contract_annihilated():
@@ -107,9 +112,8 @@ def test_contract_antiderivation_fixed():
     a = oneform(CH, {X1: u1, X2: x3})
     b = wedge(oneform(CH, {X2: x1, U1: sx.ONE}), dx(CH, X3))
     lhs = contract(v, wedge(a, b))
-    rhs = wedge(contract(v, a), b) + scale(wedge(a, contract(v, b)),
-                                           sx.MINUS_ONE)
-    assert form_zero(lhs - rhs)
+    rhs = form_sub(wedge(contract(v, a), b), wedge(a, contract(v, b)))
+    assert form_zero(form_sub(lhs, rhs))
 
 
 # -- Lie bracket ---------------------------------------------------------------------
@@ -174,19 +178,76 @@ def test_pullback_product_coordinate():
     phi, (Z2, Z3, Z4) = _two_chart_transform()
     got = pullback(phi, dx(phi.target, X1))
     want = oneform(phi.source, {Z2: var(Z3), Z3: var(Z2)})
-    assert form_zero(got - want)
+    assert form_zero(form_sub(got, want))
 
 
 def test_pullback_fixes_dt():
     phi, _ = _two_chart_transform()
     got = pullback(phi, dt(phi.target))
-    assert form_zero(got - dt(phi.source))
+    assert form_zero(form_sub(got, dt(phi.source)))
 
 
-def test_pullback_commutes_with_d():
+def test_pullback_of_a_differential_is_the_differential_of_the_composite():
+    # phi^* df = d(f o phi), with f depending on t as well
     phi, _ = _two_chart_transform()
-    w = oneform(phi.target, {X1: func("sin", x2), X3: mul(x1, x2), T: x3})
-    assert form_zero(pullback(phi, d(w)) - d(pullback(phi, w)))
+    f = mul(func("sin", x2), add(x1, mul(x3, var(T))))
+    got = pullback(phi, d(KForm(phi.target, 0, {(): f})))
+    want = d(KForm(phi.source, 0, {(): substitute(f, phi.forward)}))
+    assert form_zero(form_sub(got, want))
+
+
+def test_pullback_along_a_composite_pulls_back_twice():
+    # (a o b)^* w = b^*(a^* w) for a: x <- z and b: z <- w
+    a, (Z2, Z3, Z4) = _two_chart_transform()
+    W1, W2, W3 = (Symbol(f"w{i}", sx.AUX) for i in (1, 2, 3))
+    w1, w2, w3 = var(W1), var(W2), var(W3)
+    b = ChartTransform(
+        Chart((W1, W2, W3)), a.source,
+        {Z2: w1, Z3: add(w2, mul(w1, w3)), Z4: w3},
+        {W1: var(Z2), W2: add(var(Z3), neg(mul(var(Z2), var(Z4)))), W3: var(Z4)})
+    b.verify(ZC)
+    w = oneform(a.target, {X1: func("sin", x2), X3: mul(x1, x2), T: x3})
+    got = pullback(compose(a, b), w)
+    want = pullback(b, pullback(a, w))
+    assert form_zero(form_sub(got, want))
+
+
+@st.composite
+def _triangular_transforms(draw):
+    """x_i = z_i + p_i(z_1..z_{i-1}) with small random polynomials p_i; the
+    inverse solves for z one coordinate at a time."""
+    n = draw(st.integers(1, 3))
+    zs = tuple(Symbol(f"z{i}", sx.AUX) for i in range(n))
+    xs = tuple(Symbol(f"x{i}", sx.STATE) for i in range(n))
+    fwd, inv = {}, {}
+    for i in range(n):
+        p = add(*(mul(const(draw(st.integers(-2, 2))),
+                      *(pow_(var(z), draw(st.integers(0, 2))) for z in zs[:i]))
+                  for _ in range(draw(st.integers(0, 2)))))
+        fwd[xs[i]] = add(var(zs[i]), p)
+        inv[zs[i]] = add(var(xs[i]), neg(substitute(p, inv)))
+    coeffs = {s: add(const(draw(st.integers(-2, 2))),
+                     *(mul(const(draw(st.integers(-2, 2))), var(x), var(y))
+                       for x, y in draw(st.lists(st.tuples(
+                           st.sampled_from(xs), st.sampled_from(xs)),
+                           max_size=2))))
+              for s in xs + (T,) if draw(st.booleans())}
+    return ChartTransform(Chart(zs), Chart(xs), fwd, inv), coeffs
+
+
+@given(_triangular_transforms())
+@settings(max_examples=60, deadline=None)
+def test_pullback_matches_the_chain_rule(case):
+    # phi^* w has the coefficient sum_s (w_s o phi) d(phi_s)/dr on dr
+    phi, coeffs = case
+    phi.verify(ZC)
+    got = one_coeffs(pullback(phi, oneform(phi.target, coeffs)))
+    pulled = {s: substitute(c, phi.forward) for s, c in coeffs.items()}
+    for r in phi.source.coords:
+        want = add(*(mul(pulled.get(s, sx.ZERO), diff(phi.forward[s], r))
+                     for s in phi.target.coords))
+        assert ZC.zero(add(got.get(r, sx.ZERO), neg(want)))
+    assert ZC.zero(add(got.get(T, sx.ZERO), neg(pulled.get(T, sx.ZERO))))
 
 
 def test_transform_verify_and_compose():
@@ -365,9 +426,8 @@ def test_antiderivation_random():
         a = _rand_oneform(rng, ch)
         b = _rand_oneform(rng, ch)
         lhs = contract(v, wedge(a, b))
-        rhs = wedge(contract(v, a), b) + scale(wedge(a, contract(v, b)),
-                                               sx.MINUS_ONE)
-        assert form_zero(lhs - rhs)
+        rhs = form_sub(wedge(contract(v, a), b), wedge(a, contract(v, b)))
+        assert form_zero(form_sub(lhs, rhs))
 
 
 def test_jacobi_random():

@@ -10,13 +10,13 @@ from flatdec.linalg import nullspace
 from flatdec.pfaffian import (
     Distribution, NotReducible, PfaffianSystem, derived_flag, derived_system,
     from_control_system, is_characteristic, is_integrable_with_dt,
-    is_involutive, restrict_to_subchart, vertical_annihilator,
+    is_involutive, is_vertical, restrict_to_subchart, vertical_annihilator,
 )
 from flatdec.symexpr import (
     AUX, ONE, ZERO, Symbol, add, div, func, mul, neg, var,
 )
 
-from conftest import same_span, tables
+from conftest import contains, same_span, tables
 
 
 def coord(cs, name):
@@ -78,9 +78,9 @@ def test_annihilator_single_form(zc):
     P = PfaffianSystem(chart, [oneform(chart, {x: ONE, T: neg(var(u))})], zc)
     A = annihilator(P, zc)
     assert A.dim == 2
-    assert A.contains(VectorField(chart, {u: ONE}), zc)
-    assert A.contains(VectorField(chart, {x: var(u), T: ONE}), zc)
-    assert not A.contains(VectorField(chart, {x: ONE}), zc)
+    assert contains(A, VectorField(chart, {u: ONE}), zc)
+    assert contains(A, VectorField(chart, {x: var(u), T: ONE}), zc)
+    assert not contains(A, VectorField(chart, {x: ONE}), zc)
 
 
 def test_vertical_annihilator_is_input_directions(sin_sys, coupled_sys, zc):
@@ -89,8 +89,8 @@ def test_vertical_annihilator_is_input_directions(sin_sys, coupled_sys, zc):
         V = vertical_annihilator(S0, zc)
         assert V.dim == len(cs.inputs)
         for u in cs.inputs:
-            assert V.contains(VectorField(S0.chart, {u: ONE}), zc)
-        assert not V.contains(VectorField(S0.chart, {cs.states[0]: ONE}), zc)
+            assert contains(V, VectorField(S0.chart, {u: ONE}), zc)
+        assert not contains(V, VectorField(S0.chart, {cs.states[0]: ONE}), zc)
         # and the full annihilator has one extra direction (time flow)
         assert annihilator(S0, zc).dim == len(cs.inputs) + 1
 
@@ -99,7 +99,7 @@ def test_vertical_annihilator_inside_annihilator(sin_sys, zc):
     S0 = from_control_system(sin_sys, zc)
     A = annihilator(S0, zc)
     for v in vertical_annihilator(S0, zc).generators:
-        assert A.contains(v, zc)
+        assert contains(A, v, zc)
 
 
 def test_vertical_annihilator_eq22(zc):
@@ -111,8 +111,20 @@ def test_vertical_annihilator_eq22(zc):
     ], zc)
     V = vertical_annihilator(S1, zc)
     assert V.dim == 2
-    assert V.contains(VectorField(chart, {w[0]: var(w[3]), w[1]: ONE}), zc)
-    assert V.contains(VectorField(chart, {w[3]: ONE}), zc)
+    assert contains(V, VectorField(chart, {w[0]: var(w[3]), w[1]: ONE}), zc)
+    assert contains(V, VectorField(chart, {w[3]: ONE}), zc)
+
+
+def test_is_vertical_is_membership_in_the_vertical_annihilator(
+        sin_sys, coupled_sys, zc):
+    # for a field with no t component both say v.g = 0 for every g in P
+    for cs in (sin_sys, coupled_sys):
+        for P, V, _ in derived_flag(from_control_system(cs, zc), zc):
+            fields = [VectorField(P.chart, {s: ONE}) for s in P.chart.coords]
+            fields += list(V.generators)
+            for v in fields:
+                assert is_vertical(v, P, zc) == contains(V, v, zc)
+            assert any(not is_vertical(v, P, zc) for v in fields) == (P.dim > 0)
 
 
 # -- derived systems ------------------------------------------------------------
@@ -191,7 +203,7 @@ def test_derived_contained_in_parent(sin_sys, coupled_sys, zc):
     for cs in (sin_sys, coupled_sys):
         S0 = from_control_system(cs, zc)
         for g in derived_system(S0, tables(S0, zc), zc).generators:
-            assert S0.contains(g, zc)
+            assert contains(S0, g, zc)
 
 
 # -- Cauchy characteristics ------------------------------------------------------
