@@ -8,6 +8,7 @@ is assembled from; branches are explored depth first with backtracking.
 """
 
 from dataclasses import dataclass
+from operator import mul as times
 
 from .exterior import (
     ChartTransform, NotSolvable, VectorField, compose, extend_transform,
@@ -160,10 +161,11 @@ def _projective_key(codes):
     vectors has digits in [-2d, 2d], so it is told apart by its code, and
     for Laurent monomials with coefficient 1 the key is the class of
     structural_key(div(x, lead))."""
-    lead = next((e for e in codes if e is not None), None)
-    if lead is None:
+    live = [e for e in codes if e is not None]
+    if not live:
         return None
-    return tuple(None if e is None else e - lead for e in codes)
+    lead = live[0]
+    return tuple([None if e is None else e - lead for e in codes])
 
 
 _SKIP, _REJECT = "skip", "reject"
@@ -196,13 +198,21 @@ class _Screen:
     is_characteristic fails and the search rejects c), and None,
     leaving c to the symbolic path, in every other case: nullity above
     `want`, a rank-deficient G(z), or a pole at each of 10*budget points.
+    The tables T_i(z) and the Q rows (H_il(z), T_i(z)) are stored
+    column-wise once per level and point, so each entry of M(z) and Q(z)
+    is one dot product with the coefficients.  M(z) is eliminated by the
+    inverse-free row_echelon_mod_p, which stops at the skip rank
+    m - want + 1; only G(z)'s pivot rows are divided, once per level and
+    point.  Scaling a row by a nonzero residue changes neither a rank nor
+    a row space, so the decisions are those of the reduced forms.
     Error bound: a skip or a rejection differs from the symbolic path's
     decision only if z lies on the zero set of a nonzero minor of M, G or
     [M; Q], a rational function whose numerator has some degree d; that
     happens with probability at most d/(p - 1), p = PRIME, per candidate
-    (Schwartz-Zippel).  The derivatives b_l(T_i)(z) and b_l(c_i)(z) are
-    taken forward-mode at z from the basis fields' residues there
-    (derivatives_mod_p), exactly, and no symbolic derivative is built.
+    (Schwartz-Zippel), unchanged by leaving pivots undivided.  The
+    derivatives b_l(T_i)(z) and b_l(c_i)(z) are taken forward-mode at z
+    from the basis fields' residues there (derivatives_mod_p), exactly,
+    and no symbolic derivative is built.
     The screen is usable when the level's expressions together have values
     mod PRIME (evaluable_mod_p), so that sin, cos, tan and exp read one set
     of residues across the level.
@@ -221,7 +231,6 @@ class _Screen:
         self.T = [[tab.get(idx, zrow) for idx in keys] for tab in tables]
         self.usable = evaluable_mod_p(self._entries(), zc.seed)
         self._points = {}
-        self._residues = {}
 
     def _entries(self):
         yield from (e for row in self.g for e in row)
@@ -230,11 +239,10 @@ class _Screen:
         yield from (e for b in self.basis for e in b.components.values())
 
     def _values(self, k: int):
-        """The level at point k, None at a pole: the basis fields' residues
-        and the point's derivative memo (derivatives_mod_p), then per row
-        of M the rows T_i(z), and per row of Q the rows H_il(z) and T_i(z)
-        that c_i c_l and -v(c_i) combine (None when G(z) is
-        rank-deficient)."""
+        """The level at point k, None at a pole: the basis fields' residues,
+        the point's derivative memo (derivatives_mod_p) and its dict of
+        coefficient residues, then the columns that M(z) and Q(z) read
+        (_tables_at)."""
         if k not in self._points:
             seed = self.zc.seed
 
@@ -254,72 +262,80 @@ class _Screen:
                 memo = {}
                 dT = [[[derivatives_mod_p(e, k, seed, fields, memo)
                         for e in row] for row in Ti] for Ti in self.T]
-                self._points[k] = (fields, memo, *self._tables_at(*vals, dT))
+                self._points[k] = (fields, memo, {},
+                                   *self._tables_at(*vals, dT))
         return self._points[k]
 
     @staticmethod
     def _tables_at(g, C, T, dT):
+        """Per row r of M and Q, per generator j, the column of the values
+        that the coefficients combine: (T_i[r][j])_i for M(z), and
+        ((H_il[r][j])_il, (T_i[r][j])_i) for Q(z), or None for Q when G(z)
+        is rank-deficient."""
         m, n = len(g), len(g[0])
         Trows = [[Ti[r] for Ti in T] for r in range(len(T[0]))]
-        # [G | I] reduces to [rref G | E] with rref G = E G
+        Tcols = [list(zip(*Trow)) for Trow in Trows]
+        # [G | I] reduces to [rref G | E] with rref G = E G; the pivot rows
+        # come back undivided, and dividing each by its pivot gives E
         red, pivots = row_echelon_mod_p(
             [row + [int(i == j) for i in range(m)] for j, row in enumerate(g)])
         if len(pivots) < m or pivots[-1] >= n:
-            return Trows, None
-        E = [row[n:] for row in red]
+            return Tcols, None
+        E = []
+        for row, c in zip(red, pivots):
+            inv = pow(row[c], -1, PRIME)
+            E.append([x * inv % PRIME for x in row[n:]])
+        Ecols = list(zip(*E))
         # Y_l[j]: C_l[j] on G's pivot columns, times E
-        Y = [[_lincomb([w[c] for c in pivots], E) for w in Cl] for Cl in C]
+        Y = [[[sum(map(times, [w[c] for c in pivots], col)) % PRIME
+               for col in Ecols] for w in Cl] for Cl in C]
         k = len(T)
-        Hrows = [[[(sum(a * b for a, b in zip(Trow[i], Y[l][j]))
-                    - dT[i][r][j][l]) % PRIME for j in range(m)]
-                  for i in range(k) for l in range(k)] + Trow
-                 for r, Trow in enumerate(Trows)]
-        return Trows, Hrows
+        Qcols = []
+        for r, Trow in enumerate(Trows):
+            H = [[(sum(map(times, Trow[i], Y[l][j])) - dT[i][r][j][l]) % PRIME
+                  for j in range(m)] for i in range(k) for l in range(k)]
+            Qcols.append(list(zip(*(H + Trow))))
+        return Tcols, Qcols
 
-    def _residues_at(self, x, k: int):
+    def _residues_at(self, x, k: int, level):
         """c(z) and b_l(c)(z) for one coefficient c, None at a pole."""
-        key = (x, k)
-        if key not in self._residues:
-            fields, memo = self._points[k][:2]
+        fields, memo, known = level[:3]
+        if x not in known:
             seed = self.zc.seed
             ders = derivatives_mod_p(x, k, seed, fields, memo)
-            self._residues[key] = (None if ders is None
-                                   else [value_mod_p(x, k, seed)] + ders)
-        return self._residues[key]
+            known[x] = (None if ders is None
+                        else [value_mod_p(x, k, seed)] + ders)
+        return known[x]
 
     def decide(self, c):
+        m = len(self.g)
         for k in range(10 * self.zc.budget):
             level = self._values(k)
             if level is None:
                 continue
-            res = [self._residues_at(x, k) for x in c]
+            res = [self._residues_at(x, k, level) for x in c]
             if None in res:
                 continue
-            _, _, Trows, Hrows = level
+            Tcols, Qcols = level[3:]
             cv = [r[0] for r in res]
-            red, pivots = row_echelon_mod_p([_lincomb(cv, Tr) for Tr in Trows])
-            nullity = len(self.g) - len(pivots)
+            # a rank of m - want + 1 is already a skip
+            red, pivots = row_echelon_mod_p(
+                [[sum(map(times, cv, col)) % PRIME for col in row]
+                 for row in Tcols], m - self.want + 1)
+            nullity = m - len(pivots)
             if nullity < self.want:
                 return _SKIP
-            if nullity > self.want or Hrows is None:
+            if nullity > self.want or Qcols is None:
                 return None
             # c_i c_l, then -v(c_i) = -sum_l c_l b_l(c_i)
             coeffs = [a * b for a in cv for b in cv]
-            coeffs += [-sum(a * b for a, b in zip(cv, r[1:])) for r in res]
-            if all(in_span_mod_p(red, pivots, _lincomb(coeffs, H))
-                   for H in Hrows):
-                return None
-            return _REJECT
+            coeffs += [-sum(map(times, cv, r[1:])) for r in res]
+            for row in Qcols:
+                if not in_span_mod_p(red, pivots, [
+                        sum(map(times, coeffs, col)) % PRIME for col in row]):
+                    return _REJECT
+            return None
         return None
-
-
-def _lincomb(coeffs, rows):
-    """sum_i coeffs[i] * rows[i] over GF(PRIME), for rows of residues."""
-    out = [0] * len(rows[0])
-    for c, row in zip(coeffs, rows):
-        if c:
-            out = [o + c * x for o, x in zip(out, row)]
-    return [o % PRIME for o in out]
 
 
 def _coefficient_vectors(chart, k: int, max_degree: int):

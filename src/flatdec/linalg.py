@@ -6,7 +6,13 @@ yes/no span question (rank, membership, independence) is decided by one
 greedy pass, independent_rows, whose remainders are zero-tested entry by
 entry.  Bases come from row_echelon, the reduced form whose pivots are
 divided to 1, which nullspace and the subchart restriction read.
-Matrices of values at one sample point are eliminated over GF(PRIME).
+Matrices of values at one sample point are eliminated over GF(PRIME) by
+one inverse-free routine, row_echelon_mod_p: rows are cross-multiplied,
+pivots stay undivided, and the elimination can stop once the rank
+reaches a cap.  Scaling a row by a nonzero residue changes neither the
+rank nor the row space, so the rank and span answers are those of the
+reduced form, with the same d/(p - 1) error bound wherever a rank at a
+point stands in for a generic rank.
 """
 
 from __future__ import annotations
@@ -216,38 +222,52 @@ def nullspace(rows, ncols: int, zc: ZeroCtx):
 
 # -- elimination over GF(PRIME) ------------------------------------------------------
 
-def row_echelon_mod_p(rows):
-    """(reduced rows, pivot columns) of a matrix of residues over GF(PRIME).
+def row_echelon_mod_p(rows, cap=None):
+    """(rows, pivot columns) of a matrix of residues over GF(PRIME), by
+    inverse-free Gauss-Jordan elimination.
 
-    Pivots are the first nonzero entries of their columns, divided to 1;
-    only the rows that carry a pivot are returned.
+    Each pivot is the first nonzero entry of its column.  Every other row
+    with an entry f there is replaced by a * row - f * (pivot row), a the
+    pivot, so nothing is divided: pivots stay undivided, and each returned
+    row is a nonzero multiple of the reduced row echelon form's row with
+    the same pivot.  Only the rows that carry a pivot are returned.  With
+    a cap, elimination stops once the rank reaches it: the pivots then
+    number min(rank, cap), and the rows are left unreduced.
     """
     p = PRIME
     rows = [list(r) for r in rows]
+    nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
     pivots = []
     r = 0
     for c in range(ncols):
-        i = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if i is None:
+        for i in range(r, nrows):
+            if rows[i][c]:
+                break
+        else:
             continue
         rows[r], rows[i] = rows[i], rows[r]
-        inv = pow(rows[r][c], -1, p)
-        pv = rows[r] = [x * inv % p for x in rows[r]]
-        for i in range(len(rows)):
-            f = rows[i][c]
-            if i != r and f:
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], pv)]
         pivots.append(c)
+        if r + 1 == cap:
+            return rows[:r + 1], pivots
+        pv = rows[r]
+        a = pv[c]
+        for i in range(nrows):
+            f = rows[i][c]
+            if f and i != r:
+                rows[i] = [(a * x - f * y) % p for x, y in zip(rows[i], pv)]
         r += 1
     return rows[:r], pivots
 
 
 def in_span_mod_p(red, pivots, row) -> bool:
-    """Whether row lies in the span of row_echelon_mod_p's reduced rows."""
+    """Whether row lies in the span of row_echelon_mod_p's rows, from an
+    elimination without a cap: row is cross-multiplied against each pivot
+    row in turn, and lies in the span when nothing remains."""
     p = PRIME
     for prow, c in zip(red, pivots):
         f = row[c]
         if f:
-            row = [(x - f * y) % p for x, y in zip(row, prow)]
+            a = prow[c]
+            row = [(a * x - f * y) % p for x, y in zip(row, prow)]
     return not any(row)

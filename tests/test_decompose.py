@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from flatdec import decompose, exterior, pfaffian, symexpr
+from flatdec import decompose, exterior, linalg, pfaffian, symexpr
 from flatdec.decompose import (
     Splitting, monomial_pool, reduce_once, run_decomposition,
     sequence_transforms, _REJECT, _SKIP, _Screen, _candidate_stream,
@@ -651,7 +651,9 @@ def _residue_matrix(rng, rows, cols, rank):
 
 
 def _rank(M):
-    return len(row_echelon_mod_p(M)[1])
+    """The rank of a matrix of residues, by the dual oracle's elimination
+    with divided pivots."""
+    return len(dual_rref_mod_p(M)[2])
 
 
 def test_rank_mod_p_matches_the_dual_elimination():
@@ -666,16 +668,23 @@ def test_rank_mod_p_matches_the_dual_elimination():
         vals, dvals, pivots = dual_rref_mod_p(M, ders)
         assert len(row_echelon_mod_p(M)[1]) == len(pivots) == r
         assert len(dual_nullspace_mod_p(M, ders, cols)) == cols - r
-        # the plain elimination is the value part of the dual one
+        # the inverse-free rows, each divided by its pivot, are the value
+        # part of the dual elimination
         red, plain_pivots = row_echelon_mod_p(M)
-        assert (red, plain_pivots) == (vals, pivots)
+        assert plain_pivots == pivots
+        assert [[x * pow(row[c], -1, PRIME) % PRIME for x in row]
+                for row, c in zip(red, plain_pivots)] == vals
         assert dual_rref_mod_p(M)[1] is None and len(dvals) == r
+        # under a cap the rank is min(rank, cap), on the same first pivots
+        for cap in range(1, cols + 2):
+            capped = row_echelon_mod_p(M, cap)[1]
+            assert len(capped) == min(r, cap) and capped == pivots[:cap]
     assert deficient > 50
 
 
 def test_span_test_agrees_with_rank():
     # the screen rejects when some row of W leaves a remainder against
-    # P's reduced rows; with rank P = want that is rank [P; W] > want
+    # P's undivided rows; with rank P = want that is rank [P; W] > want
     rng = random.Random(13)
     outcomes = set()
     for _ in range(300):
@@ -692,8 +701,11 @@ def test_span_test_agrees_with_rank():
                 W.append([rng.randrange(PRIME) for _ in range(n)])
         red, pivots = row_echelon_mod_p(P)
         for w in W:
-            assert in_span_mod_p(red, pivots, w) == \
-                (_rank(P + [w]) == _rank(P))
+            inside = in_span_mod_p(red, pivots, w)
+            assert inside == (_rank(P + [w]) == _rank(P))
+            # and a cap one above rank P decides the same
+            capped = row_echelon_mod_p(P + [w], len(pivots) + 1)[1]
+            assert inside == (len(capped) == len(pivots))
         if len(pivots) < want:
             outcomes.add("deficient")
             continue
@@ -829,13 +841,14 @@ def test_deficient_generators_pass_the_candidate_on(zc):
 
 def test_screen_eliminates_once_per_candidate(zc, monkeypatch):
     # the level's matrices at z are built once: scanning nfd's first level
-    # runs one GF(p) elimination for G(z) and one of M(z) per candidate
+    # runs one GF(p) elimination for G(z) and one of M(z) per candidate,
+    # the latter capped at the skip rank m - want + 1
     S, basis, tabs = _first_level("nfd", zc)
     calls = []
 
-    def counted(rows):
-        calls.append(len(rows))
-        return row_echelon_mod_p(rows)
+    def counted(rows, cap=None):
+        calls.append(cap)
+        return row_echelon_mod_p(rows, cap)
 
     monkeypatch.setattr(decompose, "row_echelon_mod_p", counted)
     cands = list(_coefficient_vectors(S.chart, len(basis), MAX_DEGREE))
@@ -843,6 +856,33 @@ def test_screen_eliminates_once_per_candidate(zc, monkeypatch):
         [(c, None) for c in cands]
     assert len(cands) == decompose.MAX_CANDIDATES
     assert len(calls) == len(cands) + 1
+    assert calls.count(len(S.generators) - (S.dim - 1) + 1) == len(cands)
+
+
+def test_screen_takes_no_modular_inverse_per_candidate(zc, monkeypatch):
+    # the eliminations are inverse-free: scanning nfd's first level divides
+    # only G(z)'s pivot rows, once per level and point
+    S, basis, tabs = _first_level("nfd", zc)
+    inverses, pivot_rows = [], []
+    original = decompose._Screen._tables_at
+
+    def counted_pow(*args):
+        if args[1:] == (-1, PRIME):
+            inverses.append(args[0])
+        return pow(*args)
+
+    def tables_at(g, C, T, dT):
+        pivot_rows.append(len(g))
+        return original(g, C, T, dT)
+
+    for module in (decompose, linalg):
+        monkeypatch.setattr(module, "pow", counted_pow, raising=False)
+    monkeypatch.setattr(decompose._Screen, "_tables_at",
+                        staticmethod(tables_at))
+    cands = list(_candidate_stream(S, basis, tabs, MAX_DEGREE, zc))
+    assert len(cands) == decompose.MAX_CANDIDATES
+    assert inverses and len(inverses) <= sum(pivot_rows)
+    assert sum(pivot_rows) < len(cands)
 
 
 def test_function_levels_bypass_screen(zc, monkeypatch):
