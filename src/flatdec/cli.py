@@ -7,6 +7,7 @@ keys sorted, two-space indent, wall-clock timings only on request.
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import sys
@@ -403,7 +404,10 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="embed wall-clock timings in the report")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process and shared by every
+    `main(argv)` call: parsing keeps no state in it."""
     ap = argparse.ArgumentParser(
         prog="flatdec",
         description="flatness analysis of nonlinear control systems")

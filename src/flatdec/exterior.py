@@ -28,23 +28,26 @@ class NotSolvable(RuntimeError):
 
 @dataclass(frozen=True)
 class Chart:
+    """Coordinates; `axes` appends t.  Charts compare by `coords` only."""
+
     coords: tuple
+    axes: tuple = field(init=False, repr=False, compare=False)
+    _index: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         names = [s.name for s in self.coords]
         if len(set(names)) != len(names):
             raise ValueError("chart coordinates must be distinct")
-        if any(s == T for s in self.coords):
+        if T in self.coords:
             raise ValueError("t is implicit; do not list it as a coordinate")
-
-    @property
-    def axes(self) -> tuple:
-        return self.coords + (T,)
+        axes = self.coords + (T,)
+        object.__setattr__(self, "axes", axes)
+        object.__setattr__(self, "_index", {s: i for i, s in enumerate(axes)})
 
     def axis_index(self, sym: Symbol) -> int:
         try:
-            return self.axes.index(sym)
-        except ValueError:
+            return self._index[sym]
+        except KeyError:
             raise ChartMismatch(f"{sym.name} is not an axis of this chart") from None
 
 

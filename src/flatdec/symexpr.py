@@ -10,10 +10,11 @@ the constructors fold them in int arithmetic and build no Fraction.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 
@@ -41,20 +42,47 @@ class EvaluationFailed(RuntimeError):
     """is_zero could not collect enough valid sample points."""
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, weakref_slot=True, eq=False, init=False)
 class Symbol:
-    name: str
-    kind: str = AUX
-    _hash: int = field(init=False, repr=False, compare=False)
+    """A named coordinate.  Symbols are interned like the nodes:
+    `Symbol(name, kind)` returns the one live symbol with that name and
+    kind, so equality is identity and the hash is that of (name, kind)."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.name, self.kind)))
+    name: str
+    kind: str
+    _hash: int
+
+    def __new__(cls, name: str, kind: str = AUX):
+        ident = (name, kind)
+        ref = _SYMBOLS.get(ident)
+        sym = None if ref is None else ref()
+        if sym is None:
+            sym = object.__new__(cls)
+            object.__setattr__(sym, "name", name)
+            object.__setattr__(sym, "kind", kind)
+            object.__setattr__(sym, "_hash", hash(ident))
+            _SYMBOLS[ident] = weakref.KeyedRef(sym, _drop_symbol, ident)
+        return sym
 
     def __hash__(self) -> int:
         return self._hash
 
     def __repr__(self) -> str:
         return f"Symbol({self.name!r}, {self.kind!r})"
+
+    def __reduce__(self):
+        # a copied or unpickled symbol is the interned one
+        return Symbol, (self.name, self.kind)
+
+
+def _drop(table: dict, ref: weakref.KeyedRef) -> None:
+    """Weak-table finalizer: delete ref's entry while it is still ref."""
+    if table.get(ref.key) is ref:
+        del table[ref.key]
+
+
+_SYMBOLS: dict = {}   # (name, kind) -> weak ref to the live symbol
+_drop_symbol = functools.partial(_drop, _SYMBOLS)
 
 
 class Expr:
@@ -76,11 +104,13 @@ class Expr:
     def __new__(cls, *args):
         # children are interned already, so the table compares them by identity
         ident = (cls, *args)
-        node = _NODES.get(ident)
+        ref = _NODES.get(ident)
+        node = None if ref is None else ref()
         if node is None:
-            node = _NODES[ident] = object.__new__(cls)
+            node = object.__new__(cls)
             node._memo = None
             node._build(*args)
+            _NODES[ident] = weakref.KeyedRef(node, _drop_node, ident)
         return node
 
     def _seal(self, key, free, nodes, needs_mp, fargs=frozenset()):
@@ -107,7 +137,8 @@ class Expr:
         return f"<Expr {self.key!r}>"
 
 
-_NODES = weakref.WeakValueDictionary()   # (class, *arguments) -> live node
+_NODES: dict = {}   # (class, *arguments) -> weak ref to the live node
+_drop_node = functools.partial(_drop, _NODES)
 
 
 class Const(Expr):

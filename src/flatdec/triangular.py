@@ -239,7 +239,9 @@ class FlatnessCertificate:
 
 def flat_order(outputs) -> str:
     """The order of flat outputs: "1-flat" when one of them mentions an
-    input, else "0-flat"."""
+    input, else "0-flat".  The label is syntactic: it reads the outputs'
+    `.free` and makes no zero test, so an output that mentions an input
+    it does not depend on is labelled "1-flat"."""
     inputy = any(s.kind == INPUT for e in outputs for s in e.free)
     return "1-flat" if inputy else "0-flat"
 

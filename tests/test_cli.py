@@ -13,7 +13,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from flatdec.cli import SHORTCUT_NOTE, main
+from flatdec.cli import SHORTCUT_NOTE, _build_parser, main
 
 from conftest import COUPLED_SYS, SIN_SYS, chain_text
 
@@ -139,10 +139,13 @@ def test_in_process_runs_start_cold(coupled_file, tmp_path, monkeypatch):
         return {k: len(v) for k, v in vars(symexpr).items()
                 if not k.startswith("__") and isinstance(v, (dict, list, set))}
 
+    def interned():
+        return {ref() for ref in symexpr._NODES.values()}
+
     monkeypatch.setattr(linalg, "is_zero", counting)
     gc.collect()
     # the module constants, and the nodes other test modules hold
-    live = set(symexpr._NODES.values())
+    live = interned()
     assert {symexpr.ZERO, symexpr.ONE, symexpr.MINUS_ONE} <= live
     before, reports = containers(), []
     for i in range(2):
@@ -151,10 +154,13 @@ def test_in_process_runs_start_cold(coupled_file, tmp_path, monkeypatch):
         assert main(["decompose", coupled_file, "--report", str(report)]) == 0
         reports.append(report.read_bytes())
         gc.collect()
-        assert set(symexpr._NODES.values()) == live
+        assert interned() == live
     assert reports[0] == reports[1]
     assert calls[0] == calls[1] > 0
     assert containers() == before
+    # the finalizers drop dead entries from both weak intern tables
+    for table in (symexpr._NODES, symexpr._SYMBOLS):
+        assert all(ref() is not None for ref in table.values())
     assert not hasattr(symexpr, "clear_zero_cache")
     assert all(c._memo is None
                for c in (symexpr.ZERO, symexpr.ONE, symexpr.MINUS_ONE))
@@ -168,7 +174,7 @@ system, report = sys.argv[1:]
 for argv in (["analyze", system], ["decompose", system, "--verify"]):
     assert main(argv + ["--samples", "2", "--report", report]) == 0
     gc.collect()
-    print("interned:", sorted(n.key for n in symexpr._NODES.values()))
+    print("interned:", sorted(ref().key for ref in symexpr._NODES.values()))
 """
 
 
@@ -231,6 +237,23 @@ def test_decompose_rejects_bad_search_budgets(sin_file, tmp_path, capsys):
                         "--report", str(report)], capsys)
     assert "unrecognized arguments: --branch-width 8" in err
     assert not report.exists()
+
+
+def test_in_process_calls_share_one_parser_and_keep_no_state(
+        sin_file, tmp_path, capsys):
+    assert _build_parser() is _build_parser()
+    checked, plain = tmp_path / "checked.json", tmp_path / "plain.json"
+    argv = ["decompose", sin_file, "--samples", "3"]
+    assert main(argv + ["--verify", "--report", str(checked)]) == 0
+    assert main(argv + ["--report", str(plain)]) == 0
+    assert json.loads(checked.read_text())["config"]["verify"] is True
+    assert json.loads(plain.read_text())["config"]["verify"] is False
+    # a usage error that has already read some flags leaves none behind
+    again = tmp_path / "again.json"
+    _usage_error(argv + ["--verify", "--seed", "7", "--max-depth", "-1",
+                         "--report", str(again)], capsys)
+    assert main(argv + ["--report", str(again)]) == 0
+    assert again.read_bytes() == plain.read_bytes()
 
 
 @pytest.mark.parametrize("name, parent, level, count, exhausted, ends", [

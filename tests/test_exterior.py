@@ -59,6 +59,25 @@ def test_wedge_chart_mismatch():
         wedge(dx(CH, X1), dx(other, X2))
 
 
+# -- charts ------------------------------------------------------------------------
+
+def test_axis_index_numbers_the_axes_with_t_last():
+    assert [CH.axis_index(s) for s in CH.axes] == list(range(6))
+    assert CH.axes[-1] is T and CH.axis_index(T) == 5
+    # a symbol rebuilt from its name and kind is the same axis
+    assert CH.axis_index(Symbol("x2", sx.STATE)) == 1
+    for foreign in (Symbol("x2", sx.INPUT), Symbol("y", sx.STATE)):
+        with pytest.raises(ChartMismatch):
+            CH.axis_index(foreign)
+
+
+def test_chart_axes_are_computed_once_and_equality_reads_coords():
+    assert CH.axes is CH.axes
+    same = Chart((X1, X2, X3, U1, U2))
+    assert same == CH and hash(same) == hash(CH)
+    assert Chart((X2, X1, X3, U1, U2)) != CH
+
+
 # -- exterior derivative -----------------------------------------------------------
 
 def test_d_of_coordinate_differential():

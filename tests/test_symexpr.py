@@ -1,6 +1,8 @@
 import collections
+import copy
 import math
 import pathlib
+import pickle
 import random
 from fractions import Fraction
 
@@ -856,6 +858,17 @@ def test_equal_expressions_are_one_node(monkeypatch):
     evaluated.clear()
     assert not is_zero(second, 3, seed=9_871)
     assert evaluated == []
+
+
+def test_symbols_are_interned_by_name_and_kind():
+    a = Symbol("intern_s", sx.STATE)
+    assert Symbol("intern_s", sx.STATE) is a
+    assert Symbol("intern_s", sx.INPUT) is not a
+    assert Symbol("intern_s") is Symbol("intern_s", sx.AUX)
+    assert copy.deepcopy(a) is a and pickle.loads(pickle.dumps(a)) is a
+    for name, kind in (("intern_s", sx.STATE), ("intern_s", sx.INPUT),
+                       ("t", sx.TIME)):
+        assert hash(Symbol(name, kind)) == hash((name, kind))
 
 
 def test_heterogeneous_keys_compare():
