@@ -56,7 +56,7 @@ class PfaffianSystem:
         for g in generators:
             if g.degree != 1:
                 raise ValueError("generators must be 1-forms")
-            if g.chart != chart:
+            if g.chart.coords != chart.coords:
                 raise ValueError("generator lives on a different chart")
             for c in g.coeffs.values():
                 if T in c.free:
@@ -91,7 +91,7 @@ class Distribution:
     def __init__(self, chart: Chart, generators, zc: ZeroCtx):
         gens = [g for g in generators if not g.is_structurally_zero()]
         for g in gens:
-            if g.chart != chart:
+            if g.chart.coords != chart.coords:
                 raise ValueError("field lives on a different chart")
         rows = [_field_row(g, chart) for g in gens]
         keep, _ = linalg.independent_rows(rows, zc)

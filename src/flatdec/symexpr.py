@@ -14,7 +14,6 @@ import functools
 import hashlib
 import math
 import weakref
-from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 
@@ -42,15 +41,12 @@ class EvaluationFailed(RuntimeError):
     """is_zero could not collect enough valid sample points."""
 
 
-@dataclass(frozen=True, slots=True, weakref_slot=True, eq=False, init=False)
 class Symbol:
     """A named coordinate.  Symbols are interned like the nodes:
     `Symbol(name, kind)` returns the one live symbol with that name and
     kind, so equality is identity and the hash is that of (name, kind)."""
 
-    name: str
-    kind: str
-    _hash: int
+    __slots__ = ("name", "kind", "_hash", "__weakref__")
 
     def __new__(cls, name: str, kind: str = AUX):
         ident = (name, kind)
@@ -58,9 +54,9 @@ class Symbol:
         sym = None if ref is None else ref()
         if sym is None:
             sym = object.__new__(cls)
-            object.__setattr__(sym, "name", name)
-            object.__setattr__(sym, "kind", kind)
-            object.__setattr__(sym, "_hash", hash(ident))
+            sym.name = name
+            sym.kind = kind
+            sym._hash = hash(ident)
             _SYMBOLS[ident] = weakref.KeyedRef(sym, _drop_symbol, ident)
         return sym
 

@@ -66,6 +66,26 @@ def test_expressions_compare_by_identity():
     assert not found, "structural comparison on Expr: " + ", ".join(found)
 
 
+def test_sources_parse_and_use_dataclass_options_of_the_oldest_python():
+    # tests run on one interpreter; this catches what a newer one accepts
+    # quietly but the oldest supported one rejects at import
+    floor = re.search(r'requires-python = ">=3\.(\d+)"',
+                      (ROOT / "pyproject.toml").read_text(encoding="utf-8"))
+    assert floor and floor.group(1) == "10", "update the 3.10 options below"
+    options = {"init", "repr", "eq", "order", "unsafe_hash", "frozen",
+               "match_args", "kw_only", "slots"}   # dataclass() in 3.10
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"),
+                         feature_version=(3, 10))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "dataclass"):
+                found += [f"{path.name}:{node.lineno} {k.arg}"
+                          for k in node.keywords if k.arg not in options]
+    assert not found, "dataclass options newer than 3.10: " + "; ".join(found)
+
+
 def _uses(node):
     """Names read in node's subtree: bare names and attribute names."""
     for n in ast.walk(node):
