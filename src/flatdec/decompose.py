@@ -8,6 +8,7 @@ is assembled from; branches are explored depth first with backtracking.
 """
 
 from dataclasses import dataclass
+from itertools import count, product
 from operator import mul as times
 
 from .exterior import (
@@ -16,7 +17,7 @@ from .exterior import (
     straighten_flow,
 )
 from .linalg import (
-    ZeroCtx, in_span_mod_p, independent_rows, nullspace, row_echelon_mod_p,
+    ZeroCtx, independent_rows, nullspace, row_echelon_mod_p,
 )
 from .pfaffian import (
     Distribution, NotReducible, PfaffianSystem, contraction_tables,
@@ -117,58 +118,8 @@ def monomial_pool(chart, max_degree: int):
     return sorted(out, key=lambda m: (m[0].nodes, structural_key(m[0])))
 
 
-def _tuple_stream(pool, k: int):
-    """Coefficient tuples as indices into [ZERO] + pool: the whole product
-    by ascending total size, ties in the order of the entries' structural
-    keys.  The product is generated in that order, not sorted, so a scan
-    that stops early pays only for what it takes.  pool is a list of
-    monomials headed by ONE."""
-    n = len(pool)
-    # the pool is cut to its simplest entries while the product has more
-    # than 200,000 tuples
-    while (n + 1) ** k > 200_000:
-        n //= 2
-    items = [ZERO] + list(pool[:n])
-    ranked = sorted(range(len(items)), key=lambda i: structural_key(items[i]))
-    nodes = [x.nodes for x in items]
-    lo, hi = min(nodes), max(nodes)
-    by_size = {}
-    for i in ranked:
-        by_size.setdefault(nodes[i], []).append(i)
-
-    def fill(j, size):
-        """Index tuples of length j whose sizes sum to size, in key order."""
-        if j == 0:
-            if size == 0:
-                yield ()
-        elif j == 1:
-            yield from ((i,) for i in by_size.get(size, ()))
-        else:
-            for i in ranked:
-                rest = size - nodes[i]
-                if lo * (j - 1) <= rest <= hi * (j - 1):
-                    yield from ((i,) + t for t in fill(j - 1, rest))
-
-    for size in range(k * lo, k * hi + 1):
-        yield from fill(k, size)
-
-
-def _projective_key(codes):
-    """The class of a monomial tuple up to a common monomial factor, from
-    the entries' exponent codes (None for ZERO): each code minus the lead
-    entry's.  None for the zero tuple.  A code is the exponent vector read
-    as an integer in radix 4d + 1, d the degree bound; a difference of two
-    vectors has digits in [-2d, 2d], so it is told apart by its code, and
-    for Laurent monomials with coefficient 1 the key is the class of
-    structural_key(div(x, lead))."""
-    live = [e for e in codes if e is not None]
-    if not live:
-        return None
-    lead = live[0]
-    return tuple([None if e is None else e - lead for e in codes])
-
-
-_SKIP, _REJECT = "skip", "reject"
+_SKIP, _REJECT, _ACCEPT = "skip", "reject", "accept"
+_LAST = "last"  # a class key's entry for a tuple's last monomial
 _NOT_CHARACTERISTIC = "fields are not characteristic for the candidate"
 
 
@@ -191,28 +142,38 @@ class _Screen:
         Q = sum_il c_i c_l H_il - sum_i v(c_i) T_i,
         H_il = T_i Y_l^T - b_l(T_i),
 
-    lie in the row space of M(z).  `decide(c)` returns _SKIP when the
-    nullity of M(z) is below `want` (the symbolic nullity cannot exceed
-    it), _REJECT when it is `want` and some row of Q(z) is outside the row
-    space of M(z) (then some v.dp is outside the span of P, so
-    is_characteristic fails and the search rejects c), and None,
-    leaving c to the symbolic path, in every other case: nullity above
-    `want`, a rank-deficient G(z), or a pole at each of 10*budget points.
-    The tables T_i(z) and the Q rows (H_il(z), T_i(z)) are stored
-    column-wise once per level and point, so each entry of M(z) and Q(z)
-    is one dot product with the coefficients.  M(z) is eliminated by the
-    inverse-free row_echelon_mod_p, which stops at the skip rank
-    m - want + 1; only G(z)'s pivot rows are divided, once per level and
-    point.  Scaling a row by a nonzero residue changes neither a rank nor
-    a row space, so the decisions are those of the reduced forms.
-    Error bound: a skip or a rejection differs from the symbolic path's
-    decision only if z lies on the zero set of a nonzero minor of M, G or
-    [M; Q], a rational function whose numerator has some degree d; that
+    lie in the row space of M(z).  The generators of S are independent,
+    so the candidate's nullity `want` = S.dim - 1 is m - 1 on every level,
+    and the skip rank m - want + 1 is always 2: a nullity of `want` is a
+    rank of one, and then the row space of M(z) is the line through its
+    first nonzero row u.  With u[p] the first nonzero entry of u, a row r
+    lies on that line exactly when r[j] u[p] = r[p] u[j] for every j.
+    `decide(c)` returns _SKIP as soon as a row of M(z) is off the line
+    (the rank is 2 or more, so the nullity of M(z) is below `want`, and
+    the symbolic nullity cannot exceed it), _REJECT when M(z) has rank one
+    and some row of Q(z) is off the line (then some v.dp is outside the
+    span of P, so is_characteristic fails and the search rejects c),
+    _ACCEPT when every row of Q(z) is on it (then c's field is
+    characteristic for the candidate, and the search takes that without
+    the symbolic is_characteristic), and None, leaving c to the symbolic
+    path, in every other case: M(z) = 0 (nullity m, above `want`), a
+    rank-deficient G(z), or a pole at each of 10*budget points.  These are
+    exactly the verdicts of an elimination of M(z) with a row-space test
+    of each Q(z) row, but no elimination runs per candidate: the tables
+    T_i(z) and the Q rows (H_il(z), T_i(z)) are stored column-wise once
+    per level and point, so each entry of M(z) and Q(z) is one dot
+    product with the coefficients, and only G(z) is eliminated, by the
+    inverse-free row_echelon_mod_p, with its pivot rows divided once per
+    level and point.
+    Error bound: a skip, a rejection or an accept differs from the
+    symbolic path's decision only if z lies on the zero set of a nonzero
+    minor of M, G or [M; Q] (a wrong accept needs one of [M; Q], since a
+    Q row outside the generic row space of M keeps some minor of [M; Q]
+    nonzero), a rational function whose numerator has some degree d; that
     happens with probability at most d/(p - 1), p = PRIME, per candidate
-    (Schwartz-Zippel), unchanged by leaving pivots undivided.  The
-    derivatives b_l(T_i)(z) and b_l(c_i)(z) are taken forward-mode at z
-    from the basis fields' residues there (derivatives_mod_p), exactly,
-    and no symbolic derivative is built.
+    (Schwartz-Zippel).  The derivatives b_l(T_i)(z) and b_l(c_i)(z) are
+    taken forward-mode at z from the basis fields' residues there
+    (derivatives_mod_p), exactly, and no symbolic derivative is built.
     The screen is usable when the level's expressions together have values
     mod PRIME (evaluable_mod_p), so that sin, cos, tan and exp read one set
     of residues across the level.
@@ -221,7 +182,6 @@ class _Screen:
     def __init__(self, S: PfaffianSystem, basis, tabs, zc: ZeroCtx):
         C, tables, keys = tabs
         axes = S.chart.axes
-        self.want = S.dim - 1
         self.basis = basis
         self.zc = zc
         self.g = [[one_coeffs(g).get(s, ZERO) for s in axes] for g in S.generators]
@@ -298,69 +258,127 @@ class _Screen:
         return Tcols, Qcols
 
     def _residues_at(self, x, k: int, level):
-        """c(z) and b_l(c)(z) for one coefficient c, None at a pole."""
+        """c(z) and (b_l(c)(z))_l for one coefficient c, None at a pole."""
         fields, memo, known = level[:3]
         if x not in known:
             seed = self.zc.seed
             ders = derivatives_mod_p(x, k, seed, fields, memo)
             known[x] = (None if ders is None
-                        else [value_mod_p(x, k, seed)] + ders)
+                        else (value_mod_p(x, k, seed), ders))
         return known[x]
 
     def decide(self, c):
-        m = len(self.g)
         for k in range(10 * self.zc.budget):
             level = self._values(k)
             if level is None:
                 continue
-            res = [self._residues_at(x, k, level) for x in c]
+            known = level[2]
+            res = [known.get(x) or self._residues_at(x, k, level) for x in c]
             if None in res:
                 continue
             Tcols, Qcols = level[3:]
             cv = [r[0] for r in res]
-            # a rank of m - want + 1 is already a skip
-            red, pivots = row_echelon_mod_p(
-                [[sum(map(times, cv, col)) % PRIME for col in row]
-                 for row in Tcols], m - self.want + 1)
-            nullity = m - len(pivots)
-            if nullity < self.want:
-                return _SKIP
-            if nullity > self.want or Qcols is None:
+            u = None
+            for row in Tcols:
+                if u is not None:
+                    if not _on_line(cv, row, u, p):
+                        return _SKIP
+                    continue
+                r = [sum(map(times, cv, col)) % PRIME for col in row]
+                if any(r):
+                    u = r
+                    p = u.index(next(filter(None, u)))
+            if u is None or Qcols is None:
                 return None
             # c_i c_l, then -v(c_i) = -sum_l c_l b_l(c_i)
             coeffs = [a * b for a in cv for b in cv]
-            coeffs += [-sum(map(times, cv, r[1:])) for r in res]
+            coeffs += [-sum(map(times, cv, r[1])) for r in res]
             for row in Qcols:
-                if not in_span_mod_p(red, pivots, [
-                        sum(map(times, coeffs, col)) % PRIME for col in row]):
+                if not _on_line(coeffs, row, u, p):
                     return _REJECT
-            return None
+            return _ACCEPT
         return None
+
+
+def _on_line(coeffs, cols, u, p: int) -> bool:
+    """Whether the row of residues (coeffs . col) over the columns cols is
+    a multiple of u, u[p] nonzero; entries are summed only up to the first
+    one off the line."""
+    a = u[p]
+    f = sum(map(times, coeffs, cols[p]))
+    for j, col in enumerate(cols):
+        if j != p and (a * sum(map(times, coeffs, col)) - f * u[j]) % PRIME:
+            return False
+    return True
 
 
 def _coefficient_vectors(chart, k: int, max_degree: int):
     """The scan's coefficient tuples: simplest first, one per projective
     class, at most MAX_CANDIDATES of them.  The k unit vectors come first;
-    the monomial pool is built only for a scan that reads past them."""
+    the monomial pool is built only for a scan that reads past them.
+
+    Then come the tuples over [ZERO] + pool, each the first of its class
+    up to a common monomial factor, in the order of ascending total size,
+    ties in the order of the entries' structural keys.  The pool is cut to
+    its simplest entries while that product has more than 200,000 tuples.
+    The tuples of length k - 1 are listed once, by total size, and those
+    of length k one size at a time, so a scan that stops early pays only
+    for the sizes it reads.  Each monomial's exponent vector is read once
+    as an integer code in radix 4d + 1, d the degree bound; a difference
+    of two vectors has digits in [-2d, 2d], so it is told apart by its
+    code.  A tuple's class key has, per entry, None for ZERO, and for a
+    monomial the code of the next monomial entry minus its own, or _LAST
+    for the last one: two tuples differ by a common monomial factor
+    exactly when their keys agree, and the key of (i,) + t follows from
+    t's key and its first monomial's code."""
     seen = set()
     for i in range(k):
         if len(seen) >= MAX_CANDIDATES:
             return
-        seen.add(tuple(0 if j == i else None for j in range(k)))
+        seen.add(tuple(_LAST if j == i else None for j in range(k)))
         yield tuple(ONE if j == i else ZERO for j in range(k))
+    if len(seen) >= MAX_CANDIDATES:
+        return
     pool = monomial_pool(chart, max_degree)
-    items = [ZERO] + [m for m, _ in pool]
+    n = len(pool)
+    while (n + 1) ** k > 200_000:
+        n //= 2
+    items = [ZERO] + [m for m, _ in pool[:n]]
     radix = 4 * max_degree + 1
     codes = [None] + [sum(e * radix ** s for s, e in enumerate(expo))
-                      for _, expo in pool]
-    for t in _tuple_stream(items[1:], k):
-        if len(seen) >= MAX_CANDIDATES:
-            return
-        key = _projective_key([codes[i] for i in t])
-        if key is None or key in seen:
-            continue
-        seen.add(key)
-        yield tuple(items[i] for i in t)
+                      for _, expo in pool[:n]]
+    ranked = sorted(range(n + 1), key=lambda i: structural_key(items[i]))
+    nodes = [x.nodes for x in items]
+
+    def extend(i, tails):
+        """(i,) + t for each (t, key, lead) of tails, with its class key
+        and the code of its first monomial (None when it has none)."""
+        c = codes[i]
+        if i == 0:
+            return [((0,) + t, (None,) + key, lead) for t, key, lead in tails]
+        return [((i,) + t, (_LAST if lead is None else lead - c,) + key, c)
+                for t, key, lead in tails]
+
+    # the tuples of length k - 1 by total size, each in key order
+    tails = {0: [((), (), None)]}
+    for _ in range(k - 1):
+        longer = {}
+        for i in ranked:
+            for size, ts in tails.items():
+                longer.setdefault(size + nodes[i], []).extend(extend(i, ts))
+        tails = longer
+    for size in range(k * min(nodes), k * max(nodes) + 1):
+        for i in ranked:
+            ts = tails.get(size - nodes[i])
+            if not ts:
+                continue
+            for t, key, lead in extend(i, ts):
+                if lead is None or key in seen:
+                    continue
+                seen.add(key)
+                yield tuple(map(items.__getitem__, t))
+                if len(seen) >= MAX_CANDIDATES:
+                    return
 
 
 def _pencil_rows(tables, keys, c, m: int):
@@ -373,14 +391,16 @@ def _pencil_rows(tables, keys, c, m: int):
 
 def _candidate_stream(S: PfaffianSystem, basis, tabs, max_degree: int,
                       zc: ZeroCtx):
-    """Lazily yield single-field candidates (c, S_candidate) over the
-    vertical basis, from the level's tables tabs (contraction_tables).
+    """Lazily yield single-field candidates (c, S_candidate, accepted)
+    over the vertical basis, from the level's tables tabs
+    (contraction_tables).
 
     On levels with values mod PRIME (evaluable_mod_p) each c first meets
     the sample-point screen (_Screen):
     candidates that fail the necessary condition there are skipped before
-    anything symbolic is built, and S_candidate is None when the screen has
-    shown that c's field is not characteristic for it.
+    anything symbolic is built, S_candidate is None when the screen has
+    shown that c's field is not characteristic for it, and accepted is
+    True when the screen has shown that it is.
     """
     k = len(basis)
     gens = S.generators
@@ -396,7 +416,7 @@ def _candidate_stream(S: PfaffianSystem, basis, tabs, max_degree: int,
         if verdict == _SKIP:
             continue
         if verdict == _REJECT:
-            yield tuple(c), None
+            yield tuple(c), None, False
             continue
         sols = nullspace(_pencil_rows(tables, keys, c, len(gens)), len(gens), zc)
         if len(sols) != want:
@@ -404,7 +424,7 @@ def _candidate_stream(S: PfaffianSystem, basis, tabs, max_degree: int,
         cand = span_from_solutions(S, sols, zc)
         if cand.dim != want:
             continue
-        yield tuple(c), cand
+        yield tuple(c), cand, verdict == _ACCEPT
 
 
 # -- straightening one level ---------------------------------------------------------
@@ -413,14 +433,14 @@ _PREFIX_LETTERS = "wqrsgehjkmnpv"
 
 
 def _prefixes(reserved):
-    """Deterministic supply of fresh coordinate-name prefixes, read with
-    next(): the letters, then the pairs of letters, that start no reserved
-    name."""
-    pairs = [a + b for a in _PREFIX_LETTERS for b in _PREFIX_LETTERS]
-    for p in list(_PREFIX_LETTERS) + pairs:
-        if not any(name.startswith(p) for name in reserved):
-            yield p
-    raise RuntimeError("out of fresh coordinate prefixes")
+    """Deterministic, unending supply of fresh coordinate-name prefixes,
+    read with next(): the letters, then the pairs of letters, then the
+    triples and so on, that start no reserved name."""
+    for n in count(1):
+        for t in product(_PREFIX_LETTERS, repeat=n):
+            p = "".join(t)
+            if not any(name.startswith(p) for name in reserved):
+                yield p
 
 
 def _straighten_level(F: Distribution, zc: ZeroCtx, naming):
@@ -491,7 +511,7 @@ def reduce_once(S: PfaffianSystem, max_degree: int, zc: ZeroCtx,
     out = []
     rejected = []  # scanned c whose field is not characteristic
 
-    def consider(fields, cand, kind, c=None):
+    def consider(fields, cand, kind, c=None, accepted=False):
         def reject(note, outcome="rejected", **extra):
             info = {"kind": kind, "F": [field_dict(v) for v in fields]}
             if c is not None:
@@ -500,7 +520,8 @@ def reduce_once(S: PfaffianSystem, max_degree: int, zc: ZeroCtx,
 
         if S.dim != cand.dim + len(fields):
             return reject("size bookkeeping fails")
-        if not all(is_characteristic(v, cand, zc) for v in fields):
+        if not accepted and not all(is_characteristic(v, cand, zc)
+                                    for v in fields):
             # the scan counts these in one entry for the level
             if c is None:
                 reject(_NOT_CHARACTERISTIC)
@@ -534,12 +555,13 @@ def reduce_once(S: PfaffianSystem, max_degree: int, zc: ZeroCtx,
     # more complicated coefficient vector.
     tried = 0
     before = len(out)
-    for c, cand in _candidate_stream(S, basis, tabs, max_degree, zc):
+    for c, cand, accepted in _candidate_stream(S, basis, tabs, max_degree,
+                                               zc):
         tried += 1
         if cand is None:
             rejected.append(c)
             continue
-        consider([_combine(c, basis)], cand, "ansatz", c=c)
+        consider([_combine(c, basis)], cand, "ansatz", c=c, accepted=accepted)
         if len(out) > before:
             break
     if rejected or not out:

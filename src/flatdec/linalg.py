@@ -7,12 +7,11 @@ greedy pass, independent_rows, whose remainders are zero-tested entry by
 entry.  Bases come from row_echelon, the reduced form whose pivots are
 divided to 1, which nullspace and the subchart restriction read.
 Matrices of values at one sample point are eliminated over GF(PRIME) by
-one inverse-free routine, row_echelon_mod_p: rows are cross-multiplied,
-pivots stay undivided, and the elimination can stop once the rank
-reaches a cap.  Scaling a row by a nonzero residue changes neither the
-rank nor the row space, so the rank and span answers are those of the
-reduced form, with the same d/(p - 1) error bound wherever a rank at a
-point stands in for a generic rank.
+one inverse-free routine, row_echelon_mod_p: rows are cross-multiplied
+and pivots stay undivided.  Scaling a row by a nonzero residue changes
+neither the rank nor the row space, so the rank and span answers are
+those of the reduced form, with the same d/(p - 1) error bound wherever
+a rank at a point stands in for a generic rank.
 """
 
 from __future__ import annotations
@@ -222,7 +221,7 @@ def nullspace(rows, ncols: int, zc: ZeroCtx):
 
 # -- elimination over GF(PRIME) ------------------------------------------------------
 
-def row_echelon_mod_p(rows, cap=None):
+def row_echelon_mod_p(rows):
     """(rows, pivot columns) of a matrix of residues over GF(PRIME), by
     inverse-free Gauss-Jordan elimination.
 
@@ -230,9 +229,7 @@ def row_echelon_mod_p(rows, cap=None):
     with an entry f there is replaced by a * row - f * (pivot row), a the
     pivot, so nothing is divided: pivots stay undivided, and each returned
     row is a nonzero multiple of the reduced row echelon form's row with
-    the same pivot.  Only the rows that carry a pivot are returned.  With
-    a cap, elimination stops once the rank reaches it: the pivots then
-    number min(rank, cap), and the rows are left unreduced.
+    the same pivot.  Only the rows that carry a pivot are returned.
     """
     p = PRIME
     rows = [list(r) for r in rows]
@@ -248,8 +245,6 @@ def row_echelon_mod_p(rows, cap=None):
             continue
         rows[r], rows[i] = rows[i], rows[r]
         pivots.append(c)
-        if r + 1 == cap:
-            return rows[:r + 1], pivots
         pv = rows[r]
         a = pv[c]
         for i in range(nrows):
@@ -259,15 +254,3 @@ def row_echelon_mod_p(rows, cap=None):
         r += 1
     return rows[:r], pivots
 
-
-def in_span_mod_p(red, pivots, row) -> bool:
-    """Whether row lies in the span of row_echelon_mod_p's rows, from an
-    elimination without a cap: row is cross-multiplied against each pivot
-    row in turn, and lies in the span when nothing remains."""
-    p = PRIME
-    for prow, c in zip(red, pivots):
-        f = row[c]
-        if f:
-            a = prow[c]
-            row = [(a * x - f * y) % p for x, y in zip(row, prow)]
-    return not any(row)

@@ -2,7 +2,9 @@
 search at the command line's defaults, textbook reference versions of
 the table-based derived system and Frobenius test, the dual-number
 elimination the ansatz screen's row-space test replaced (with the
-symbolic directional derivatives that forward-mode residues replaced), the
+symbolic directional derivatives that forward-mode residues replaced and
+the GF(p) span test that the rank-one test replaced), the nested-generator
+tuple stream that the scan's flat class stream replaced, the
 tree-walk compiler the straight-line programs replaced, the
 Fraction-based sum and product the int-pair constructors replaced, and
 the Newton recovery that re-gathered every sample on each iteration,
@@ -13,17 +15,18 @@ from fractions import Fraction
 
 import pytest
 
-from flatdec.decompose import run_decomposition
+from flatdec import decompose
+from flatdec.decompose import monomial_pool, run_decomposition
 from flatdec.exterior import (
     KForm, T, VectorField, d, one_coeffs, oneform, wedge,
 )
-from flatdec.linalg import ZeroCtx, in_span, in_span_mod_p, nullspace
+from flatdec.linalg import ZeroCtx, in_span, nullspace
 from flatdec.pfaffian import (
     PfaffianSystem, contraction_tables, jet, vertical_annihilator,
 )
 from flatdec.symexpr import (
     INPUT, MINUS_ONE, ONE, PRIME, ZERO, Add, Const, Func, Mul, Pow, Var, add,
-    const, diff, mul, pow_, value_mod_p,
+    const, diff, mul, pow_, structural_key, value_mod_p,
 )
 from flatdec.sysdsl import parse_system
 from flatdec.triangular import _SampleDiverged, _SampleSingular
@@ -198,6 +201,91 @@ def dual_nullspace_mod_p(vals, ders, ncols: int):
     return basis
 
 
+def in_span_mod_p(red, pivots, row) -> bool:
+    """Whether row lies in the span of the rows red of an inverse-free
+    GF(PRIME) elimination (row_echelon_mod_p), pivot columns pivots: row
+    is cross-multiplied against each pivot row in turn, and lies in the
+    span when nothing remains."""
+    p = PRIME
+    for prow, c in zip(red, pivots):
+        f = row[c]
+        if f:
+            a = prow[c]
+            row = [(a * x - f * y) % p for x, y in zip(row, prow)]
+    return not any(row)
+
+
+def tuple_stream(pool, k: int):
+    """Coefficient tuples as indices into [ZERO] + pool, by nested
+    generators: the whole product by ascending total size, ties in the
+    order of the entries' structural keys.  pool is a list of monomials
+    headed by ONE, cut to its simplest entries while the product has more
+    than 200,000 tuples."""
+    n = len(pool)
+    while (n + 1) ** k > 200_000:
+        n //= 2
+    items = [ZERO] + list(pool[:n])
+    ranked = sorted(range(len(items)), key=lambda i: structural_key(items[i]))
+    nodes = [x.nodes for x in items]
+    lo, hi = min(nodes), max(nodes)
+    by_size = {}
+    for i in ranked:
+        by_size.setdefault(nodes[i], []).append(i)
+
+    def fill(j, size):
+        """Index tuples of length j whose sizes sum to size, in key order."""
+        if j == 0:
+            if size == 0:
+                yield ()
+        elif j == 1:
+            yield from ((i,) for i in by_size.get(size, ()))
+        else:
+            for i in ranked:
+                rest = size - nodes[i]
+                if lo * (j - 1) <= rest <= hi * (j - 1):
+                    yield from ((i,) + t for t in fill(j - 1, rest))
+
+    for size in range(k * lo, k * hi + 1):
+        yield from fill(k, size)
+
+
+def projective_key(codes):
+    """The class of a monomial tuple up to a common monomial factor, from
+    the entries' exponent codes (None for ZERO): each code minus the lead
+    entry's.  None for the zero tuple."""
+    live = [e for e in codes if e is not None]
+    if not live:
+        return None
+    lead = live[0]
+    return tuple([None if e is None else e - lead for e in codes])
+
+
+def nested_coefficient_vectors(chart, k: int, max_degree: int):
+    """The ansatz scan's coefficient tuples from tuple_stream and
+    projective_key: the unit vectors, then the first tuple of each class,
+    at most decompose.MAX_CANDIDATES in all."""
+    cap = decompose.MAX_CANDIDATES
+    seen = set()
+    for i in range(k):
+        if len(seen) >= cap:
+            return
+        seen.add(tuple(0 if j == i else None for j in range(k)))
+        yield tuple(ONE if j == i else ZERO for j in range(k))
+    pool = monomial_pool(chart, max_degree)
+    items = [ZERO] + [m for m, _ in pool]
+    radix = 4 * max_degree + 1
+    codes = [None] + [sum(e * radix ** s for s, e in enumerate(expo))
+                      for _, expo in pool]
+    for t in tuple_stream(items[1:], k):
+        if len(seen) >= cap:
+            return
+        key = projective_key([codes[i] for i in t])
+        if key is None or key in seen:
+            continue
+        seen.add(key)
+        yield tuple(items[i] for i in t)
+
+
 def _lincomb(coeffs, rows):
     """sum_i coeffs[i] * rows[i] over GF(PRIME), for rows of residues."""
     out = [0] * len(rows[0])
@@ -236,10 +324,11 @@ class DualScreen:
 
         (v.dp_k)(z) = sum_j v(a_kj)(z) g_j(z) + a_kj(z) sum_i c_i(z) (b_i.dg_j)(z).
 
-    `decide(c)` is "skip" when the nullity of M(z) is below want, "reject"
-    when P(z) = [p_k(z)] has rank want and some (v.dp_k)(z) is outside its
-    span, None otherwise.  It reads the level's expressions from a _Screen
-    and builds the derivatives b_l(T_i) symbolically.
+    `decide(c)` is "skip" when the nullity of M(z) is below want = m - 1,
+    "reject" when P(z) = [p_k(z)] has rank want and some (v.dp_k)(z) is
+    outside its span, "accept" when it has rank want and every (v.dp_k)(z)
+    is inside, None otherwise.  It reads the level's expressions from a
+    _Screen and builds the derivatives b_l(T_i) symbolically.
     """
 
     def __init__(self, screen):
@@ -278,19 +367,20 @@ class DualScreen:
                 continue
             g, C, _, _ = level
             m = len(g)
+            want = m - 1
             sols = dual_nullspace_mod_p(*dual_pencil_at(level, cv, dcv), m)
-            if len(sols) < sc.want:
+            if len(sols) < want:
                 return "skip"
-            if len(sols) > sc.want:
+            if len(sols) > want:
                 return None
             red, _, pivots = dual_rref_mod_p([_lincomb(a, g) for a, _ in sols])
-            if len(pivots) < sc.want:
+            if len(pivots) < want:
                 return None
             vC = [_lincomb(cv, [Ci[j] for Ci in C]) for j in range(m)]
             W = (_lincomb(da + a, g + vC) for a, da in sols)
             if any(not in_span_mod_p(red, pivots, w) for w in W):
                 return "reject"
-            return None
+            return "accept"
         return None
 
 

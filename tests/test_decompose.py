@@ -1,5 +1,6 @@
 """Splitting search: candidate enumeration, verification, the full reduction."""
 
+import collections
 import dataclasses
 import itertools
 import pathlib
@@ -10,14 +11,12 @@ import pytest
 from flatdec import decompose, exterior, linalg, pfaffian, symexpr
 from flatdec.decompose import (
     Splitting, monomial_pool, reduce_once, run_decomposition,
-    sequence_transforms, _REJECT, _SKIP, _Screen, _candidate_stream,
-    _coefficient_vectors, _combine, _lift_through, _pencil_rows,
-    _prefixes, _projective_key, _tuple_stream,
+    sequence_transforms, _ACCEPT, _PREFIX_LETTERS, _REJECT, _SKIP, _Screen,
+    _candidate_stream, _coefficient_vectors, _combine, _lift_through,
+    _pencil_rows, _prefixes,
 )
 from flatdec.exterior import Chart, T, VectorField, oneform
-from flatdec.linalg import (
-    ZeroCtx, in_span_mod_p, nullspace, row_echelon, row_echelon_mod_p,
-)
+from flatdec.linalg import ZeroCtx, nullspace, row_echelon, row_echelon_mod_p
 from flatdec.pfaffian import (
     Distribution, PfaffianSystem, contraction_tables, derived_flag,
     derived_system, from_control_system, is_characteristic,
@@ -32,8 +31,9 @@ from flatdec.sysdsl import parse_system
 
 from conftest import (
     MAX_DEGREE, MAX_DEPTH, DualScreen, along, contains, dual_nullspace_mod_p,
-    dual_pencil_at, dual_rref_mod_p, form_add, same_span, scale, search,
-    wedge_derived_system, wedge_integrable_with_dt,
+    dual_pencil_at, dual_rref_mod_p, form_add, in_span_mod_p,
+    nested_coefficient_vectors, projective_key, same_span, scale, search,
+    tuple_stream, wedge_derived_system, wedge_integrable_with_dt,
 )
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -119,9 +119,10 @@ def test_monomial_pool_matches_brute_force_filter():
 
 
 def test_tuple_stream_is_the_product_by_size_then_key():
+    # the nested-generator stream kept in conftest as the scan's oracle
     x = Symbol("x", STATE)
     pool = [ONE, var(x), pow_(var(x), 2)]
-    got = list(_tuple_stream(pool, 2))
+    got = list(tuple_stream(pool, 2))
     # indices into [ZERO] + pool: every tuple of the product once, those
     # of one-node entries before any with x^2, ties in structural-key
     # order (x^2's key sorts before x's)
@@ -130,19 +131,20 @@ def test_tuple_stream_is_the_product_by_size_then_key():
 
 
 def test_projective_key_collapses_scale():
-    # over one coordinate x the exponent codes are the exponents: (x, 1)
-    # and (x^2, x) differ by the factor x; None stands for a ZERO entry
+    # the oracle's class key: over one coordinate x the exponent codes are
+    # the exponents: (x, 1) and (x^2, x) differ by the factor x; None
+    # stands for a ZERO entry
     a = (1, 0)
     b = (2, 1)
-    assert _projective_key(a) == _projective_key(b)
-    assert _projective_key((None, None)) is None
-    assert _projective_key(a) != _projective_key((0, 1))
-    assert _projective_key((None, 3)) == _projective_key((None, 0))
-    assert _projective_key((None, 3)) != _projective_key((0, None))
+    assert projective_key(a) == projective_key(b)
+    assert projective_key((None, None)) is None
+    assert projective_key(a) != projective_key((0, 1))
+    assert projective_key((None, 3)) == projective_key((None, 0))
+    assert projective_key((None, 3)) != projective_key((0, None))
     # over (x, y) at degree 1 the radix is 5: (x, y) and (1, y/x) differ by
     # the factor x, (y, x) does not
-    assert _projective_key((1, 5)) == _projective_key((0, 5 - 1))
-    assert _projective_key((1, 5)) != _projective_key((5, 1))
+    assert projective_key((1, 5)) == projective_key((0, 5 - 1))
+    assert projective_key((1, 5)) != projective_key((5, 1))
 
 
 def _symbolic_projective_key(c):
@@ -203,11 +205,27 @@ def test_coefficient_vectors_match_symbolic_reference(name, zc, monkeypatch):
         assert truncated
 
 
+@pytest.mark.parametrize("name", ["nfd", "nfd4", "coupled", "unicycle",
+                                  "chain6"])
+def test_class_stream_matches_the_nested_stream(name, zc, monkeypatch):
+    # the flat class stream yields the nested-generator stream's tuples in
+    # its order, also well past the default cap, and up to a cap that
+    # ends it inside the unit vectors
+    chart = from_control_system(_corpus(name), zc).chart
+    for k, deg in itertools.product((1, 2, 3), (1, 2, 3)):
+        for cap in (2, 512, 3000):
+            monkeypatch.setattr(decompose, "MAX_CANDIDATES", cap)
+            got = list(_coefficient_vectors(chart, k, deg))
+            want = list(nested_coefficient_vectors(chart, k, deg))
+            assert [[x.key for x in c] for c in got] == \
+                [[x.key for x in c] for c in want], (k, deg, cap)
+
+
 # -- the necessary condition --------------------------------------------------------
 
 def test_necessary_condition_finds_scaling_family(sin_sys, zc):
     S0, basis, tabs = _level(from_control_system(sin_sys, zc), zc)
-    found = [(c, cand) for c, cand
+    found = [(c, cand) for c, cand, _
              in _candidate_stream(S0, basis, tabs, MAX_DEGREE, zc)
              if cand is not None]
     assert found
@@ -504,6 +522,32 @@ def test_run_decomposition_deterministic(coupled_sys):
            [[p.name for p in sp.nondrv] for sp in b.sequence]
 
 
+@pytest.mark.parametrize("reserved", [{"x1", "x2", "u1"},
+                                      {"w1", "qr", "ph", "ww"}])
+def test_prefixes_never_run_out(reserved):
+    # the letters, then the pairs (182 names in all) as before, then
+    # triples and so on: every name fresh, none starting a reserved name
+    letters = list(_PREFIX_LETTERS)
+    before = [p for p in letters + [a + b for a in letters for b in letters]
+              if not any(name.startswith(p) for name in reserved)]
+    got = list(itertools.islice(_prefixes(reserved), 200))
+    assert len(set(got)) == 200
+    assert got[:len(before)] == before
+    assert len(got[len(before):]) >= 200 - 182
+    assert all(len(p) == 3 for p in got[len(before):])
+    assert not any(name.startswith(p) for p in got for name in reserved)
+
+
+def test_gb311_triangularizes_past_182_straightenings():
+    # gb311 tries more flows than the letters and pairs name, and every
+    # straightening attempt, the suspended ones too, takes a fresh prefix
+    cs = parse_system((DATA / "slow" / "gb311.fds").read_text())
+    res = run_decomposition(cs, ZeroCtx(20, 0), MAX_DEGREE, MAX_DEPTH)
+    assert res.status == "Triangularized"
+    assert len(res.branch_log) == 330
+    assert [e["outcome"] for e in res.branch_log].count("suspended") == 323
+
+
 def test_branch_log_shape(sin_sys):
     res = search(sin_sys)
     ids = [e["id"] for e in res.branch_log]
@@ -571,11 +615,12 @@ def test_screen_agrees_with_symbolic_path(name, zc):
         if verdict == _SKIP:
             assert len(sols) != want, c
         else:
-            assert verdict == _REJECT
+            assert verdict in (_REJECT, _ACCEPT)
             assert len(sols) == want, c
             cand = span_from_solutions(S, sols, zc)
             assert cand.dim == want
-            assert not is_characteristic(_combine(c, basis), cand, zc)
+            assert is_characteristic(_combine(c, basis), cand, zc) == \
+                (verdict == _ACCEPT), c
     if name.startswith("nfd"):
         # not flat: every candidate fails, and the screen decides all of them
         assert set(verdicts) == {_REJECT}
@@ -675,16 +720,13 @@ def test_rank_mod_p_matches_the_dual_elimination():
         assert [[x * pow(row[c], -1, PRIME) % PRIME for x in row]
                 for row, c in zip(red, plain_pivots)] == vals
         assert dual_rref_mod_p(M)[1] is None and len(dvals) == r
-        # under a cap the rank is min(rank, cap), on the same first pivots
-        for cap in range(1, cols + 2):
-            capped = row_echelon_mod_p(M, cap)[1]
-            assert len(capped) == min(r, cap) and capped == pivots[:cap]
     assert deficient > 50
 
 
 def test_span_test_agrees_with_rank():
-    # the screen rejects when some row of W leaves a remainder against
-    # P's undivided rows; with rank P = want that is rank [P; W] > want
+    # the oracle's span test: a row of W leaves a remainder against P's
+    # undivided rows exactly when it raises the rank; with rank P = want,
+    # some row does exactly when rank [P; W] > want
     rng = random.Random(13)
     outcomes = set()
     for _ in range(300):
@@ -703,9 +745,6 @@ def test_span_test_agrees_with_rank():
         for w in W:
             inside = in_span_mod_p(red, pivots, w)
             assert inside == (_rank(P + [w]) == _rank(P))
-            # and a cap one above rank P decides the same
-            capped = row_echelon_mod_p(P + [w], len(pivots) + 1)[1]
-            assert inside == (len(capped) == len(pivots))
         if len(pivots) < want:
             outcomes.add("deficient")
             continue
@@ -839,24 +878,132 @@ def test_deficient_generators_pass_the_candidate_on(zc):
     assert {screen.decide(c) for c in cands} == {None}
 
 
-def test_screen_eliminates_once_per_candidate(zc, monkeypatch):
-    # the level's matrices at z are built once: scanning nfd's first level
-    # runs one GF(p) elimination for G(z) and one of M(z) per candidate,
-    # the latter capped at the skip rank m - want + 1
+def test_screen_makes_no_elimination_per_candidate(zc, monkeypatch):
+    # the level's matrices at z are built once, and the rank-one test
+    # eliminates nothing: scanning nfd's first level runs one GF(p)
+    # elimination, of G(z), for its one level and point
     S, basis, tabs = _first_level("nfd", zc)
     calls = []
 
-    def counted(rows, cap=None):
-        calls.append(cap)
-        return row_echelon_mod_p(rows, cap)
+    def counted(rows):
+        calls.append(len(rows))
+        return row_echelon_mod_p(rows)
 
     monkeypatch.setattr(decompose, "row_echelon_mod_p", counted)
     cands = list(_coefficient_vectors(S.chart, len(basis), MAX_DEGREE))
     assert list(_candidate_stream(S, basis, tabs, MAX_DEGREE, zc)) == \
-        [(c, None) for c in cands]
+        [(c, None, False) for c in cands]
     assert len(cands) == decompose.MAX_CANDIDATES
-    assert len(calls) == len(cands) + 1
-    assert calls.count(len(S.generators) - (S.dim - 1) + 1) == len(cands)
+    assert calls == [len(S.generators)]
+
+
+def _rank_one_level(rng, k, m, rows, shape):
+    """A screen level of random residue tables over k coefficients and m
+    generators, with M(z) = sum_i c_i T_i(z) of the given shape: "zero",
+    "one" (rows on one line, the first rows zero), "any" (rank 2 or more
+    with overwhelming probability for m >= 2), or "deficient" (rank one
+    and G(z) rank-deficient: no Q rows).  Q's rows are on M's line or
+    random, at random.  Returns (screen, c) for a _Screen whose one point
+    holds these tables and c's residues."""
+    line = [rng.randrange(1, PRIME) for _ in range(m)]
+    lead = rng.randrange(rows)
+
+    def table_row(r):
+        if shape == "zero" or (shape != "any" and r < lead):
+            return [0] * m
+        if shape == "any":
+            return [rng.randrange(PRIME) for _ in range(m)]
+        a = rng.randrange(1, PRIME)
+        return [a * x % PRIME for x in line]
+
+    T = [[table_row(r) for r in range(rows)] for _ in range(k)]
+    Tcols = [list(zip(*(Ti[r] for Ti in T))) for r in range(rows)]
+    Qcols = None
+    if shape != "deficient":
+        on_line = rng.random() < 0.5
+        H = [[[rng.randrange(1, PRIME) * x % PRIME for x in line] if on_line
+              else [rng.randrange(PRIME) for _ in range(m)]
+              for _ in range(rows)] for _ in range(k * k + k)]
+        Qcols = [list(zip(*(Ht[r] for Ht in H))) for r in range(rows)]
+    known = {i: (rng.randrange(1, PRIME), [rng.randrange(PRIME)
+                                           for _ in range(k)])
+             for i in range(k)}
+    screen = _Screen.__new__(_Screen)
+    screen.zc = ZeroCtx(1, 0)
+    screen._points = {0: (None, None, known, Tcols, Qcols)}
+    return screen, tuple(range(k))
+
+
+def _eliminated_verdict(screen, c):
+    """The verdict of a plain elimination of M(z), with a span test of each
+    Q(z) row against its rows."""
+    _, _, known, Tcols, Qcols = screen._points[0]
+    cv = [known[x][0] for x in c]
+    M = [[sum(a * b for a, b in zip(cv, col)) % PRIME for col in row]
+         for row in Tcols]
+    m = len(M[0])
+    red, pivots = row_echelon_mod_p(M)
+    nullity = m - len(pivots)
+    if nullity < m - 1:
+        return _SKIP
+    if nullity > m - 1 or Qcols is None:
+        return None
+    coeffs = [a * b for a in cv for b in cv]
+    coeffs += [-sum(a * b for a, b in zip(cv, known[x][1])) for x in c]
+    Q = [[sum(a * b for a, b in zip(coeffs, col)) % PRIME for col in row]
+         for row in Qcols]
+    if all(in_span_mod_p(red, pivots, q) for q in Q):
+        return _ACCEPT
+    return _REJECT
+
+
+def test_rank_one_test_matches_a_plain_elimination():
+    rng = random.Random(17)
+    seen = collections.Counter()
+    for _ in range(400):
+        shape = rng.choice(["zero", "one", "any", "deficient"])
+        screen, c = _rank_one_level(rng, rng.randint(1, 3), rng.randint(1, 4),
+                                    rng.randint(1, 5), shape)
+        verdict = screen.decide(c)
+        assert verdict == _eliminated_verdict(screen, c), shape
+        seen[shape, verdict] += 1
+    assert {("zero", None), ("one", _ACCEPT), ("one", _REJECT),
+            ("any", _SKIP), ("deficient", None)} <= set(seen)
+
+
+@pytest.mark.parametrize("name", ["chain4", "coupled", "sinex"])
+def test_accepted_scan_candidates_skip_the_symbolic_check(name, zc,
+                                                          monkeypatch):
+    # consider runs is_characteristic on no scan candidate the screen has
+    # accepted; with the screen off it runs on every scan candidate, and
+    # the search logs the same decisions
+    cs = parse_system((DATA / f"{name}.fds").read_text())
+    streamed, checked = [], []
+    stream = decompose._candidate_stream
+
+    def recorded(*args):
+        for item in stream(*args):
+            streamed.append(item)
+            yield item
+
+    def counted(v, P, zc):
+        checked.append(P)
+        return is_characteristic(v, P, zc)
+
+    monkeypatch.setattr(decompose, "_candidate_stream", recorded)
+    monkeypatch.setattr(decompose, "is_characteristic", counted)
+    screened = run_decomposition(cs, zc, MAX_DEGREE, MAX_DEPTH)
+    accepted = [cand for _, cand, ok in streamed if ok]
+    assert accepted
+    assert not [P for P in checked if any(P is cand for cand in accepted)]
+    streamed.clear()
+    checked.clear()
+    monkeypatch.setattr(decompose, "evaluable_mod_p", lambda *args: False)
+    symbolic = run_decomposition(cs, zc, MAX_DEGREE, MAX_DEPTH)
+    cands = [cand for _, cand, ok in streamed if not ok]
+    assert len(cands) == len(streamed) and None not in cands
+    assert all(any(P is cand for P in checked) for cand in cands)
+    assert symbolic.branch_log == screened.branch_log
 
 
 def test_screen_takes_no_modular_inverse_per_candidate(zc, monkeypatch):
