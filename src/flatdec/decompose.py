@@ -421,10 +421,7 @@ def _candidate_stream(S: PfaffianSystem, basis, tabs, max_degree: int,
         sols = nullspace(_pencil_rows(tables, keys, c, len(gens)), len(gens), zc)
         if len(sols) != want:
             continue
-        cand = span_from_solutions(S, sols, zc)
-        if cand.dim != want:
-            continue
-        yield tuple(c), cand, verdict == _ACCEPT
+        yield tuple(c), span_from_solutions(S, sols, zc), verdict == _ACCEPT
 
 
 # -- straightening one level ---------------------------------------------------------
@@ -484,7 +481,8 @@ def _straighten_level(F: Distribution, zc: ZeroCtx, naming):
 
 
 def _complement(S: PfaffianSystem, S_sub: PfaffianSystem, zc: ZeroCtx):
-    """Greedy extension of S_sub to all of S using the original generators."""
+    """Greedy extension of S_sub to all of S using the original generators:
+    independent modulo S_sub, also once pulled back by a diffeomorphism."""
     kept, _ = independent_rows(S_sub.rows() + S.rows(), zc)
     return [S.generators[i - S_sub.dim] for i in kept if i >= S_sub.dim]
 
@@ -529,9 +527,8 @@ def reduce_once(S: PfaffianSystem, max_degree: int, zc: ZeroCtx,
                 rejected.append(c)
             return
         # a scan field is one nonzero field, and the joint fields are the
-        # basis of V, which is involutive: F keeps every field and is
-        # involutive
-        F = Distribution(cand.chart, fields, zc)
+        # basis of V, which is involutive: F is involutive
+        F = Distribution(cand.chart, fields)
         try:
             phi, params = _straighten_level(F, zc, naming)
         except NotSolvable as ex:

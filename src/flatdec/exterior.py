@@ -328,7 +328,8 @@ _FLOW_S = Symbol("_flow_s", AUX)
 
 
 def _polynomial_in(e: Expr, s: Symbol) -> bool:
-    """s occurs in e only under sums, products and positive powers."""
+    """s occurs in e only under sums, products and positive powers: a
+    structural guard on s, read off the expression tree, not a zero test."""
     if s not in e.free or isinstance(e, Var):
         return True
     if isinstance(e, Add):
@@ -378,18 +379,12 @@ def straighten_flow(v: VectorField, zc, prefix: str) -> ChartTransform:
         raise ValueError("flow fields must have no time component")
     sv = var(_FLOW_S)
 
-    active, inactive = [], []
-    for c in chart.coords:
-        e = v.comp(c)
-        if e is not ZERO and zc.nonzero(e):
-            active.append(c)
-        else:
-            inactive.append(c)
+    active = [c for c in chart.coords
+              if v.comp(c) is not ZERO and zc.nonzero(v.comp(c))]
     if not active:
         raise ValueError("cannot straighten the zero field")
 
     ic = {c: Symbol(f"_ic_{c.name}", AUX) for c in chart.coords}
-    inactive_ics = {ic[c] for c in inactive}
     flow = {c: var(ic[c]) for c in chart.coords}   # each coordinate at time s
 
     solved: dict = {}   # moved coordinate -> (alpha or None, beta, solution)
@@ -399,12 +394,9 @@ def straighten_flow(v: VectorField, zc, prefix: str) -> ChartTransform:
         for c in list(remaining):
             comp = v.comp(c)
             alpha = diff(comp, c)
-            if c in alpha.free:
-                continue   # nonlinear in its own coordinate
             beta = add(comp, neg(mul(alpha, var(c))))
-            deps = (alpha.free | beta.free) & set(chart.coords)
-            if deps - set(inactive) - set(solved):
-                continue   # waits on an unsolved active coordinate
+            if any(zc.depends(e, r) for r in remaining for e in (alpha, beta)):
+                continue   # nonlinear in c, or waits on another unsolved one
             alpha = substitute(alpha, flow)
             beta = substitute(beta, flow)
             if alpha is ZERO or zc.zero(alpha):
@@ -429,7 +421,7 @@ def straighten_flow(v: VectorField, zc, prefix: str) -> ChartTransform:
             raise NotSolvable(f"coupled flow outside the solvable class: {names}")
 
     def ic_pure(e: Expr) -> bool:
-        return {s for s in e.free if s.name.startswith("_ic_")} <= inactive_ics
+        return not any(zc.depends(e, ic[c]) for c in active)
 
     pivot = None
     for c in active:

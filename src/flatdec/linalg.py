@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from .symexpr import (
     ONE, PRIME, ZERO, Add, Const, EvaluationFailed, Expr, Mul, Pow, add,
-    is_zero, mul, neg, pow_,
+    diff, is_zero, mul, neg, pow_,
 )
 
 
@@ -43,6 +43,11 @@ class ZeroCtx:
 
     def nonzero(self, e: Expr) -> bool:
         return not self.zero(e)
+
+    def depends(self, e: Expr, s) -> bool:
+        """Whether e depends on s: s occurs in e and de/ds does not test zero
+        (s + 2 - (s + a + 2) mentions s without depending on it)."""
+        return s in e.free and not self.zero(diff(e, s))
 
 
 def row_echelon(rows, zc: ZeroCtx):
@@ -145,16 +150,20 @@ def in_span(span_rows, targets, zc: ZeroCtx) -> bool:
                for t in targets)
 
 
-def _collect_dens(e: Expr, out: dict) -> None:
-    # top-level negative powers (one Add level deep); Func args are opaque
+def _collect_dens(e: Expr, out: dict, seen: set) -> None:
+    # negative powers under sums and products; Func args are opaque.  Nodes
+    # are interned: a second visit of a shared node would repeat the max
+    if e in seen:
+        return
+    seen.add(e)
     if isinstance(e, Pow) and e.exp < 0:
         out[e.base] = max(out.get(e.base, 0), -e.exp)
     elif isinstance(e, Mul):
         for f in e.factors:
-            _collect_dens(f, out)
+            _collect_dens(f, out, seen)
     elif isinstance(e, Add):
         for t in e.terms:
-            _collect_dens(t, out)
+            _collect_dens(t, out, seen)
 
 
 def _mul_through(e: Expr, factors) -> Expr:
@@ -168,8 +177,9 @@ def _mul_through(e: Expr, factors) -> Expr:
 def clear_denominators(vec):
     """Multiply a vector by the collected denominators of all its entries."""
     dens: dict = {}
+    seen: set = set()
     for e in vec:
-        _collect_dens(e, dens)
+        _collect_dens(e, dens, seen)
     if dens:
         factors = [pow_(b, k) for b, k in dens.items()]
         vec = [_mul_through(e, factors) for e in vec]

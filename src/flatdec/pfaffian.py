@@ -47,12 +47,14 @@ def _row_field(chart: Chart, row) -> VectorField:
 
 
 class PfaffianSystem:
-    """Codistribution spanned by independent time-invariant 1-forms."""
+    """Codistribution spanned by time-invariant 1-forms: it drops structural
+    zeros and scales leading coefficients, and each builder says why its
+    generators are independent, so dim is the rank."""
 
     __slots__ = ("chart", "generators")
 
     def __init__(self, chart: Chart, generators, zc: ZeroCtx):
-        gens = []
+        rows = []
         for g in generators:
             if g.degree != 1:
                 raise ValueError("generators must be 1-forms")
@@ -62,12 +64,9 @@ class PfaffianSystem:
                 if T in c.free:
                     raise ValueError("coefficients must be time-invariant")
             if not g.is_structurally_zero():
-                gens.append(g)
-        rows = [_form_row(g, chart) for g in gens]
-        keep, _ = linalg.independent_rows(rows, zc)
-        norm = [linalg.normalize_leading(rows[i], zc) for i in keep]
+                rows.append(linalg.normalize_leading(_form_row(g, chart), zc))
         self.chart = chart
-        self.generators = tuple(_row_form(chart, r) for r in norm)
+        self.generators = tuple(_row_form(chart, r) for r in rows)
 
     @property
     def dim(self) -> int:
@@ -84,19 +83,17 @@ class PfaffianSystem:
 
 
 class Distribution:
-    """Span of generically independent vector fields."""
+    """Span of independent vector fields, kept as given but for zero ones."""
 
     __slots__ = ("chart", "generators")
 
-    def __init__(self, chart: Chart, generators, zc: ZeroCtx):
+    def __init__(self, chart: Chart, generators):
         gens = [g for g in generators if not g.is_structurally_zero()]
         for g in gens:
             if g.chart.coords != chart.coords:
                 raise ValueError("field lives on a different chart")
-        rows = [_field_row(g, chart) for g in gens]
-        keep, _ = linalg.independent_rows(rows, zc)
         self.chart = chart
-        self.generators = tuple(gens[i] for i in keep)
+        self.generators = tuple(gens)
 
     @property
     def dim(self) -> int:
@@ -110,7 +107,8 @@ class Distribution:
 
 
 def from_control_system(cs, zc: ZeroCtx) -> PfaffianSystem:
-    """The system's Pfaffian form dx^a - f^a dt on the chart (states, inputs)."""
+    """The system's Pfaffian form dx^a - f^a dt on the chart (states, inputs),
+    independent: each generator has its own dx^a."""
     chart = Chart(tuple(cs.states) + tuple(cs.inputs))
     gens = []
     for s, f in zip(cs.states, cs.dynamics):
@@ -119,13 +117,14 @@ def from_control_system(cs, zc: ZeroCtx) -> PfaffianSystem:
 
 
 def vertical_annihilator(P: PfaffianSystem, zc: ZeroCtx) -> Distribution:
-    """Annihilator of {P, dt}: time-fiber fields annihilating the system."""
+    """Annihilator of {P, dt}: time-fiber fields annihilating the system, a
+    nullspace basis and so independent."""
     chart = P.chart
     rows = P.rows()
     dt_row = [ZERO] * len(chart.axes)
     dt_row[chart.axis_index(T)] = ONE
     basis = linalg.nullspace(rows + [dt_row], len(chart.axes), zc)
-    return Distribution(chart, [_row_field(chart, r) for r in basis], zc)
+    return Distribution(chart, [_row_field(chart, r) for r in basis])
 
 
 def contraction_tables(S: PfaffianSystem, basis):
@@ -157,7 +156,8 @@ def contraction_tables(S: PfaffianSystem, basis):
 
 
 def span_from_solutions(S: PfaffianSystem, sols, zc: ZeroCtx) -> PfaffianSystem:
-    """The span of the generator combinations sum_j a_j g_j, a in sols."""
+    """The span of the generator combinations sum_j a_j g_j, a in sols,
+    independent for independent sols (a nullspace basis), as S's are."""
     combos = []
     for a in sols:
         terms: dict = {}
@@ -274,8 +274,8 @@ def restrict_to_subchart(P: PfaffianSystem, phi: ChartTransform, drop,
 
     Requires (generically) that pulled generators have no differentials of the
     dropped coordinates and, after reduced elimination with pivot division,
-    coefficients independent of them.  Guaranteed when the dropped coordinate
-    fields are Cauchy characteristics of the pulled system.
+    coefficients independent of them, as when the dropped coordinate fields
+    are Cauchy characteristics.  The pivot rows left are independent.
     """
     drop = list(drop)
     src = phi.source
@@ -305,11 +305,10 @@ def restrict_to_subchart(P: PfaffianSystem, phi: ChartTransform, drop,
                 raise NotReducible(
                     f"elimination left a d{s.name} component")
             for w in drop:
-                if w in c.free:
-                    if not zc.zero(diff(c, w)):
-                        raise NotReducible(
-                            f"coefficient on d{s.name} depends on {w.name}")
-                    c = substitute(c, {w: ONE})
+                if zc.depends(c, w):
+                    raise NotReducible(
+                        f"coefficient on d{s.name} depends on {w.name}")
+                c = substitute(c, {w: ONE})
             coeffs[s] = c
         out.append(oneform(reduced_chart, coeffs))
     return PfaffianSystem(reduced_chart, out, zc)

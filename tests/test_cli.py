@@ -403,6 +403,7 @@ FIXTURE_SHAPES = {
     "coupled": ("Triangularized", "1-flat", 2),
     "gb3": ("Triangularized", "0-flat", 2),
     "gb6": ("Triangularized", "0-flat", 2),
+    "gc11": ("Triangularized", "0-flat", 2),
     "nfd": ("Inconclusive", None, None),
     "nfd2": ("Inconclusive", None, None),
     "nfd3": ("Inconclusive", None, None),
@@ -471,6 +472,20 @@ def test_generated_systems_pass_at_every_seed(name, outputs, checks,
         assert all(item["ok"] for item in structure), seed
         assert obj["verification"]["numeric"]["passed"] == 6, seed
         assert obj["certificate"]["outputs"] == outputs, seed
+
+
+def test_gc11_triangularizes_with_every_structure_check(tmp_path, capsys):
+    # gc11's flow fields have components that mention coordinates they do
+    # not depend on; read off .free, the search ended Inconclusive.  Its
+    # numeric trials are all singular, so the verdict is not asserted
+    report = tmp_path / "gc11.json"
+    main(["decompose", str(DATA / "gc11.fds"), "--verify", "--samples", "2",
+          "--seed", "0", "--report", str(report)])
+    capsys.readouterr()
+    obj = json.loads(report.read_text())
+    assert obj["decomposition"]["status"] == "Triangularized"
+    structure = obj["verification"]["structure"]
+    assert len(structure) == 10 and all(item["ok"] for item in structure)
 
 
 def test_verify_missing_certificate_file(sin_file, tmp_path, capsys):

@@ -3,12 +3,14 @@
 import collections
 import dataclasses
 import itertools
+import json
 import pathlib
 import random
 
 import pytest
 
 from flatdec import decompose, exterior, linalg, pfaffian, symexpr
+from flatdec.cli import main
 from flatdec.decompose import (
     Splitting, monomial_pool, reduce_once, run_decomposition,
     sequence_transforms, _ACCEPT, _PREFIX_LETTERS, _REJECT, _SKIP, _Screen,
@@ -349,7 +351,7 @@ def test_splitting_verify_detects_corruption(chain, zc):
     S0 = from_control_system(cs, zc)
     sp = reduce_top(S0, zc)[0]
     x1 = coord(cs, "x1")
-    horizontal = Distribution(S0.chart, [VectorField(S0.chart, {x1: ONE})], zc)
+    horizontal = Distribution(S0.chart, [VectorField(S0.chart, {x1: ONE})])
     assert not splitting_holds(dataclasses.replace(sp, F=horizontal), S0, zc)
     assert not splitting_holds(dataclasses.replace(sp, nondrv=()), S0, zc)
 
@@ -546,6 +548,17 @@ def test_gb311_triangularizes_past_182_straightenings():
     assert res.status == "Triangularized"
     assert len(res.branch_log) == 330
     assert [e["outcome"] for e in res.branch_log].count("suspended") == 323
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_gb310_triangularizes(seed, tmp_path, capsys):
+    # gb310 once ran out of coordinate prefixes, an exit 2, at both seeds
+    report = tmp_path / "gb310.json"
+    assert main(["decompose", str(DATA / "slow" / "gb310.fds"), "--seed",
+                 str(seed), "--report", str(report)]) == 0
+    capsys.readouterr()
+    assert json.loads(report.read_text())["decomposition"]["status"] == \
+        "Triangularized"
 
 
 def test_branch_log_shape(sin_sys):

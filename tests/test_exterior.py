@@ -363,6 +363,22 @@ def test_straighten_not_solvable_nonlinear():
         straighten_flow(v, ZC, prefix="w")
 
 
+def test_straighten_reads_dependence_off_the_derivative():
+    # s2's component s2 + 2 - (s2 + s3 + 2) mentions s2 but is -s3, so the
+    # flow is solvable, and s2, pinned to 0, is the pivot: s1 = w1 + wh,
+    # s2 = -w2 wh, s3 = w2
+    S1, S2, S3 = (Symbol(f"s{i}", sx.AUX) for i in (1, 2, 3))
+    ch = Chart((S1, S2, S3))
+    comp = add(var(S2), const(2), neg(add(var(S2), var(S3), const(2))))
+    phi = straighten_flow(VectorField(ch, {S1: sx.ONE, S2: comp}), ZC,
+                          prefix="w")
+    w = {s.name: var(s) for s in phi.source.coords}
+    assert sorted(w) == ["w1", "w2", "wh"]
+    assert phi.forward[S1] == add(w["w1"], w["wh"])
+    assert ZC.zero(add(phi.forward[S2], mul(w["w2"], w["wh"])))
+    assert phi.forward[S3] == w["w2"]
+
+
 def test_straighten_integrates_polynomial_forcing():
     # x3' = x1^2 with x1 = wh along the flow: forcing of degree 2 in s
     ch = Chart((X1, X2, X3))

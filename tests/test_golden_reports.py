@@ -11,7 +11,9 @@ a block with two unknowns.  The wrong sinex claim `x3; x2` is pinned on
 chained5, three, nfd3, car and trailer1 are the textbook fixtures of the
 ROADMAP, pinned on `decompose`.  gb3 and gb6 are generated flat systems
 (a random change of coordinates and feedback applied to a Brunovsky
-form), pinned on `decompose --verify`.  pvtol (the
+form), pinned on `decompose --verify`.  gc11 is a flat system whose flow
+fields mention coordinates they do not depend on; it is pinned on
+`decompose` only, since every numeric trial of it is singular.  pvtol (the
 planar VTOL aircraft) is pinned on `decompose` and on `verify` of the
 certificate its `decompose` reports; both live in data/slow/, outside the
 `data/*.fds` glob.  Its verifier finds every trial singular (Newton stalls
@@ -40,6 +42,7 @@ GOLDEN = {
     ("coupled", "decompose --verify --samples 6"): "58cfe335ad9955212461c694761df55b87794dcd0d489e653fdc67b7c5daa13a",
     ("gb3", "decompose --verify --samples 6"): "756256c132950b93019dc27164407f0e934a0aa74cdc0ec05356e67ccece1513",
     ("gb6", "decompose --verify --samples 6"): "e75b66d39794fb0a2d63ea4e6f7ff17f60b00bd3b1219d120e6f280b66b43f9d",
+    ("gc11", "decompose"): "5939ff3ac864323259d80000790f51d17789f7adf5779504b4776d2e89076c53",
     ("nfd", "analyze"): "025fcb5d227499aa3de449a2d15a464fca81d0b3310412783b0a5b0c747c3c35",
     ("nfd", "decompose"): "d6d757f05843b01b163739990508f7760259c7fbd601725a4fd5ba903cecd0d7",
     ("nfd2", "analyze"): "a769d9f09398d4a8aba8524b9e059737f5626f419ffd67db71753494331e8a8c",

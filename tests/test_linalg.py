@@ -38,15 +38,29 @@ def test_zero_entry_outside_every_pivot_column(z, zc):
     assert independent_rows([[ZERO, z], [z, ONE], [ZERO, ONE]], zc)[0] == [1]
 
 
+def test_depends_reads_the_derivative_not_the_mention(monkeypatch, zc):
+    s1, s2, s3 = (Symbol(f"s{i}", sx.AUX) for i in (1, 2, 3))
+    # s2 + 2 - (s2 + s3 + 2): the constructors keep s2, which cancels
+    e = add(var(s2), const(2), neg(add(var(s2), var(s3), const(2))))
+    assert s2 in e.free
+    assert not zc.depends(e, s2)
+    assert zc.depends(e, s3)
+
+    def no_zero_test(self, e):
+        raise AssertionError("zero test for an absent symbol")
+    monkeypatch.setattr(ZeroCtx, "zero", no_zero_test)
+    assert not zc.depends(e, s1)
+
+
 def test_zero_component_through_distribution_membership(zc):
     chart = Chart((x, y))
-    D = Distribution(chart, [VectorField(chart, {x: ONE})], zc)
+    D = Distribution(chart, [VectorField(chart, {x: ONE})])
     assert contains(D, VectorField(chart, {y: RATIONAL_ZERO}), zc)
     assert contains(D, VectorField(chart, {y: TRIG_ZERO}), zc)
     assert not contains(D, VectorField(chart, {y: ONE}), zc)
     # [d/dx, z d/dy + y d/dy] = dz/dx d/dy, zero as a function
     E = Distribution(chart, [VectorField(chart, {x: ONE}),
-                             VectorField(chart, {y: add(Y, RATIONAL_ZERO)})], zc)
+                             VectorField(chart, {y: add(Y, RATIONAL_ZERO)})])
     assert E.dim == 2 and is_involutive(E, zc)
 
 

@@ -1,12 +1,15 @@
 """Pfaffian systems: spans, derived flags, annihilators, Cauchy reduction."""
 
+import pathlib
+
 import pytest
 
+from flatdec.cli import main
 from flatdec.exterior import (
     Chart, T, VectorField, contract, d, identity_transform, lie_bracket,
     one_coeffs, oneform, straighten_flow, wedge,
 )
-from flatdec.linalg import nullspace
+from flatdec.linalg import ZeroCtx, nullspace, rank
 from flatdec.pfaffian import (
     Distribution, NotReducible, PfaffianSystem, derived_flag, derived_system,
     from_control_system, is_characteristic, is_integrable_with_dt,
@@ -17,6 +20,8 @@ from flatdec.symexpr import (
 )
 
 from conftest import contains, same_span, tables
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 def coord(cs, name):
@@ -67,8 +72,7 @@ def annihilator(P, zc):
     axes = P.chart.axes
     basis = nullspace(P.rows(), len(axes), zc)
     return Distribution(P.chart, [VectorField(P.chart, {
-        s: c for s, c in zip(axes, row) if c is not ZERO}) for row in basis],
-        zc)
+        s: c for s, c in zip(axes, row) if c is not ZERO}) for row in basis])
 
 
 def test_annihilator_single_form(zc):
@@ -255,7 +259,7 @@ def test_not_involutive(zc):
     D = Distribution(chart, [
         VectorField(chart, {x1: ONE}),
         VectorField(chart, {x2: ONE, x3: var(x1)}),
-    ], zc)
+    ])
     assert not is_involutive(D, zc)
 
 
@@ -263,7 +267,7 @@ def test_single_field_involutive(zc):
     x1 = Symbol("x1", AUX)
     x2 = Symbol("x2", AUX)
     chart = Chart((x1, x2))
-    D = Distribution(chart, [VectorField(chart, {x1: var(x2), x2: ONE})], zc)
+    D = Distribution(chart, [VectorField(chart, {x1: var(x2), x2: ONE})])
     assert is_involutive(D, zc)
 
 
@@ -397,12 +401,32 @@ def test_cauchy_result_involutive(coupled_sys, zc):
     w = VectorField(S0.chart, {u1: ONE, u2: mul(var(u1), var(u2))})
     for f in (v, w, lie_bracket(v, w)):
         assert is_characteristic(f, D, zc)
-    assert is_involutive(Distribution(S0.chart, [v, w], zc), zc)
+    assert is_involutive(Distribution(S0.chart, [v, w]), zc)
     assert not is_characteristic(VectorField(S0.chart, {x3: ONE}), D, zc)
 
 
-def test_span_normalization_drops_dependent_generators(sin_sys, zc):
-    S0 = from_control_system(sin_sys, zc)
-    doubled = list(S0.generators) + [S0.generators[0]]
-    P = PfaffianSystem(S0.chart, doubled, zc)
-    assert P.dim == 3
+def test_builders_hand_the_containers_independent_generators(
+        monkeypatch, tmp_path, capsys):
+    # PfaffianSystem and Distribution keep what they are given, so every
+    # builder must hand them generically independent generators; watched
+    # over every command of analyze and decompose --verify on the fixtures
+    handed = {PfaffianSystem: [], Distribution: []}
+    entries = {PfaffianSystem: lambda g, s: one_coeffs(g).get(s, ZERO),
+               Distribution: lambda v, s: v.comp(s)}
+    for cls, entry in entries.items():
+        def spy(self, chart, generators, *rest, init=cls.__init__,
+                seen=handed[cls], entry=entry):
+            generators = list(generators)
+            seen.append([[entry(g, s) for s in chart.axes]
+                         for g in generators])
+            init(self, chart, generators, *rest)
+        monkeypatch.setattr(cls, "__init__", spy)
+    report = str(tmp_path / "r.json")
+    for path in sorted(DATA.glob("*.fds")):
+        for cmd in (["analyze"], ["decompose", "--verify", "--samples", "3"]):
+            main([*cmd, str(path), "--seed", "0", "--report", report])
+    capsys.readouterr()
+    zc = ZeroCtx(20, 0)
+    for lists in handed.values():
+        assert lists
+        assert all(rank(rows, zc) == len(rows) for rows in lists)
