@@ -281,15 +281,15 @@ def parse_system(text: str) -> ControlSystem:
 
 # -- rendering ----------------------------------------------------------------
 
-def _render_base(b: Expr) -> str:
+def _render_base(b: Expr, memo: dict) -> str:
     # power bases and denominator factors: parenthesize sums
-    s = render(b)
+    s = _render(b, memo)
     if isinstance(b, Add):
         return f"({s})"
     return s
 
 
-def _render_product(e: Expr) -> str:
+def _render_product(e: Expr, memo: dict) -> str:
     """Render a product (or lone factor) as [-]num[/den]."""
     n, d = 1, 1   # the rational coefficient n/d
     pos, neg_ = [], []
@@ -309,20 +309,20 @@ def _render_product(e: Expr) -> str:
         num_parts.append(str(n))
     for f in pos:
         if isinstance(f, Pow):
-            num_parts.append(f"{_render_base(f.base)}^{f.exp}")
+            num_parts.append(f"{_render_base(f.base, memo)}^{f.exp}")
         elif isinstance(f, Add):
-            num_parts.append(f"({render(f)})")
+            num_parts.append(f"({_render(f, memo)})")
         else:
-            num_parts.append(render(f))
+            num_parts.append(_render(f, memo))
 
     den_parts = []
     if d != 1:
         den_parts.append(str(d))
     for f in neg_:
         if f.exp == -1:
-            den_parts.append(_render_base(f.base))
+            den_parts.append(_render_base(f.base, memo))
         else:
-            den_parts.append(f"{_render_base(f.base)}^{-f.exp}")
+            den_parts.append(f"{_render_base(f.base, memo)}^{-f.exp}")
 
     num = "*".join(num_parts)
     if not den_parts:
@@ -333,52 +333,63 @@ def _render_product(e: Expr) -> str:
 
 
 def render(e: Expr) -> str:
-    """Deterministic serialization; parse_expr(render(e)) is structurally e."""
+    """Deterministic serialization; parse_expr(render(e)) is structurally e.
+    Each distinct subexpression is rendered once per call."""
+    return _render(e, {})
+
+
+def _render(e: Expr, memo: dict) -> str:
+    """render(e), reading and filling memo, a map from node to its text."""
+    got = memo.get(e)
+    if got is not None:
+        return got
     if isinstance(e, Const):
-        return str(e.n) if e.d == 1 else f"{e.n}/{e.d}"
-    if isinstance(e, Var):
-        return e.sym.name
-    if isinstance(e, Func):
-        return f"{e.fn}({render(e.arg)})"
-    if isinstance(e, Pow):
-        return _render_product(e)
-    if isinstance(e, Mul):
-        return _render_product(e)
-    if isinstance(e, Add):
+        got = str(e.n) if e.d == 1 else f"{e.n}/{e.d}"
+    elif isinstance(e, Var):
+        got = e.sym.name
+    elif isinstance(e, Func):
+        got = f"{e.fn}({_render(e.arg, memo)})"
+    elif isinstance(e, (Pow, Mul)):
+        got = _render_product(e, memo)
+    elif isinstance(e, Add):
         consts = [t for t in e.terms if isinstance(t, Const)]
         rest = [t for t in e.terms if not isinstance(t, Const)]
-        pieces = [_piece(t) for t in rest + consts]
+        pieces = [_piece(_render(t, memo)) for t in rest + consts]
         pieces.sort(key=lambda p: 0 if p[0] >= 0 else 1)   # stable: keeps order
-        out = pieces[0][1] if pieces[0][0] >= 0 else "-" + pieces[0][1]
+        got = pieces[0][1] if pieces[0][0] >= 0 else "-" + pieces[0][1]
         for sgn, body in pieces[1:]:
-            out += (" + " if sgn >= 0 else " - ") + body
-        return out
-    raise TypeError(f"not an Expr: {e!r}")
+            got += (" + " if sgn >= 0 else " - ") + body
+    else:
+        raise TypeError(f"not an Expr: {e!r}")
+    memo[e] = got
+    return got
 
 
 def field_dict(v) -> dict:
-    """A vector field as {axis name: rendered component}, zeros left out."""
-    out = {}
+    """A vector field as {axis name: rendered component}, zeros left out;
+    the components share one memo of rendered nodes."""
+    out, memo = {}, {}
     for s in v.chart.axes:
         e = v.comp(s)
         if e is not ZERO:
-            out[s.name] = render(e)
+            out[s.name] = _render(e, memo)
     return out
 
 
 def form_dict(g) -> dict:
-    """A one-form as {axis name: rendered coefficient}, zeros left out."""
-    out = {}
+    """A one-form as {axis name: rendered coefficient}, zeros left out;
+    the coefficients share one memo of rendered nodes."""
+    out, memo = {}, {}
     coeffs = one_coeffs(g)
     for s in g.chart.axes:
         e = coeffs.get(s)
         if e is not None and e is not ZERO:
-            out[s.name] = render(e)
+            out[s.name] = _render(e, memo)
     return out
 
 
-def _piece(t: Expr):
-    s = _render_product(t) if isinstance(t, (Mul, Pow)) else render(t)
+def _piece(s: str):
+    """A term's text as (sign, text without its leading minus)."""
     if s.startswith("-"):
         return -1, s[1:]
     return 1, s

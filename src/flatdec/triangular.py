@@ -267,13 +267,18 @@ class PolyCurve:
 
     coeffs: tuple  # ascending powers
 
-    def eval(self, t: float, order: int = 0) -> float:
+    def eval(self, t: float, order: int = 0, powers=None) -> float:
+        """The order-th derivative at t.  powers, when given, is a table
+        with powers[m] = t ** m for m below len(coeffs), shared by curves
+        and orders sampled at the same t; the sum is taken in the same
+        order either way, so it gives the same floats."""
         acc = 0.0
         for k in range(order, len(self.coeffs)):
             fac = 1.0
             for j in range(k, k - order, -1):
                 fac *= j
-            acc += self.coeffs[k] * fac * t ** (k - order)
+            tk = t ** (k - order) if powers is None else powers[k - order]
+            acc += self.coeffs[k] * fac * tk
         return acc
 
     @classmethod
@@ -371,31 +376,47 @@ def _solve(jac, rhs):
     return np.linalg.solve(jac, rhs.T[:, :, None])[:, :, 0].T
 
 
+def _narrow(blk, idx, a, mask):
+    """The Newton working set (idx, a) cut to the samples in mask.  A
+    working set that is the block itself is gathered for the first time;
+    a compact one first writes the leaving columns back to the block."""
+    if a is blk:
+        idx = idx[mask]
+        return idx, blk[:, idx]
+    blk[:, idx[~mask]] = a[:, ~mask]
+    return idx[mask], a[:, mask]
+
+
 def recover_trajectory(engine: RecoveryEngine, curves, ts, guess):
     """Solve the blocks for the non-derivative variables at sample times ts.
 
     curves gives one PolyCurve per flat-output coordinate, ts is an (N,)
-    array.  Each block is a square Newton solve (tolerance 1e-12), run on
-    all samples at once; the time derivatives of the solved variables
-    follow from differentiating the block equations along the trajectory,
-    reusing the same Jacobian J.  A block with one unknown keeps J as one
-    value per sample, calls a sample singular when |J| < 1e-12, and takes
-    each Newton and derivative step as one division; a larger block calls
-    it singular when |det J| < 1e-12 and solves stacked systems with
-    np.linalg.solve.  Each block copies the rows its compiled functions
-    read (RecoveryEngine).  Newton works on one compact array of the
-    samples still iterating, stepping it in place; a sample's column
-    leaves it, and is written back to the block's rows, once: when the
-    sample converges, fails or reaches the iteration limit.  The
-    derivative chain gathers the live samples again and writes back the
-    ones that pass it.  The block equations can have several roots: guess
-    maps a solved-variable name to a scalar or an (N,) array of starting
-    values near the intended branch (0 where absent), and so selects among
-    them.  Returns the chart jets as an (n_args, N) array, the states and
-    inputs as name -> (N,) arrays, and a map from failed sample index to
-    its _SampleFailure (a singular Jacobian, a domain violation or
-    divergence, with its block and time).  A sample that fails in one
-    block takes no part in the later ones.
+    array; the curves' jets are evaluated from one table of the powers of
+    ts.  Each block is a square Newton solve (tolerance 1e-12), run on all
+    samples at once; the time derivatives of the solved variables follow
+    from differentiating the block equations along the trajectory, reusing
+    the same Jacobian J.  A block with one unknown keeps J as one value per
+    sample, calls a sample singular when |J| < 1e-12, and takes each Newton
+    and derivative step as one division; a larger block calls it singular
+    when |det J| < 1e-12, with the determinant of a 2x2 J in closed form,
+    j00*j11 - j01*j10, and solves stacked systems with np.linalg.solve.
+    Each block copies the rows its compiled functions read
+    (RecoveryEngine).  While every sample is live, Newton steps that copy
+    in place; from the first iteration at which a sample leaves (it
+    converges, fails or blows up) it works on one compact array of the
+    samples still iterating, and a sample's column is written back to the
+    block once, when it leaves or reaches the iteration limit.  The
+    derivative chain likewise runs on the block itself while every sample
+    is live, else on a compact array of the live ones; a sample that fails
+    in the chain keeps its values from before the chain.  Only the rows of
+    the block's unknowns go back to the chart jets.  The block equations
+    can have several roots: guess maps a solved-variable name to a scalar
+    or an (N,) array of starting values near the intended branch (0 where
+    absent), and so selects among them.  Returns the chart jets as an
+    (n_args, N) array, the states and inputs as name -> (N,) arrays, and a
+    map from failed sample index to its _SampleFailure (a singular
+    Jacobian, a domain violation or divergence, with its block and time).
+    A sample that fails in one block takes no part in the later ones.
     """
     import numpy as np
     if len(curves) != len(engine.flat):
@@ -403,13 +424,18 @@ def recover_trajectory(engine: RecoveryEngine, curves, ts, guess):
             f"{len(curves)} curves supplied for {len(engine.flat)} outputs")
     n = len(ts)
     vals = np.zeros((len(engine.args), n))
+    powers = [ts ** m
+              for m in range(max((len(c.coeffs) for c in curves), default=0))]
     for c, curve in zip(engine.flat, curves):
         for j in range(engine.n_b + 1):
-            vals[engine.slot[jet(c, j)]] = curve.eval(ts, j)
+            vals[engine.slot[jet(c, j)]] = curve.eval(ts, j, powers)
     alive = np.ones(n, dtype=bool)
+    every = np.arange(n)
     failures = {}
 
     def fail(kind, block, idx, what):
+        if not idx.size:
+            return
         alive[idx] = False
         for k in idx.tolist():
             failures[k] = kind(block,
@@ -418,14 +444,15 @@ def recover_trajectory(engine: RecoveryEngine, curves, ts, guess):
     def jacobian(block, jf, size, idx, a):
         """Jacobians at samples idx and the mask of the finite, regular
         ones; the others fail."""
-        jac = jf(a)
+        raw = jf(a)  # row-major entries, one row each
         if size == 1:
-            jac = det = jac[0]
+            jac = det = raw[0]
             finite = np.isfinite(jac)
         else:
-            jac = jac.reshape(size, size, -1).transpose(2, 0, 1)
-            finite = np.isfinite(jac).all(axis=(1, 2))
-            det = np.linalg.det(jac)
+            jac = raw.reshape(size, size, -1).transpose(2, 0, 1)
+            finite = np.isfinite(raw).all(axis=0)
+            det = (raw[0] * raw[3] - raw[1] * raw[2] if size == 2
+                   else np.linalg.det(jac))
         singular = finite & (np.abs(det) < 1e-12)
         keep = finite & ~singular
         if not keep.all():
@@ -434,6 +461,14 @@ def recover_trajectory(engine: RecoveryEngine, curves, ts, guess):
             fail(_SampleSingular, block, idx[singular], "singular Jacobian")
         return jac, keep
 
+    def live(blk):
+        """The working set of the live samples: the block itself while
+        every sample is live, else a compact copy of their columns."""
+        if alive.all():
+            return every, blk
+        idx = np.flatnonzero(alive)
+        return idx, blk[:, idx]
+
     with np.errstate(all="ignore"):
         for bi, (unknowns, need, rows, rf, jf, *chains) in enumerate(
                 engine.blocks, start=1):
@@ -441,9 +476,7 @@ def recover_trajectory(engine: RecoveryEngine, curves, ts, guess):
             blk = vals[need]
             for r, p in zip(rows[0], unknowns):
                 blk[r] = guess.get(p.name, 0.0)
-            # the working set: one column per sample still iterating
-            idx = np.flatnonzero(alive)
-            a = blk[:, idx]
+            idx, a = live(blk)
             for _ in range(60):
                 if not idx.size:
                     break
@@ -453,44 +486,55 @@ def recover_trajectory(engine: RecoveryEngine, curves, ts, guess):
                 if not todo.all():
                     fail(_SampleSingular, bi, idx[~finite],
                          "domain violation (non-finite residual)")
-                    blk[:, idx[~todo]] = a[:, ~todo]
-                    idx, a, res = idx[todo], a[:, todo], res[:, todo]
+                    idx, a = _narrow(blk, idx, a, todo)
+                    res = res[:, todo]
                     if not idx.size:
                         break
                 jac, keep = jacobian(bi, jf, size, idx, a)
                 if not keep.all():
-                    blk[:, idx[~keep]] = a[:, ~keep]
-                    idx, a = idx[keep], a[:, keep]
+                    idx, a = _narrow(blk, idx, a, keep)
                     res, jac = res[:, keep], jac[keep]
                 step = a[rows[0]] + _solve(jac, -res)
                 a[rows[0]] = step
                 blown = np.abs(step).max(axis=0, initial=0.0) > 1e9
                 if blown.any():
                     fail(_SampleDiverged, bi, idx[blown], "Newton blow-up")
-                    blk[:, idx[blown]] = a[:, blown]
-                    idx, a = idx[~blown], a[:, ~blown]
+                    idx, a = _narrow(blk, idx, a, ~blown)
             else:
                 fail(_SampleDiverged, bi, idx, "no convergence")
-                blk[:, idx] = a
+                if a is not blk:
+                    blk[:, idx] = a
 
             # time derivatives of the solved variables: the j-th derivative
             # of the block equations is linear in the j-th jet, through the
             # same Jacobian
-            idx = np.flatnonzero(alive)
-            a = blk[:, idx]
+            idx, a = live(blk)
             jac, keep = jacobian(bi, jf, size, idx, a)
             if not keep.all():
-                idx, a, jac = idx[keep], a[:, keep], jac[keep]
+                idx, jac = idx[keep], jac[keep]
+                a = blk[:, idx]
+            written = []  # (rows, their values before the chain) in blk
             for cf, rj in zip(chains, rows[1:]):
                 sol = _solve(jac, -cf(a))
-                a[rj] = sol
                 finite = np.isfinite(sol).all(axis=0)
                 if not finite.all():
                     fail(_SampleSingular, bi, idx[~finite],
                          "domain violation (non-finite derivative)")
-                    idx, a, jac = idx[finite], a[:, finite], jac[finite]
-            blk[:, idx] = a
-            vals[need] = blk
+                    if a is blk:
+                        for r, old in written:
+                            blk[np.ix_(r, idx[~finite])] = old[:, ~finite]
+                        idx = idx[finite]
+                        a = blk[:, idx]
+                    else:
+                        idx, a = idx[finite], a[:, finite]
+                    sol, jac = sol[:, finite], jac[finite]
+                if a is blk:
+                    written.append((rj, blk[rj]))
+                a[rj] = sol
+            if a is not blk:
+                blk[:, idx] = a
+            out = [r for rj in rows for r in rj]
+            vals[[need[r] for r in out]] = blk[out]
 
         xu = engine.base_f(vals)
     x, u = {}, {}

@@ -450,6 +450,131 @@ def test_derivative_chain_failure_writes_back_nothing(sin_cert):
     assert rows[jet(rh, 1)] == rows[jet(rh, 2)] == 0.0
 
 
+def test_chain_failure_in_place_restores_the_rows(sin_cert):
+    # both samples pass block 1's Newton, so its chain starts on the block
+    # itself; rh' = r2''/cos(rh) is about 1.2e154 at rh = pi/6 and 7.1e154
+    # at rh = asin(0.99), and rh'' = sin(rh) rh'^2/cos(rh) overflows only at
+    # the second: that sample keeps its chain rows from before the chain
+    engine = RecoveryEngine(sin_cert)
+    curves = [PolyCurve((0.0, 0.5, 0.5e154)), PolyCurve((1.0, 1.0))]
+    ts = np.array([0.0, 0.49e-154])
+    got = recover_trajectory(engine, curves, ts, {})
+    assert_same_recovery(
+        got, reference_recover_trajectory(engine, curves, ts, {}))
+    vals, _, _, failures = got
+    assert {k: f.detail for k, f in failures.items()} == {
+        1: "domain violation (non-finite derivative) in block 1 at "
+           f"t={ts[1]}"}
+    (rh,) = sin_cert.decomposition.blocks[1].nondrv
+    assert abs(vals[engine.slot[rh], 1] - math.asin(0.99)) < 1e-9
+    assert vals[engine.slot[jet(rh, 1)], 1] == 0.0
+    assert vals[engine.slot[jet(rh, 1)], 0] > 1e154
+
+
+def recording(engine):
+    """engine with each block's compiled functions wrapped to record their
+    calls as (block, function, argument): function 0 is the residuals,
+    1 the Jacobian, 2 and on the steps of the derivative chain."""
+    calls = []
+
+    def wrap(f, bi, kind):
+        def call(a):
+            calls.append((bi, kind, a))
+            return f(a)
+        return call
+
+    engine.blocks = [(unknowns, need, rows,
+                      *(wrap(f, bi, kind) for kind, f in enumerate(fns)))
+                     for bi, (unknowns, need, rows, *fns)
+                     in enumerate(engine.blocks, start=1)]
+    return calls
+
+
+def test_all_live_blocks_are_worked_in_place(chain_m, zc):
+    # the integrator chain's blocks are linear, so every sample converges
+    # at the same Newton step: Newton and the chain of each block read one
+    # array, the block itself, and never a gathered copy of it
+    td, _ = build(chain_m, zc)
+    engine = RecoveryEngine(extract_flat_output(td))
+    curves = [PolyCurve((0.1, 0.2, 0.3, 0.4, 0.5))]
+    ts = np.linspace(0.0, 1.0, 11)
+    want = reference_recover_trajectory(engine, curves, ts, {})
+    calls = recording(engine)
+    got = recover_trajectory(engine, curves, ts, {})
+    assert_same_recovery(got, want)
+    assert got[3] == {}
+    for bi in range(1, len(engine.blocks) + 1):
+        arrays = [a for b, _, a in calls if b == bi]
+        assert len(arrays) >= 3
+        assert all(a is arrays[0] for a in arrays), bi
+        assert arrays[0].shape[1] == len(ts)
+    # block 1 has a derivative chain, and it ran on the block too
+    assert any(b == 1 and kind >= 2 for b, kind, _ in calls)
+
+
+def test_newton_compacts_when_the_first_samples_leave(zc):
+    # dot(x) = u^3 - 2u along x = -2t: the samples started at -1.77 reach
+    # the root -1.7693 in two steps, those started at 3 take many more
+    engine, p = recovery_case("system cub {\n  states: x;\n  inputs: u;\n"
+                              "  dot(x) = u^3 - 2*u;\n}", zc)
+    curves = [PolyCurve((0.0, -2.0))]
+    ts = np.linspace(0.0, 1.0, 9)
+    start = np.full(9, 3.0)
+    start[[2, 6]] = -1.77
+    guess = {p: start}
+    want = reference_recover_trajectory(engine, curves, ts, guess)
+    calls = recording(engine)
+    got = recover_trajectory(engine, curves, ts, guess)
+    assert_same_recovery(got, want)
+    assert got[3] == {}
+    assert np.abs(got[2]["u"] + 1.76929235).max() < 1e-8
+    arrays = [a for _, kind, a in calls if kind == 0]
+    # in place for the first iterations, compact once the two leave
+    assert arrays[1] is arrays[0] and arrays[2] is arrays[0]
+    assert arrays[0].shape[1] == 9
+    assert {a.shape[1] for a in arrays[3:]} == {7}
+    # every sample converged, so the chain's Jacobian reads the block again
+    assert calls[-1][1] == 1 and calls[-1][2] is arrays[0]
+
+
+def test_block_after_a_failure_starts_compacted(sin_cert):
+    # sin(rh) = r2' = 2t has no root past t = 1/2: those samples fail in
+    # block 1, and the later blocks start on the others alone
+    engine = RecoveryEngine(sin_cert)
+    curves = [PolyCurve((0.0, 0.0, 1.0)), PolyCurve((1.0, 1.0))]
+    ts = np.linspace(0.05, 0.95, 10)
+    want = reference_recover_trajectory(engine, curves, ts, {})
+    calls = recording(engine)
+    got = recover_trajectory(engine, curves, ts, {})
+    assert_same_recovery(got, want)
+    assert list(got[3]) == [5, 6, 7, 8, 9]
+    assert {f.block for f in got[3].values()} == {1}
+    assert np.isfinite(got[1]["x1"][:5]).all()
+    later = [a.shape[1] for bi, _, a in calls if bi > 1]
+    assert later and max(later) == 5
+
+
+@pytest.mark.parametrize("gap, singular", [(0.9e-12, True),
+                                           (1.1e-12, False)])
+def test_two_unknown_determinant_threshold(gap, singular, zc):
+    # unicycle's last block solves for v and w with |det J| = |cos(th)|;
+    # th(0) = pi/2 - gap puts it just below or just above 1e-12
+    uni_td, _ = build(parse_system(UNICYCLE), zc)
+    engine = RecoveryEngine(extract_flat_output(uni_td))
+    assert len(engine.blocks[-1][0]) == 2
+    curves = [PolyCurve((0.2, 0.3, 0.1)),
+              PolyCurve((math.pi / 2 - gap, -0.5))]
+    ts = np.array([0.0, 0.25, 0.5])
+    got = recover_trajectory(engine, curves, ts, {})
+    assert_same_recovery(
+        got, reference_recover_trajectory(engine, curves, ts, {}))
+    if singular:
+        assert {k: f.detail for k, f in got[3].items()} == {
+            0: "singular Jacobian in block 2 at t=0.0"}
+    else:
+        assert got[3] == {}
+
+
 # -- numeric verification ------------------------------------------------------------
 
 
