@@ -103,25 +103,19 @@ def _bounded_exponents(n: int, d: int):
             yield (e,) + rest
 
 
-def monomial_pool(chart, max_degree: int, keys=None):
+def monomial_pool(chart, max_degree: int):
     """Monomials of bounded total absolute degree in the chart coordinates,
-    as (monomial, exponent vector) pairs, simplest monomial first: by node
-    count, then by structural key.  keys, when given, is a dict that
-    receives each monomial's structural key.
+    as (monomial, exponent vector) pairs, simplest monomial first.
 
     Negative exponents are included; coordinates are treated as generically
     nonzero, which matches how the probabilistic zero test samples points.
     """
     coords = chart.coords
-    if keys is None:
-        keys = {}
     out = []
     for expo in _bounded_exponents(len(coords), max_degree):
         factors = [pow_(var(s), e) for s, e in zip(coords, expo) if e]
-        m = mul(*factors) if factors else ONE
-        keys[m] = structural_key(m)
-        out.append((m, expo))
-    return sorted(out, key=lambda p: (p[0].nodes, keys[p[0]]))
+        out.append((mul(*factors) if factors else ONE, expo))
+    return sorted(out, key=lambda m: (m[0].nodes, structural_key(m[0])))
 
 
 _SKIP, _REJECT, _ACCEPT = "skip", "reject", "accept"
@@ -345,8 +339,7 @@ def _coefficient_vectors(chart, k: int, max_degree: int):
         yield tuple(ONE if j == i else ZERO for j in range(k))
     if len(seen) >= MAX_CANDIDATES:
         return
-    keys = {ZERO: structural_key(ZERO)}
-    pool = monomial_pool(chart, max_degree, keys)
+    pool = monomial_pool(chart, max_degree)
     n = len(pool)
     while (n + 1) ** k > 200_000:
         n //= 2
@@ -354,7 +347,7 @@ def _coefficient_vectors(chart, k: int, max_degree: int):
     radix = 4 * max_degree + 1
     codes = [None] + [sum(e * radix ** s for s, e in enumerate(expo))
                       for _, expo in pool[:n]]
-    ranked = sorted(range(n + 1), key=lambda i: keys[items[i]])
+    ranked = sorted(range(n + 1), key=lambda i: structural_key(items[i]))
     nodes = [x.nodes for x in items]
 
     def extend(i, tails):

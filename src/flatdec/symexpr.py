@@ -793,15 +793,14 @@ def is_zero(e: Expr, budget: int, seed: int) -> bool:
         return _vanishes(e, budget, seed, False)
 
 
-def _program(exprs, names: dict, module, local=None):
+def _program(exprs, names: dict, module):
     """Straight-line Python source of exprs, children first: one line
     `_t<k> = ...` per distinct non-leaf node, each with its node's own
     operation and operand order, so it computes what the nested expression
     would, in the same order.  Symbols read as `names[sym]` (ValueError for
     one that names lacks), constants are literals, and functions are
-    `_m.<name>` with `_m` bound to `module`; when local is a set, they are
-    the locals `_m_<name>` instead, and each name called is added to it.
-    Returns the lines and each expression's value as source text."""
+    `_m.<name>` with `_m` bound to `module`.  Returns the lines and each
+    expression's value as source text."""
     missing = frozenset().union(*(e.free for e in exprs)) - set(names)
     if missing:
         raise ValueError(f"unbound symbols: {sorted(s.name for s in missing)}")
@@ -829,11 +828,7 @@ def _program(exprs, names: dict, module, local=None):
                 # math spells the inverse functions asin/atan, numpy arcsin/arctan
                 if not hasattr(module, name):
                     name = "a" + name[3:]
-                if local is None:
-                    src = f"_m.{name}({args[0]})"
-                else:
-                    local.add(name)
-                    src = f"_m_{name}({args[0]})"
+                src = f"_m.{name}({args[0]})"
             got = f"_t{len(lines)}"
             lines.append(f"{got} = {src}")
         text[e] = got
@@ -868,44 +863,38 @@ def compile_rk4(dynamics, states, inputs):
     Returns run(x0, ua, ub, uc, n, step), which takes n steps of size step
     from the state list x0 and returns one list of n + 1 floats per state,
     x0's entry first.  ua[j][k], ub[j][k] and uc[j][k] are input j at the
-    start, the midpoint and the end of step k; each step reads them by
-    zipping range(n) with the input lists, which need at least n entries.
-    Every state and stage value is a local variable of the generated
-    function, each stage evaluates the dynamics as one straight-line
-    program (`_program`) whose `math` functions, like each output list's
-    append, are bound to locals before the loop, and each step computes
-    x + step / 2 * k for the middle stages, x + step * k3 for the last,
-    and x + step / 6 * (k1 + 2*k2 + 2*k3 + k4), so it gives the same
-    floats as that loop written out, and raises ValueError or an
-    ArithmeticError where it would.
+    start, the midpoint and the end of step k.  Every state and stage value
+    is a local variable of the generated function, each stage evaluates the
+    dynamics as one straight-line program (`_program`) with functions from
+    `math`, and each step computes x + step / 2 * k for the middle stages,
+    x + step * k3 for the last, and x + step / 6 * (k1 + 2*k2 + 2*k3 + k4),
+    so it gives the same floats as that loop written out, and raises
+    ValueError or an ArithmeticError where it would.
     """
     states, inputs = list(states), list(inputs)
-    called = set()  # the math functions the stages call
 
     def stage(ks, xs, us):
         lines, roots = _program(dynamics, dict(zip(states + inputs, xs + us)),
-                                math, called)
+                                math)
         return lines + [f"{a} = {b}" for a, b in zip(ks, roots)]
 
     def unpack(targets, src):
         return f"{', '.join(targets)}, = {src}"
 
-    x, s, k1, k2, k3, k4, out, put = (
-        [f"{p}_{i}" for i in range(len(states))]
-        for p in ("x", "s", "k1", "k2", "k3", "k4", "out", "put"))
+    x, s, k1, k2, k3, k4, out = ([f"{p}_{i}" for i in range(len(states))]
+                                 for p in ("x", "s", "k1", "k2", "k3", "k4",
+                                           "out"))
     ua, ub, uc = ([f"{p}_{j}" for j in range(len(inputs))]
                   for p in ("ua", "ub", "uc"))
-    body = stage(k1, x, ua)
+    body = [f"{u} = {u}s[k]" for u in ua + ub + uc]
+    body += stage(k1, x, ua)
     for ks, prev, coef, us in ((k2, k1, "h2", ub), (k3, k2, "h2", ub),
                                (k4, k3, "step", uc)):
         body += [f"{a} = {b} + {coef} * {c}" for a, b, c in zip(s, x, prev)]
         body += stage(ks, s, us)
     body += [f"{a} = {a} + h6 * ({b} + 2 * {c} + 2 * {d} + {e})"
              for a, b, c, d, e in zip(x, k1, k2, k3, k4)]
-    body += [f"{p}({a})" for p, a in zip(put, x)]
-    step_inputs = ua + ub + uc
-    loop = ", ".join(["_k"] + step_inputs)
-    lists = ", ".join(["range(n)"] + [f"{u}s" for u in step_inputs])
+    body += [f"{o}.append({a})" for o, a in zip(out, x)]
     src = "\n".join([
         "def run(x0, ua, ub, uc, n, step):",
         "    " + unpack(x, "x0"),
@@ -913,10 +902,8 @@ def compile_rk4(dynamics, states, inputs):
           for us, name in ((ua, "ua"), (ub, "ub"), (uc, "uc"))),
         "    h2 = step / 2",
         "    h6 = step / 6",
-        *(f"    _m_{name} = _m.{name}" for name in sorted(called)),
         *(f"    {o} = [{a}]" for o, a in zip(out, x)),
-        *(f"    {p} = {o}.append" for p, o in zip(put, out)),
-        f"    for {loop} in zip({lists}):",
+        "    for k in range(n):",
         *("        " + line for line in body),
         f"    return [{', '.join(out)}]",
     ])

@@ -267,18 +267,13 @@ class PolyCurve:
 
     coeffs: tuple  # ascending powers
 
-    def eval(self, t: float, order: int = 0, powers=None) -> float:
-        """The order-th derivative at t.  powers, when given, is a table
-        with powers[m] = t ** m for m below len(coeffs), shared by curves
-        and orders sampled at the same t; the sum is taken in the same
-        order either way, so it gives the same floats."""
+    def eval(self, t: float, order: int = 0) -> float:
         acc = 0.0
         for k in range(order, len(self.coeffs)):
             fac = 1.0
             for j in range(k, k - order, -1):
                 fac *= j
-            tk = t ** (k - order) if powers is None else powers[k - order]
-            acc += self.coeffs[k] * fac * tk
+            acc += self.coeffs[k] * fac * t ** (k - order)
         return acc
 
     @classmethod
@@ -391,8 +386,7 @@ def recover_trajectory(engine: RecoveryEngine, curves, ts, guess):
     """Solve the blocks for the non-derivative variables at sample times ts.
 
     curves gives one PolyCurve per flat-output coordinate, ts is an (N,)
-    array; the curves' jets are evaluated from one table of the powers of
-    ts.  Each block is a square Newton solve (tolerance 1e-12), run on all
+    array.  Each block is a square Newton solve (tolerance 1e-12), run on all
     samples at once; the time derivatives of the solved variables follow
     from differentiating the block equations along the trajectory, reusing
     the same Jacobian J.  A block with one unknown keeps J as one value per
@@ -424,11 +418,9 @@ def recover_trajectory(engine: RecoveryEngine, curves, ts, guess):
             f"{len(curves)} curves supplied for {len(engine.flat)} outputs")
     n = len(ts)
     vals = np.zeros((len(engine.args), n))
-    powers = [ts ** m
-              for m in range(max((len(c.coeffs) for c in curves), default=0))]
     for c, curve in zip(engine.flat, curves):
         for j in range(engine.n_b + 1):
-            vals[engine.slot[jet(c, j)]] = curve.eval(ts, j, powers)
+            vals[engine.slot[jet(c, j)]] = curve.eval(ts, j)
     alive = np.ones(n, dtype=bool)
     every = np.arange(n)
     failures = {}
@@ -513,7 +505,6 @@ def recover_trajectory(engine: RecoveryEngine, curves, ts, guess):
             if not keep.all():
                 idx, jac = idx[keep], jac[keep]
                 a = blk[:, idx]
-            written = []  # (rows, their values before the chain) in blk
             for cf, rj in zip(chains, rows[1:]):
                 sol = _solve(jac, -cf(a))
                 finite = np.isfinite(sol).all(axis=0)
@@ -521,15 +512,17 @@ def recover_trajectory(engine: RecoveryEngine, curves, ts, guess):
                     fail(_SampleSingular, bi, idx[~finite],
                          "domain violation (non-finite derivative)")
                     if a is blk:
-                        for r, old in written:
-                            blk[np.ix_(r, idx[~finite])] = old[:, ~finite]
+                        # Newton wrote only rows[0], so vals still holds
+                        # the chain rows from before the chain: restore them
+                        chain = [r for rs in rows[1:] for r in rs]
+                        bad = idx[~finite]
+                        blk[np.ix_(chain, bad)] = vals[np.ix_(
+                            [need[r] for r in chain], bad)]
                         idx = idx[finite]
                         a = blk[:, idx]
                     else:
                         idx, a = idx[finite], a[:, finite]
                     sol, jac = sol[:, finite], jac[finite]
-                if a is blk:
-                    written.append((rj, blk[rj]))
                 a[rj] = sol
             if a is not blk:
                 blk[:, idx] = a
