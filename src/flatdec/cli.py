@@ -93,7 +93,7 @@ def cmd_analyze(args) -> int:
             "level": k,
             "dimension": P.dim,
             "generators": [form_dict(g) for g in P.generators],
-            "vertical_annihilator": [field_dict(v) for v in V.generators],
+            "vertical_annihilator": [field_dict(v) for v in V],
             "integrable_with_dt": is_integrable_with_dt(P, tabs, zc),
         })
     shortcut = levels[-1]["dimension"] == 0 and all(

@@ -8,20 +8,20 @@ is assembled from; branches are explored depth first with backtracking.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import count, product
 from operator import mul as times
 
 from .exterior import (
-    ChartTransform, NotSolvable, VectorField, compose, extend_transform,
-    identity_transform, one_coeffs, oneform, pullback, pushforward,
-    straighten_flow,
+    ChartTransform, NotSolvable, VectorField, compose, one_coeffs, oneform,
+    pullback, pushforward, straighten_flow,
 )
 from .linalg import (
     ZeroCtx, independent_rows, nullspace, row_echelon_mod_p,
 )
 from .pfaffian import (
-    Distribution, NotReducible, PfaffianSystem, contraction_tables,
-    derived_system, from_control_system, is_characteristic, is_involutive,
+    NotReducible, PfaffianSystem, contraction_tables, derived_system,
+    from_control_system, is_characteristic, is_involutive,
     restrict_to_subchart, solves_for, span_from_solutions,
     vertical_annihilator,
 )
@@ -40,12 +40,13 @@ MAX_CANDIDATES = 512
 class Splitting:
     """One verified reduction level.
 
-    F lives on the level's chart, S_next on the reduced chart obtained by
-    dropping the flow parameters (nondrv), and S_comp on the intermediate
-    straightened chart, which is transform.source.
+    F, a tuple of independent fields, lives on the level's chart, S_next
+    on the reduced chart obtained by dropping the flow parameters (nondrv),
+    and S_comp on the intermediate straightened chart, which is
+    transform.source.
     """
 
-    F: Distribution
+    F: tuple
     S_next: PfaffianSystem
     S_comp: PfaffianSystem
     transform: ChartTransform
@@ -74,21 +75,15 @@ def _reversed(phi: ChartTransform) -> ChartTransform:
 
 def _combine(c, basis):
     """The field sum_i c_i b_i, multiplied out only where c_i is not ZERO
-    and b_i has a component.  Expressions are canonical, so a product with
-    ONE and a sum of one term are taken as they are."""
+    and b_i has a component."""
     chart = basis[0].chart
     terms = {}
     for ci, b in zip(c, basis):
         if ci is not ZERO:
             for s, e in b.components.items():
-                terms.setdefault(s, []).append(
-                    e if ci is ONE else ci if e is ONE else mul(ci, e))
-    comps = {}
-    for s in chart.axes:
-        t = terms.get(s)
-        if t:
-            comps[s] = t[0] if len(t) == 1 else add(*t)
-    return VectorField(chart, comps)
+                terms.setdefault(s, []).append(mul(ci, e))
+    return VectorField(chart, {s: add(*terms[s]) for s in chart.axes
+                               if s in terms})
 
 
 # -- the necessary condition --------------------------------------------------------
@@ -124,15 +119,16 @@ _NOT_CHARACTERISTIC = "fields are not characteristic for the candidate"
 
 
 class _Screen:
-    """Decides a single-field candidate at one sample point, over GF(PRIME).
+    """Decides a single-field candidate at point 0 of the zero test's
+    shared stream, over GF(PRIME).
 
     A level has generators g_j, vertical basis b_i, contractions
     C_i[j] = b_i.dg_j and tables T_i.  For a coefficient vector c,
     v = sum_i c_i b_i and M = sum_i c_i T_i, whose nullspace vectors a give
-    the candidate's forms p = sum_j a_j g_j.  At a point z of the zero
-    test's shared stream, G = [g_j(z)] has full row rank m, and reducing
-    each C_i[j](z) against it splits C_i[j] = Y_i[j] G + R_i[j] with R_i[j]
-    zero on G's pivot columns.  Since v.g_j = 0 for a vertical field,
+    the candidate's forms p = sum_j a_j g_j.  At that point z, where
+    G = [g_j(z)] has full row rank m, reducing each C_i[j](z) against it
+    splits C_i[j] = Y_i[j] G + R_i[j] with R_i[j] zero on G's pivot
+    columns.  Since v.g_j = 0 for a vertical field,
     v.dp = (v(a) + Y_c^T a) G + R_c^T a.  M a = 0 says
     (R_c^T a) ^ g_1 ^ ... ^ g_m = 0, so R_c^T a lies in the span of G and,
     zero on its pivot columns, vanishes; with M v(a) = -v(M) a, v.dp lies
@@ -157,14 +153,14 @@ class _Screen:
     characteristic for the candidate, and the search takes that without
     the symbolic is_characteristic), and None, leaving c to the symbolic
     path, in every other case: M(z) = 0 (nullity m, above `want`), a
-    rank-deficient G(z), or a pole at each of 10*budget points.  These are
+    rank-deficient G(z), or a pole at z of the level or of c.  These are
     exactly the verdicts of an elimination of M(z) with a row-space test
     of each Q(z) row, but no elimination runs per candidate: the tables
     T_i(z) and the Q rows (H_il(z), T_i(z)) are stored column-wise once
-    per level and point, so each entry of M(z) and Q(z) is one dot
+    per level (`level`), so each entry of M(z) and Q(z) is one dot
     product with the coefficients, and only G(z) is eliminated, by the
     inverse-free row_echelon_mod_p, with its pivot rows divided once per
-    level and point.
+    level.
     Error bound: a skip, a rejection or an accept differs from the
     symbolic path's decision only if z lies on the zero set of a nonzero
     minor of M, G or [M; Q] (a wrong accept needs one of [M; Q], since a
@@ -190,7 +186,6 @@ class _Screen:
         zrow = [ZERO] * len(S.generators)
         self.T = [[tab.get(idx, zrow) for idx in keys] for tab in tables]
         self.usable = evaluable_mod_p(self._entries(), zc.seed)
-        self._points = {}
 
     def _entries(self):
         yield from (e for row in self.g for e in row)
@@ -198,33 +193,30 @@ class _Screen:
         yield from (e for Ti in self.T for row in Ti for e in row)
         yield from (e for b in self.basis for e in b.components.values())
 
-    def _values(self, k: int):
-        """The level at point k, None at a pole: the basis fields' residues,
+    @cached_property
+    def level(self):
+        """The level at point 0, None at a pole: the basis fields' residues,
         the point's derivative memo (derivatives_mod_p) and its dict of
         coefficient residues, then the columns that M(z) and Q(z) read
         (_tables_at)."""
-        if k not in self._points:
-            seed = self.zc.seed
+        seed = self.zc.seed
 
-            def at(x):
-                if isinstance(x, (list, tuple)):
-                    out = [at(y) for y in x]
-                    return None if any(y is None for y in out) else out
-                return value_mod_p(x, k, seed)
+        def at(x):
+            if isinstance(x, (list, tuple)):
+                out = [at(y) for y in x]
+                return None if any(y is None for y in out) else out
+            return value_mod_p(x, 0, seed)
 
-            vals = [at(x) for x in (self.g, self.C, self.T)]
-            fields = [{s: at(e) for s, e in b.components.items()}
-                      for b in self.basis]
-            if None in vals or any(None in f.values() for f in fields):
-                self._points[k] = None
-            else:
-                # dT[i][r][j][l] = b_l(T_i[r][j])(z), defined where T(z) is
-                memo = {}
-                dT = [[[derivatives_mod_p(e, k, seed, fields, memo)
-                        for e in row] for row in Ti] for Ti in self.T]
-                self._points[k] = (fields, memo, {},
-                                   *self._tables_at(*vals, dT))
-        return self._points[k]
+        vals = [at(x) for x in (self.g, self.C, self.T)]
+        fields = [{s: at(e) for s, e in b.components.items()}
+                  for b in self.basis]
+        if None in vals or any(None in f.values() for f in fields):
+            return None
+        # dT[i][r][j][l] = b_l(T_i[r][j])(z), defined where T(z) is
+        memo = {}
+        dT = [[[derivatives_mod_p(e, 0, seed, fields, memo) for e in row]
+               for row in Ti] for Ti in self.T]
+        return (fields, memo, {}, *self._tables_at(*vals, dT))
 
     @staticmethod
     def _tables_at(g, C, T, dT):
@@ -257,47 +249,45 @@ class _Screen:
             Qcols.append(list(zip(*(H + Trow))))
         return Tcols, Qcols
 
-    def _residues_at(self, x, k: int, level):
+    def _residues_at(self, x):
         """c(z) and (b_l(c)(z))_l for one coefficient c, None at a pole."""
-        fields, memo, known = level[:3]
+        fields, memo, known = self.level[:3]
         if x not in known:
             seed = self.zc.seed
-            ders = derivatives_mod_p(x, k, seed, fields, memo)
+            ders = derivatives_mod_p(x, 0, seed, fields, memo)
             known[x] = (None if ders is None
-                        else (value_mod_p(x, k, seed), ders))
+                        else (value_mod_p(x, 0, seed), ders))
         return known[x]
 
     def decide(self, c):
-        for k in range(10 * self.zc.budget):
-            level = self._values(k)
-            if level is None:
+        level = self.level
+        if level is None:
+            return None
+        known = level[2]
+        res = [known.get(x) or self._residues_at(x) for x in c]
+        if None in res:
+            return None
+        Tcols, Qcols = level[3:]
+        cv = [r[0] for r in res]
+        u = None
+        for row in Tcols:
+            if u is not None:
+                if not _on_line(cv, row, u, p):
+                    return _SKIP
                 continue
-            known = level[2]
-            res = [known.get(x) or self._residues_at(x, k, level) for x in c]
-            if None in res:
-                continue
-            Tcols, Qcols = level[3:]
-            cv = [r[0] for r in res]
-            u = None
-            for row in Tcols:
-                if u is not None:
-                    if not _on_line(cv, row, u, p):
-                        return _SKIP
-                    continue
-                r = [sum(map(times, cv, col)) % PRIME for col in row]
-                if any(r):
-                    u = r
-                    p = u.index(next(filter(None, u)))
-            if u is None or Qcols is None:
-                return None
-            # c_i c_l, then -v(c_i) = -sum_l c_l b_l(c_i)
-            coeffs = [a * b for a in cv for b in cv]
-            coeffs += [-sum(map(times, cv, r[1])) for r in res]
-            for row in Qcols:
-                if not _on_line(coeffs, row, u, p):
-                    return _REJECT
-            return _ACCEPT
-        return None
+            r = [sum(map(times, cv, col)) % PRIME for col in row]
+            if any(r):
+                u = r
+                p = u.index(next(filter(None, u)))
+        if u is None or Qcols is None:
+            return None
+        # c_i c_l, then -v(c_i) = -sum_l c_l b_l(c_i)
+        coeffs = [a * b for a in cv for b in cv]
+        coeffs += [-sum(map(times, cv, r[1])) for r in res]
+        for row in Qcols:
+            if not _on_line(coeffs, row, u, p):
+                return _REJECT
+        return _ACCEPT
 
 
 def _on_line(coeffs, cols, u, p: int) -> bool:
@@ -440,7 +430,7 @@ def _prefixes(reserved):
                 yield p
 
 
-def _straighten_level(F: Distribution, zc: ZeroCtx, naming):
+def _straighten_level(F: tuple, zc: ZeroCtx, naming):
     """Straighten the fields of F one after another.
 
     Returns (phi, params): phi maps the level chart from the fully
@@ -450,7 +440,7 @@ def _straighten_level(F: Distribution, zc: ZeroCtx, naming):
     """
     phi = None
     params = []
-    for v in F.generators:
+    for v in F:
         if phi is None:
             cur = v
         else:
@@ -503,8 +493,7 @@ def reduce_once(S: PfaffianSystem, max_degree: int, zc: ZeroCtx,
     level, with the first and last such c.  Returns the empty list, after
     that entry, when nothing is accepted.
     """
-    V = vertical_annihilator(S, zc)
-    basis = list(V.generators)
+    basis = vertical_annihilator(S, zc)
     tabs = contraction_tables(S, basis)
     out = []
     rejected = []  # scanned c whose field is not characteristic
@@ -527,8 +516,8 @@ def reduce_once(S: PfaffianSystem, max_degree: int, zc: ZeroCtx,
                 rejected.append(c)
             return
         # a scan field is one nonzero field, and the joint fields are the
-        # basis of V, which is involutive: F is involutive
-        F = Distribution(cand.chart, fields)
+        # vertical basis, which is involutive: F is involutive
+        F = tuple(fields)
         try:
             phi, params = _straighten_level(F, zc, naming)
         except NotSolvable as ex:
@@ -544,7 +533,7 @@ def reduce_once(S: PfaffianSystem, max_degree: int, zc: ZeroCtx,
             return reject(f"restriction blocked: {ex}")
         out.append(Splitting(F, nxt, comp, phi, tuple(params)))
 
-    if 2 <= V.dim <= S.dim and is_involutive(V, zc):
+    if 2 <= len(basis) <= S.dim and is_involutive(basis, zc):
         consider(basis, derived_system(S, tabs, zc), "joint")
     # The tuple stream is ordered simplest-first and deduplicated up to
     # scale, so the first field surviving the full check chain is kept and
@@ -577,24 +566,6 @@ def reduce_once(S: PfaffianSystem, max_degree: int, zc: ZeroCtx,
 
 # -- the full search -----------------------------------------------------------------------
 
-def sequence_transforms(base_chart, sequence):
-    """Composed transform and the per-level extensions.
-
-    Returns (theta, exts): theta maps the base chart from the final chart
-    (kept coordinates, then flow parameters newest first); exts[l] is the
-    level-l transform extended by all earlier parameters.
-    """
-    theta = identity_transform(base_chart)
-    exts = []
-    params = []
-    for sp in sequence:
-        ext = extend_transform(sp.transform, tuple(params))
-        exts.append(ext)
-        theta = compose(theta, ext)
-        params = list(sp.nondrv) + params
-    return theta, exts
-
-
 def run_decomposition(cs, zc: ZeroCtx, max_degree: int,
                       max_depth: int) -> DecompositionResult:
     """Depth-first reduction of the system's Pfaffian form.
@@ -624,7 +595,7 @@ def run_decomposition(cs, zc: ZeroCtx, max_degree: int,
         for sp in splits:
             entry = {"id": len(log), "parent": parent, "level": level,
                      "kind": "splitting",
-                     "F": [field_dict(v) for v in sp.F.generators],
+                     "F": [field_dict(v) for v in sp.F],
                      "S_next": [form_dict(g) for g in sp.S_next.generators],
                      # the same span expressed on the level's parent chart,
                      # so logged reductions can be checked from outside

@@ -178,9 +178,6 @@ class VectorField:
     def comp(self, sym: Symbol) -> Expr:
         return self.components.get(sym, ZERO)
 
-    def is_structurally_zero(self) -> bool:
-        return not self.components
-
     def __repr__(self):
         return f"<VectorField on {len(self.components)} axes>"
 

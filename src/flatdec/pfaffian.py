@@ -1,14 +1,15 @@
-"""Pfaffian systems and distributions with generic-rank linear algebra.
+"""Pfaffian systems and field spans with generic-rank linear algebra.
 
 A Pfaffian system is a codistribution spanned by time-invariant 1-forms
-m(xi) dxi - n(xi) dt; a Distribution is its vector-field counterpart.  All
-spans are generic: membership and rank are decided by the probabilistic zero
-test through fraction-free elimination.  The contraction tables of a
-level, (v.dg) ^ Omega for its vertical fields v, live here: the derived
-system, the search's joint candidate and the Frobenius test of {P, dt} are
-all read off them.  The vertical and Cauchy-characteristic tests and the
-check that equations solve for given variables live here for the search
-and the certificate checks alike.
+m(xi) dxi - n(xi) dt; a span of vector fields is a plain tuple of
+independent fields on one chart.  All spans are generic: membership and
+rank are decided by the probabilistic zero test through fraction-free
+elimination.  The contraction tables of a level, (v.dg) ^ Omega for its
+vertical fields v, live here: the derived system, the search's joint
+candidate and the Frobenius test of {P, dt} are all read off them.  The
+vertical and Cauchy-characteristic tests and the check that equations
+solve for given variables live here for the search and the certificate
+checks alike.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .exterior import (
 )
 from .linalg import ZeroCtx
 from .symexpr import (
-    AUX, ONE, ZERO, Symbol, add, diff, mul, neg, substitute, var,
+    JET, ONE, ZERO, Symbol, add, diff, mul, neg, substitute, var,
 )
 
 
@@ -82,30 +83,6 @@ class PfaffianSystem:
         return f"<PfaffianSystem dim={self.dim} on {len(self.chart.coords)} coords>"
 
 
-class Distribution:
-    """Span of independent vector fields, kept as given but for zero ones."""
-
-    __slots__ = ("chart", "generators")
-
-    def __init__(self, chart: Chart, generators):
-        gens = [g for g in generators if not g.is_structurally_zero()]
-        for g in gens:
-            if g.chart.coords != chart.coords:
-                raise ValueError("field lives on a different chart")
-        self.chart = chart
-        self.generators = tuple(gens)
-
-    @property
-    def dim(self) -> int:
-        return len(self.generators)
-
-    def rows(self):
-        return [_field_row(g, self.chart) for g in self.generators]
-
-    def __repr__(self):
-        return f"<Distribution dim={self.dim} on {len(self.chart.coords)} coords>"
-
-
 def from_control_system(cs, zc: ZeroCtx) -> PfaffianSystem:
     """The system's Pfaffian form dx^a - f^a dt on the chart (states, inputs),
     independent: each generator has its own dx^a."""
@@ -116,15 +93,15 @@ def from_control_system(cs, zc: ZeroCtx) -> PfaffianSystem:
     return PfaffianSystem(chart, gens, zc)
 
 
-def vertical_annihilator(P: PfaffianSystem, zc: ZeroCtx) -> Distribution:
-    """Annihilator of {P, dt}: time-fiber fields annihilating the system, a
-    nullspace basis and so independent."""
+def vertical_annihilator(P: PfaffianSystem, zc: ZeroCtx) -> tuple:
+    """Annihilator of {P, dt}: the time-fiber fields annihilating the
+    system, a nullspace basis and so independent."""
     chart = P.chart
     rows = P.rows()
     dt_row = [ZERO] * len(chart.axes)
     dt_row[chart.axis_index(T)] = ONE
     basis = linalg.nullspace(rows + [dt_row], len(chart.axes), zc)
-    return Distribution(chart, [_row_field(chart, r) for r in basis])
+    return tuple(_row_field(chart, r) for r in basis)
 
 
 def contraction_tables(S: PfaffianSystem, basis):
@@ -187,14 +164,14 @@ def derived_system(S: PfaffianSystem, tabs, zc: ZeroCtx) -> PfaffianSystem:
 def derived_flag(P: PfaffianSystem, zc: ZeroCtx):
     """The descending chain P, P^(1), P^(2), ... down to stabilization.
 
-    One (P, V, tabs) per level: V is the level's vertical annihilator and
-    tabs its contraction tables over V's basis, from which the next level
-    and the level's Frobenius test are read.
+    One (P, V, tabs) per level: V is a basis of the level's vertical
+    annihilator and tabs its contraction tables over it, from which the
+    next level and the level's Frobenius test are read.
     """
     flag = []
     while True:
         V = vertical_annihilator(P, zc)
-        tabs = contraction_tables(P, list(V.generators))
+        tabs = contraction_tables(P, V)
         flag.append((P, V, tabs))
         if P.dim == 0:
             return flag
@@ -221,8 +198,9 @@ def is_characteristic(v: VectorField, P: PfaffianSystem, zc: ZeroCtx) -> bool:
 
 
 def jet(sym: Symbol, order: int) -> Symbol:
-    """The formal order-th time derivative of a coordinate."""
-    return sym if order == 0 else Symbol(f"{sym.name}_d{order}", AUX)
+    """The formal order-th time derivative of a coordinate, a symbol of
+    its own kind (JET), so no chart coordinate can share it."""
+    return sym if order == 0 else Symbol(f"{sym.name}_d{order}", JET)
 
 
 def residual(g):
@@ -245,13 +223,13 @@ def solves_for(gens, params, zc: ZeroCtx) -> bool:
     return linalg.rank(jac, zc) == len(params)
 
 
-def is_involutive(D: Distribution, zc: ZeroCtx) -> bool:
-    """Whether every bracket of two generators lies in D, all of them tested
-    against one elimination of D."""
-    gens = D.generators
-    brackets = (_field_row(lie_bracket(gens[i], gens[j]), D.chart)
-                for i in range(D.dim) for j in range(i + 1, D.dim))
-    return linalg.in_span(D.rows(), brackets, zc)
+def is_involutive(fields, zc: ZeroCtx) -> bool:
+    """Whether every bracket of two of the fields lies in their span, all
+    of them tested against one elimination of the span."""
+    rows = [_field_row(v, v.chart) for v in fields]
+    brackets = (_field_row(lie_bracket(v, w), v.chart)
+                for i, v in enumerate(fields) for w in fields[i + 1:])
+    return linalg.in_span(rows, brackets, zc)
 
 
 def is_integrable_with_dt(P: PfaffianSystem, tabs, zc: ZeroCtx) -> bool:

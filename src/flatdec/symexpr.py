@@ -26,7 +26,7 @@ STATE = "state"
 INPUT = "input"
 TIME = "time"
 AUX = "auxiliary"
-ANSATZ = "ansatz"
+JET = "jet"
 
 ZERO_SCALE = 10**40   # a 50-digit value under 1/ZERO_SCALE of its terms is zero
 ZERO_DPS = 50

@@ -12,10 +12,9 @@ never load it.
 import random
 from dataclasses import dataclass
 
-from .decompose import sequence_transforms
 from .exterior import (
-    T, VectorField, compose, identity_transform, one_coeffs, oneform,
-    pullback,
+    T, VectorField, compose, extend_transform, identity_transform,
+    one_coeffs, oneform, pullback,
 )
 from .linalg import ZeroCtx
 from .pfaffian import (
@@ -80,10 +79,16 @@ def _prefix_spans(chart, equations, zc: ZeroCtx) -> list:
 def from_sequence(sequence, zc: ZeroCtx, system) -> TriangularDecomposition:
     """Assemble the triangular form from a completed reduction sequence.
 
-    The per-level complements are carried to the final chart through the
-    remaining level transforms; flow parameters become the non-derivative
-    variables, newest level first, and the kept coordinates are sorted
-    into blocks by how deep their Cauchy-characteristic property reaches.
+    Level l's transform, extended by the flow parameters of the levels
+    before it, maps its chart from the next level's.  One fold from the
+    back composes them into the transform of the whole sequence, base
+    chart from final chart (kept coordinates, then flow parameters newest
+    first), and on the way into each level's tail, the chart after the
+    level from the final chart.  The per-level complements are carried to
+    the final chart through the tails; flow parameters become the
+    non-derivative variables, newest level first, and the kept coordinates
+    are sorted into blocks by how deep their Cauchy-characteristic
+    property reaches.
     """
     if not sequence:
         raise StructureViolation("empty reduction sequence")
@@ -91,15 +96,17 @@ def from_sequence(sequence, zc: ZeroCtx, system) -> TriangularDecomposition:
         raise StructureViolation("sequence does not end with an empty system")
     n_b = len(sequence)
     m = n_b + 1
-    base = sequence[0].F.chart
-    theta, exts = sequence_transforms(base, sequence)
-    final = theta.source
+    exts, params = [], ()
+    for sp in sequence:
+        exts.append(extend_transform(sp.transform, params))
+        params = sp.nondrv + params
+    final = exts[-1].source
 
     tails = [None] * n_b
-    cur = identity_transform(final)
+    theta = identity_transform(final)
     for level in range(n_b - 1, -1, -1):
-        tails[level] = cur
-        cur = compose(exts[level], cur)
+        tails[level] = theta
+        theta = compose(exts[level], theta)
 
     equations = []
     for i in range(1, n_b + 1):
@@ -355,7 +362,7 @@ class RecoveryEngine:
     @staticmethod
     def _dt(e, bump):
         parts = []
-        for s in sorted(e.free, key=lambda s: s.name):
+        for s in sorted(e.free, key=lambda s: (s.name, s.kind)):
             if s not in bump:
                 raise RuntimeError(f"jet order overflow at {s.name}")
             parts.append(mul(diff(e, s), var(bump[s])))

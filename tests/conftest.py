@@ -82,21 +82,29 @@ def form_sub(a: KForm, b: KForm) -> KForm:
 
 def contains(span, x, zc) -> bool:
     """Whether the 1-form or vector field x lies in span, a Pfaffian system
-    or a distribution; never off span's chart."""
+    or a tuple of fields; never off span's chart."""
+    if isinstance(x, VectorField):
+        if any(v.chart != x.chart for v in span):
+            return False
+        axes = x.chart.axes
+        rows = [[v.comp(s) for s in axes] for v in span]
+        return in_span(rows, [[x.comp(s) for s in axes]], zc)
     if x.chart != span.chart:
         return False
-    if isinstance(x, VectorField):
-        row = [x.comp(s) for s in span.chart.axes]
-    else:
-        coeffs = one_coeffs(x)
-        row = [coeffs.get(s, ZERO) for s in span.chart.axes]
+    coeffs = one_coeffs(x)
+    row = [coeffs.get(s, ZERO) for s in span.chart.axes]
     return in_span(span.rows(), [row], zc)
 
 
+def _members(span):
+    return span if isinstance(span, tuple) else span.generators
+
+
 def same_span(a, b, zc) -> bool:
-    """Two Pfaffian systems, or two distributions, span the same space."""
-    return (all(contains(a, g, zc) for g in b.generators)
-            and all(contains(b, g, zc) for g in a.generators))
+    """Two Pfaffian systems, or two tuples of fields, span the same
+    space."""
+    return (all(contains(a, g, zc) for g in _members(b))
+            and all(contains(b, g, zc) for g in _members(a)))
 
 
 def search(cs, max_depth=MAX_DEPTH):
@@ -107,7 +115,7 @@ def search(cs, max_depth=MAX_DEPTH):
 
 def tables(P, zc):
     """P's contraction tables over a basis of its vertical annihilator."""
-    return contraction_tables(P, list(vertical_annihilator(P, zc).generators))
+    return contraction_tables(P, vertical_annihilator(P, zc))
 
 
 def wedge_derived_system(P, zc):
@@ -318,8 +326,8 @@ def along(v, e):
 
 class DualScreen:
     """Reference verdicts of the ansatz screen on a level, by elimination
-    over the dual numbers.  At the first point z where the level and c
-    have no pole, a_k + eps*v(a_k) solves (M + eps*v(M))(z) a = 0,
+    over the dual numbers.  At point 0, z, of the zero test's stream,
+    a_k + eps*v(a_k) solves (M + eps*v(M))(z) a = 0,
     p_k = sum_j a_kj g_j, and
 
         (v.dp_k)(z) = sum_j v(a_kj)(z) g_j(z) + a_kj(z) sum_i c_i(z) (b_i.dg_j)(z).
@@ -327,61 +335,53 @@ class DualScreen:
     `decide(c)` is "skip" when the nullity of M(z) is below want = m - 1,
     "reject" when P(z) = [p_k(z)] has rank want and some (v.dp_k)(z) is
     outside its span, "accept" when it has rank want and every (v.dp_k)(z)
-    is inside, None otherwise.  It reads the level's expressions from a
-    _Screen and builds the derivatives b_l(T_i) symbolically.
+    is inside, None otherwise, a pole at z of the level or of c included.
+    It reads the level's expressions from a _Screen and builds the
+    derivatives b_l(T_i) symbolically.
     """
 
     def __init__(self, screen):
         self.screen = screen
-        self.dT = [[[[along(b, e) for e in row] for row in Ti]
-                    for Ti in screen.T] for b in screen.basis]
-        self._levels = {}
+        dT = [[[[along(b, e) for e in row] for row in Ti]
+               for Ti in screen.T] for b in screen.basis]
 
-    def level_at(self, k):
-        """g_j, C_i, T_i and b_l(T_i) at point k as residues, None at a
-        pole."""
-        if k not in self._levels:
-            sc = self.screen
+        def at(x):
+            if isinstance(x, (list, tuple)):
+                out = [at(y) for y in x]
+                return None if any(y is None for y in out) else out
+            return value_mod_p(x, 0, screen.zc.seed)
 
-            def at(x):
-                if isinstance(x, (list, tuple)):
-                    out = [at(y) for y in x]
-                    return None if any(y is None for y in out) else out
-                return value_mod_p(x, k, sc.zc.seed)
-
-            vals = [at(x) for x in (sc.g, sc.C, sc.T, self.dT)]
-            self._levels[k] = None if None in vals else vals
-        return self._levels[k]
+        # g_j, C_i, T_i and b_l(T_i) at z as residues, None at a pole
+        vals = [at(x) for x in (screen.g, screen.C, screen.T, dT)]
+        self.level = None if None in vals else vals
 
     def decide(self, c):
         sc = self.screen
         seed = sc.zc.seed
-        for k in range(10 * sc.zc.budget):
-            level = self.level_at(k)
-            if level is None:
-                continue
-            cv = [value_mod_p(x, k, seed) for x in c]
-            dcv = [[value_mod_p(along(b, x), k, seed) for b in sc.basis]
-                   for x in c]
-            if None in cv or any(None in row for row in dcv):
-                continue
-            g, C, _, _ = level
-            m = len(g)
-            want = m - 1
-            sols = dual_nullspace_mod_p(*dual_pencil_at(level, cv, dcv), m)
-            if len(sols) < want:
-                return "skip"
-            if len(sols) > want:
-                return None
-            red, _, pivots = dual_rref_mod_p([_lincomb(a, g) for a, _ in sols])
-            if len(pivots) < want:
-                return None
-            vC = [_lincomb(cv, [Ci[j] for Ci in C]) for j in range(m)]
-            W = (_lincomb(da + a, g + vC) for a, da in sols)
-            if any(not in_span_mod_p(red, pivots, w) for w in W):
-                return "reject"
-            return "accept"
-        return None
+        level = self.level
+        if level is None:
+            return None
+        cv = [value_mod_p(x, 0, seed) for x in c]
+        dcv = [[value_mod_p(along(b, x), 0, seed) for b in sc.basis]
+               for x in c]
+        if None in cv or any(None in row for row in dcv):
+            return None
+        g, C, _, _ = level
+        m = len(g)
+        want = m - 1
+        sols = dual_nullspace_mod_p(*dual_pencil_at(level, cv, dcv), m)
+        if len(sols) < want:
+            return "skip"
+        if len(sols) > want:
+            return None
+        red, _, pivots = dual_rref_mod_p([_lincomb(a, g) for a, _ in sols])
+        if len(pivots) < want:
+            return None
+        vC = [_lincomb(cv, [Ci[j] for Ci in C]) for j in range(m)]
+        W = (_lincomb(da + a, g + vC) for a, da in sols)
+        if any(not in_span_mod_p(red, pivots, w) for w in W):
+            return "reject"
+        return "accept"
 
 
 def _tree_source(e, names, module) -> str:

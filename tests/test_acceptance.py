@@ -195,7 +195,7 @@ def test_criterion_5_derived_condition_vanishing(all_fixtures, zc):
             if P.dim == 0:
                 break
             top = wedge_all(P.generators, P.chart)
-            for v in V.generators:
+            for v in V:
                 for w in P1.generators:
                     residual = wedge(contract(v, d(w)), top)
                     bad = [c for c in residual.coeffs.values()

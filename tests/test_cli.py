@@ -7,6 +7,7 @@ import json
 import os
 import pathlib
 import random
+import re
 import subprocess
 import sys
 
@@ -368,6 +369,33 @@ def test_verify_rejects_a_block_with_an_extra_flat_output(sin_certificate,
     err = capsys.readouterr().err
     assert "blocks list 3 flat outputs for 2 inputs" in err
     assert "internal error" not in err
+
+
+def test_a_chart_coordinate_named_like_a_jet_verifies_the_same(
+        sin_certificate, capsys):
+    # a jet is a symbol of its own kind, so a chart coordinate renamed to
+    # another coordinate's first jet (r1 to r2_d1) is not mistaken for it
+    d, text = sin_certificate
+    obj = json.loads(text)
+    first, second = obj["certificate"]["chart"][:2]
+    renamed = re.sub(rf"\b{first}\b", f"{second}_d1",
+                     json.dumps(obj["certificate"]))
+    assert renamed.count(f"{second}_d1") > 2
+    numeric = {}
+    for name, cert in (("orig", obj["certificate"]),
+                       ("renamed", json.loads(renamed))):
+        (d / f"{name}.json").write_text(json.dumps(cert))
+        report = d / f"{name}.report.json"
+        code = main(["verify", str(d / "sinex.fds"), "--certificate",
+                     str(d / f"{name}.json"), "--samples", "4",
+                     "--report", str(report)])
+        assert code == 0
+        numeric[name] = json.loads(report.read_text())["verification"][
+            "numeric"]
+    capsys.readouterr()
+    counts = ("trials", "passed", "failed", "singular")
+    assert [numeric["renamed"][k] for k in counts] == \
+        [numeric["orig"][k] for k in counts] == [4, 4, 0, 0]
 
 
 def test_verify_accepts_own_outputs(sin_file, capsys):

@@ -13,14 +13,14 @@ from flatdec import decompose, exterior, linalg, pfaffian, symexpr
 from flatdec.cli import main
 from flatdec.decompose import (
     Splitting, monomial_pool, reduce_once, run_decomposition,
-    sequence_transforms, _ACCEPT, _PREFIX_LETTERS, _REJECT, _SKIP, _Screen,
+    _ACCEPT, _PREFIX_LETTERS, _REJECT, _SKIP, _Screen,
     _candidate_stream, _coefficient_vectors, _combine, _lift_through,
     _pencil_rows, _prefixes,
 )
 from flatdec.exterior import Chart, T, VectorField, oneform
 from flatdec.linalg import ZeroCtx, nullspace, row_echelon, row_echelon_mod_p
 from flatdec.pfaffian import (
-    Distribution, PfaffianSystem, contraction_tables, derived_flag,
+    PfaffianSystem, contraction_tables, derived_flag,
     derived_system, from_control_system, is_characteristic,
     is_integrable_with_dt, solves_for, span_from_solutions,
     vertical_annihilator,
@@ -30,6 +30,7 @@ from flatdec.symexpr import (
     neg, pow_, structural_key, value_mod_p, var,
 )
 from flatdec.sysdsl import parse_system
+from flatdec.triangular import from_sequence
 
 from conftest import (
     MAX_DEGREE, MAX_DEPTH, DualScreen, along, contains, dual_nullspace_mod_p,
@@ -53,16 +54,16 @@ def splitting_holds(sp: Splitting, parent: PfaffianSystem, zc) -> bool:
     """The defining invariants of one reduction level against its parent:
     the dimensions add up, F is vertical for the parent, and F is
     characteristic for S_next carried back to the parent's chart."""
-    if parent.dim != sp.S_next.dim + sp.F.dim:
+    if parent.dim != sp.S_next.dim + len(sp.F):
         return False
     if len(sp.nondrv) != sp.S_comp.dim:
         return False
     V = vertical_annihilator(parent, zc)
-    if not all(contains(V, v, zc) for v in sp.F.generators):
+    if not all(contains(V, v, zc) for v in sp.F):
         return False
     lifted = [_lift_through(sp.transform, g) for g in sp.S_next.generators]
     P = PfaffianSystem(parent.chart, lifted, zc)
-    return all(is_characteristic(v, P, zc) for v in sp.F.generators)
+    return all(is_characteristic(v, P, zc) for v in sp.F)
 
 
 def reduce_top(S, zc, events=None):
@@ -322,7 +323,7 @@ def test_reduce_once_chain_straightens_the_input(chain, zc):
     assert len(splits) == 1
     sp = splits[0]
     u = coord(cs, "u")
-    assert sp.F.dim == 1
+    assert len(sp.F) == 1
     assert contains(sp.F, VectorField(S0.chart, {u: ONE}), zc)
     assert sp.S_next.dim == 2
     assert len(sp.nondrv) == 1
@@ -337,7 +338,7 @@ def test_reduce_once_sin_level0(sin_sys, zc):
     sp = splits[0]
     u1, u2 = coord(sin_sys, "u1"), coord(sin_sys, "u2")
     scaling = VectorField(S0.chart, {u1: var(u1), u2: var(u2)})
-    assert sp.F.dim == 1 and contains(sp.F, scaling, zc)
+    assert len(sp.F) == 1 and contains(sp.F, scaling, zc)
     assert sp.S_next.dim == 2
     assert splitting_holds(sp, S0, zc)
     kinds = {e["kind"] for e in events}
@@ -351,7 +352,7 @@ def test_splitting_verify_detects_corruption(chain, zc):
     S0 = from_control_system(cs, zc)
     sp = reduce_top(S0, zc)[0]
     x1 = coord(cs, "x1")
-    horizontal = Distribution(S0.chart, [VectorField(S0.chart, {x1: ONE})])
+    horizontal = (VectorField(S0.chart, {x1: ONE}),)
     assert not splitting_holds(dataclasses.replace(sp, F=horizontal), S0, zc)
     assert not splitting_holds(dataclasses.replace(sp, nondrv=()), S0, zc)
 
@@ -397,11 +398,11 @@ def test_derived_system_is_the_joint_span(name, seed, monkeypatch):
 
 def test_reduce_once_builds_the_tables_once(coupled_sys, zc, monkeypatch):
     S0 = from_control_system(coupled_sys, zc)
-    assert vertical_annihilator(S0, zc).dim == 2
+    assert len(vertical_annihilator(S0, zc)) == 2
     calls = _recording_tables(monkeypatch)
     splits = reduce_top(S0, zc)
     # the joint candidate and the scan both found a splitting
-    assert sorted(sp.F.dim for sp in splits) == [1, 2]
+    assert sorted(len(sp.F) for sp in splits) == [1, 2]
     assert len(calls) == 1
 
 
@@ -414,7 +415,7 @@ def expr_for(cs, text):
 
 def outputs_of(res):
     deep = res.sequence[-1].S_next.chart
-    theta, _ = sequence_transforms(res.sequence[0].F.chart, res.sequence)
+    theta = from_sequence(res.sequence, ZeroCtx(20, 0), None).transform
     return [theta.inverse[s] for s in deep.coords]
 
 
@@ -487,7 +488,7 @@ def test_run_decomposition_chains(chain, zc):
         # single-input chains reduce along the derived flag throughout
         parent = from_control_system(cs, zc)
         for sp in res.sequence:
-            assert sp.F.dim == 1
+            assert len(sp.F) == 1
             assert splitting_holds(sp, parent, zc)
             parent = sp.S_next
 
@@ -573,19 +574,23 @@ def test_branch_log_shape(sin_sys):
 def test_sequence_transforms_chart_bookkeeping(sin_sys, zc):
     res = search(sin_sys)
     S0 = from_control_system(sin_sys, zc)
-    theta, exts = sequence_transforms(S0.chart, res.sequence)
+    td = from_sequence(res.sequence, zc, sin_sys)
+    theta = td.transform
     assert theta.target == S0.chart
-    assert len(exts) == len(res.sequence)
+    assert theta.source == td.chart
     deep = res.sequence[-1].S_next.chart
     params = [p.name for sp in res.sequence for p in sp.nondrv]
     assert set(s.name for s in theta.source.coords) == \
            set(s.name for s in deep.coords) | set(params)
-    # each extension seam matches exactly, coordinate order included
-    cur_target = S0.chart
-    for ext in exts:
-        assert ext.target == cur_target
-        cur_target = ext.source
-    assert theta.source == cur_target
+    # each level's transform, extended by the earlier levels' parameters,
+    # meets the next exactly, coordinate order included; the final chart
+    # lists the kept coordinates, then the parameters newest first
+    cur, earlier = S0.chart.coords, ()
+    for sp in res.sequence:
+        assert sp.transform.target.coords + earlier == cur
+        cur = sp.transform.source.coords + earlier
+        earlier = sp.nondrv + earlier
+    assert theta.source.coords == cur == deep.coords + earlier
     # every original coordinate has an image expression in the final chart
     for s in S0.chart.coords:
         assert theta.forward[s] is not None
@@ -594,7 +599,7 @@ def test_sequence_transforms_chart_bookkeeping(sin_sys, zc):
 # -- the sample-point screen of the ansatz scan ----------------------------------------
 
 def _level(S, zc):
-    basis = list(vertical_annihilator(S, zc).generators)
+    basis = vertical_annihilator(S, zc)
     return S, basis, contraction_tables(S, basis)
 
 
@@ -610,7 +615,7 @@ def test_screen_agrees_with_symbolic_path(name, zc):
         # below coupled's joint splitting (a dead end) the screen mostly skips
         S0 = _first_level("coupled", zc)[0]
         joint = next(sp for sp in reduce_top(S0, zc)
-                     if sp.F.dim == 2)
+                     if len(sp.F) == 2)
         S, basis, tabs = _level(joint.S_next, zc)
     else:
         S, basis, tabs = _first_level(name, zc)
@@ -672,7 +677,7 @@ def test_combine_is_the_plain_sum(name, zc):
     rng = random.Random(3)
     multi = zeros = 0
     for S in levels:
-        basis = list(vertical_annihilator(S, zc).generators)
+        basis = vertical_annihilator(S, zc)
         if not basis:
             continue
         multi += sum(len(b.components) > 1 for b in basis)
@@ -806,7 +811,7 @@ def test_screen_pencil_is_value_and_derivative(name, zc):
     if name == "coupled-joint":
         S0 = _first_level("coupled", zc)[0]
         joint = next(sp for sp in reduce_top(S0, zc)
-                     if sp.F.dim == 2)
+                     if len(sp.F) == 2)
         S, basis, tabs = _level(joint.S_next, zc)
     else:
         S, basis, tabs = _first_level(name, zc)
@@ -817,7 +822,7 @@ def test_screen_pencil_is_value_and_derivative(name, zc):
     checked = 0
     for c in itertools.islice(
             _coefficient_vectors(S.chart, len(basis), MAX_DEGREE), 80):
-        level = oracle.level_at(0)
+        level = oracle.level
         cv = [value_mod_p(x, 0, zc.seed) for x in c]
         dcv = [[value_mod_p(along(b, x), 0, zc.seed) for b in basis]
                for x in c]
@@ -891,6 +896,28 @@ def test_deficient_generators_pass_the_candidate_on(zc):
     assert {screen.decide(c) for c in cands} == {None}
 
 
+def test_a_pole_at_the_screen_point_passes_the_candidate_on(zc, monkeypatch):
+    # the screen reads point 0 alone: a coefficient with a pole there
+    # leaves its candidate to the symbolic path, which decides it as the
+    # screen decides the same field without the pole
+    S, basis, tabs = _first_level("nfd", zc)
+    x = var(S.chart.coords[0])
+    pole = div(ONE, add(x, const(-value_mod_p(x, 0, zc.seed))))
+    assert value_mod_p(pole, 0, zc.seed) is None
+    unit = tuple(ONE if i == 0 else ZERO for i in range(len(basis)))
+    scaled = tuple(pole if i == 0 else ZERO for i in range(len(basis)))
+    screen = _Screen(S, basis, tabs, zc)
+    assert screen.decide(unit) == _REJECT
+    assert screen.decide(scaled) is None
+    monkeypatch.setattr(decompose, "_coefficient_vectors",
+                        lambda *args: iter([unit, scaled]))
+    first, second = _candidate_stream(S, basis, tabs, MAX_DEGREE, zc)
+    assert first == (unit, None, False)
+    c, cand, accepted = second
+    assert c == scaled and cand.dim == S.dim - 1 and not accepted
+    assert not is_characteristic(_combine(scaled, basis), cand, zc)
+
+
 def test_screen_makes_no_elimination_per_candidate(zc, monkeypatch):
     # the level's matrices at z are built once, and the rank-one test
     # eliminates nothing: scanning nfd's first level runs one GF(p)
@@ -943,14 +970,14 @@ def _rank_one_level(rng, k, m, rows, shape):
              for i in range(k)}
     screen = _Screen.__new__(_Screen)
     screen.zc = ZeroCtx(1, 0)
-    screen._points = {0: (None, None, known, Tcols, Qcols)}
+    screen.level = (None, None, known, Tcols, Qcols)
     return screen, tuple(range(k))
 
 
 def _eliminated_verdict(screen, c):
     """The verdict of a plain elimination of M(z), with a span test of each
     Q(z) row against its rows."""
-    _, _, known, Tcols, Qcols = screen._points[0]
+    _, _, known, Tcols, Qcols = screen.level
     cv = [known[x][0] for x in c]
     M = [[sum(a * b for a, b in zip(cv, col)) % PRIME for col in row]
          for row in Tcols]

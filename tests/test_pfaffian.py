@@ -4,6 +4,7 @@ import pathlib
 
 import pytest
 
+from flatdec import decompose, pfaffian
 from flatdec.cli import main
 from flatdec.exterior import (
     Chart, T, VectorField, contract, d, identity_transform, lie_bracket,
@@ -11,7 +12,7 @@ from flatdec.exterior import (
 )
 from flatdec.linalg import ZeroCtx, nullspace, rank
 from flatdec.pfaffian import (
-    Distribution, NotReducible, PfaffianSystem, derived_flag, derived_system,
+    NotReducible, PfaffianSystem, derived_flag, derived_system,
     from_control_system, is_characteristic, is_integrable_with_dt,
     is_involutive, is_vertical, restrict_to_subchart, vertical_annihilator,
 )
@@ -71,8 +72,8 @@ def annihilator(P, zc):
     """All fields contracting to zero with every generator of P."""
     axes = P.chart.axes
     basis = nullspace(P.rows(), len(axes), zc)
-    return Distribution(P.chart, [VectorField(P.chart, {
-        s: c for s, c in zip(axes, row) if c is not ZERO}) for row in basis])
+    return tuple(VectorField(P.chart, {
+        s: c for s, c in zip(axes, row) if c is not ZERO}) for row in basis)
 
 
 def test_annihilator_single_form(zc):
@@ -81,7 +82,7 @@ def test_annihilator_single_form(zc):
     chart = Chart((x, u))
     P = PfaffianSystem(chart, [oneform(chart, {x: ONE, T: neg(var(u))})], zc)
     A = annihilator(P, zc)
-    assert A.dim == 2
+    assert len(A) == 2
     assert contains(A, VectorField(chart, {u: ONE}), zc)
     assert contains(A, VectorField(chart, {x: var(u), T: ONE}), zc)
     assert not contains(A, VectorField(chart, {x: ONE}), zc)
@@ -91,18 +92,18 @@ def test_vertical_annihilator_is_input_directions(sin_sys, coupled_sys, zc):
     for cs in (sin_sys, coupled_sys):
         S0 = from_control_system(cs, zc)
         V = vertical_annihilator(S0, zc)
-        assert V.dim == len(cs.inputs)
+        assert len(V) == len(cs.inputs)
         for u in cs.inputs:
             assert contains(V, VectorField(S0.chart, {u: ONE}), zc)
         assert not contains(V, VectorField(S0.chart, {cs.states[0]: ONE}), zc)
         # and the full annihilator has one extra direction (time flow)
-        assert annihilator(S0, zc).dim == len(cs.inputs) + 1
+        assert len(annihilator(S0, zc)) == len(cs.inputs) + 1
 
 
 def test_vertical_annihilator_inside_annihilator(sin_sys, zc):
     S0 = from_control_system(sin_sys, zc)
     A = annihilator(S0, zc)
-    for v in vertical_annihilator(S0, zc).generators:
+    for v in vertical_annihilator(S0, zc):
         assert contains(A, v, zc)
 
 
@@ -114,7 +115,7 @@ def test_vertical_annihilator_eq22(zc):
         oneform(chart, {w[0]: ONE, w[1]: neg(var(w[3]))}),
     ], zc)
     V = vertical_annihilator(S1, zc)
-    assert V.dim == 2
+    assert len(V) == 2
     assert contains(V, VectorField(chart, {w[0]: var(w[3]), w[1]: ONE}), zc)
     assert contains(V, VectorField(chart, {w[3]: ONE}), zc)
 
@@ -125,7 +126,7 @@ def test_is_vertical_is_membership_in_the_vertical_annihilator(
     for cs in (sin_sys, coupled_sys):
         for P, V, _ in derived_flag(from_control_system(cs, zc), zc):
             fields = [VectorField(P.chart, {s: ONE}) for s in P.chart.coords]
-            fields += list(V.generators)
+            fields += V
             for v in fields:
                 assert is_vertical(v, P, zc) == contains(V, v, zc)
             assert any(not is_vertical(v, P, zc) for v in fields) == (P.dim > 0)
@@ -198,7 +199,7 @@ def test_derived_flag_levels_carry_their_annihilator_and_tables(coupled_sys,
     for (P, V, tabs), nxt in zip(flag, flag[1:] + [None]):
         assert same_span(V, vertical_annihilator(P, zc), zc)
         C, tabs_by_field, _ = tabs
-        assert len(C) == len(tabs_by_field) == V.dim
+        assert len(C) == len(tabs_by_field) == len(V)
         if nxt is not None:
             assert same_span(nxt[0], derived_system(P, tabs, zc), zc)
 
@@ -239,7 +240,7 @@ def test_cauchy_of_control_system_is_trivial(sin_sys, zc):
     # field, and no field of the annihilator, the time flow included
     S0 = from_control_system(sin_sys, zc)
     fields = [VectorField(S0.chart, {s: ONE}) for s in S0.chart.axes]
-    fields += annihilator(S0, zc).generators
+    fields += annihilator(S0, zc)
     assert not any(is_characteristic(v, S0, zc) for v in fields)
 
 
@@ -256,10 +257,8 @@ def test_not_involutive(zc):
     x2 = Symbol("x2", AUX)
     x3 = Symbol("x3", AUX)
     chart = Chart((x1, x2, x3))
-    D = Distribution(chart, [
-        VectorField(chart, {x1: ONE}),
-        VectorField(chart, {x2: ONE, x3: var(x1)}),
-    ])
+    D = (VectorField(chart, {x1: ONE}),
+         VectorField(chart, {x2: ONE, x3: var(x1)}))
     assert not is_involutive(D, zc)
 
 
@@ -267,7 +266,7 @@ def test_single_field_involutive(zc):
     x1 = Symbol("x1", AUX)
     x2 = Symbol("x2", AUX)
     chart = Chart((x1, x2))
-    D = Distribution(chart, [VectorField(chart, {x1: var(x2), x2: ONE})])
+    D = (VectorField(chart, {x1: var(x2), x2: ONE}),)
     assert is_involutive(D, zc)
 
 
@@ -378,7 +377,7 @@ def test_derived_condition_vanishes_on_vertical_fields(sin_sys, coupled_sys,
         top = S.top_form()
         V = vertical_annihilator(S, zc)
         D = derived_system(S, tables(S, zc), zc)
-        for v in V.generators:
+        for v in V:
             for g in D.generators:
                 w = wedge(contract(v, d(g)), top)
                 assert all(zc.zero(c) for c in w.coeffs.values())
@@ -401,26 +400,43 @@ def test_cauchy_result_involutive(coupled_sys, zc):
     w = VectorField(S0.chart, {u1: ONE, u2: mul(var(u1), var(u2))})
     for f in (v, w, lie_bracket(v, w)):
         assert is_characteristic(f, D, zc)
-    assert is_involutive(Distribution(S0.chart, [v, w]), zc)
+    assert is_involutive((v, w), zc)
     assert not is_characteristic(VectorField(S0.chart, {x3: ONE}), D, zc)
 
 
 def test_builders_hand_the_containers_independent_generators(
         monkeypatch, tmp_path, capsys):
-    # PfaffianSystem and Distribution keep what they are given, so every
-    # builder must hand them generically independent generators; watched
-    # over every command of analyze and decompose --verify on the fixtures
-    handed = {PfaffianSystem: [], Distribution: []}
-    entries = {PfaffianSystem: lambda g, s: one_coeffs(g).get(s, ZERO),
-               Distribution: lambda v, s: v.comp(s)}
-    for cls, entry in entries.items():
-        def spy(self, chart, generators, *rest, init=cls.__init__,
-                seen=handed[cls], entry=entry):
-            generators = list(generators)
-            seen.append([[entry(g, s) for s in chart.axes]
-                         for g in generators])
-            init(self, chart, generators, *rest)
-        monkeypatch.setattr(cls, "__init__", spy)
+    # PfaffianSystem keeps what it is given and a span of fields is a plain
+    # tuple, so every builder must hand over generically independent
+    # generators: the systems' as built, the field spans as the vertical
+    # annihilator returns them and as a splitting straightens them;
+    # watched over every command of analyze and decompose --verify on the
+    # fixtures
+    handed = {"forms": [], "fields": []}
+    init = PfaffianSystem.__init__
+    annihilate = pfaffian.vertical_annihilator
+    straighten = decompose._straighten_level
+
+    def fields(span):
+        handed["fields"].append([[v.comp(s) for s in v.chart.axes]
+                                 for v in span])
+        return span
+
+    def spy(self, chart, generators, *rest):
+        generators = list(generators)
+        handed["forms"].append([[one_coeffs(g).get(s, ZERO)
+                                 for s in chart.axes] for g in generators])
+        init(self, chart, generators, *rest)
+
+    def annihilator_spy(P, zc):
+        return fields(annihilate(P, zc))
+
+    monkeypatch.setattr(PfaffianSystem, "__init__", spy)
+    monkeypatch.setattr(pfaffian, "vertical_annihilator", annihilator_spy)
+    monkeypatch.setattr(decompose, "vertical_annihilator", annihilator_spy)
+    monkeypatch.setattr(decompose, "_straighten_level",
+                        lambda F, zc, naming: straighten(fields(F), zc,
+                                                         naming))
     report = str(tmp_path / "r.json")
     for path in sorted(DATA.glob("*.fds")):
         for cmd in (["analyze"], ["decompose", "--verify", "--samples", "3"]):

@@ -107,6 +107,27 @@ def test_every_top_level_definition_is_used_in_the_package():
         ", ".join(unused)
 
 
+def test_every_module_level_constant_is_used_in_the_package():
+    # the same for the names a module binds at its top level, dunders
+    # aside: a constant only its own assignment mentions is dead code
+    trees = [ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))]
+    uses = collections.Counter(name for tree in trees for name in _uses(tree))
+    unused = []
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) \
+                    else [node.target]
+                own = list(_uses(node))
+                unused += [n.id for t in targets for n in ast.walk(t)
+                           if isinstance(n, ast.Name)
+                           and not n.id.startswith("__")
+                           and uses[n.id] == own.count(n.id)]
+    assert not unused, "bound but never used in src/flatdec: " + \
+        ", ".join(unused)
+
+
 def test_every_method_is_used_in_the_package():
     # the same for the non-dunder methods of the package's classes
     trees = [ast.parse(path.read_text(encoding="utf-8"))
