@@ -58,7 +58,6 @@ def _base_report(command: str, path: str, text: str, cs, args) -> dict:
         "config": {
             "seed": args.seed,
             "max_degree": args.max_degree,
-            "max_depth": args.max_depth,
             "samples": args.samples,
             "verify": bool(getattr(args, "verify", False)),
         },
@@ -263,7 +262,7 @@ def cmd_decompose(args) -> int:
     t0 = time.perf_counter()
     zc = ZeroCtx(budget=args.samples, seed=args.seed)
     text, cs = _read_system(args.file, zc)
-    res = run_decomposition(cs, zc, args.max_degree, args.max_depth)
+    res = run_decomposition(cs, zc, args.max_degree)
     report = _base_report("decompose", args.file, text, cs, args)
     report["decomposition"] = {
         "status": res.status,
@@ -356,7 +355,7 @@ def cmd_verify(args) -> int:
             raise CertificateError(f"certificate is not JSON: {ex}") from None
         cert = _certificate_load(obj, cs)
     elif args.outputs is not None:
-        res = run_decomposition(cs, zc, args.max_degree, args.max_depth)
+        res = run_decomposition(cs, zc, args.max_degree)
         if res.status != "Triangularized":
             print(f"{cs.name}: {res.status}, nothing to verify against",
                   file=sys.stderr)
@@ -394,8 +393,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="seed for all randomized decisions (default 0)")
     p.add_argument("--max-degree", type=_at_least(0), default=2,
                    help="monomial degree cap for combination coefficients")
-    p.add_argument("--max-depth", type=_at_least(0), default=8,
-                   help="reduction depth budget")
     p.add_argument("--samples", type=_at_least(1), default=20,
                    help="zero-test budget and verification trial count")
     p.add_argument("--report", metavar="PATH",

@@ -499,11 +499,11 @@ def reduce_once(S: PfaffianSystem, max_degree: int, zc: ZeroCtx,
     rejected = []  # scanned c whose field is not characteristic
 
     def consider(fields, cand, kind, c=None, accepted=False):
-        def reject(note, outcome="rejected", **extra):
+        def reject(note, outcome="rejected"):
             info = {"kind": kind, "F": [field_dict(v) for v in fields]}
             if c is not None:
                 info["c"] = [render(x) for x in c]
-            events.append(dict(info, outcome=outcome, note=note, **extra))
+            events.append(dict(info, outcome=outcome, note=note))
 
         if S.dim != cand.dim + len(fields):
             return reject("size bookkeeping fails")
@@ -566,13 +566,13 @@ def reduce_once(S: PfaffianSystem, max_degree: int, zc: ZeroCtx,
 
 # -- the full search -----------------------------------------------------------------------
 
-def run_decomposition(cs, zc: ZeroCtx, max_degree: int,
-                      max_depth: int) -> DecompositionResult:
+def run_decomposition(cs, zc: ZeroCtx, max_degree: int) -> DecompositionResult:
     """Depth-first reduction of the system's Pfaffian form.
 
-    Triangularized iff some branch empties the system within max_depth
-    levels, otherwise Inconclusive.  The ansatz scan combines the vertical
-    fields with monomials of total degree up to max_degree.
+    Triangularized iff some branch empties the system, otherwise
+    Inconclusive.  Every level lowers the dimension, so a branch is at most
+    as deep as the system has states.  The ansatz scan combines the
+    vertical fields with monomials of total degree up to max_degree.
     """
     S0 = from_control_system(cs, zc)
     naming = _prefixes({s.name for s in S0.chart.axes})
@@ -582,11 +582,6 @@ def run_decomposition(cs, zc: ZeroCtx, max_degree: int,
     def explore(S, level, parent):
         if S.dim == 0:
             return True
-        if level >= max_depth:
-            log.append({"id": len(log), "parent": parent, "level": level,
-                        "kind": "depth-limit", "outcome": "suspended",
-                        "note": f"depth budget {max_depth} reached"})
-            return False
         events = []
         splits = reduce_once(S, max_degree, zc, naming, events)
         for ev in events:

@@ -372,12 +372,12 @@ def straighten_flow(v: VectorField, zc, prefix: str) -> ChartTransform:
     """
     chart = v.chart
     tcomp = v.components.get(T)
-    if tcomp is not None and zc.nonzero(tcomp):
+    if tcomp is not None and not zc.zero(tcomp):
         raise ValueError("flow fields must have no time component")
     sv = var(_FLOW_S)
 
     active = [c for c in chart.coords
-              if v.comp(c) is not ZERO and zc.nonzero(v.comp(c))]
+              if v.comp(c) is not ZERO and not zc.zero(v.comp(c))]
     if not active:
         raise ValueError("cannot straighten the zero field")
 
@@ -432,7 +432,7 @@ def straighten_flow(v: VectorField, zc, prefix: str) -> ChartTransform:
             if alpha is not None and zc.zero(add(const(k), div(beta, alpha))):
                 continue   # log argument degenerates
             transversal = substitute(v.comp(c), {c: const(k)})
-            if zc.nonzero(transversal):
+            if not zc.zero(transversal):
                 pivot, pivot_k = c, k
                 break
     if pivot is None:

@@ -41,9 +41,6 @@ class ZeroCtx:
         except EvaluationFailed as exc:
             raise RankDecisionFailed(str(exc)) from exc
 
-    def nonzero(self, e: Expr) -> bool:
-        return not self.zero(e)
-
     def depends(self, e: Expr, s) -> bool:
         """Whether e depends on s: s occurs in e and de/ds does not test zero
         (s + 2 - (s + a + 2) mentions s without depending on it)."""

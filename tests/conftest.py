@@ -31,8 +31,8 @@ from flatdec.symexpr import (
 from flatdec.sysdsl import parse_system
 from flatdec.triangular import _SampleDiverged, _SampleSingular
 
-# the command line's --max-degree and --max-depth defaults
-MAX_DEGREE, MAX_DEPTH = 2, 8
+# the command line's --max-degree default
+MAX_DEGREE = 2
 
 SIN_SYS = """
 system sinex {
@@ -107,10 +107,10 @@ def same_span(a, b, zc) -> bool:
             and all(contains(b, g, zc) for g in _members(a)))
 
 
-def search(cs, max_depth=MAX_DEPTH):
+def search(cs):
     """run_decomposition with the command line's defaults: 20 samples,
     seed 0."""
-    return run_decomposition(cs, ZeroCtx(20, 0), MAX_DEGREE, max_depth)
+    return run_decomposition(cs, ZeroCtx(20, 0), MAX_DEGREE)
 
 
 def tables(P, zc):

@@ -193,18 +193,6 @@ def test_commands_leave_only_the_constants_interned(coupled_file, tmp_path):
     assert interned == [constants, constants]
 
 
-def test_decompose_depth_budget_suspends(sin_file, tmp_path):
-    report = tmp_path / "d.json"
-    code = main(["decompose", sin_file, "--max-depth", "0",
-                 "--report", str(report)])
-    assert code == 3
-    obj = json.loads(report.read_text())
-    assert obj["decomposition"]["status"] == "Inconclusive"
-    log = obj["decomposition"]["branch_log"]
-    assert log and log[0]["kind"] == "depth-limit"
-    assert log[0]["outcome"] == "suspended"
-
-
 def _usage_error(argv, capsys) -> str:
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -228,11 +216,11 @@ def test_decompose_rejects_negative_max_degree(sin_file, capsys):
 
 
 def test_decompose_rejects_bad_search_budgets(sin_file, tmp_path, capsys):
-    # a negative depth has no meaning
+    # every level lowers the dimension, so the system bounds the depth
     report = tmp_path / "d.json"
-    err = _usage_error(["decompose", sin_file, "--max-depth", "-2",
+    err = _usage_error(["decompose", sin_file, "--max-depth", "8",
                         "--report", str(report)], capsys)
-    assert "argument --max-depth: must be at least 0, got -2" in err
+    assert "unrecognized arguments: --max-depth 8" in err
     # a level yields at most two splittings, so there is no width to set
     err = _usage_error(["decompose", sin_file, "--branch-width", "8",
                         "--report", str(report)], capsys)
@@ -251,7 +239,7 @@ def test_in_process_calls_share_one_parser_and_keep_no_state(
     assert json.loads(plain.read_text())["config"]["verify"] is False
     # a usage error that has already read some flags leaves none behind
     again = tmp_path / "again.json"
-    _usage_error(argv + ["--verify", "--seed", "7", "--max-depth", "-1",
+    _usage_error(argv + ["--verify", "--seed", "7", "--max-degree", "-1",
                          "--report", str(again)], capsys)
     assert main(argv + ["--report", str(again)]) == 0
     assert again.read_bytes() == plain.read_bytes()

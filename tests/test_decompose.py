@@ -33,7 +33,7 @@ from flatdec.sysdsl import parse_system
 from flatdec.triangular import from_sequence
 
 from conftest import (
-    MAX_DEGREE, MAX_DEPTH, DualScreen, along, contains, dual_nullspace_mod_p,
+    MAX_DEGREE, DualScreen, along, contains, dual_nullspace_mod_p,
     dual_pencil_at, dual_rref_mod_p, form_add, in_span_mod_p,
     nested_coefficient_vectors, projective_key, same_span, scale, search,
     tuple_stream, wedge_derived_system, wedge_integrable_with_dt,
@@ -385,7 +385,7 @@ def test_derived_system_is_the_joint_span(name, seed, monkeypatch):
     calls = _recording_tables(monkeypatch)
     cs = parse_system((DATA / f"{name}.fds").read_text())
     zc = ZeroCtx(20, seed)
-    run_decomposition(cs, zc, MAX_DEGREE, MAX_DEPTH)
+    run_decomposition(cs, zc, MAX_DEGREE)
     assert calls
     flag = [(P, tabs) for P, _, tabs in
             derived_flag(from_control_system(cs, zc), zc)]
@@ -479,7 +479,8 @@ def test_run_decomposition_coupled_logs_dead_end(coupled_sys):
 
 
 def test_run_decomposition_chains(chain, zc):
-    for n in (2, 3, 4):
+    # only the state count bounds the depth: nine states take nine levels
+    for n in (2, 3, 4, 9):
         cs = chain(n)
         res = search(cs)
         assert res.status == "Triangularized"
@@ -493,27 +494,32 @@ def test_run_decomposition_chains(chain, zc):
             parent = sp.S_next
 
 
-def test_run_decomposition_depth_cap(sin_sys):
-    res = search(sin_sys, max_depth=0)
-    assert res.status == "Inconclusive"
-    assert res.sequence == ()
-    assert res.branch_log[0]["kind"] == "depth-limit"
-    assert res.branch_log[0]["outcome"] == "suspended"
-
-
-@pytest.mark.parametrize("max_depth", [0, 1])
+@pytest.mark.parametrize("seed", [0, 1])
 @pytest.mark.parametrize("path", sorted(DATA.glob("*.fds")),
                          ids=lambda p: p.stem)
-def test_search_status_follows_from_its_log(path, max_depth):
-    # a branch fails only at the depth limit or at a level without an
-    # admissible splitting, and either one leaves its entry in the log
-    res = search(parse_system(path.read_text()), max_depth=max_depth)
+def test_search_status_follows_from_its_log(path, seed):
+    # every splitting lowers the dimension, so no branch is deeper than the
+    # system has states, and a branch fails only at a level without an
+    # admissible splitting, which leaves its entry in the log
+    cs = parse_system(path.read_text())
+    res = run_decomposition(cs, ZeroCtx(20, seed), MAX_DEGREE)
     assert res.status in ("Triangularized", "Inconclusive")
+    n = len(cs.states)
+    dims = [n] + [sp.S_next.dim for sp in res.sequence]
+    assert all(a > b for a, b in zip(dims, dims[1:]))
+    assert (dims[-1] == 0) == (res.status == "Triangularized")
+    # dead ends included: each splitting's next system is smaller than
+    # the one it splits
+    dim = {None: n}
+    for e in res.branch_log:
+        assert e["level"] < n
+        if e["kind"] == "splitting":
+            dim[e["id"]] = len(e["S_next"])
+            assert dim[e["id"]] < dim[e["parent"]]
     if res.status == "Inconclusive":
-        assert any(e["kind"] == "depth-limit" or (
-            e["kind"] == "ansatz"
-            and e["note"].startswith("no admissible splitting"))
-            for e in res.branch_log)
+        assert any(e["kind"] == "ansatz"
+                   and e["note"].startswith("no admissible splitting")
+                   for e in res.branch_log)
 
 
 def test_run_decomposition_deterministic(coupled_sys):
@@ -545,7 +551,7 @@ def test_gb311_triangularizes_past_182_straightenings():
     # gb311 tries more flows than the letters and pairs name, and every
     # straightening attempt, the suspended ones too, takes a fresh prefix
     cs = parse_system((DATA / "slow" / "gb311.fds").read_text())
-    res = run_decomposition(cs, ZeroCtx(20, 0), MAX_DEGREE, MAX_DEPTH)
+    res = run_decomposition(cs, ZeroCtx(20, 0), MAX_DEGREE)
     assert res.status == "Triangularized"
     assert len(res.branch_log) == 330
     assert [e["outcome"] for e in res.branch_log].count("suspended") == 323
@@ -847,7 +853,7 @@ def test_screen_matches_the_dual_number_oracle(name, seed, monkeypatch):
     calls = _recording_tables(monkeypatch)
     cs = parse_system((DATA / f"{name}.fds").read_text())
     zc = ZeroCtx(20, seed)
-    run_decomposition(cs, zc, MAX_DEGREE, MAX_DEPTH)
+    run_decomposition(cs, zc, MAX_DEGREE)
     screened = 0
     for S, basis, tabs in calls:
         screen = _Screen(S, basis, tabs, zc)
@@ -1032,14 +1038,14 @@ def test_accepted_scan_candidates_skip_the_symbolic_check(name, zc,
 
     monkeypatch.setattr(decompose, "_candidate_stream", recorded)
     monkeypatch.setattr(decompose, "is_characteristic", counted)
-    screened = run_decomposition(cs, zc, MAX_DEGREE, MAX_DEPTH)
+    screened = run_decomposition(cs, zc, MAX_DEGREE)
     accepted = [cand for _, cand, ok in streamed if ok]
     assert accepted
     assert not [P for P in checked if any(P is cand for cand in accepted)]
     streamed.clear()
     checked.clear()
     monkeypatch.setattr(decompose, "evaluable_mod_p", lambda *args: False)
-    symbolic = run_decomposition(cs, zc, MAX_DEGREE, MAX_DEPTH)
+    symbolic = run_decomposition(cs, zc, MAX_DEGREE)
     cands = [cand for _, cand, ok in streamed if not ok]
     assert len(cands) == len(streamed) and None not in cands
     assert all(any(P is cand for P in checked) for cand in cands)
@@ -1083,7 +1089,7 @@ def test_function_levels_bypass_screen(zc, monkeypatch):
         calls.clear()
         cs = parse_system("system v { states: x1, x2, x3; inputs: u1, u2; "
                           f"dot(x1) = u1; dot(x2) = u2; dot(x3) = {rhs}; }}")
-        assert run_decomposition(cs, zc, MAX_DEGREE, MAX_DEPTH).status == \
+        assert run_decomposition(cs, zc, MAX_DEGREE).status == \
             "Triangularized"
         assert calls
         assert all(_Screen(*call, zc).usable == usable for call in calls), rhs
@@ -1117,7 +1123,7 @@ def test_scan_builds_the_pool_only_past_the_unit_vectors(name, pools, zc,
     monkeypatch.setattr(decompose, "monomial_pool",
                         lambda *args: calls.append(args) or pool(*args))
     cs = parse_system((DATA / f"{name}.fds").read_text())
-    assert run_decomposition(cs, zc, MAX_DEGREE, MAX_DEPTH).status == \
+    assert run_decomposition(cs, zc, MAX_DEGREE).status == \
         "Triangularized"
     assert len(calls) == pools
 
@@ -1127,7 +1133,7 @@ def test_screen_builds_no_symbolic_derivative(name, zc, monkeypatch):
     # every derivative the screen reads is taken forward-mode at the point
     calls = _recording_tables(monkeypatch)
     cs = parse_system((DATA / f"{name}.fds").read_text())
-    run_decomposition(cs, zc, MAX_DEGREE, MAX_DEPTH)
+    run_decomposition(cs, zc, MAX_DEGREE)
 
     def no_diff(*args):
         raise AssertionError("symbolic derivative inside the screen")

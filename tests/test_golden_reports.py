@@ -32,31 +32,31 @@ from flatdec.cli import main
 DATA = pathlib.Path(__file__).parent / "data"
 
 GOLDEN = {
-    ("car", "decompose"): "0a6fc83202306db1770ebee9014ccb7d6024ca3a9d48490f6326734f4952ef91",
-    ("chain4", "analyze"): "dc7242f6f2266ef100995d1db95fab5cab7799b3975e086e10b5525349b93110",
-    ("chain4", "decompose"): "26274b691a0d1a08f6563c2533446e762bdc5c01e499f0b5a25f75495f0fb5c9",
-    ("chain4", "decompose --verify --samples 6"): "5e80a500d11f987db2499626f27f744fe0b33b20fb02570f31133d335f3f12b6",
-    ("chained5", "decompose"): "a102269f31dfd4bbef8e848ccf7c5aae80ed2db6d5ea071c79ed82b0907ef9bd",
-    ("coupled", "analyze"): "9372c82b93e8af4b8c9d111b21cd9a382acc1836cb943d7be5c338a02c25c0f6",
-    ("coupled", "decompose"): "71e8226229cf59dc684cc94f7b44f7e7838a9af75e6b962723a4466f56885526",
-    ("coupled", "decompose --verify --samples 6"): "58cfe335ad9955212461c694761df55b87794dcd0d489e653fdc67b7c5daa13a",
-    ("gb3", "decompose --verify --samples 6"): "756256c132950b93019dc27164407f0e934a0aa74cdc0ec05356e67ccece1513",
-    ("gb6", "decompose --verify --samples 6"): "e75b66d39794fb0a2d63ea4e6f7ff17f60b00bd3b1219d120e6f280b66b43f9d",
-    ("gc11", "decompose"): "5939ff3ac864323259d80000790f51d17789f7adf5779504b4776d2e89076c53",
-    ("nfd", "analyze"): "025fcb5d227499aa3de449a2d15a464fca81d0b3310412783b0a5b0c747c3c35",
-    ("nfd", "decompose"): "d6d757f05843b01b163739990508f7760259c7fbd601725a4fd5ba903cecd0d7",
-    ("nfd2", "analyze"): "a769d9f09398d4a8aba8524b9e059737f5626f419ffd67db71753494331e8a8c",
-    ("nfd2", "decompose"): "9c43c977bb342b8082befe65224a8602a501cf47e5f54af8803cd318d4808616",
-    ("nfd3", "decompose"): "4e5689046413e08f6e28eb8a86e00b39d8c16a81986213565b77831a1603f0ab",
-    ("slow/pvtol", "decompose"): "f52eacb5d81bfcf1190c3a40d1505df59b652c883f23f6eaa47f3ccc70bc85fa",
-    ("slow/pvtol", "verify --certificate slow/pvtol.cert.json --samples 2"): "883e9de3b196458f8af6f0a7b2677227f45ff2810aad34ce0c05e5987ea35d0b",
-    ("sinex", "analyze"): "3ad4d8b735d142464b2f3360952c88169ab9b5525bc9f1eef7a69cf0f393c962",
-    ("sinex", "decompose"): "7b66311307319d50d6000dbe3e6693fe21c28ae834e4cc57e3acedaf237ba75c",
-    ("sinex", "decompose --verify --samples 6"): "0f7ca785f19933dea8ea54c2eeeaf5cdba5e0a77677a59a51fd91256ee03da91",
-    ("sinex", 'verify --outputs "x3; x2" --samples 6'): "3c19d0f18de2b3066ebb6355754b295a73b78b369ae5bdf9161e01fa8206ceed",
-    ("three", "decompose"): "2a3acbf69bf001856b6f2ed878b687b181776f3798abfe02070603c2a99f79dc",
-    ("trailer1", "decompose"): "978e4fed6c9909976c92c38919efee06d2ae25d350668242b40c60ee9a68dbc6",
-    ("unicycle", "decompose --verify --samples 6"): "09a31fd01e1ce3e3805889bc54376d2d8c46bc6edeafc310ccf28f5b294cc8e9",
+    ("car", "decompose"): "541400a3039288f2740990c0b0c170f4b630d4703758ebebb032d3402f80ae3d",
+    ("chain4", "analyze"): "c5fcd5c219fa862a108d251a5ab479332a90c5635ee30a8fe1d898db94e58427",
+    ("chain4", "decompose"): "91f2b857575efc785559eae1f8e201d481969739722227446fc8114801f618aa",
+    ("chain4", "decompose --verify --samples 6"): "95bb051c4ecb5e576fe74f337ec4054b4812b280a89daef6d22052f770bda907",
+    ("chained5", "decompose"): "55d85df8fc83e6b255b1e94b50c3040d5d1db3310bede4306cb4f8ea0cf93f42",
+    ("coupled", "analyze"): "5ff2c68c0a1ecc728d50ee504f4038d7ee276c47ac198dfca4b27b21c4c0ff49",
+    ("coupled", "decompose"): "325aa0249e7a169cff9dfa705296faae8b18419e59cd3bf2453ba1939a61b404",
+    ("coupled", "decompose --verify --samples 6"): "80cb4b2745be65cab27cd27e2eb6bec7412b8326a7f562125b3d2376987e6847",
+    ("gb3", "decompose --verify --samples 6"): "861c8e9838f197e808e1c023679d16d37e4e4aa4bf121362e5964d8a0cfc58ed",
+    ("gb6", "decompose --verify --samples 6"): "4f8a19a2c9e3d0c42cccf16db5e4068118b9ec7ccfeb4521f47af27fc03b227b",
+    ("gc11", "decompose"): "f2e0b3da01cc7237a0cb19601e4b3c1f734e9916438696e546688ef9c689cea1",
+    ("nfd", "analyze"): "4f8ff65fa6e926adfb1a5040961ae98d6ebb5a21673a18bacea556599f10aec8",
+    ("nfd", "decompose"): "b7c5de82bad2369187ae165bab80ba8a0a1b4c7d350488cc63a685ed597731e3",
+    ("nfd2", "analyze"): "35750a731dfe473021b61e85136fae304420b93ecc012c5e189c577c94c76161",
+    ("nfd2", "decompose"): "d484870f9a4be0d0c2409a1a4461ecc01c81d0e9cbfedf1e55f9773b75f1ce45",
+    ("nfd3", "decompose"): "d79ecff7be376bf1e005539820aa0cc00c6bb51fa738fb35c8784082be9c6320",
+    ("slow/pvtol", "decompose"): "59e988860297bb759539229d0ef24fe5524eb9e52b0172ba304f9a5a76ed545f",
+    ("slow/pvtol", "verify --certificate slow/pvtol.cert.json --samples 2"): "94ab3d4e79ad18a9b0d8845898d53f080b26fafb3220174e7198a13795bf2479",
+    ("sinex", "analyze"): "fec21cf3abe4b09ccb000df06c39c7b2bee22ef60e554908b0e70d6ce2181a48",
+    ("sinex", "decompose"): "71bcde0bafef01c40e194ea770114dedce90df02203214fdc0fcf8057aa2c8a3",
+    ("sinex", "decompose --verify --samples 6"): "f1687a18f4a168bf58c886a8276e4464f0bb15be9719d1f9416147a558e3e730",
+    ("sinex", 'verify --outputs "x3; x2" --samples 6'): "a42d1c0ce0994145b08035760eb9faa599acb303f1b150abd7afbc7abbbed110",
+    ("three", "decompose"): "87878a164773d144932147c9b995b835890239deed09b7db7374acecd7f7616b",
+    ("trailer1", "decompose"): "996d43ce91d74af7ca94ddcd5731556dfdc7b683cb7d48d18bb9173506ca6575",
+    ("unicycle", "decompose --verify --samples 6"): "511f80c396eed5304da8adb35573fffec953d0292c5a3976afbcf2a612b17df5",
 }
 
 

@@ -1,5 +1,5 @@
 """Module boundaries of the package, the benchmark's traced names and the
-CLI flags the README documents."""
+CLI flags and branch-log kinds the README documents."""
 
 import argparse
 import ast
@@ -13,6 +13,9 @@ import sys
 
 from flatdec.cli import _build_parser
 from flatdec.symexpr import Expr, Symbol
+from flatdec.sysdsl import parse_system
+
+from conftest import search
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "flatdec"
@@ -256,3 +259,15 @@ def test_readme_documents_exactly_the_cli_flags():
     section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
     named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
     assert named == _parser_flags(_build_parser())
+
+
+def test_readme_documents_exactly_the_branch_log_kinds():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("`branch_log` lists the search's decisions", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    named = set(re.findall(r"^- `([a-z-]+)`:", section, re.MULTILINE))
+    written = set()
+    for path in sorted((ROOT / "tests" / "data").glob("*.fds")):
+        res = search(parse_system(path.read_text()))
+        written |= {e["kind"] for e in res.branch_log}
+    assert named == written == {"splitting", "joint", "ansatz"}
