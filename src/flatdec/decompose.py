@@ -479,42 +479,47 @@ def _complement(S: PfaffianSystem, S_sub: PfaffianSystem, zc: ZeroCtx):
 
 # -- one reduction layer ----------------------------------------------------------------
 
-def reduce_once(S: PfaffianSystem, max_degree: int, zc: ZeroCtx,
-                naming, events: list):
-    """Every verified splitting of S, in search order.
+def reduce_once(S: PfaffianSystem, max_degree: int, zc: ZeroCtx, naming):
+    """Branch-log entries and verified splittings of S, in search order.
 
     Order: the joint candidate over all vertical directions, then single
     combined fields by ascending coefficient size, up to the first one
     accepted.  Both read the contractions and row tables that
     contraction_tables builds once for the level; the joint candidate is
-    derived_system over them.  Candidate rejections that reached
-    verification are appended to events, except that the scan's candidates
-    whose field is not characteristic are counted in one entry for the
-    level, with the first and last such c.  Returns the empty list, after
-    that entry, when nothing is accepted.
+    derived_system over them.  A rejected joint candidate gets an entry of
+    its own.  The scan's failed candidates are folded into one entry per
+    outcome and note, with their count, first and last c and the first
+    one's F; the entry for fields that are not characteristic has no F
+    and comes last, and when nothing is accepted it is written, its count
+    0 if need be, with a note that the scan is exhausted.
     """
     basis = vertical_annihilator(S, zc)
     tabs = contraction_tables(S, basis)
-    out = []
-    rejected = []  # scanned c whose field is not characteristic
+    entries, out = [], []
+    folds = {}  # (outcome, note) -> the level's entry for scan candidates
 
-    def consider(fields, cand, kind, c=None, accepted=False):
+    def fold(c, note, outcome="rejected", fields=()):
+        entry = folds.get((outcome, note))
+        if entry is None:
+            entry = folds[outcome, note] = dict(
+                kind="ansatz", outcome=outcome, note=note, count=0, first=c)
+            if note != _NOT_CHARACTERISTIC:
+                entry["F"] = [field_dict(v) for v in fields]
+        entry["count"] += 1
+        entry["last"] = c
+
+    def consider(fields, cand, c=None, accepted=False):
         def reject(note, outcome="rejected"):
-            info = {"kind": kind, "F": [field_dict(v) for v in fields]}
             if c is not None:
-                info["c"] = [render(x) for x in c]
-            events.append(dict(info, outcome=outcome, note=note))
+                return fold(c, note, outcome, fields)
+            entries.append({"kind": "joint", "outcome": outcome, "note": note,
+                            "F": [field_dict(v) for v in fields]})
 
         if S.dim != cand.dim + len(fields):
             return reject("size bookkeeping fails")
         if not accepted and not all(is_characteristic(v, cand, zc)
                                     for v in fields):
-            # the scan counts these in one entry for the level
-            if c is None:
-                reject(_NOT_CHARACTERISTIC)
-            else:
-                rejected.append(c)
-            return
+            return reject(_NOT_CHARACTERISTIC)
         # a scan field is one nonzero field, and the joint fields are the
         # vertical basis, which is involutive: F is involutive
         F = tuple(fields)
@@ -534,34 +539,30 @@ def reduce_once(S: PfaffianSystem, max_degree: int, zc: ZeroCtx,
         out.append(Splitting(F, nxt, comp, phi, tuple(params)))
 
     if 2 <= len(basis) <= S.dim and is_involutive(basis, zc):
-        consider(basis, derived_system(S, tabs, zc), "joint")
+        consider(basis, derived_system(S, tabs, zc))
     # The tuple stream is ordered simplest-first and deduplicated up to
     # scale, so the first field surviving the full check chain is kept and
     # the scan stops; alternatives at this level would only differ by a
     # more complicated coefficient vector.
-    tried = 0
     before = len(out)
     for c, cand, accepted in _candidate_stream(S, basis, tabs, max_degree,
                                                zc):
-        tried += 1
         if cand is None:
-            rejected.append(c)
+            fold(c, _NOT_CHARACTERISTIC)
             continue
-        consider([_combine(c, basis)], cand, "ansatz", c=c, accepted=accepted)
+        consider([_combine(c, basis)], cand, c=c, accepted=accepted)
         if len(out) > before:
             break
-    if rejected or not out:
-        scan = {"kind": "ansatz", "outcome": "rejected", "count": len(rejected),
-                "note": _NOT_CHARACTERISTIC}
-        if rejected:
-            scan.update(first=[render(x) for x in rejected[0]],
-                        last=[render(x) for x in rejected[-1]])
-        if not out:
-            scan["note"] = (f"no admissible splitting within {MAX_CANDIDATES} "
-                            f"coefficient tuples ({tried} candidate subsystems "
-                            f"rejected)")
-        events.append(scan)
-    return out
+    if not out:
+        tried = sum(e["count"] for e in folds.values())
+        folds.setdefault(("rejected", _NOT_CHARACTERISTIC), dict(
+            kind="ansatz", outcome="rejected", count=0))["note"] = (
+            f"no admissible splitting within {MAX_CANDIDATES} coefficient "
+            f"tuples ({tried} candidate subsystems rejected)")
+    for e in folds.values():
+        for end in {"first", "last"} & e.keys():
+            e[end] = [render(x) for x in e[end]]
+    return entries + sorted(folds.values(), key=lambda e: "F" not in e), out
 
 
 # -- the full search -----------------------------------------------------------------------
@@ -582,9 +583,8 @@ def run_decomposition(cs, zc: ZeroCtx, max_degree: int) -> DecompositionResult:
     def explore(S, level, parent):
         if S.dim == 0:
             return True
-        events = []
-        splits = reduce_once(S, max_degree, zc, naming, events)
-        for ev in events:
+        entries, splits = reduce_once(S, max_degree, zc, naming)
+        for ev in entries:
             ev.update(id=len(log), parent=parent, level=level)
             log.append(ev)
         for sp in splits:

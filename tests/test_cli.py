@@ -420,10 +420,12 @@ FIXTURE_SHAPES = {
     "gb3": ("Triangularized", "0-flat", 2),
     "gb6": ("Triangularized", "0-flat", 2),
     "gc11": ("Triangularized", "0-flat", 2),
+    "gch1": ("Inconclusive", None, None),
     "nfd": ("Inconclusive", None, None),
     "nfd2": ("Inconclusive", None, None),
     "nfd3": ("Inconclusive", None, None),
     "nfd4": ("Inconclusive", None, None),
+    "ruled": ("Triangularized", "1-flat", 2),
     "sinex": ("Triangularized", "1-flat", 2),
     "three": ("Triangularized", "0-flat", 3),
     "trailer1": ("Triangularized", "0-flat", 2),
@@ -470,11 +472,14 @@ def test_verify_passes_the_pvtol_textbook_flat_outputs(capsys):
 
 @pytest.mark.parametrize("name, outputs, checks", [
     ("gb3", ["x1 - (-4*x2 - 1)*x2 - 2*x2^2", "x3"], 8),
-    ("gb6", ["x1 - x2 - x3*x4", "x4"], 11)])
+    ("gb6", ["x1 - x2 - x3*x4", "x4"], 11),
+    ("ruled", ["x2", "x1 - x3/u2"], 11)])
 def test_generated_systems_pass_at_every_seed(name, outputs, checks,
                                               tmp_path, capsys):
-    # flat by construction; an Xi^1 coefficient of each mentions a
-    # coordinate of a later block that cancels out of it
+    # gb3 and gb6 are flat by construction, and an Xi^1 coefficient of each
+    # mentions a coordinate of a later block that cancels out of it; ruled
+    # is nfd's flat counterpart, its dot(x3) = dot(x1)*dot(x2) a ruled
+    # surface where nfd's dot(x1)^2 + dot(x2)^2 is not
     for seed in range(4):
         report = tmp_path / f"{seed}.json"
         code = main(["decompose", str(DATA / f"{name}.fds"), "--verify",

@@ -6,6 +6,7 @@ import itertools
 import json
 import pathlib
 import random
+import re
 
 import pytest
 
@@ -66,11 +67,11 @@ def splitting_holds(sp: Splitting, parent: PfaffianSystem, zc) -> bool:
     return all(is_characteristic(v, P, zc) for v in sp.F)
 
 
-def reduce_top(S, zc, events=None):
-    """reduce_once on a level-0 system, with fresh names for its chart."""
+def reduce_top(S, zc):
+    """reduce_once on a level-0 system, with fresh names for its chart:
+    the level's branch-log entries and its splittings."""
     naming = _prefixes({s.name for s in S.chart.axes})
-    return reduce_once(S, MAX_DEGREE, zc, naming,
-                       [] if events is None else events)
+    return reduce_once(S, MAX_DEGREE, zc, naming)
 
 
 def axis(chart, name):
@@ -255,8 +256,8 @@ def test_necessary_condition_budget_exhaustion(sin_sys, zc, monkeypatch):
     S0, basis, tabs = _level(from_control_system(sin_sys, zc), zc)
     monkeypatch.setattr(decompose, "MAX_CANDIDATES", 0)
     assert list(_candidate_stream(S0, basis, tabs, MAX_DEGREE, zc)) == []
-    events = []
-    assert reduce_top(S0, zc, events) == []
+    events, splits = reduce_top(S0, zc)
+    assert splits == []
     # the exhausted scan logs its one entry, with nothing to show as c
     scan, = [e for e in events if e["kind"] == "ansatz"]
     assert scan["count"] == 0 and not {"first", "last"} & set(scan)
@@ -319,7 +320,7 @@ def test_check_parameterizable_cases(zc):
 def test_reduce_once_chain_straightens_the_input(chain, zc):
     cs = chain(3)
     S0 = from_control_system(cs, zc)
-    splits = reduce_top(S0, zc)
+    _, splits = reduce_top(S0, zc)
     assert len(splits) == 1
     sp = splits[0]
     u = coord(cs, "u")
@@ -332,8 +333,7 @@ def test_reduce_once_chain_straightens_the_input(chain, zc):
 
 def test_reduce_once_sin_level0(sin_sys, zc):
     S0 = from_control_system(sin_sys, zc)
-    events = []
-    splits = reduce_top(S0, zc, events)
+    events, splits = reduce_top(S0, zc)
     assert len(splits) == 1
     sp = splits[0]
     u1, u2 = coord(sin_sys, "u1"), coord(sin_sys, "u2")
@@ -350,7 +350,7 @@ def test_reduce_once_sin_level0(sin_sys, zc):
 def test_splitting_verify_detects_corruption(chain, zc):
     cs = chain(3)
     S0 = from_control_system(cs, zc)
-    sp = reduce_top(S0, zc)[0]
+    sp = reduce_top(S0, zc)[1][0]
     x1 = coord(cs, "x1")
     horizontal = (VectorField(S0.chart, {x1: ONE}),)
     assert not splitting_holds(dataclasses.replace(sp, F=horizontal), S0, zc)
@@ -400,7 +400,7 @@ def test_reduce_once_builds_the_tables_once(coupled_sys, zc, monkeypatch):
     S0 = from_control_system(coupled_sys, zc)
     assert len(vertical_annihilator(S0, zc)) == 2
     calls = _recording_tables(monkeypatch)
-    splits = reduce_top(S0, zc)
+    _, splits = reduce_top(S0, zc)
     # the joint candidate and the scan both found a splitting
     assert sorted(len(sp.F) for sp in splits) == [1, 2]
     assert len(calls) == 1
@@ -520,6 +520,14 @@ def test_search_status_follows_from_its_log(path, seed):
         assert any(e["kind"] == "ansatz"
                    and e["note"].startswith("no admissible splitting")
                    for e in res.branch_log)
+    # an exhausted scan's note counts every candidate its level's folds hold
+    for e in res.branch_log:
+        if e["note"].startswith("no admissible splitting"):
+            n = int(re.search(r"\((\d+) candidate subsystems", e["note"])[1])
+            assert n == sum(f["count"] for f in res.branch_log
+                            if f["kind"] == "ansatz"
+                            and (f["parent"], f["level"])
+                            == (e["parent"], e["level"]))
 
 
 def test_run_decomposition_deterministic(coupled_sys):
@@ -553,8 +561,10 @@ def test_gb311_triangularizes_past_182_straightenings():
     cs = parse_system((DATA / "slow" / "gb311.fds").read_text())
     res = run_decomposition(cs, ZeroCtx(20, 0), MAX_DEGREE)
     assert res.status == "Triangularized"
-    assert len(res.branch_log) == 330
-    assert [e["outcome"] for e in res.branch_log].count("suspended") == 323
+    # the 323 suspended candidates fold into three entries by note
+    assert len(res.branch_log) == 10
+    assert sum(e["count"] for e in res.branch_log
+               if e["outcome"] == "suspended") == 323
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -564,8 +574,30 @@ def test_gb310_triangularizes(seed, tmp_path, capsys):
     assert main(["decompose", str(DATA / "slow" / "gb310.fds"), "--seed",
                  str(seed), "--report", str(report)]) == 0
     capsys.readouterr()
-    assert json.loads(report.read_text())["decomposition"]["status"] == \
-        "Triangularized"
+    log = json.loads(report.read_text())["decomposition"]
+    assert log["status"] == "Triangularized"
+    # its 323 suspended candidates are folded, not written one by one
+    assert report.stat().st_size < 60_000
+    assert not [e for e in log["branch_log"] if "c" in e]
+
+
+def test_gch1_folds_its_failed_scan_candidates():
+    # gch1 suspends 132 scan candidates on two levels under three notes;
+    # each (parent, level, outcome, note) keeps one entry with its count,
+    # its first and last c and its first candidate's F
+    cs = parse_system((DATA / "gch1.fds").read_text())
+    res = run_decomposition(cs, ZeroCtx(20, 0), MAX_DEGREE)
+    assert res.status == "Inconclusive"
+    assert len(res.branch_log) == 11
+    suspended = [e for e in res.branch_log if e["outcome"] == "suspended"]
+    assert sorted(e["count"] for e in suspended) == [1, 2, 129]
+    for e in suspended:
+        assert e["kind"] == "ansatz" and "c" not in e
+        assert e["F"] and len(e["first"]) == len(e["last"]) == 2
+        assert e["note"].startswith("flow not solvable: ")
+    keys = [(e["parent"], e["level"], e["outcome"], e["note"])
+            for e in res.branch_log if e["kind"] == "ansatz"]
+    assert len(set(keys)) == len(keys)
 
 
 def test_branch_log_shape(sin_sys):
@@ -620,7 +652,7 @@ def test_screen_agrees_with_symbolic_path(name, zc):
     if name == "coupled-joint":
         # below coupled's joint splitting (a dead end) the screen mostly skips
         S0 = _first_level("coupled", zc)[0]
-        joint = next(sp for sp in reduce_top(S0, zc)
+        joint = next(sp for sp in reduce_top(S0, zc)[1]
                      if len(sp.F) == 2)
         S, basis, tabs = _level(joint.S_next, zc)
     else:
@@ -816,7 +848,7 @@ def test_screen_pencil_is_value_and_derivative(name, zc):
     # symbolic pencil evaluated at the same point
     if name == "coupled-joint":
         S0 = _first_level("coupled", zc)[0]
-        joint = next(sp for sp in reduce_top(S0, zc)
+        joint = next(sp for sp in reduce_top(S0, zc)[1]
                      if len(sp.F) == 2)
         S, basis, tabs = _level(joint.S_next, zc)
     else:

@@ -1,9 +1,10 @@
 """Module boundaries of the package, the benchmark's traced names and the
-CLI flags and branch-log kinds the README documents."""
+CLI flags and branch-log kinds and keys the README documents."""
 
 import argparse
 import ast
 import collections
+import functools
 import importlib
 import os
 import pathlib
@@ -261,13 +262,32 @@ def test_readme_documents_exactly_the_cli_flags():
     assert named == _parser_flags(_build_parser())
 
 
-def test_readme_documents_exactly_the_branch_log_kinds():
+def _branch_log_section():
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     section = readme.split("`branch_log` lists the search's decisions", 1)[1]
-    section = section.split("\n## ", 1)[0]
-    named = set(re.findall(r"^- `([a-z-]+)`:", section, re.MULTILINE))
-    written = set()
-    for path in sorted((ROOT / "tests" / "data").glob("*.fds")):
-        res = search(parse_system(path.read_text()))
-        written |= {e["kind"] for e in res.branch_log}
+    return section.split("\n## ", 1)[0]
+
+
+@functools.cache
+def _fixture_branch_logs():
+    """The branch log of each tests/data search at the CLI's defaults."""
+    return [search(parse_system(path.read_text())).branch_log
+            for path in sorted((ROOT / "tests" / "data").glob("*.fds"))]
+
+
+def test_readme_documents_exactly_the_branch_log_kinds():
+    named = set(re.findall(r"^- `([a-z-]+)`:", _branch_log_section(),
+                           re.MULTILINE))
+    written = {e["kind"] for log in _fixture_branch_logs() for e in log}
     assert named == written == {"splitting", "joint", "ansatz"}
+
+
+def test_readme_documents_exactly_the_branch_log_keys():
+    # every name in backticks that is not a kind or an outcome the
+    # searches write is an entry key, and every key they write is named
+    named = set(re.findall(r"`([^`]+)`", _branch_log_section()))
+    keys, values = set(), set()
+    for e in (e for log in _fixture_branch_logs() for e in log):
+        keys |= e.keys()
+        values |= {e["kind"], e["outcome"]}
+    assert named - values == keys
