@@ -57,7 +57,6 @@ def _base_report(command: str, path: str, text: str, cs, args) -> dict:
         },
         "config": {
             "seed": args.seed,
-            "max_degree": args.max_degree,
             "samples": args.samples,
             "verify": bool(getattr(args, "verify", False)),
         },
@@ -262,7 +261,7 @@ def cmd_decompose(args) -> int:
     t0 = time.perf_counter()
     zc = ZeroCtx(budget=args.samples, seed=args.seed)
     text, cs = _read_system(args.file, zc)
-    res = run_decomposition(cs, zc, args.max_degree)
+    res = run_decomposition(cs, zc)
     report = _base_report("decompose", args.file, text, cs, args)
     report["decomposition"] = {
         "status": res.status,
@@ -355,17 +354,16 @@ def cmd_verify(args) -> int:
             raise CertificateError(f"certificate is not JSON: {ex}") from None
         cert = _certificate_load(obj, cs)
     elif args.outputs is not None:
-        res = run_decomposition(cs, zc, args.max_degree)
+        claimed = tuple(parse_expr(part.strip(),
+                                   tuple(cs.states) + tuple(cs.inputs))
+                        for part in args.outputs.split(";") if part.strip())
+        res = run_decomposition(cs, zc)
         if res.status != "Triangularized":
             print(f"{cs.name}: {res.status}, nothing to verify against",
                   file=sys.stderr)
             return 3
         td = from_sequence(res.sequence, zc, cs)
-        cert = extract_flat_output(td)
-        claimed = tuple(parse_expr(part.strip(),
-                                   tuple(cs.states) + tuple(cs.inputs))
-                        for part in args.outputs.split(";") if part.strip())
-        cert = dataclasses.replace(cert, outputs=claimed)
+        cert = dataclasses.replace(extract_flat_output(td), outputs=claimed)
     else:
         print("missing certificate: pass --certificate <report.json> "
               "or --outputs <expr;expr>", file=sys.stderr)
@@ -391,8 +389,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("file", help="system description (.fds)")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for all randomized decisions (default 0)")
-    p.add_argument("--max-degree", type=_at_least(0), default=2,
-                   help="monomial degree cap for combination coefficients")
     p.add_argument("--samples", type=_at_least(1), default=20,
                    help="zero-test budget and verification trial count")
     p.add_argument("--report", metavar="PATH",

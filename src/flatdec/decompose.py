@@ -34,6 +34,8 @@ from .sysdsl import field_dict, form_dict, render
 
 # coefficient tuples the ansatz scan tries per level
 MAX_CANDIDATES = 512
+# total absolute degree of the scan's monomial coefficients
+MAX_DEGREE = 2
 
 
 @dataclass(frozen=True)
@@ -98,16 +100,16 @@ def _bounded_exponents(n: int, d: int):
             yield (e,) + rest
 
 
-def monomial_pool(chart, max_degree: int):
-    """Monomials of bounded total absolute degree in the chart coordinates,
-    as (monomial, exponent vector) pairs, simplest monomial first.
+def monomial_pool(chart):
+    """Monomials of total absolute degree up to MAX_DEGREE in the chart
+    coordinates, as (monomial, exponent vector) pairs, simplest first.
 
     Negative exponents are included; coordinates are treated as generically
     nonzero, which matches how the probabilistic zero test samples points.
     """
     coords = chart.coords
     out = []
-    for expo in _bounded_exponents(len(coords), max_degree):
+    for expo in _bounded_exponents(len(coords), MAX_DEGREE):
         factors = [pow_(var(s), e) for s, e in zip(coords, expo) if e]
         out.append((mul(*factors) if factors else ONE, expo))
     return sorted(out, key=lambda m: (m[0].nodes, structural_key(m[0])))
@@ -302,7 +304,7 @@ def _on_line(coeffs, cols, u, p: int) -> bool:
     return True
 
 
-def _coefficient_vectors(chart, k: int, max_degree: int):
+def _coefficient_vectors(chart, k: int):
     """The scan's coefficient tuples: simplest first, one per projective
     class, at most MAX_CANDIDATES of them.  The k unit vectors come first;
     the monomial pool is built only for a scan that reads past them.
@@ -314,13 +316,13 @@ def _coefficient_vectors(chart, k: int, max_degree: int):
     The tuples of length k - 1 are listed once, by total size, and those
     of length k one size at a time, so a scan that stops early pays only
     for the sizes it reads.  Each monomial's exponent vector is read once
-    as an integer code in radix 4d + 1, d the degree bound; a difference
-    of two vectors has digits in [-2d, 2d], so it is told apart by its
-    code.  A tuple's class key has, per entry, None for ZERO, and for a
-    monomial the code of the next monomial entry minus its own, or _LAST
-    for the last one: two tuples differ by a common monomial factor
-    exactly when their keys agree, and the key of (i,) + t follows from
-    t's key and its first monomial's code."""
+    as an integer code in radix 4d + 1, d = MAX_DEGREE; a difference of
+    two vectors has digits in [-2d, 2d], so it is told apart by its code.
+    A tuple's class key has, per entry, None for ZERO, and for a monomial
+    the code of the next monomial entry minus its own, or _LAST for the
+    last one: two tuples differ by a common monomial factor exactly when
+    their keys agree, and the key of (i,) + t follows from t's key and its
+    first monomial's code."""
     seen = set()
     for i in range(k):
         if len(seen) >= MAX_CANDIDATES:
@@ -329,12 +331,12 @@ def _coefficient_vectors(chart, k: int, max_degree: int):
         yield tuple(ONE if j == i else ZERO for j in range(k))
     if len(seen) >= MAX_CANDIDATES:
         return
-    pool = monomial_pool(chart, max_degree)
+    pool = monomial_pool(chart)
     n = len(pool)
     while (n + 1) ** k > 200_000:
         n //= 2
     items = [ZERO] + [m for m, _ in pool[:n]]
-    radix = 4 * max_degree + 1
+    radix = 4 * MAX_DEGREE + 1
     codes = [None] + [sum(e * radix ** s for s, e in enumerate(expo))
                       for _, expo in pool[:n]]
     ranked = sorted(range(n + 1), key=lambda i: structural_key(items[i]))
@@ -379,8 +381,7 @@ def _pencil_rows(tables, keys, c, m: int):
              for j in range(m)] for idx in keys]
 
 
-def _candidate_stream(S: PfaffianSystem, basis, tabs, max_degree: int,
-                      zc: ZeroCtx):
+def _candidate_stream(S: PfaffianSystem, basis, tabs, zc: ZeroCtx):
     """Lazily yield single-field candidates (c, S_candidate, accepted)
     over the vertical basis, from the level's tables tabs
     (contraction_tables).
@@ -401,7 +402,7 @@ def _candidate_stream(S: PfaffianSystem, basis, tabs, max_degree: int,
     screen = _Screen(S, basis, tabs, zc)
     if not screen.usable:
         screen = None
-    for c in _coefficient_vectors(S.chart, k, max_degree):
+    for c in _coefficient_vectors(S.chart, k):
         verdict = screen.decide(c) if screen else None
         if verdict == _SKIP:
             continue
@@ -479,7 +480,7 @@ def _complement(S: PfaffianSystem, S_sub: PfaffianSystem, zc: ZeroCtx):
 
 # -- one reduction layer ----------------------------------------------------------------
 
-def reduce_once(S: PfaffianSystem, max_degree: int, zc: ZeroCtx, naming):
+def reduce_once(S: PfaffianSystem, zc: ZeroCtx, naming):
     """Branch-log entries and verified splittings of S, in search order.
 
     Order: the joint candidate over all vertical directions, then single
@@ -545,8 +546,7 @@ def reduce_once(S: PfaffianSystem, max_degree: int, zc: ZeroCtx, naming):
     # the scan stops; alternatives at this level would only differ by a
     # more complicated coefficient vector.
     before = len(out)
-    for c, cand, accepted in _candidate_stream(S, basis, tabs, max_degree,
-                                               zc):
+    for c, cand, accepted in _candidate_stream(S, basis, tabs, zc):
         if cand is None:
             fold(c, _NOT_CHARACTERISTIC)
             continue
@@ -554,11 +554,10 @@ def reduce_once(S: PfaffianSystem, max_degree: int, zc: ZeroCtx, naming):
         if len(out) > before:
             break
     if not out:
-        tried = sum(e["count"] for e in folds.values())
         folds.setdefault(("rejected", _NOT_CHARACTERISTIC), dict(
             kind="ansatz", outcome="rejected", count=0))["note"] = (
             f"no admissible splitting within {MAX_CANDIDATES} coefficient "
-            f"tuples ({tried} candidate subsystems rejected)")
+            "tuples")
     for e in folds.values():
         for end in {"first", "last"} & e.keys():
             e[end] = [render(x) for x in e[end]]
@@ -567,13 +566,14 @@ def reduce_once(S: PfaffianSystem, max_degree: int, zc: ZeroCtx, naming):
 
 # -- the full search -----------------------------------------------------------------------
 
-def run_decomposition(cs, zc: ZeroCtx, max_degree: int) -> DecompositionResult:
+def run_decomposition(cs, zc: ZeroCtx) -> DecompositionResult:
     """Depth-first reduction of the system's Pfaffian form.
 
     Triangularized iff some branch empties the system, otherwise
     Inconclusive.  Every level lowers the dimension, so a branch is at most
     as deep as the system has states.  The ansatz scan combines the
-    vertical fields with monomials of total degree up to max_degree.
+    vertical fields with monomials of total absolute degree up to
+    MAX_DEGREE.
     """
     S0 = from_control_system(cs, zc)
     naming = _prefixes({s.name for s in S0.chart.axes})
@@ -583,7 +583,7 @@ def run_decomposition(cs, zc: ZeroCtx, max_degree: int) -> DecompositionResult:
     def explore(S, level, parent):
         if S.dim == 0:
             return True
-        entries, splits = reduce_once(S, max_degree, zc, naming)
+        entries, splits = reduce_once(S, zc, naming)
         for ev in entries:
             ev.update(id=len(log), parent=parent, level=level)
             log.append(ev)

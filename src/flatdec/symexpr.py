@@ -14,7 +14,6 @@ import functools
 import hashlib
 import math
 import weakref
-from fractions import Fraction
 from numbers import Rational
 
 import mpmath
@@ -227,10 +226,8 @@ def const(value) -> Const:
     """Exact rational constant.  Floats are rejected: no inexact literals."""
     if type(value) is int:
         return Const(value, 1)
-    if isinstance(value, float):
-        raise TypeError("float constants are not exact; pass a Fraction")
     if not isinstance(value, Rational):
-        value = Fraction(value)
+        raise TypeError("constants must be exact: an int or a Rational")
     return _const(value.numerator, value.denominator)
 
 
@@ -324,12 +321,7 @@ def mul(*factors) -> Expr:
 
 def pow_(base: Expr, exp: int) -> Expr:
     if not isinstance(exp, int):
-        if isinstance(exp, Const) and exp.d == 1:
-            exp = exp.n
-        elif isinstance(exp, Fraction) and exp.denominator == 1:
-            exp = int(exp)
-        else:
-            raise TypeError("power exponents must be integers")
+        raise TypeError("power exponents must be integers")
     if exp == 0:
         return ONE
     if exp == 1:

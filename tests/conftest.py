@@ -31,9 +31,6 @@ from flatdec.symexpr import (
 from flatdec.sysdsl import parse_system
 from flatdec.triangular import _SampleDiverged, _SampleSingular
 
-# the command line's --max-degree default
-MAX_DEGREE = 2
-
 SIN_SYS = """
 system sinex {
   states: x1, x2, x3;
@@ -110,7 +107,7 @@ def same_span(a, b, zc) -> bool:
 def search(cs):
     """run_decomposition with the command line's defaults: 20 samples,
     seed 0."""
-    return run_decomposition(cs, ZeroCtx(20, 0), MAX_DEGREE)
+    return run_decomposition(cs, ZeroCtx(20, 0))
 
 
 def tables(P, zc):
@@ -268,7 +265,7 @@ def projective_key(codes):
     return tuple([None if e is None else e - lead for e in codes])
 
 
-def nested_coefficient_vectors(chart, k: int, max_degree: int):
+def nested_coefficient_vectors(chart, k: int):
     """The ansatz scan's coefficient tuples from tuple_stream and
     projective_key: the unit vectors, then the first tuple of each class,
     at most decompose.MAX_CANDIDATES in all."""
@@ -279,9 +276,9 @@ def nested_coefficient_vectors(chart, k: int, max_degree: int):
             return
         seen.add(tuple(0 if j == i else None for j in range(k)))
         yield tuple(ONE if j == i else ZERO for j in range(k))
-    pool = monomial_pool(chart, max_degree)
+    pool = monomial_pool(chart)
     items = [ZERO] + [m for m, _ in pool]
-    radix = 4 * max_degree + 1
+    radix = 4 * decompose.MAX_DEGREE + 1
     codes = [None] + [sum(e * radix ** s for s, e in enumerate(expo))
                       for _, expo in pool]
     for t in tuple_stream(items[1:], k):

@@ -14,6 +14,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from flatdec import cli
 from flatdec.cli import SHORTCUT_NOTE, _build_parser, main
 
 from conftest import COUPLED_SYS, SIN_SYS, chain_text
@@ -74,6 +75,20 @@ def test_analyze_reports_annihilator_and_flag(sin_file, tmp_path, capsys):
 def test_analyze_flags_integrator_chain(chain_file, capsys):
     assert main(["analyze", chain_file]) == 0
     assert SHORTCUT_NOTE in capsys.readouterr().out
+
+
+def test_derived_flag_stops_above_zero(tmp_path, capsys):
+    # x3 moves on its own, so the flag stabilizes at dimension 1: no
+    # shortcut, and no search splitting empties the system
+    p = tmp_path / "drift.fds"
+    p.write_text("system drift {\n  states: x1, x2, x3;\n  inputs: u1, u2;\n"
+                 "  dot(x1) = u1;\n  dot(x2) = u2;\n  dot(x3) = x3;\n}\n")
+    assert main(["analyze", str(p)]) == 0
+    out = capsys.readouterr().out
+    assert "derived flag dimensions: 3 > 1\n" in out
+    assert SHORTCUT_NOTE not in out
+    assert main(["decompose", str(p)]) == 3
+    assert "drift: Inconclusive" in capsys.readouterr().out
 
 
 def test_analyze_empty_file(tmp_path, capsys):
@@ -211,8 +226,10 @@ def test_decompose_rejects_zero_samples(coupled_file, tmp_path, capsys):
 
 
 def test_decompose_rejects_negative_max_degree(sin_file, capsys):
+    # with the flag gone, a negative degree is no value for it to check
     err = _usage_error(["decompose", sin_file, "--max-degree", "-1"], capsys)
-    assert "argument --max-degree: must be at least 0, got -1" in err
+    assert "unrecognized arguments: --max-degree -1" in err
+    assert "must be at least 0" not in err
 
 
 def test_decompose_rejects_bad_search_budgets(sin_file, tmp_path, capsys):
@@ -225,6 +242,10 @@ def test_decompose_rejects_bad_search_budgets(sin_file, tmp_path, capsys):
     err = _usage_error(["decompose", sin_file, "--branch-width", "8",
                         "--report", str(report)], capsys)
     assert "unrecognized arguments: --branch-width 8" in err
+    # the ansatz degree is decompose.MAX_DEGREE, not a flag
+    err = _usage_error(["decompose", sin_file, "--max-degree", "2",
+                        "--report", str(report)], capsys)
+    assert "unrecognized arguments: --max-degree 2" in err
     assert not report.exists()
 
 
@@ -236,10 +257,11 @@ def test_in_process_calls_share_one_parser_and_keep_no_state(
     assert main(argv + ["--verify", "--report", str(checked)]) == 0
     assert main(argv + ["--report", str(plain)]) == 0
     assert json.loads(checked.read_text())["config"]["verify"] is True
-    assert json.loads(plain.read_text())["config"]["verify"] is False
+    assert json.loads(plain.read_text())["config"] == \
+        {"samples": 3, "seed": 0, "verify": False}
     # a usage error that has already read some flags leaves none behind
     again = tmp_path / "again.json"
-    _usage_error(argv + ["--verify", "--seed", "7", "--max-degree", "-1",
+    _usage_error(argv + ["--verify", "--seed", "7", "--samples", "0",
                          "--report", str(again)], capsys)
     assert main(argv + ["--report", str(again)]) == 0
     assert again.read_bytes() == plain.read_bytes()
@@ -548,6 +570,12 @@ def _misshape(cert, case):
     elif case == "solved-in-block-1":
         cert["blocks"][0]["solved"] = list(cert["blocks"][1]["solved"])
         cert["blocks"][1]["solved"] = []
+    elif case == "output-off-chart":
+        cert["blocks"][1]["outputs"] = ["zz"]
+    elif case == "block-a-list":
+        cert["blocks"][0] = list(cert["blocks"][0].values())
+    elif case == "forward-missing":
+        del cert["transform"]["forward"]["x1"]
     else:
         cert["blocks"][1]["outputs"].append(cert["blocks"][0]["outputs"][0])
 
@@ -569,6 +597,11 @@ def _misshape(cert, case):
     ("index-true", "field blocks[0].index must be an integer"),
     ("order-relabelled", "field order must be '1-flat'"),
     ("order-unknown", "field order must be '1-flat'"),
+    ("json-array", "a certificate must be a JSON object"),
+    ("output-off-chart",
+     "field blocks[1].outputs names 'zz', which is not in the chart"),
+    ("block-a-list", "field blocks[0] must be an object"),
+    ("forward-missing", "missing field transform.forward.x1"),
 ])
 def test_verify_malformed_certificate_exits_1(sin_file, sin_report, tmp_path,
                                               capsys, case, message):
@@ -580,6 +613,8 @@ def test_verify_malformed_certificate_exits_1(sin_file, sin_report, tmp_path,
             del sin_report["certificate"]["chart"]
         elif case == "wrong-schema":
             sin_report["schema"] = "flatdec/0"
+        elif case == "json-array":
+            sin_report = [sin_report]
         else:
             _misshape(sin_report["certificate"], case)
         cert.write_text(json.dumps(sin_report))
@@ -638,6 +673,22 @@ def test_fuzzed_certificate_never_crashes(sin_certificate, edits):
 def test_verify_bad_output_expression(sin_file, capsys):
     assert main(["verify", sin_file, "--outputs", "x3; )"]) == 1
     assert "SyntaxError" in capsys.readouterr().err
+
+
+def test_verify_reads_the_claim_before_the_search(monkeypatch, capsys):
+    nfd = str(DATA / "nfd.fds")
+
+    def no_search(*args):
+        raise AssertionError("search run for a malformed claim")
+
+    with monkeypatch.context() as m:
+        m.setattr(cli, "run_decomposition", no_search)
+        assert main(["verify", nfd, "--outputs", "x1; zz"]) == 1
+    assert "SemanticError" in capsys.readouterr().err
+    # a well-formed claim meets the search, which cannot split nfd
+    assert main(["verify", nfd, "--outputs", "x1; x2"]) == 3
+    assert "nfd: Inconclusive, nothing to verify against" in \
+        capsys.readouterr().err
 
 
 def test_verify_survives_finite_time_blowup(nlchain_file, tmp_path, capsys):

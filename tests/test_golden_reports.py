@@ -32,31 +32,31 @@ from flatdec.cli import main
 DATA = pathlib.Path(__file__).parent / "data"
 
 GOLDEN = {
-    ("car", "decompose"): "541400a3039288f2740990c0b0c170f4b630d4703758ebebb032d3402f80ae3d",
-    ("chain4", "analyze"): "c5fcd5c219fa862a108d251a5ab479332a90c5635ee30a8fe1d898db94e58427",
-    ("chain4", "decompose"): "91f2b857575efc785559eae1f8e201d481969739722227446fc8114801f618aa",
-    ("chain4", "decompose --verify --samples 6"): "95bb051c4ecb5e576fe74f337ec4054b4812b280a89daef6d22052f770bda907",
-    ("chained5", "decompose"): "55d85df8fc83e6b255b1e94b50c3040d5d1db3310bede4306cb4f8ea0cf93f42",
-    ("coupled", "analyze"): "5ff2c68c0a1ecc728d50ee504f4038d7ee276c47ac198dfca4b27b21c4c0ff49",
-    ("coupled", "decompose"): "325aa0249e7a169cff9dfa705296faae8b18419e59cd3bf2453ba1939a61b404",
-    ("coupled", "decompose --verify --samples 6"): "80cb4b2745be65cab27cd27e2eb6bec7412b8326a7f562125b3d2376987e6847",
-    ("gb3", "decompose --verify --samples 6"): "861c8e9838f197e808e1c023679d16d37e4e4aa4bf121362e5964d8a0cfc58ed",
-    ("gb6", "decompose --verify --samples 6"): "4f8a19a2c9e3d0c42cccf16db5e4068118b9ec7ccfeb4521f47af27fc03b227b",
-    ("gc11", "decompose"): "f2e0b3da01cc7237a0cb19601e4b3c1f734e9916438696e546688ef9c689cea1",
-    ("nfd", "analyze"): "4f8ff65fa6e926adfb1a5040961ae98d6ebb5a21673a18bacea556599f10aec8",
-    ("nfd", "decompose"): "b7c5de82bad2369187ae165bab80ba8a0a1b4c7d350488cc63a685ed597731e3",
-    ("nfd2", "analyze"): "35750a731dfe473021b61e85136fae304420b93ecc012c5e189c577c94c76161",
-    ("nfd2", "decompose"): "d484870f9a4be0d0c2409a1a4461ecc01c81d0e9cbfedf1e55f9773b75f1ce45",
-    ("nfd3", "decompose"): "d79ecff7be376bf1e005539820aa0cc00c6bb51fa738fb35c8784082be9c6320",
-    ("slow/pvtol", "decompose"): "59e988860297bb759539229d0ef24fe5524eb9e52b0172ba304f9a5a76ed545f",
-    ("slow/pvtol", "verify --certificate slow/pvtol.cert.json --samples 2"): "94ab3d4e79ad18a9b0d8845898d53f080b26fafb3220174e7198a13795bf2479",
-    ("sinex", "analyze"): "fec21cf3abe4b09ccb000df06c39c7b2bee22ef60e554908b0e70d6ce2181a48",
-    ("sinex", "decompose"): "71bcde0bafef01c40e194ea770114dedce90df02203214fdc0fcf8057aa2c8a3",
-    ("sinex", "decompose --verify --samples 6"): "f1687a18f4a168bf58c886a8276e4464f0bb15be9719d1f9416147a558e3e730",
-    ("sinex", 'verify --outputs "x3; x2" --samples 6'): "a42d1c0ce0994145b08035760eb9faa599acb303f1b150abd7afbc7abbbed110",
-    ("three", "decompose"): "87878a164773d144932147c9b995b835890239deed09b7db7374acecd7f7616b",
-    ("trailer1", "decompose"): "996d43ce91d74af7ca94ddcd5731556dfdc7b683cb7d48d18bb9173506ca6575",
-    ("unicycle", "decompose --verify --samples 6"): "511f80c396eed5304da8adb35573fffec953d0292c5a3976afbcf2a612b17df5",
+    ("car", "decompose"): "1cd103b1a9498fdde79521744916045db64334ca1cc4f6b9994d0a2f3e8a186b",
+    ("chain4", "analyze"): "2c880f609cc0581e06382125b529ef84ae871ddaab197a59a88b17975229e60b",
+    ("chain4", "decompose"): "662c9a92f7b704f7d5c4d7b5abe17abe141a069729c6fb8ba2a6c94ae1f0f277",
+    ("chain4", "decompose --verify --samples 6"): "2cfcefbbb66cebcb4e29ca06d966358c7148a9aea72224b5b1d5711f4b4a3400",
+    ("chained5", "decompose"): "c30b09e8562be80ce084448547cb4d2622093e1d4050b2c033c6092924cb41c6",
+    ("coupled", "analyze"): "172178a7a11452e383d09ded83bac3ba0e9e3976af83309a8ef2d478e6ad5579",
+    ("coupled", "decompose"): "09cfa06da232e79d1e8052e3e2ddba7e31222f4263f650093195e0dd0da746e5",
+    ("coupled", "decompose --verify --samples 6"): "813ca8d110747e2a5af46e2de6342c4d05543cf92441127096c5de27b084e5a6",
+    ("gb3", "decompose --verify --samples 6"): "76e28de55d4ea365ca721ed02586f4fab8cb5ab8a3c8d8995e01ada5ff1f3153",
+    ("gb6", "decompose --verify --samples 6"): "054a608e336a8feec5bc378dfd587b93f2a55f1eadc8de044e1ad0b14ac19a4a",
+    ("gc11", "decompose"): "191c4a754d4feddc7c23456ef2c81e695adb31e3a7db87b3f78923151bee8187",
+    ("nfd", "analyze"): "144b0514afe218677b9c3ef8162d46799150f4d91538750a7d25468f3e48ca65",
+    ("nfd", "decompose"): "4c42e98b62079438bbf47653e23ee1a27f1db3310ca69e0e12513b6b3a3f6ef8",
+    ("nfd2", "analyze"): "fc72a94f38f47670958ea0614a17dd631380d7c693cea5c996b6e5753dd3b365",
+    ("nfd2", "decompose"): "af95502ae6ba4c529cd86d4a3f4a6ac109d4bd4e39401e8613703652cfb97fa0",
+    ("nfd3", "decompose"): "c2a914a1e6c8c10202419c729f0a01d8164396671b500fb867801e0ec196b1e6",
+    ("slow/pvtol", "decompose"): "11adf3ab8e3bf59111934380ff07d5dc2b1a07e17c7a7e37f2fdf11a6deb9dd2",
+    ("slow/pvtol", "verify --certificate slow/pvtol.cert.json --samples 2"): "b866d056d1a6df1c0e6399d8dcce830cbfdef5f56c2d8f00b514ae918b69e6c3",
+    ("sinex", "analyze"): "90fbd5bf5af014ed67de21cfb2bb28c842523145f6e70fb56ca8930a804d0b8f",
+    ("sinex", "decompose"): "dbd026688a76fab5f30e0496d9583a3461d5412e4800c29cbae6688cbba1c941",
+    ("sinex", "decompose --verify --samples 6"): "34bbf56e6ef04ad2ca45e3f6ddc4676567a5378c07df1d4f7e59ce9097966172",
+    ("sinex", 'verify --outputs "x3; x2" --samples 6'): "275ebd56d8defc01709bc9c83300d9333e552781b8cfaa130e89610fd9d5de6e",
+    ("three", "decompose"): "fec936ba23576a84861deb5fe4a3fc3fddd3dee444611cfa9c5cbb97143459a1",
+    ("trailer1", "decompose"): "8f852125769a227f3838addd3472633a7485fe7b2b97687988b0b3086300d2f9",
+    ("unicycle", "decompose --verify --samples 6"): "f4bc0b21d8bd7196e4cce8c67e0c050949f81032acc848caad3eb9e21fa31621",
 }
 
 

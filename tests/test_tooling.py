@@ -291,3 +291,13 @@ def test_readme_documents_exactly_the_branch_log_keys():
         keys |= e.keys()
         values |= {e["kind"], e["outcome"]}
     assert named - values == keys
+
+
+def test_readme_python_api_example_runs(monkeypatch, capsys):
+    # run from tests/data, where the example's sinex.fds lives
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Python API\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(ROOT / "tests" / "data")
+    exec(compile(code, "<README Python API>", "exec"), {})
+    assert capsys.readouterr().out == "['x3', 'x1 - u1*x2/u2']\n"
