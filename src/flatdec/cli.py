@@ -57,7 +57,7 @@ def _base_report(command: str, path: str, text: str, cs, args) -> dict:
         },
         "config": {
             "seed": args.seed,
-            "samples": args.samples,
+            **({"samples": args.samples} if "samples" in args else {}),
             "verify": bool(getattr(args, "verify", False)),
         },
         "timings": {"recorded": False},
@@ -82,7 +82,7 @@ def _emit(report: dict, args, timer: dict) -> None:
 
 def cmd_analyze(args) -> int:
     t0 = time.perf_counter()
-    zc = ZeroCtx(budget=args.samples, seed=args.seed)
+    zc = ZeroCtx(args.seed)
     text, cs = _read_system(args.file, zc)
     S0 = from_control_system(cs, zc)
     levels = []
@@ -259,7 +259,7 @@ def _certificate_load(obj, cs) -> FlatnessCertificate:
 
 def cmd_decompose(args) -> int:
     t0 = time.perf_counter()
-    zc = ZeroCtx(budget=args.samples, seed=args.seed)
+    zc = ZeroCtx(args.seed)
     text, cs = _read_system(args.file, zc)
     res = run_decomposition(cs, zc)
     report = _base_report("decompose", args.file, text, cs, args)
@@ -339,7 +339,7 @@ def _verify_into(report: dict, cert: FlatnessCertificate, zc: ZeroCtx,
 
 def cmd_verify(args) -> int:
     t0 = time.perf_counter()
-    zc = ZeroCtx(budget=args.samples, seed=args.seed)
+    zc = ZeroCtx(args.seed)
     text, cs = _read_system(args.file, zc)
     report = _base_report("verify", args.file, text, cs, args)
 
@@ -377,20 +377,16 @@ def cmd_verify(args) -> int:
 # -- entry point ---------------------------------------------------------------------
 
 
-def _at_least(lo: int):
-    def integer(text: str) -> int:
-        if int(text) < lo:
-            raise argparse.ArgumentTypeError(f"must be at least {lo}, got {text}")
-        return int(text)
-    return integer
+def _positive(text: str) -> int:
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
+    return int(text)
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("file", help="system description (.fds)")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for all randomized decisions (default 0)")
-    p.add_argument("--samples", type=_at_least(1), default=20,
-                   help="zero-test budget and verification trial count")
     p.add_argument("--report", metavar="PATH",
                    help="write the JSON report to PATH")
     p.add_argument("--timings", action="store_true",
@@ -423,6 +419,9 @@ def _build_parser() -> argparse.ArgumentParser:
     claim.add_argument("--outputs", metavar="EXPRS",
                        help="semicolon-separated claimed flat outputs")
 
+    for p in (pd, pv):
+        p.add_argument("--samples", type=_positive, default=20,
+                       help="numeric verification trial count (default 20)")
     return ap
 
 

@@ -16,9 +16,7 @@ from .exterior import (
     ChartTransform, NotSolvable, VectorField, compose, one_coeffs, oneform,
     pullback, pushforward, straighten_flow,
 )
-from .linalg import (
-    ZeroCtx, independent_rows, nullspace, row_echelon_mod_p,
-)
+from .linalg import ZeroCtx, independent_rows, nullspace
 from .pfaffian import (
     NotReducible, PfaffianSystem, contraction_tables, derived_system,
     from_control_system, is_characteristic, is_involutive,
@@ -27,7 +25,7 @@ from .pfaffian import (
 )
 from .symexpr import (
     ONE, PRIME, ZERO, Var, add, derivatives_mod_p, evaluable_mod_p, mul,
-    pow_, structural_key, value_mod_p, var,
+    pow_, row_echelon_mod_p, structural_key, value_mod_p, var,
 )
 from .sysdsl import field_dict, form_dict, render
 

@@ -6,18 +6,12 @@ yes/no span question (rank, membership, independence) is decided by one
 greedy pass, independent_rows, whose remainders are zero-tested entry by
 entry.  Bases come from row_echelon, the reduced form whose pivots are
 divided to 1, which nullspace and the subchart restriction read.
-Matrices of values at one sample point are eliminated over GF(PRIME) by
-one inverse-free routine, row_echelon_mod_p: rows are cross-multiplied
-and pivots stay undivided.  Scaling a row by a nonzero residue changes
-neither the rank nor the row space, so the rank and span answers are
-those of the reduced form, with the same d/(p - 1) error bound wherever
-a rank at a point stands in for a generic rank.
 """
 
 from __future__ import annotations
 
 from .symexpr import (
-    ONE, PRIME, ZERO, Add, Const, EvaluationFailed, Expr, Mul, Pow, add,
+    ONE, ZERO, Add, Const, EvaluationFailed, Expr, Mul, Pow, add,
     diff, is_zero, mul, neg, pow_,
 )
 
@@ -27,17 +21,16 @@ class RankDecisionFailed(RuntimeError):
 
 
 class ZeroCtx:
-    """Bundles the zero-test budget and seed so rank decisions are reproducible."""
+    """Carries the zero test's seed so rank decisions are reproducible."""
 
-    __slots__ = ("budget", "seed")
+    __slots__ = ("seed",)
 
-    def __init__(self, budget: int, seed: int):
-        self.budget = budget
+    def __init__(self, seed: int):
         self.seed = seed
 
     def zero(self, e: Expr) -> bool:
         try:
-            return is_zero(e, budget=self.budget, seed=self.seed)
+            return is_zero(e, seed=self.seed)
         except EvaluationFailed as exc:
             raise RankDecisionFailed(str(exc)) from exc
 
@@ -224,40 +217,3 @@ def nullspace(rows, ncols: int, zc: ZeroCtx):
         v = clear_denominators(v)
         basis.append(normalize_leading(v, zc))
     return basis
-
-
-# -- elimination over GF(PRIME) ------------------------------------------------------
-
-def row_echelon_mod_p(rows):
-    """(rows, pivot columns) of a matrix of residues over GF(PRIME), by
-    inverse-free Gauss-Jordan elimination.
-
-    Each pivot is the first nonzero entry of its column.  Every other row
-    with an entry f there is replaced by a * row - f * (pivot row), a the
-    pivot, so nothing is divided: pivots stay undivided, and each returned
-    row is a nonzero multiple of the reduced row echelon form's row with
-    the same pivot.  Only the rows that carry a pivot are returned.
-    """
-    p = PRIME
-    rows = [list(r) for r in rows]
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        for i in range(r, nrows):
-            if rows[i][c]:
-                break
-        else:
-            continue
-        rows[r], rows[i] = rows[i], rows[r]
-        pivots.append(c)
-        pv = rows[r]
-        a = pv[c]
-        for i in range(nrows):
-            f = rows[i][c]
-            if f and i != r:
-                rows[i] = [(a * x - f * y) % p for x, y in zip(rows[i], pv)]
-        r += 1
-    return rows[:r], pivots
-

@@ -29,6 +29,7 @@ JET = "jet"
 
 ZERO_SCALE = 10**40   # a 50-digit value under 1/ZERO_SCALE of its terms is zero
 ZERO_DPS = 50
+ZERO_POINTS = 20    # points at which the zero test finds an expression zero
 PRIME = 2**61 - 1   # = 3 (mod 4); the zero test's finite field is GF(PRIME)
 
 
@@ -652,7 +653,6 @@ def _independent(args, seed: int) -> bool:
     relation sum q_i a_i = const, the q_i coprime integers, makes the rows
     dependent at every point, so the rank is a proof.  Distinct symbols
     need none."""
-    from .linalg import row_echelon_mod_p   # linalg imports this module
     if all(isinstance(a, Var) for a in args):
         return True
     support = frozenset().union(*(a.free for a in args))
@@ -664,6 +664,40 @@ def _independent(args, seed: int) -> bool:
             for row, a in zip(rows, args):
                 row += _forward(a, k, seed, fields, memo, support)
     return len(row_echelon_mod_p(rows)[1]) == len(args)
+
+
+def row_echelon_mod_p(rows):
+    """(rows, pivot columns) of a matrix of residues over GF(PRIME), by
+    inverse-free Gauss-Jordan elimination.
+
+    Each pivot is the first nonzero entry of its column.  Every other row
+    with an entry f there is replaced by a * row - f * (pivot row), a the
+    pivot, so nothing is divided: pivots stay undivided, and each returned
+    row is a nonzero multiple of the reduced row echelon form's row with
+    the same pivot.  Only the rows that carry a pivot are returned.
+    """
+    p = PRIME
+    rows = [list(r) for r in rows]
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        for i in range(r, nrows):
+            if rows[i][c]:
+                break
+        else:
+            continue
+        rows[r], rows[i] = rows[i], rows[r]
+        pivots.append(c)
+        pv = rows[r]
+        a = pv[c]
+        for i in range(nrows):
+            f = rows[i][c]
+            if f and i != r:
+                rows[i] = [(a * x - f * y) % p for x, y in zip(rows[i], pv)]
+        r += 1
+    return rows[:r], pivots
 
 
 def _on_residues(e: Expr, seed: int) -> bool:
@@ -736,9 +770,9 @@ def _forward(x: Expr, k: int, seed: int, fields, memo: dict, support):
     return out
 
 
-def _vanishes(e: Expr, budget: int, seed: int, modp: bool) -> bool:
+def _vanishes(e: Expr, seed: int, modp: bool) -> bool:
     found = 0
-    for k in range(10 * budget):
+    for k in range(10 * ZERO_POINTS):
         v = _at(e, k, seed, modp)
         if v is None:
             continue
@@ -749,40 +783,39 @@ def _vanishes(e: Expr, budget: int, seed: int, modp: bool) -> bool:
         elif abs(v[0]) * ZERO_SCALE >= max(1, v[1]):
             return False
         found += 1
-        if found == budget:
+        if found == ZERO_POINTS:
             return True
-    raise EvaluationFailed(f"no valid sample after {10 * budget} attempts for zero test")
+    raise EvaluationFailed(
+        f"no valid sample after {10 * ZERO_POINTS} attempts for zero test")
 
 
-def is_zero(e: Expr, budget: int, seed: int) -> bool:
-    """Probabilistic zero test: True iff e vanishes at `budget` sample points.
+def is_zero(e: Expr, seed: int) -> bool:
+    """Probabilistic zero test: True iff e vanishes at ZERO_POINTS points.
 
     All expressions share the points 0, 1, 2, ... of a seed: a symbol's
     value at point k depends only on (seed, k, name, kind).  Points where e
-    has a pole or leaves its domain are skipped; 10*budget points without
-    `budget` valid ones raise EvaluationFailed.  Where `evaluable_mod_p`
-    holds for e, e is evaluated in GF(p), p = PRIME = 2^61 - 1, with its
-    symbols and the residues tau_a and E_b that stand for sin a, cos a,
-    tan a and exp b uniform on p's nonzero residues, so a zero e is never
-    called nonzero, and a nonzero e whose numerator has degree d in the
-    symbols and residues vanishes at a point with probability at most
-    d/(p - 1) (Schwartz-Zippel): it is called zero with probability at
-    most (d/(p - 1))**budget.  Otherwise (ln, sqrt, arcsin, arctan, nested
-    functions, functions of constants, a constant that p divides, or
-    arguments not proven independent) e is evaluated at 50 digits at
-    rationals in [1/2, 2] and vanishes where |e| < 1e-40 * max(1, m), m the
-    magnitude of the terms behind it (sums of absolute values at every sum
-    node, see _mp_scale), so a zero built from large terms stays zero; that
-    test is heuristic.
+    has a pole or leaves its domain are skipped; 10*ZERO_POINTS points
+    without ZERO_POINTS valid ones raise EvaluationFailed.  Where
+    `evaluable_mod_p` holds for e, e is evaluated in GF(p), p = PRIME =
+    2^61 - 1, with its symbols and the residues tau_a and E_b that stand
+    for sin a, cos a, tan a and exp b uniform on p's nonzero residues, so a
+    zero e is never called nonzero, and a nonzero e whose numerator has
+    degree d in the symbols and residues vanishes at a point with
+    probability at most d/(p - 1) (Schwartz-Zippel): it is called zero with
+    probability at most (d/(p - 1))**ZERO_POINTS.  Otherwise (ln, sqrt,
+    arcsin, arctan, nested functions, functions of constants, a constant
+    that p divides, or arguments not proven independent) e is evaluated at
+    50 digits at rationals in [1/2, 2] and vanishes where
+    |e| < 1e-40 * max(1, m), m the magnitude of the terms behind it (sums
+    of absolute values at every sum node, see _mp_scale), so a zero built
+    from large terms stays zero; that test is heuristic.
     """
-    if budget < 1:
-        raise ValueError("the zero test needs a budget of at least one point")
     if isinstance(e, Const):
         return e.n == 0
     if _on_residues(e, seed):
-        return _vanishes(e, budget, seed, True)
+        return _vanishes(e, seed, True)
     with mpmath.workdps(ZERO_DPS):
-        return _vanishes(e, budget, seed, False)
+        return _vanishes(e, seed, False)
 
 
 def _program(exprs, names: dict, module):

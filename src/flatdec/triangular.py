@@ -400,7 +400,8 @@ def recover_trajectory(engine: RecoveryEngine, curves, ts, guess):
     sample, calls a sample singular when |J| < 1e-12, and takes each Newton
     and derivative step as one division; a larger block calls it singular
     when |det J| < 1e-12, with the determinant of a 2x2 J in closed form,
-    j00*j11 - j01*j10, and solves stacked systems with np.linalg.solve.
+    j00*j11 - j01*j10, and solves stacked systems with np.linalg.solve; a J
+    whose LU meets an exactly zero pivot there is singular too.
     Each block copies the rows its compiled functions read
     (RecoveryEngine).  While every sample is live, Newton steps that copy
     in place; from the first iteration at which a sample leaves (it
@@ -493,7 +494,13 @@ def recover_trajectory(engine: RecoveryEngine, curves, ts, guess):
                 if not keep.all():
                     idx, a = _narrow(blk, idx, a, keep)
                     res, jac = res[:, keep], jac[keep]
-                step = a[rows[0]] + _solve(jac, -res)
+                try:
+                    step = a[rows[0]] + _solve(jac, -res)
+                except np.linalg.LinAlgError:   # an exactly zero LU pivot
+                    keep = np.linalg.det(jac) != 0
+                    fail(_SampleSingular, bi, idx[~keep], "singular Jacobian")
+                    idx, a = _narrow(blk, idx, a, keep)
+                    continue   # the others repeat the iteration
                 a[rows[0]] = step
                 blown = np.abs(step).max(axis=0, initial=0.0) > 1e9
                 if blown.any():
@@ -513,7 +520,13 @@ def recover_trajectory(engine: RecoveryEngine, curves, ts, guess):
                 idx, jac = idx[keep], jac[keep]
                 a = blk[:, idx]
             for cf, rj in zip(chains, rows[1:]):
-                sol = _solve(jac, -cf(a))
+                try:
+                    sol = _solve(jac, -cf(a))
+                except np.linalg.LinAlgError:   # before any row is set
+                    keep = np.linalg.det(jac) != 0
+                    fail(_SampleSingular, bi, idx[~keep], "singular Jacobian")
+                    idx, jac, a = idx[keep], jac[keep], a[:, keep]
+                    sol = _solve(jac, -cf(a))
                 finite = np.isfinite(sol).all(axis=0)
                 if not finite.all():
                     fail(_SampleSingular, bi, idx[~finite],

@@ -107,7 +107,7 @@ def same_span(a, b, zc) -> bool:
 def search(cs):
     """run_decomposition with the command line's defaults: 20 samples,
     seed 0."""
-    return run_decomposition(cs, ZeroCtx(20, 0))
+    return run_decomposition(cs, ZeroCtx(0))
 
 
 def tables(P, zc):
@@ -651,4 +651,4 @@ def chain():
 
 @pytest.fixture
 def zc():
-    return ZeroCtx(budget=20, seed=0)
+    return ZeroCtx(0)

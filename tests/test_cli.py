@@ -187,8 +187,9 @@ import gc, sys
 from flatdec import symexpr
 from flatdec.cli import main
 system, report = sys.argv[1:]
-for argv in (["analyze", system], ["decompose", system, "--verify"]):
-    assert main(argv + ["--samples", "2", "--report", report]) == 0
+for argv in (["analyze", system],
+             ["decompose", system, "--verify", "--samples", "2"]):
+    assert main(argv + ["--report", report]) == 0
     gc.collect()
     print("interned:", sorted(ref().key for ref in symexpr._NODES.values()))
 """
@@ -216,13 +217,25 @@ def _usage_error(argv, capsys) -> str:
 
 
 def test_decompose_rejects_zero_samples(coupled_file, tmp_path, capsys):
-    # a zero-test budget of 0 would decide every rank with no evidence
+    # zero numeric trials would back the certificate with no evidence
     report = tmp_path / "d.json"
     for value in ("0", "-3"):
         err = _usage_error(["decompose", coupled_file, "--samples", value,
                             "--report", str(report)], capsys)
         assert f"argument --samples: must be at least 1, got {value}" in err
     assert not report.exists()
+
+
+def test_analyze_takes_no_samples(sin_file, tmp_path, capsys):
+    # analyze runs no numeric trials, and no flag sets the zero test
+    report = tmp_path / "a.json"
+    err = _usage_error(["analyze", sin_file, "--samples", "5",
+                        "--report", str(report)], capsys)
+    assert "unrecognized arguments: --samples 5" in err
+    assert not report.exists()
+    assert main(["analyze", sin_file, "--report", str(report)]) == 0
+    assert json.loads(report.read_text())["config"] == \
+        {"seed": 0, "verify": False}
 
 
 def test_decompose_rejects_negative_max_degree(sin_file, capsys):
@@ -710,24 +723,48 @@ def test_verify_survives_finite_time_blowup(nlchain_file, tmp_path, capsys):
 def test_every_zero_test_uses_the_command_line_budget_and_seed(
         sin_file, tmp_path, monkeypatch, capsys):
     # the input check, the search, assembly and the structure checks all
-    # decide with --samples and --seed, none with a context of their own
-    from flatdec import linalg
+    # decide with --seed and ZERO_POINTS points, none with a context of
+    # their own; --samples counts numeric trials only
+    from flatdec import linalg, symexpr
     zero_test, seen = linalg.is_zero, []
 
-    def recording(e, budget, seed):
-        seen[-1].add((budget, seed))
-        return zero_test(e, budget, seed)
+    def recording(e, seed):
+        zero = zero_test(e, seed)
+        if zero and not isinstance(e, symexpr.Const):
+            branch = symexpr._on_residues(e, seed)
+            points = sum(v is not None for v in e._memo[(seed, branch)])
+            assert points >= symexpr.ZERO_POINTS == 20
+        seen[-1].add(seed)
+        return zero
 
     monkeypatch.setattr(linalg, "is_zero", recording)
     report = tmp_path / "d.json"
-    flags = ["--seed", "7", "--samples", "3"]
     for argv in (["analyze", sin_file],
-                 ["decompose", sin_file, "--verify", "--report", str(report)],
-                 ["verify", sin_file, "--certificate", str(report)]):
+                 ["decompose", sin_file, "--verify", "--samples", "3",
+                  "--report", str(report)],
+                 ["verify", sin_file, "--certificate", str(report),
+                  "--samples", "3"]):
         seen.append(set())
-        assert main(argv + flags) == 0, argv
-        assert seen[-1] == {(3, 7)}, argv
+        assert main(argv + ["--seed", "7"]) == 0, argv
+        assert seen[-1] == {7}, argv
     capsys.readouterr()
+    assert json.loads(report.read_text())["verification"]["numeric"][
+        "trials"] == 3
+
+
+@pytest.mark.parametrize("error", ["StructureViolation", "OutputCountMismatch"])
+def test_structure_errors_exit_2(sin_file, tmp_path, monkeypatch, capsys,
+                                 error):
+    # a decomposition that breaks the triangular form is no input error
+    def broken(*args):
+        raise getattr(cli, error)("broken")
+
+    monkeypatch.setattr(cli, "from_sequence", broken)
+    report = tmp_path / "d.json"
+    assert main(["decompose", sin_file, "--report", str(report)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"{error}: broken\n"
+    assert not report.exists()
 
 
 @pytest.mark.parametrize("command", [

@@ -20,7 +20,7 @@ X1, X2, X3 = Symbol("x1", sx.STATE), Symbol("x2", sx.STATE), Symbol("x3", sx.STA
 U1, U2 = Symbol("u1", sx.INPUT), Symbol("u2", sx.INPUT)
 CH = Chart((X1, X2, X3, U1, U2))
 x1, x2, x3, u1, u2 = (var(s) for s in (X1, X2, X3, U1, U2))
-ZC = ZeroCtx(20, 0)
+ZC = ZeroCtx(0)
 
 
 def form_zero(a: KForm, zc=ZC) -> bool:

@@ -144,7 +144,7 @@ def test_span_decisions_agree_with_sympy_rank():
     rng = random.Random(13)
     deficient = 0
     for seed in range(20):
-        zc = ZeroCtx(20, seed)
+        zc = ZeroCtx(seed)
         rows = _matrix(rng)
         r = srank(rows)
         deficient += r < len(rows)

@@ -442,7 +442,7 @@ def test_builders_hand_the_containers_independent_generators(
         for cmd in (["analyze"], ["decompose", "--verify", "--samples", "3"]):
             main([*cmd, str(path), "--seed", "0", "--report", report])
     capsys.readouterr()
-    zc = ZeroCtx(20, 0)
+    zc = ZeroCtx(0)
     for lists in handed.values():
         assert lists
         assert all(rank(rows, zc) == len(rows) for rows in lists)

@@ -82,8 +82,8 @@ def test_dependent_inputs_rejected():
           dot(x2) = 2*u1 + 2*u2;
         }""")
     with pytest.raises(SemanticError, match="rank"):
-        check_inputs_independent(cs, ZeroCtx(20, 0))
-    check_inputs_independent(parse_system(SIN_SYS), ZeroCtx(20, 0))
+        check_inputs_independent(cs, ZeroCtx(0))
+    check_inputs_independent(parse_system(SIN_SYS), ZeroCtx(0))
 
 
 def test_empty_file_is_syntax_error():

@@ -14,7 +14,9 @@ from flatdec.cli import _certificate_load
 from flatdec.exterior import T, one_coeffs, oneform
 from flatdec.linalg import ZeroCtx
 from flatdec.pfaffian import jet
-from flatdec.symexpr import INPUT, ZERO, compile_expr, func, mul, neg, var
+from flatdec.symexpr import (
+    INPUT, ONE, ZERO, add, compile_expr, const, func, mul, neg, var,
+)
 from flatdec.sysdsl import parse_expr, parse_system, render
 from flatdec.triangular import (
     Block, OutputCountMismatch, PolyCurve, RecoveryEngine, StructureViolation,
@@ -35,7 +37,7 @@ def build(cs, zc):
 
 @pytest.fixture(scope="module")
 def zc():
-    return ZeroCtx(budget=20, seed=0)
+    return ZeroCtx(0)
 
 
 @pytest.fixture(scope="module")
@@ -110,6 +112,29 @@ def test_unfinished_sequence_rejected(sin_sys_m, zc):
     res = search(sin_sys_m)
     with pytest.raises(StructureViolation):
         from_sequence(res.sequence[:-1], zc, sin_sys_m)
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda c, sym: {**c, sym["qh"]: ONE},
+     "Xi^1 carries dqh from a later block"),
+    (lambda c, sym: {k: mul(v, add(ONE, var(sym["qh"])))
+                     for k, v in c.items()},
+     "Xi^1 coefficient depends on qh"),
+    (lambda c, sym: {**c, T: const(-1)},
+     "Xi^1 is not solvable for block 2: singular Jacobian"),
+])
+def test_structure_check_names_the_violation(sin_td, zc, corrupt, message):
+    # Xi^1 is dr2 - sin(rh) dt; each corruption breaks one defining
+    # property of the triangular form
+    sym = {c.name: c for c in sin_td.chart.coords}
+    (g,) = sin_td.equations[0]
+    bad = oneform(sin_td.chart, corrupt(dict(one_coeffs(g)), sym))
+    td = dataclasses.replace(
+        sin_td, equations=((bad,),) + sin_td.equations[1:])
+    with pytest.raises(StructureViolation) as exc:
+        triangular._check_structure(td, zc)
+    assert str(exc.value) == message
+    triangular._check_structure(sin_td, zc)
 
 
 # -- validate ------------------------------------------------------------------------
@@ -575,6 +600,45 @@ def test_two_unknown_determinant_threshold(gap, singular, zc):
         assert got[3] == {}
 
 
+@pytest.mark.parametrize("phase", ["newton", "chain"])
+def test_two_unknown_jacobian_lapack_cannot_factor_fails_one_sample(
+        phase, zc):
+    # |det J| = 3.6e-12 in closed form, but np.linalg.solve meets an exactly
+    # zero LU pivot: sample 0 fails as singular, the others are solved
+    uni_td, _ = build(parse_system(UNICYCLE), zc)
+    engine = RecoveryEngine(extract_flat_output(uni_td))
+    J = np.array([[19.65813714096815, 7217.0209958906435],
+                  [3.2865069716518276, 1206.5634524505142]])
+    assert abs(J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0]) >= 1e-12
+    assert np.linalg.det(J) == 0
+    unknowns, need, rows, rf, jf, *chains = engine.blocks[1]
+    g2 = list(need).index(engine.slot[jet(engine.flat[1], 0)])
+    if phase == "chain":
+        # block 2, the last, has no derivative chain: give it a stand-in
+        # step into the unknowns' first jets, and hand J over only once
+        # Newton has converged, so that the chain meets it
+        need = list(need) + [engine.slot[jet(p, 1)] for p in unknowns]
+        rows = [rows[0], [len(need) - 2, len(need) - 1]]
+        chains = [rf]
+
+    def jf_at_zero(a):
+        raw = jf(a)
+        at = a[g2] == 0.5   # g2(0) = 0.5
+        if phase == "chain":
+            at &= np.abs(rf(a)).max(axis=0) < 1e-12
+        raw[:, at] = J.reshape(4, 1)
+        return raw
+
+    engine.blocks[1] = (unknowns, need, rows, rf, jf_at_zero, *chains)
+    curves = [PolyCurve((0.2, 0.3, 0.1)), PolyCurve((0.5, -0.5))]
+    ts = np.array([0.0, 0.25, 0.5])
+    got = recover_trajectory(engine, curves, ts, {})
+    assert_same_recovery(
+        got, reference_recover_trajectory(engine, curves, ts, {}))
+    assert {k: f.detail for k, f in got[3].items()} == {
+        0: "singular Jacobian in block 2 at t=0.0"}
+
+
 # -- numeric verification ------------------------------------------------------------
 
 
@@ -657,7 +721,7 @@ def _certificate(name):
         return _certificate_load(obj, cs)
     path = ROOT / "perfbench" / "systems" / f"{name}.fds"
     cs = parse_system(path.read_text(encoding="utf-8"))
-    td, _ = build(cs, ZeroCtx(budget=20, seed=0))
+    td, _ = build(cs, ZeroCtx(0))
     return extract_flat_output(td)
 
 
