@@ -421,6 +421,36 @@ def test_a_chart_coordinate_named_like_a_jet_verifies_the_same(
         [numeric["orig"][k] for k in counts] == [4, 4, 0, 0]
 
 
+@pytest.mark.parametrize("corrupt", ["dt coefficient", "transform"])
+def test_corrupted_coupled_certificates_stay_rejected(corrupt, tmp_path,
+                                                      capsys):
+    # both edits pass every structure check (ROADMAP item 12); only the
+    # numeric check rejects them, and no trial may pass
+    system = str(DATA / "coupled.fds")
+    report = tmp_path / "d.json"
+    assert main(["decompose", system, "--report", str(report)]) == 0
+    obj = json.loads(report.read_text())
+    cert = obj["certificate"]
+    if corrupt == "transform":
+        assert cert["transform"]["forward"]["x3"] == "sh"
+        cert["transform"]["forward"]["x3"] = "sh + 1"
+    else:
+        (form,) = [f for eq in cert["equations"] for f in eq
+                   if f["t"] == "-(eh*gh + rh)"]
+        form["t"] = "-(eh*gh + 2*rh)"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    for seed in range(3):
+        verdict = tmp_path / f"v{seed}.json"
+        code = main(["verify", system, "--certificate", str(bad),
+                     "--samples", "6", "--seed", str(seed),
+                     "--report", str(verdict)])
+        assert code == 4
+        numeric = json.loads(verdict.read_text())["verification"]["numeric"]
+        assert numeric["passed"] == 0, (seed, numeric)
+    capsys.readouterr()
+
+
 def test_verify_accepts_own_outputs(sin_file, capsys):
     code = main(["verify", sin_file,
                  "--outputs", "x3; x1 - u1*x2/u2", "--samples", "5"])

@@ -664,6 +664,27 @@ def test_one_unknown_blocks_never_reach_lapack(sin_cert, monkeypatch):
     assert verify_flatness_numeric(sin_cert, trials=3, seed=0) == want
 
 
+def test_reference_run_steps_once_per_fit_sample(sin_cert, monkeypatch):
+    # the reference run only feeds the test curves and Newton's starting
+    # points, so it steps once per fit sample; the re-integration is the
+    # pass bar and keeps h = 1e-3 on [0, 1]
+    calls = []
+    compile_rk4 = triangular.compile_rk4
+
+    def recording(dynamics, states, inputs):
+        run = compile_rk4(dynamics, states, inputs)
+
+        def record(x0, ua, ub, uc, n, step):
+            calls.append((n, step))
+            return run(x0, ua, ub, uc, n, step)
+        return record
+
+    monkeypatch.setattr(triangular, "compile_rk4", recording)
+    v = verify_flatness_numeric(sin_cert, trials=2, seed=0)
+    assert (v.passed, v.failed, v.singular) == (2, 0, 0)
+    assert calls == [(100, 0.01), (1000, 0.001)] * 2
+
+
 def test_verify_accepts_coupled_certificate(coupled_td):
     cert = extract_flat_output(coupled_td)
     v = verify_flatness_numeric(cert, trials=5, seed=0)
