@@ -16,7 +16,7 @@ import time
 from .decompose import run_decomposition
 from .exterior import Chart, ChartTransform, T, oneform
 from .linalg import RankDecisionFailed, ZeroCtx
-from .pfaffian import derived_flag, from_control_system, is_integrable_with_dt
+from .pfaffian import derived_flag, from_control_system, is_involutive
 from .symexpr import AUX, Symbol
 from .sysdsl import (
     ParseError, SemanticError, check_inputs_independent, field_dict,
@@ -92,7 +92,7 @@ def cmd_analyze(args) -> int:
             "dimension": P.dim,
             "generators": [form_dict(g) for g in P.generators],
             "vertical_annihilator": [field_dict(v) for v in V],
-            "integrable_with_dt": is_integrable_with_dt(P, tabs, zc),
+            "integrable_with_dt": is_involutive(P, tabs, zc),
         })
     shortcut = levels[-1]["dimension"] == 0 and all(
         l["integrable_with_dt"] for l in levels)

@@ -481,16 +481,17 @@ def _complement(S: PfaffianSystem, S_sub: PfaffianSystem, zc: ZeroCtx):
 def reduce_once(S: PfaffianSystem, zc: ZeroCtx, naming):
     """Branch-log entries and verified splittings of S, in search order.
 
-    Order: the joint candidate over all vertical directions, then single
-    combined fields by ascending coefficient size, up to the first one
-    accepted.  Both read the contractions and row tables that
-    contraction_tables builds once for the level; the joint candidate is
-    derived_system over them.  A rejected joint candidate gets an entry of
-    its own.  The scan's failed candidates are folded into one entry per
-    outcome and note, with their count, first and last c and the first
-    one's F; the entry for fields that are not characteristic has no F
-    and comes last, and when nothing is accepted it is written, its count
-    0 if need be, with a note that the scan is exhausted.
+    Order: the joint candidate over all vertical directions if they are
+    involutive, then single combined fields by ascending coefficient size,
+    up to the first one accepted.  All read the contractions and row tables
+    that contraction_tables builds once for the level: is_involutive and
+    the joint candidate, derived_system, over them.  A rejected joint
+    candidate gets an entry of its own.  The scan's failed candidates are
+    folded into one entry per outcome and note, with their count, first
+    and last c and the first one's F; the entry for fields that are not
+    characteristic has no F and comes last, and when nothing is accepted
+    it is written, its count 0 if need be, with a note that the scan is
+    exhausted.
     """
     basis = vertical_annihilator(S, zc)
     tabs = contraction_tables(S, basis)
@@ -537,7 +538,7 @@ def reduce_once(S: PfaffianSystem, zc: ZeroCtx, naming):
             return reject(f"restriction blocked: {ex}")
         out.append(Splitting(F, nxt, comp, phi, tuple(params)))
 
-    if 2 <= len(basis) <= S.dim and is_involutive(basis, zc):
+    if 2 <= len(basis) <= S.dim and is_involutive(S, tabs, zc):
         consider(basis, derived_system(S, tabs, zc))
     # The tuple stream is ordered simplest-first and deduplicated up to
     # scale, so the first field surviving the full check chain is kept and

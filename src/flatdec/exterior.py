@@ -200,28 +200,6 @@ def contract(v: VectorField, a: KForm) -> KForm:
     return KForm(chart, a.degree - 1, out)
 
 
-def lie_bracket(v: VectorField, w: VectorField) -> VectorField:
-    chart = _same_chart(v, w)
-    out = {}
-    for k in chart.axes:
-        parts = []
-        for i in chart.axes:
-            vi = v.components.get(i)
-            if vi is not None:
-                dwk = diff(w.comp(k), i)
-                if dwk is not ZERO:
-                    parts.append(mul(vi, dwk))
-            wi = w.components.get(i)
-            if wi is not None:
-                dvk = diff(v.comp(k), i)
-                if dvk is not ZERO:
-                    parts.append(neg(mul(wi, dvk)))
-        e = add(*parts) if parts else ZERO
-        if e is not ZERO:
-            out[k] = e
-    return VectorField(chart, out)
-
-
 # -- chart transforms ---------------------------------------------------------
 
 @dataclass(frozen=True)

@@ -6,18 +6,18 @@ independent fields on one chart.  All spans are generic: membership and
 rank are decided by the probabilistic zero test through fraction-free
 elimination.  The contraction tables of a level, (v.dg) ^ Omega for its
 vertical fields v, live here: the derived system, the search's joint
-candidate and the Frobenius test of {P, dt} are all read off them.  The
-vertical and Cauchy-characteristic tests and the check that equations
-solve for given variables live here for the search and the certificate
-checks alike.
+candidate and the one involutivity (Frobenius) test of the vertical
+fields are all read off them.  The vertical and Cauchy-characteristic
+tests and the check that equations solve for given variables live here
+for the search and the certificate checks alike.
 """
 
 from __future__ import annotations
 
 from . import linalg
 from .exterior import (
-    Chart, ChartTransform, KForm, T, VectorField, contract, d, lie_bracket,
-    oneform, one_coeffs, pullback, wedge, wedge_all,
+    Chart, ChartTransform, KForm, T, VectorField, contract, d, oneform,
+    one_coeffs, pullback, wedge, wedge_all,
 )
 from .linalg import ZeroCtx
 from .symexpr import (
@@ -36,10 +36,6 @@ def _form_row(w: KForm, chart: Chart):
 
 def _row_form(chart: Chart, row) -> KForm:
     return oneform(chart, {s: c for s, c in zip(chart.axes, row) if c is not ZERO})
-
-
-def _field_row(v: VectorField, chart: Chart):
-    return [v.comp(s) for s in chart.axes]
 
 
 def _row_field(chart: Chart, row) -> VectorField:
@@ -166,7 +162,7 @@ def derived_flag(P: PfaffianSystem, zc: ZeroCtx):
 
     One (P, V, tabs) per level: V is a basis of the level's vertical
     annihilator and tabs its contraction tables over it, from which the
-    next level and the level's Frobenius test are read.
+    next level and the level's involutivity test are read.
     """
     flag = []
     while True:
@@ -223,23 +219,13 @@ def solves_for(gens, params, zc: ZeroCtx) -> bool:
     return linalg.rank(jac, zc) == len(params)
 
 
-def is_involutive(fields, zc: ZeroCtx) -> bool:
-    """Whether every bracket of two of the fields lies in their span, all
-    of them tested against one elimination of the span."""
-    rows = [_field_row(v, v.chart) for v in fields]
-    brackets = (_field_row(lie_bracket(v, w), v.chart)
-                for i, v in enumerate(fields) for w in fields[i + 1:])
-    return linalg.in_span(rows, brackets, zc)
-
-
-def is_integrable_with_dt(P: PfaffianSystem, tabs, zc: ZeroCtx) -> bool:
-    """Frobenius test for {P, dt}, read off P's contraction tables tabs
-    over a basis of its vertical annihilator (derived_flag).
-
-    v.Omega = v.dt = 0 for a vertical v, so dg ^ Omega ^ dt = 0 exactly when
-    every (v.dg) ^ Omega ^ dt = 0, that is, when no (v.dg) ^ Omega has a
-    term free of dt: every table entry off the t axis is zero.
-    """
+def is_involutive(P: PfaffianSystem, tabs, zc: ZeroCtx) -> bool:
+    """Whether P's vertical annihilator is involutive, read off P's
+    contraction tables tabs over a basis of it: by Frobenius, exactly when
+    {P, dt} is integrable, dg ^ Omega ^ dt = 0 for every generator g.
+    v.Omega = v.dt = 0 for a vertical v, so that holds exactly when no
+    (v.dg) ^ Omega has a term free of dt: every table entry off the t axis
+    is zero."""
     t = P.chart.axis_index(T)
     _, tables, _ = tabs
     return all(zc.zero(e) for tab in tables for idx, row in tab.items()

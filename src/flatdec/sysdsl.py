@@ -15,6 +15,7 @@ The time symbol t is implicit and reserved; dynamics must be time-invariant.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 
 from . import linalg
@@ -150,7 +151,10 @@ class _Parser:
     def _nud(self, tok) -> Expr:
         kind, lex, line, col = tok
         if kind == "int":
-            return const(int(lex))
+            try:
+                return const(int(lex))
+            except ValueError:   # past sys.get_int_max_str_digits()
+                raise SemanticError(f"{line}:{col}: literal too long") from None
         if kind == "ident":
             if lex in FUNCTIONS and self.peek()[1] == "(":
                 self.advance()
@@ -198,6 +202,21 @@ class _Parser:
         raise ParseError(f"unexpected operator {lex!r}", line, col)
 
 
+def _printable(e: Expr, where: str) -> Expr:
+    """e, unless an int of its structural key (a numerator, denominator or
+    exponent) has more digits than sys.get_int_max_str_digits() lets render
+    print, 0 meaning no limit: then SemanticError."""
+    limit, todo = sys.get_int_max_str_digits(), [e.key]
+    while limit and todo:
+        k = todo.pop()
+        if isinstance(k, tuple):
+            todo.extend(k)
+        elif (isinstance(k, int) and k.bit_length() > 3 * limit
+              and abs(k) >= 10 ** limit):   # as 8^limit < 10^limit
+            raise SemanticError(f"{where} has a constant of over {limit} digits")
+    return e
+
+
 def parse_expr(text: str, chart) -> Expr:
     symmap = {s.name: s for s in chart}
     p = _Parser(_tokenize(text), symmap)
@@ -205,7 +224,7 @@ def parse_expr(text: str, chart) -> Expr:
     kind, lex, line, col = p.peek()
     if kind != "eof":
         raise ParseError(f"trailing input starting at {lex!r}", line, col)
-    return e
+    return _printable(e, "the expression")
 
 
 def parse_system(text: str) -> ControlSystem:
@@ -262,7 +281,7 @@ def parse_system(text: str) -> ControlSystem:
             raise SemanticError(f"{iline}:{icol}: duplicate equation for {ident}")
         p.expect(")")
         p.expect("=")
-        eqs[target] = p.expression(0)
+        eqs[target] = _printable(p.expression(0), f"dot({ident})")
         p.expect(";")
     p.expect("}")
     kind, lex, line, col = p.peek()

@@ -27,7 +27,7 @@ from .symexpr import (
 
 
 class StructureViolation(ValueError):
-    """The assembled equations break the triangular dependence rules."""
+    """An empty or unfinished sequence, or a misshapen one (check_shape)."""
 
 
 class OutputCountMismatch(ValueError):
@@ -139,11 +139,9 @@ def from_sequence(sequence, zc: ZeroCtx, system) -> TriangularDecomposition:
     blocks = tuple(blocks)
 
     check_shape(final, blocks, equations)
-    td = TriangularDecomposition(chart=final, blocks=blocks,
-                                 equations=equations, transform=theta,
-                                 system=system)
-    _check_structure(td, zc)
-    return td
+    return TriangularDecomposition(chart=final, blocks=blocks,
+                                   equations=equations, transform=theta,
+                                   system=system)
 
 
 def check_shape(chart, blocks, equations) -> None:
@@ -181,39 +179,14 @@ def check_shape(chart, blocks, equations) -> None:
                 f"field chart names {c.name}, which no block lists")
 
 
-def _check_structure(td: TriangularDecomposition, zc: ZeroCtx) -> None:
-    for i in range(1, td.n_b + 1):
-        gens = td.equations[i - 1]
-        solved = td.blocks[i].nondrv
-        later = [c for blk in td.blocks[i:] for c in blk.coords]
-        allowed = {c for blk in td.blocks[:i] for c in blk.coords}
-        allowed.update(solved)
-        allowed.add(T)
-        for g in gens:
-            coeffs = one_coeffs(g)
-            for s in later:
-                e = coeffs.get(s)
-                if e is not None and not zc.zero(e):
-                    raise StructureViolation(
-                        f"Xi^{i} carries d{s.name} from a later block")
-            for e in coeffs.values():
-                for s in e.free - allowed:
-                    if zc.depends(e, s):
-                        raise StructureViolation(
-                            f"Xi^{i} coefficient depends on {s.name}")
-        if not solves_for(gens, solved, zc):
-            raise StructureViolation(
-                f"Xi^{i} is not solvable for block {i + 1}: singular Jacobian")
-
-
 def validate(td: TriangularDecomposition, zc: ZeroCtx):
     """Pass/fail items for the defining properties of the triangular form.
 
     Checked per level: the solved variables' coordinate fields are vertical
     for the enclosing subsystem and characteristic for the deeper one; each
-    block solves for its variables with a regular Jacobian; the flat-output
-    coordinates are characteristic for every block that omits them.
-    """
+    block solves for its variables with a regular Jacobian and involves no
+    coordinate of a later block; the flat-output coordinates are
+    characteristic for every block that omits them."""
     n_b, m = td.n_b, td.m
     spans = _prefix_spans(td.chart, td.equations, zc)
     report = []
@@ -225,8 +198,15 @@ def validate(td: TriangularDecomposition, zc: ZeroCtx):
         ok = all(is_characteristic(v, spans[n_b - k - 1], zc) for v in fields)
         report.append((f"zhat^{m - k} Cauchy for S_d{k + 1}", ok))
     for i in range(1, n_b + 1):
-        ok = solves_for(td.equations[i - 1], td.blocks[i].nondrv, zc)
+        xi, solved = td.equations[i - 1], td.blocks[i].nondrv
+        ok = solves_for(xi, solved, zc)
         report.append((f"Xi^{i} parameterizable in zhat^{i + 1}", ok))
+        own = {T}.union(*(blk.coords for blk in td.blocks[:i]))
+        allowed = own.union(solved)
+        ok = all((s in own or zc.zero(e)) and not any(
+            zc.depends(e, w) for w in e.free - allowed)
+            for g in xi for s, e in one_coeffs(g).items())
+        report.append((f"Xi^{i} involves no later coordinate", ok))
     for k in range(1, m):
         blk = td.blocks[k - 1]
         if not blk.y:
@@ -601,9 +581,10 @@ def verify_flatness_numeric(cert: FlatnessCertificate, trials: int,
     reference run or re-integration overflows or leaves the domain, count
     as singular, never as failures, but the pass bar is 80 percent of ALL
     trials, so singular trials eat into the same slack as failures.  Trial
-    inputs are drawn from a narrow correlated envelope chosen to keep
-    samples clear of singular loci.  A claim, or a block structure, with
-    more or fewer outputs than inputs raises OutputCountMismatch at once.
+    inputs are drawn from a narrow correlated envelope that keeps them, but
+    not the states, clear of singular loci.  A claim, or a block structure,
+    with more or fewer outputs than inputs raises OutputCountMismatch at
+    once.
     """
     import numpy as np
     td = cert.decomposition
@@ -640,9 +621,9 @@ def verify_flatness_numeric(cert: FlatnessCertificate, trials: int,
             x0 = [rng.uniform(0.8, 1.2) for _ in range(n_x)]
             # shared base level, alternating per-input slopes: levels stay
             # below 1 and input ratios drift monotonically without nearing
-            # pi/2, so samples keep clear of singular loci and rate-dependent
-            # coordinates stay observable (pairwise nonvanishing input
-            # Wronskians)
+            # pi/2, so the inputs (not the states: car's ph crosses pi/2)
+            # keep clear of singular loci and rate-dependent coordinates stay
+            # observable (pairwise nonvanishing input Wronskians)
             base = rng.uniform(0.7, 0.8)
             ucoeff = []
             for j in range(n_u):

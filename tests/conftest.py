@@ -8,8 +8,10 @@ tuple stream that the scan's flat class stream replaced, the
 tree-walk compiler the straight-line programs replaced, the
 Fraction-based sum and product the int-pair constructors replaced, and
 the Newton recovery that re-gathered every sample on each iteration,
-which the compacted working set replaced; and the span membership and
-k-form sums that only the tests use."""
+which the compacted working set replaced; the Lie bracket and the
+bracket-based involutivity test that the level tables' Frobenius test
+replaced; and the span membership and k-form sums that only the tests
+use."""
 
 from fractions import Fraction
 
@@ -26,7 +28,7 @@ from flatdec.pfaffian import (
 )
 from flatdec.symexpr import (
     INPUT, MINUS_ONE, ONE, PRIME, ZERO, Add, Const, Func, Mul, Pow, Var, add,
-    const, diff, mul, pow_, structural_key, value_mod_p,
+    const, diff, mul, neg, pow_, structural_key, value_mod_p,
 )
 from flatdec.sysdsl import parse_system
 from flatdec.triangular import _SampleDiverged, _SampleSingular
@@ -91,6 +93,30 @@ def contains(span, x, zc) -> bool:
     coeffs = one_coeffs(x)
     row = [coeffs.get(s, ZERO) for s in span.chart.axes]
     return in_span(span.rows(), [row], zc)
+
+
+def lie_bracket(v: VectorField, w: VectorField) -> VectorField:
+    """[v, w], componentwise: [v, w]_k = v(w_k) - w(v_k)."""
+    assert v.chart == w.chart
+    out = {}
+    for k in v.chart.axes:
+        parts = [mul(v.comp(i), diff(w.comp(k), i)) for i in v.chart.axes]
+        parts += [neg(mul(w.comp(i), diff(v.comp(k), i)))
+                  for i in v.chart.axes]
+        e = add(*parts)
+        if e is not ZERO:
+            out[k] = e
+    return VectorField(v.chart, out)
+
+
+def bracket_involutive(fields, zc) -> bool:
+    """Reference involutivity test: every bracket of two of the fields lies
+    in their span."""
+    axes = fields[0].chart.axes
+    rows = [[v.comp(s) for s in axes] for v in fields]
+    brackets = ([b.comp(s) for s in axes] for i, v in enumerate(fields)
+                for b in (lie_bracket(v, w) for w in fields[i + 1:]))
+    return in_span(rows, brackets, zc)
 
 
 def _members(span):

@@ -22,7 +22,7 @@ from flatdec.linalg import ZeroCtx, nullspace, row_echelon
 from flatdec.pfaffian import (
     PfaffianSystem, contraction_tables, derived_flag,
     derived_system, from_control_system, is_characteristic,
-    is_integrable_with_dt, solves_for, span_from_solutions,
+    is_involutive, solves_for, span_from_solutions,
     vertical_annihilator,
 )
 from flatdec.symexpr import (
@@ -33,7 +33,7 @@ from flatdec.sysdsl import parse_system
 from flatdec.triangular import from_sequence
 
 from conftest import (
-    DualScreen, along, contains, dual_nullspace_mod_p,
+    DualScreen, along, bracket_involutive, contains, dual_nullspace_mod_p,
     dual_pencil_at, dual_rref_mod_p, form_add, in_span_mod_p,
     nested_coefficient_vectors, projective_key, same_span, scale, search,
     tuple_stream, wedge_derived_system, wedge_integrable_with_dt,
@@ -381,20 +381,23 @@ def test_derived_system_is_the_joint_span(name, seed, monkeypatch):
     # spans the annihilator of S: the forms invariant along every vertical
     # field (the joint candidate) are the derived system dp ^ Omega = 0,
     # and no (v.dg) ^ Omega has a term free of dt exactly when
-    # dg ^ Omega ^ dt = 0.  Both are checked against the textbook wedges on
-    # every level of the derived flag and every level the search reaches.
+    # dg ^ Omega ^ dt = 0, that is, when V is involutive.  Both are checked
+    # against the textbook wedges, and the involutivity test against the
+    # brackets of V wherever |V| >= 2, on every level of the derived flag
+    # and every level the search reaches.
     calls = _recording_tables(monkeypatch)
     cs = parse_system((DATA / f"{name}.fds").read_text())
     zc = ZeroCtx(seed)
     run_decomposition(cs, zc)
     assert calls
-    flag = [(P, tabs) for P, _, tabs in
-            derived_flag(from_control_system(cs, zc), zc)]
-    for S, tabs in flag + [(S, tabs) for S, _, tabs in calls]:
+    flag = derived_flag(from_control_system(cs, zc), zc)
+    for S, V, tabs in flag + calls:
         assert same_span(derived_system(S, tabs, zc),
                          wedge_derived_system(S, zc), zc)
-        assert is_integrable_with_dt(S, tabs, zc) == \
-            wedge_integrable_with_dt(S, zc)
+        involutive = is_involutive(S, tabs, zc)
+        assert involutive == wedge_integrable_with_dt(S, zc)
+        if len(V) >= 2:
+            assert involutive == bracket_involutive(V, zc)
 
 
 def test_reduce_once_builds_the_tables_once(coupled_sys, zc, monkeypatch):

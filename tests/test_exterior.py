@@ -6,15 +6,15 @@ from hypothesis import given, settings, strategies as st
 from flatdec import symexpr as sx
 from flatdec.exterior import (
     Chart, ChartMismatch, ChartTransform, KForm, NotSolvable, T, VectorField,
-    compose, contract, d, extend_transform, identity_transform, lie_bracket,
-    one_coeffs, oneform, pullback, pushforward, straighten_flow, wedge,
+    compose, contract, d, extend_transform, identity_transform, one_coeffs,
+    oneform, pullback, pushforward, straighten_flow, wedge,
 )
 from flatdec.linalg import ZeroCtx
 from flatdec.symexpr import (
     Symbol, add, const, diff, div, func, mul, neg, pow_, substitute, var,
 )
 
-from conftest import dt, dx, form_add, form_sub
+from conftest import dt, dx, form_add, form_sub, lie_bracket
 
 X1, X2, X3 = Symbol("x1", sx.STATE), Symbol("x2", sx.STATE), Symbol("x3", sx.STATE)
 U1, U2 = Symbol("u1", sx.INPUT), Symbol("u2", sx.INPUT)
@@ -135,7 +135,7 @@ def test_contract_antiderivation_fixed():
     assert form_zero(form_sub(lhs, rhs))
 
 
-# -- Lie bracket ---------------------------------------------------------------------
+# -- Lie bracket, the oracle of tests/conftest.py --------------------------------
 
 def test_bracket_coordinate_fields():
     v = VectorField(CH, {X1: sx.ONE})

@@ -35,13 +35,13 @@ GOLDEN = {
     ("car", "decompose"): "1cd103b1a9498fdde79521744916045db64334ca1cc4f6b9994d0a2f3e8a186b",
     ("chain4", "analyze"): "ff180ee873f0be96b837b8bee23bebac48c3fbb35c314f2dfe7a9d2e5ef8e2f2",
     ("chain4", "decompose"): "662c9a92f7b704f7d5c4d7b5abe17abe141a069729c6fb8ba2a6c94ae1f0f277",
-    ("chain4", "decompose --verify --samples 6"): "eed044d7979c17e55e6db6fb73e1b261c71d8ba64ee4020289d4f63253fd25f0",
+    ("chain4", "decompose --verify --samples 6"): "c3d47e58e0b164ea4875ff2a9ead69d296926d909c6109d19be2a8eade1d1b20",
     ("chained5", "decompose"): "c30b09e8562be80ce084448547cb4d2622093e1d4050b2c033c6092924cb41c6",
     ("coupled", "analyze"): "9ab54fb78ca41dc8cb3f13b2e9a850bc150b8135fe189eda921e1ee14eb32bf9",
     ("coupled", "decompose"): "09cfa06da232e79d1e8052e3e2ddba7e31222f4263f650093195e0dd0da746e5",
-    ("coupled", "decompose --verify --samples 6"): "89bed3a3433cf994aa7234f72e8a9b6a20b3dde25568e4cc9d52b638ff492227",
-    ("gb3", "decompose --verify --samples 6"): "be22a5c4b9c7f722171532309edbe74aaa36d97d9f2501feec9f00e3cfe5a10a",
-    ("gb6", "decompose --verify --samples 6"): "7a0bd6ee8a719afd96f37e814a480c8aa29a9cbb463a53094e3ec1944dadc5f4",
+    ("coupled", "decompose --verify --samples 6"): "d6338d5ee295d9073aebcb316fd917b35f0cfdc9d5c29adb9749a5db61936c05",
+    ("gb3", "decompose --verify --samples 6"): "c27de0a7fc865d907e507cc3bca5a1382cae93411d9778362097042c76f96b9d",
+    ("gb6", "decompose --verify --samples 6"): "c5d55c708e80fff77b83a71c19e7b08073b093f100e7a4a8ac29b5b465290991",
     ("gc11", "decompose"): "191c4a754d4feddc7c23456ef2c81e695adb31e3a7db87b3f78923151bee8187",
     ("nfd", "analyze"): "947a61077299c7e87556e3e9760638de886f77ed795217535465a457e629c1a3",
     ("nfd", "decompose"): "4c42e98b62079438bbf47653e23ee1a27f1db3310ca69e0e12513b6b3a3f6ef8",
@@ -49,14 +49,14 @@ GOLDEN = {
     ("nfd2", "decompose"): "af95502ae6ba4c529cd86d4a3f4a6ac109d4bd4e39401e8613703652cfb97fa0",
     ("nfd3", "decompose"): "c2a914a1e6c8c10202419c729f0a01d8164396671b500fb867801e0ec196b1e6",
     ("slow/pvtol", "decompose"): "11adf3ab8e3bf59111934380ff07d5dc2b1a07e17c7a7e37f2fdf11a6deb9dd2",
-    ("slow/pvtol", "verify --certificate slow/pvtol.cert.json --samples 2"): "b866d056d1a6df1c0e6399d8dcce830cbfdef5f56c2d8f00b514ae918b69e6c3",
+    ("slow/pvtol", "verify --certificate slow/pvtol.cert.json --samples 2"): "48187a11d0c9c5e9f9ac423bc6ce10f4547279ed44c4e76e1a7f18f0ce6afb95",
     ("sinex", "analyze"): "8527ebc4987ce8d670ecd03f8b97ac09886057f6902c11075be464e5a4c9b6c0",
     ("sinex", "decompose"): "dbd026688a76fab5f30e0496d9583a3461d5412e4800c29cbae6688cbba1c941",
-    ("sinex", "decompose --verify --samples 6"): "b3e2bb81161653916a9418726a4050634f6f98f11e9ace7340bc04a04c0b85ee",
-    ("sinex", 'verify --outputs "x3; x2" --samples 6'): "275ebd56d8defc01709bc9c83300d9333e552781b8cfaa130e89610fd9d5de6e",
+    ("sinex", "decompose --verify --samples 6"): "4d3d552ea693d0dcbe714ae2132230682efe86c74fb7e9f2f95295e71ece3d60",
+    ("sinex", 'verify --outputs "x3; x2" --samples 6'): "53fdc15ccded2ca19b8ac04729f8df50ba1a26d0deba409daa67166930696791",
     ("three", "decompose"): "fec936ba23576a84861deb5fe4a3fc3fddd3dee444611cfa9c5cbb97143459a1",
     ("trailer1", "decompose"): "8f852125769a227f3838addd3472633a7485fe7b2b97687988b0b3086300d2f9",
-    ("unicycle", "decompose --verify --samples 6"): "18da99307864feb93b8ed0742bf1f2ec65d8bc2e19d85966888d785c421c2877",
+    ("unicycle", "decompose --verify --samples 6"): "ed41844f5099b27123c2ba0596ab381d4430cb60b89e2054dfcc324562093b93",
 }
 
 

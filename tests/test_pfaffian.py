@@ -7,20 +7,22 @@ import pytest
 from flatdec import decompose, pfaffian
 from flatdec.cli import main
 from flatdec.exterior import (
-    Chart, T, VectorField, contract, d, identity_transform, lie_bracket,
-    one_coeffs, oneform, straighten_flow, wedge,
+    Chart, T, VectorField, contract, d, identity_transform, one_coeffs,
+    oneform, straighten_flow, wedge,
 )
 from flatdec.linalg import ZeroCtx, nullspace, rank
 from flatdec.pfaffian import (
     NotReducible, PfaffianSystem, derived_flag, derived_system,
-    from_control_system, is_characteristic, is_integrable_with_dt,
-    is_involutive, is_vertical, restrict_to_subchart, vertical_annihilator,
+    from_control_system, is_characteristic, is_involutive, is_vertical,
+    restrict_to_subchart, vertical_annihilator,
 )
 from flatdec.symexpr import (
     AUX, ONE, ZERO, Symbol, add, div, func, mul, neg, var,
 )
 
-from conftest import contains, same_span, tables
+from conftest import (
+    bracket_involutive, contains, lie_bracket, same_span, tables,
+)
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -249,25 +251,36 @@ def test_cauchy_of_control_system_is_trivial(sin_sys, zc):
 def test_involutive_coordinate_fields(sin_sys, zc):
     S0 = from_control_system(sin_sys, zc)
     V = vertical_annihilator(S0, zc)
-    assert is_involutive(V, zc)
+    assert len(V) == 2 and bracket_involutive(V, zc)
+    assert is_involutive(S0, tables(S0, zc), zc)
 
 
 def test_not_involutive(zc):
+    # span{d/dx1, d/dx2 + x1 d/dx3} annihilates {dx3 - x1 dx2, dt}, and
+    # its bracket d/dx3 leaves it
     x1 = Symbol("x1", AUX)
     x2 = Symbol("x2", AUX)
     x3 = Symbol("x3", AUX)
     chart = Chart((x1, x2, x3))
+    P = PfaffianSystem(chart, [oneform(chart, {x3: ONE, x2: neg(var(x1))})],
+                       zc)
     D = (VectorField(chart, {x1: ONE}),
          VectorField(chart, {x2: ONE, x3: var(x1)}))
-    assert not is_involutive(D, zc)
+    assert all(is_vertical(v, P, zc) for v in D)
+    assert not bracket_involutive(D, zc)
+    assert not is_involutive(P, tables(P, zc), zc)
 
 
 def test_single_field_involutive(zc):
+    # one vertical field: span{x2 d/dx1 + d/dx2} annihilates
+    # {dx1 - x2 dx2, dt}
     x1 = Symbol("x1", AUX)
     x2 = Symbol("x2", AUX)
     chart = Chart((x1, x2))
-    D = (VectorField(chart, {x1: var(x2), x2: ONE}),)
-    assert is_involutive(D, zc)
+    P = PfaffianSystem(chart, [oneform(chart, {x1: ONE, x2: neg(var(x2))})],
+                       zc)
+    assert len(vertical_annihilator(P, zc)) == 1
+    assert is_involutive(P, tables(P, zc), zc)
 
 
 def test_integrable_with_dt(zc, sin_sys):
@@ -275,27 +288,27 @@ def test_integrable_with_dt(zc, sin_sys):
     x2 = Symbol("y2", AUX)
     chart = Chart((x1, x2))
     P = PfaffianSystem(chart, [oneform(chart, {x1: ONE, T: neg(var(x2))})], zc)
-    assert is_integrable_with_dt(P, tables(P, zc), zc)
+    assert is_involutive(P, tables(P, zc), zc)
     empty = PfaffianSystem(chart, [], zc)
-    assert is_integrable_with_dt(empty, tables(empty, zc), zc)
+    assert is_involutive(empty, tables(empty, zc), zc)
     S0 = from_control_system(sin_sys, zc)
     names = ("x1", "x2", "x3", "u1", "u2")
     phi = sin_phi(S0.chart, *(coord(sin_sys, n) for n in names))
     P = PfaffianSystem(S0.chart, [phi], zc)
-    assert not is_integrable_with_dt(P, tables(P, zc), zc)
+    assert not is_involutive(P, tables(P, zc), zc)
 
 
 def test_coupled_derived_not_integrable(coupled_sys, zc):
     # the joint dead-end branch exists despite failing the derived shortcut
     S0 = from_control_system(coupled_sys, zc)
     D = derived_system(S0, tables(S0, zc), zc)
-    assert not is_integrable_with_dt(D, tables(D, zc), zc)
+    assert not is_involutive(D, tables(D, zc), zc)
 
 
 def test_chain_flag_all_integrable(chain, zc):
     S0 = from_control_system(chain(3), zc)
     for P, _, tabs in derived_flag(S0, zc)[1:]:
-        assert is_integrable_with_dt(P, tabs, zc)
+        assert is_involutive(P, tabs, zc)
 
 
 # -- restriction -----------------------------------------------------------------
@@ -400,7 +413,7 @@ def test_cauchy_result_involutive(coupled_sys, zc):
     w = VectorField(S0.chart, {u1: ONE, u2: mul(var(u1), var(u2))})
     for f in (v, w, lie_bracket(v, w)):
         assert is_characteristic(f, D, zc)
-    assert is_involutive((v, w), zc)
+    assert bracket_involutive((v, w), zc)
     assert not is_characteristic(VectorField(S0.chart, {x3: ONE}), D, zc)
 
 
