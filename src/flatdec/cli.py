@@ -10,6 +10,8 @@ import dataclasses
 import functools
 import hashlib
 import json
+import os
+import stat
 import sys
 import time
 
@@ -70,10 +72,16 @@ def _emit(report: dict, args, timer: dict) -> None:
                              "seconds": {k: round(v, 6)
                                          for k, v in timer.items()}}
     if args.report:
-        body = json.dumps(report, sort_keys=True, indent=2,
-                          ensure_ascii=False) + "\n"
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(body)
+        data = (json.dumps(report, sort_keys=True, indent=2,
+                           ensure_ascii=False) + "\n").encode("utf-8")
+        # on ext4, truncating a file written moments ago waits tens of ms
+        # for its writeback: write over the old report instead, then cut a
+        # regular file (not a FIFO or a device) to the new length
+        with open(os.open(args.report, os.O_WRONLY | os.O_CREAT, 0o666),
+                  "wb") as fh:
+            fh.write(data)
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate()
         print(f"report written to {args.report}")
 
 
@@ -195,11 +203,11 @@ def _certificate_load(obj, cs) -> FlatnessCertificate:
                 f"field {where} names {name!r}, which is not in the chart")
         return byname[name]
 
-    def final_expr(text):
-        return parse_expr(text, coords)
-
-    def base_expr(text):
-        return parse_expr(text, base_coords)
+    def expr(text, chart, path):
+        try:
+            return parse_expr(text, chart)
+        except (ParseError, SemanticError) as ex:
+            raise CertificateError(f"field {path}: {ex}") from None
 
     blocks = []
     for i, b in enumerate(_field(obj, "blocks", "", lambda v: isinstance(v, list),
@@ -222,9 +230,10 @@ def _certificate_load(obj, cs) -> FlatnessCertificate:
                 for x in v),
             "a list of lists of coefficient maps")):
         gens = []
-        for d in xi:
+        for j, d in enumerate(xi):
             coeffs = {(T if k == "t" else coord(k, f"equations[{i}]")):
-                      final_expr(v) for k, v in d.items()}
+                      expr(v, coords, f"equations[{i}][{j}].{k}")
+                      for k, v in d.items()}
             gens.append(oneform(final, coeffs))
         equations.append(tuple(gens))
     try:
@@ -242,15 +251,19 @@ def _certificate_load(obj, cs) -> FlatnessCertificate:
         for s in need:
             if s.name not in m:
                 raise CertificateError(f"missing field {where}{s.name}")
-    outputs = tuple(base_expr(y) for y in _field(
-        obj, "outputs", "", _is_names, "a list of expressions"))
+    outputs = tuple(
+        expr(y, base_coords, f"outputs[{j}]") for j, y in enumerate(_field(
+            obj, "outputs", "", _is_names, "a list of expressions")))
     order = flat_order(outputs)
     _field(obj, "order", "", lambda v: v == order,
            f"{order!r}, the order its outputs imply")
     phi = ChartTransform(
         final, base,
-        {s: final_expr(forward[s.name]) for s in base_coords},
-        {s: base_expr(inverse[s.name]) for s in coords})
+        {s: expr(forward[s.name], coords, f"transform.forward.{s.name}")
+         for s in base_coords},
+        {s: expr(inverse[s.name], base_coords,
+              f"transform.inverse.{s.name}")
+         for s in coords})
     td = TriangularDecomposition(chart=final, blocks=tuple(blocks),
                                  equations=tuple(equations), transform=phi,
                                  system=cs)

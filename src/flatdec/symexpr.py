@@ -6,6 +6,8 @@ functions.  Every constructor normalizes, so two structurally equal trees
 denote the same function; the converse is decided numerically by `is_zero`.
 Rational coefficients are reduced integer pairs (numerator, denominator > 0):
 the constructors fold them in int arithmetic and build no Fraction.
+The 50-digit branch of the zero test imports mpmath where it runs, so a
+command whose zero tests all run over GF(p) never loads it.
 """
 
 from __future__ import annotations
@@ -15,8 +17,6 @@ import hashlib
 import math
 import weakref
 from numbers import Rational
-
-import mpmath
 
 FUNCTIONS = ("sin", "cos", "tan", "exp", "ln", "sqrt", "arcsin", "arctan")
 
@@ -487,6 +487,7 @@ _MP_NAMES = {"ln": "log", "arcsin": "asin", "arctan": "atan"}
 
 def _mp_node(e: Expr, args):
     """Value of a non-Var node from its children's values `args`, in mpmath."""
+    import mpmath
     if isinstance(e, Const):
         return mpmath.mpf(e.n) / e.d
     if isinstance(e, Add):
@@ -528,6 +529,7 @@ def _coordinate(sym: Symbol, seed: int, k: int, modp: bool):
         repr((seed, k, sym.name, sym.kind)).encode()).digest(), "big")
     if modp:
         return 1 + h % (PRIME - 1)
+    import mpmath
     # rationals in [1/2, 2] with coarse denominators: keeps tan() samples
     # safely away from its poles at 50-digit precision
     q = 8 + (h >> 64) % 57
@@ -560,6 +562,7 @@ def _mp_scale(e: Expr, v, args, scales):
     sums and products of the children's magnitudes, carried through powers
     by relative error and through functions by the larger of value and
     argument magnitude.  Rounding leaves an error near 1e-50 times it."""
+    import mpmath
     if isinstance(e, Add):
         return mpmath.fsum(scales)
     if isinstance(e, Mul):
@@ -814,6 +817,7 @@ def is_zero(e: Expr, seed: int) -> bool:
         return e.n == 0
     if _on_residues(e, seed):
         return _vanishes(e, seed, True)
+    import mpmath
     with mpmath.workdps(ZERO_DPS):
         return _vanishes(e, seed, False)
 

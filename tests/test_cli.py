@@ -141,7 +141,8 @@ def test_certificate_constant_too_long_to_print_exits_1(sin_file, sin_report,
     cert.write_text(json.dumps(sin_report))
     capsys.readouterr()
     assert main(["verify", sin_file, "--certificate", str(cert)]) == 1
-    assert capsys.readouterr().err.startswith("SemanticError: ")
+    assert capsys.readouterr().err.startswith(
+        "CertificateError: field transform.forward.x1: ")
 
 
 # -- decompose -----------------------------------------------------------------------
@@ -158,6 +159,21 @@ def test_decompose_emits_flat_outputs(sin_file, tmp_path, capsys):
     assert obj["certificate"]["order"] == "1-flat"
     out = capsys.readouterr().out
     assert "Triangularized" in out and "x3" in out
+
+
+def test_report_over_a_longer_file_matches_a_fresh_write(sin_file, tmp_path,
+                                                        capsys):
+    over, fresh = tmp_path / "over.json", tmp_path / "fresh.json"
+    over.write_text("x" * 100_000)
+    assert main(["analyze", sin_file, "--report", str(over)]) == 0
+    assert main(["analyze", sin_file, "--report", str(fresh)]) == 0
+    assert over.read_bytes() == fresh.read_bytes()
+
+
+def test_report_in_a_missing_directory_exits_1(sin_file, tmp_path, capsys):
+    assert main(["analyze", sin_file,
+                 "--report", str(tmp_path / "nope" / "a.json")]) == 1
+    assert "No such file or directory" in capsys.readouterr().err
 
 
 def test_decompose_reports_are_byte_identical(sin_file, tmp_path):
@@ -680,6 +696,14 @@ def _misshape(cert, case):
         cert["blocks"][0] = list(cert["blocks"][0].values())
     elif case == "forward-missing":
         del cert["transform"]["forward"]["x1"]
+    elif case == "forward-unknown-symbol":
+        cert["transform"]["forward"]["x1"] = "zz + 1"
+    elif case == "inverse-malformed":
+        cert["transform"]["inverse"]["rh"] = "u1/"
+    elif case == "coefficient-unknown-symbol":
+        cert["equations"][0][0]["r2"] = "sin(wq)"
+    elif case == "output-malformed":
+        cert["outputs"][1] = "x1 +* x2"
     else:
         cert["blocks"][1]["outputs"].append(cert["blocks"][0]["outputs"][0])
 
@@ -706,6 +730,11 @@ def _misshape(cert, case):
      "field blocks[1].outputs names 'zz', which is not in the chart"),
     ("block-a-list", "field blocks[0] must be an object"),
     ("forward-missing", "missing field transform.forward.x1"),
+    ("forward-unknown-symbol",
+     "field transform.forward.x1: unknown symbol 'zz' at 1:1"),
+    ("inverse-malformed", "field transform.inverse.rh: "),
+    ("coefficient-unknown-symbol", "field equations[0][0].r2: "),
+    ("output-malformed", "field outputs[1]: "),
 ])
 def test_verify_malformed_certificate_exits_1(sin_file, sin_report, tmp_path,
                                               capsys, case, message):

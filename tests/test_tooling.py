@@ -264,6 +264,38 @@ def test_symbolic_commands_do_not_load_numpy(tmp_path):
     assert done.stdout.splitlines()[-1] == "[False, False, True]"
 
 
+# mpmath serves only the zero test's 50-digit branch; coupled's zero tests
+# all run over GF(p), and sin(1), a function of a constant, takes that branch
+_MPMATH_PROBE = """
+import sys
+from flatdec.cli import main
+from flatdec.symexpr import add, const, func, mul, is_zero
+system, report = sys.argv[1:]
+loaded = ["mpmath" in sys.modules]
+for argv in (["analyze", system], ["decompose", system],
+             ["decompose", system, "--verify", "--samples", "2"],
+             ["verify", system, "--certificate", report, "--samples", "2"]):
+    assert main(argv + ["--report", report]) == 0
+    loaded.append("mpmath" in sys.modules)
+s1, c1 = func("sin", const(1)), func("cos", const(1))
+assert is_zero(add(mul(s1, s1), mul(c1, c1), const(-1)), 0)
+assert not is_zero(add(s1, mul(const(-1), func("sin", const(2)))), 0)
+loaded.append("mpmath" in sys.modules)
+print(loaded)
+"""
+
+
+def test_commands_load_mpmath_only_for_a_50_digit_zero_test(tmp_path):
+    system = ROOT / "tests" / "data" / "coupled.fds"
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    done = subprocess.run(
+        [sys.executable, "-c", _MPMATH_PROBE, str(system),
+         str(tmp_path / "r.json")],
+        capture_output=True, text=True, env=env, timeout=300, check=True)
+    assert done.stdout.splitlines()[-1] == \
+        "[False, False, False, False, False, True]"
+
+
 def _parser_flags(parser):
     """Every --flag of parser and of its subcommands, --help aside."""
     flags = set()
